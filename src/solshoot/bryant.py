@@ -184,7 +184,7 @@ def bryant_smalltime(
     """
     traj = steady_reference(cfg=cfg)
     t = np.linspace(traj.t0, traj.t_end, n)
-    states = np.array([traj.eval(tt) for tt in t])
+    states = traj.eval(t)
     l2, r = states[:, 2], states[:, 3]
     z = 1.0 / r
     x = l2 / r

@@ -155,7 +155,8 @@ def curvature_eigs(s) -> CurvatureEigenvalues:
     The formulas use the first-order equations to eliminate second
     derivatives, so they represent curvatures only on actual trajectories;
     evaluated off-shell (e.g. on Newton iterates) they are just the same
-    algebraic expressions.
+    algebraic expressions.  The four components may be arrays of equal
+    shape; the eigenvalues are then arrays of that shape.
     """
     xi, l1, l2, r = s
     return CurvatureEigenvalues(
@@ -167,20 +168,11 @@ def curvature_eigs(s) -> CurvatureEigenvalues:
 
 
 def curvature_eigs_grid(states: np.ndarray) -> np.ndarray:
-    """Vectorized ``curvature_eigs`` over an (n, 4) array of states.
+    """``curvature_eigs`` over an (n, 4) array of states.
 
     Returns an (n, 4) array with columns (k_t1, k_s, k_m, k_t2).
     """
-    states = np.asarray(states, dtype=float)
-    xi, l1, l2, r = states.T
-    return np.column_stack(
-        [
-            xi * l1 + 1.0 - l1 * l1,
-            r * r - l2 * l2,
-            -l1 * l2,
-            xi * l2 + 1.0 - r * r - l2 * l2,
-        ]
-    )
+    return np.column_stack(curvature_eigs(np.asarray(states, dtype=float).T))
 
 
 def scalar_curvature(s) -> float:

@@ -68,6 +68,9 @@ _P = np.array(
 _GL3_NODES = np.array([0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10])
 _GL3_WEIGHTS = np.array([5 / 18, 8 / 18, 5 / 18])
 
+# interior dense points probed for event sign changes on every step
+_PROBE_FRACS = np.array([0.25, 0.5, 0.75])
+
 ORDER = 5  # propagating order of the pair
 
 
@@ -82,11 +85,15 @@ class IntegratorConfig:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf
-    first_step: Optional[float] = None
     max_steps: int = 500_000
     blowup_norm: float = 1e12
     fixed_step: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,66 +145,81 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.t[-1])
 
-    def _segment_index(self, t: float) -> int:
-        if not (self.t[0] <= t <= self.t[-1]):
+    def _locate(self, t):
+        """Flattened query times, the index of the first node at or after
+        each, and the mask of exact node hits; ValueError outside the domain."""
+        flat = np.asarray(t, dtype=float).ravel()
+        inside = (self.t[0] <= flat) & (flat <= self.t[-1])
+        if not np.all(inside):
             raise ValueError(
-                f"t={t!r} outside trajectory domain [{self.t[0]!r}, {self.t[-1]!r}]"
+                f"t={flat[~inside][0]!r} outside trajectory domain "
+                f"[{self.t[0]!r}, {self.t[-1]!r}]"
             )
-        i = int(np.searchsorted(self.t, t, side="right") - 1)
-        return min(max(i, 0), len(self.t) - 2)
-
-    def _eval_segment(self, i: int, t: float) -> np.ndarray:
-        theta = (t - self.t[i]) / self.dense_h[i]
-        q = self.dense_q[i]
-        # Horner form of y_i + h * (q0 th + q1 th^2 + q2 th^3 + q3 th^4)
-        acc = q[:, 3]
-        for j in (2, 1, 0):
-            acc = acc * theta + q[:, j]
-        return self.y[i] + self.dense_h[i] * theta * acc
+        j = np.searchsorted(self.t, flat)
+        return flat, j, self.t[j] == flat
 
     def eval(self, t):
-        """Dense evaluation at scalar or array t inside the domain.
+        """Dense evaluation at scalar t (shape (d,)) or array t (shape (m, d)).
 
-        Exact node times return the stored samples bitwise.
+        Every t must lie inside the domain.  Exact node times return the
+        stored samples bitwise.
         """
-        if np.ndim(t) == 0:
-            tf = float(t)
-            i = self._segment_index(tf)
-            if tf == self.t[i]:
-                return self.y[i].copy()
-            if tf == self.t[i + 1]:
-                return self.y[i + 1].copy()
-            return self._eval_segment(i, tf)
-        return np.array([self.eval(float(ti)) for ti in np.asarray(t).ravel()])
+        flat, j, node = self._locate(t)
+        out = self.y[j]
+        i = j[~node] - 1  # off-node times lie strictly inside segment j - 1
+        out[~node] = _interp(self.y[i], self.dense_q[i], self.dense_h[i], flat[~node] - self.t[i])
+        return out[0] if np.ndim(t) == 0 else out
 
-    def antiderivative(self, g: Callable[[float, np.ndarray], float]):
+    def antiderivative(self, g: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         """Cumulative integral of g(t, y(t)) along the trajectory.
 
-        Gauss-Legendre 3 per segment, which integrates the dense interpolant
-        exactly; returns (node_values, eval_fn) where node_values[i] is the
-        integral from t[0] to t[i] and eval_fn works at arbitrary t.
+        ``g`` is called on arrays: ``t`` of shape (m,) and ``y`` of shape
+        (d, m), so ``y[k]`` is component k at every point; it returns the m
+        values.  Gauss-Legendre 3 per segment integrates the dense
+        interpolant exactly.  Returns (node_values, eval_fn): node_values[i]
+        is the integral from t[0] to t[i], and eval_fn gives it at scalar or
+        array t inside the domain (node times return node_values bitwise).
         """
 
-        def piece(i: int, a: float, b: float) -> float:
-            if b <= a:
-                return 0.0
-            ts = a + (b - a) * _GL3_NODES
-            vals = [g(float(tt), self._eval_segment(i, float(tt))) for tt in ts]
-            return (b - a) * float(np.dot(_GL3_WEIGHTS, vals))
+        def partial(i, b):
+            # integral over [t[i], b[k]] inside segment i[k], for each k
+            a = self.t[i]
+            ts = a[:, None] + (b - a)[:, None] * _GL3_NODES
+            ys = _interp(self.y[i, None], self.dense_q[i, None], self.dense_h[i, None], ts - a[:, None])
+            vals = np.asarray(g(ts.ravel(), ys.reshape(-1, ys.shape[-1]).T)).reshape(ts.shape)
+            # np.vecdot runs np.dot's kernel row by row, so a segment's value does
+            # not depend on how many segments are summed together
+            return (b - a) * np.vecdot(vals, _GL3_WEIGHTS)
 
-        n = len(self.t)
-        node_vals = np.zeros(n)
-        for i in range(n - 1):
-            node_vals[i + 1] = node_vals[i] + piece(i, float(self.t[i]), float(self.t[i + 1]))
+        node_vals = np.concatenate(([0.0], np.cumsum(partial(np.arange(len(self.t) - 1), self.t[1:]))))
 
-        def eval_fn(t: float) -> float:
-            i = self._segment_index(float(t))
-            return node_vals[i] + piece(i, float(self.t[i]), float(t))
+        def eval_fn(t):
+            flat, j, node = self._locate(t)
+            out = node_vals[j]
+            i = j[~node] - 1
+            out[~node] = node_vals[i] + partial(i, flat[~node])
+            return out[0] if np.ndim(t) == 0 else out
 
         return node_vals, eval_fn
 
 
-def _hairer_initial_step(rhs, t0, y0, f0, rtol, atol, max_step, span):
+def _interp(y0, q, h, dt):
+    """Quartic dense output y0 + h * (q0 th + q1 th^2 + q2 th^3 + q3 th^4) at
+    th = dt / h, in Horner form.
+
+    One segment (y0 (d,), q (d, 4), scalar h) at scalar or (m,) dt, or any
+    broadcast stack of segments (y0 (..., d), q (..., d, 4), h (...)) with dt
+    of the stack's shape; the result has dt's shape plus a trailing d.
+    """
+    theta = np.asarray(dt / h)
+    th = theta[..., None]
+    acc = q[..., 3]
+    for j in (2, 1, 0):
+        acc = acc * th + q[..., j]
+    return y0 + (h * theta)[..., None] * acc
+
+
+def _hairer_initial_step(rhs, t0, y0, f0, rtol, atol, span):
     """Standard starting-step heuristic (Hairer, Norsett & Wanner II.4)."""
     scale = atol + rtol * np.abs(y0)
     d0 = _rms(y0 / scale)
@@ -209,7 +231,7 @@ def _hairer_initial_step(rhs, t0, y0, f0, rtol, atol, max_step, span):
     d2 = _rms((f1 - f0) / scale) / h0
     dmax = max(d1, d2)
     h1 = (0.01 / dmax) ** (1 / ORDER) if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
-    return min(100 * h0, h1, max_step, span)
+    return min(100 * h0, h1, span)
 
 
 def _rms(v: np.ndarray) -> float:
@@ -270,10 +292,8 @@ def integrate(
     n_evals = 1
     if cfg.fixed_step is not None:
         h = min(cfg.fixed_step, t_end - t0)
-    elif cfg.first_step is not None:
-        h = min(cfg.first_step, t_end - t0, cfg.max_step)
     else:
-        h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, cfg.max_step, t_end - t0)
+        h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0)
         n_evals += 1
 
     ts = [t0]
@@ -294,7 +314,7 @@ def integrate(
         if n_steps > cfg.max_steps:
             termination = "max_steps"
             break
-        h = min(h, cfg.max_step, t_end - t)
+        h = min(h, t_end - t)
         if h < 10 * np.finfo(float).eps * max(abs(t), 1.0):
             termination = "step_underflow"
             break
@@ -324,24 +344,21 @@ def integrate(
             factor = 1.0
 
         q = K.T @ _P  # (d, 4) dense coefficients over this step
-        seg_t0, seg_h = t, h
+        seg_t0, seg_h, seg_y0 = t, h, ys[-1]
 
-        def seg_eval(tt: float) -> np.ndarray:
-            theta = (tt - seg_t0) / seg_h
-            acc = q[:, 3]
-            for j in (2, 1, 0):
-                acc = acc * theta + q[:, j]
-            return ys[-1] + seg_h * theta * acc
+        def seg_eval(tt):
+            return _interp(seg_y0, q, seg_h, tt - seg_t0)
 
         terminal_hit = None
         if events:
             # check a few interior dense points so tight double crossings
             # inside one step are still seen
-            probe_ts = [seg_t0 + frac * seg_h for frac in (0.25, 0.5, 0.75)] + [t_new]
+            probe_ts = seg_t0 + _PROBE_FRACS * seg_h
+            probes = list(zip(probe_ts.tolist(), seg_eval(probe_ts))) + [(t_new, y_new)]
             for ei, e in enumerate(events):
                 ga, ta = g_prev[ei], seg_t0
-                for tb in probe_ts:
-                    gb = e.fn(tb, y_new if tb == t_new else seg_eval(tb))
+                for tb, yb in probes:
+                    gb = e.fn(tb, y_new if tb == t_new else yb)
                     if _crossing_matches(ga, gb, e.direction):
                         t_star = _refine_crossing(seg_eval, e.fn, ta, tb, ga, gb)
                         y_star = seg_eval(t_star) if t_star != t_new else y_new.copy()
@@ -408,13 +425,16 @@ def locate_event(
     for i in range(len(traj.t) - 1):
         t_left = float(traj.t[i])
         t_right = float(traj.t[i + 1])
-        ta, ga = t_left, fn(t_left, traj.y[i])
-        for frac in fracs:
-            tb = min(t_left + frac * (t_right - t_left), t_right)
-            yb = traj.y[i + 1] if tb == t_right else traj._eval_segment(i, tb)
-            gb = fn(tb, yb)
+        y_left, q, h = traj.y[i], traj.dense_q[i], traj.dense_h[i]
+        probe_ts = np.minimum(t_left + fracs * (t_right - t_left), t_right)
+        probe_ys = _interp(y_left, q, h, probe_ts - t_left)
+        ta, ga = t_left, fn(t_left, y_left)
+        for tb, yb in zip(probe_ts.tolist(), probe_ys):
+            gb = fn(tb, traj.y[i + 1] if tb == t_right else yb)
             if _crossing_matches(ga, gb, direction):
-                t_star = _refine_crossing(lambda tt: traj._eval_segment(i, tt), fn, ta, tb, ga, gb)
+                t_star = _refine_crossing(
+                    lambda tt: _interp(y_left, q, h, tt - t_left), fn, ta, tb, ga, gb
+                )
                 y_star = traj.eval(t_star)
                 found.append(EventHit(t=t_star, y=y_star, event_index=-1, name=name))
                 if which == "first":

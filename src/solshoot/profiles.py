@@ -72,7 +72,7 @@ def reconstruct_profile(
         if grid_n < 2:
             raise GridTooCoarse("profile grid needs at least 2 points")
         grid = np.linspace(traj.t0, traj.t_end, int(grid_n))
-        states = np.array([traj.eval(g) for g in grid])
+        states = traj.eval(grid)
     else:
         grid = np.asarray(traj.t, dtype=float)
         states = np.asarray(traj.y, dtype=float)
@@ -85,7 +85,7 @@ def reconstruct_profile(
     # log f1 by exact quadrature of the dense interpolant; anchor at the
     # collapsing-orbit end (last sample for s1 shots, first for s2 shots)
     _, lnf1_eval = traj.antiderivative(lambda t, y: sgn * y[1])
-    lnf1 = np.array([lnf1_eval(g) for g in grid])
+    lnf1 = lnf1_eval(grid)
     anchor = -1 if side == "s1" else 0
     l1_anchor = l1[anchor]
     if not l1_anchor <= _ANCHOR_L1_MAX:
@@ -104,7 +104,7 @@ def reconstruct_profile(
         u_ref, u_gauge = u_eval(hit.t), "xi-zero"
     else:
         u_ref, u_gauge = u_eval(grid[0]), "left-endpoint"
-    u = np.array([u_eval(g) for g in grid]) - u_ref
+    u = u_eval(grid) - u_ref
 
     df1 = sgn * l1 * f1
     df2 = sgn * l2 * f2

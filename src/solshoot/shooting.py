@@ -254,10 +254,14 @@ def check_admissible(
     delta3: Optional[float] = None,
     exploratory: bool = False,
 ) -> None:
-    """Enforce delta1 >= 0, delta2 >= -1, delta3 >= 0 unless exploratory."""
+    """Reject non-finite deltas, and enforce delta1 >= 0, delta2 >= -1,
+    delta3 >= 0 unless exploratory."""
+    given = (("delta1", delta1), ("delta2", delta2), ("delta3", delta3))
+    bad = [f"{k} = {v!r}" for k, v in given if v is not None and not math.isfinite(v)]
+    if bad:
+        raise InadmissibleParameters("; ".join(bad) + ": parameters must be finite")
     if exploratory:
         return
-    bad = []
     if delta1 is not None and delta1 < 0.0:
         bad.append(f"delta1 = {delta1!r} < 0")
     if delta2 is not None and delta2 < -1.0:
@@ -558,24 +562,6 @@ def sample_surface(
 DEFAULT_SCAN_BOX = ((0.0, 10.0), (-1.0, 0.0), (0.0, 40.0))
 
 
-def _scan_curve_node(job):
-    d1, cfg = job
-    try:
-        meet, _ = shoot_curve_point(d1, cfg)
-        return tuple(meet)
-    except (EventNotReached, InadmissibleParameters):
-        return None
-
-
-def _scan_surface_node(job):
-    d2, d3, cfg = job
-    try:
-        meet, _ = shoot_surface_point(d2, d3, cfg)
-        return tuple(meet)
-    except (EventNotReached, InadmissibleParameters):
-        return None
-
-
 def scan_domain(
     box=DEFAULT_SCAN_BOX,
     resolution=20,
@@ -617,14 +603,11 @@ def scan_domain(
     d3x = extend(d3s, a3, b3, n3)
     m2, m3 = n2 + 2, n3 + 2
 
-    curve_results = _map_jobs(
-        _scan_curve_node, [(float(d1), cfg) for d1 in d1x], workers
-    )
-    surf_results = _map_jobs(
-        _scan_surface_node,
-        [(float(d2), float(d3), cfg) for d2 in d2x for d3 in d3x],
-        workers,
-    )
+    # a failed shot has meet None
+    curve_jobs = [(float(d1), cfg) for d1 in d1x]
+    surf_jobs = [(float(d2), float(d3), cfg) for d2 in d2x for d3 in d3x]
+    curve_results = [c.meet for c in _map_jobs(_curve_node, curve_jobs, workers)]
+    surf_results = [c.meet for c in _map_jobs(_surface_node, surf_jobs, workers)]
     inner = curve_results[1:-1] + [
         surf_results[j * m3 + k] for j in range(1, m2 - 1) for k in range(1, m3 - 1)
     ]

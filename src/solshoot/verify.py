@@ -138,8 +138,7 @@ def _dense_times(traj: ode.Trajectory) -> np.ndarray:
 
 
 def _eigs_on(traj: ode.Trajectory, ts: np.ndarray) -> np.ndarray:
-    states = np.array([traj.eval(t) for t in ts])
-    return fields.curvature_eigs_grid(states)
+    return fields.curvature_eigs_grid(traj.eval(ts))
 
 
 def max_principle_report(traj: ode.Trajectory) -> MaxPrincipleReport:
@@ -179,7 +178,7 @@ def sign_profile(traj: ode.Trajectory, zero_band: float = _ZERO_BAND) -> SignRep
         flat.append(False)
 
         def eig_j(t):
-            return float(fields.curvature_eigs_grid(traj.eval(t)[None, :])[0, j])
+            return float(fields.curvature_eigs(traj.eval(t))[j])
 
         found = []
         last_sign, last_t = 0, ts[0]
@@ -221,7 +220,7 @@ def k_monitor(traj: ode.Trajectory, side: str = "s2", n: int = 2001) -> KMonitor
         raise ValueError(f"side must be 's1' or 's2', got {side!r}")
     sgn = 1.0 if side == "s1" else -1.0
     ts = np.linspace(traj.t0, traj.t_end, n)
-    states = np.array([traj.eval(t) for t in ts])
+    states = traj.eval(ts)
     xi, l2, r = states[:, 0], states[:, 2], states[:, 3]
     k = np.hypot(l2, r - 1.0)
     h = ts[1] - ts[0]
@@ -277,11 +276,9 @@ def delta2_monitors(
         raise ExtrapolationUnstable(
             f"trajectory [{traj.t0:g}, {traj.t_end:g}] does not span samples"
         )
-    xs, ys = [], []
-    for s in s_samples:
-        xi, l1 = traj.eval(s)[:2]
-        xs.append(float(xi - l1))
-        ys.append(float(xi * l1 + 1.0 - l1 * l1))
+    xi, l1 = traj.eval(np.asarray(s_samples, dtype=float))[:, :2].T
+    xs = [float(v) for v in xi - l1]
+    ys = [float(v) for v in xi * l1 + 1.0 - l1 * l1]
     a1 = (4.0 * ys[1] - ys[0]) / 3.0
     a2 = (4.0 * ys[2] - ys[1]) / 3.0
     if abs(a2 - a1) > 1e-3:
@@ -351,9 +348,7 @@ def rescaled_bryant_compare(
     _, shot = shoot_curve_point(1.0, cfg, until=("time", 1.0 / 9.0), lam=p2)
     ref = bryant.steady_reference(cfg=cfg)
     ts = np.linspace(t_eps, 1.0 / 9.0, n)
-    dev = np.array(
-        [np.max(np.abs(shot.eval(t) - ref.eval(t))) for t in ts]
-    )
+    dev = np.max(np.abs(shot.eval(ts) - ref.eval(ts)), axis=1)
     sup_dev = float(np.max(dev))
     c_obs = 0.0 if p2 == 0.0 else float(np.max(dev / (p2 * ts)))
     return BryantCompareReport(c_obs=c_obs, sup_dev=sup_dev, p_squared=p2)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -228,6 +229,27 @@ def test_pancake_build_writes_profile(tmp_path, monkeypatch, capsys):
     assert float(meta["max_smoothness_residual"]) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--range", "0.05,0.5", "--n", "3"],
+        ["scan", "--resolution", "3", "--box", "0,0.2,-1,-0.5,0.4,0.8"],
+    ],
+    ids=["curve", "scan"],
+)
+def test_sweep_records_do_not_depend_on_worker_count(tmp_path, capsys, argv):
+    texts = []
+    for workers in ("1", "2"):
+        target = tmp_path / f"workers{workers}.csv"
+        code, _ = run(capsys, argv + ["--workers", workers, "--out", str(target)])
+        assert code == 0
+        texts.append(target.read_text())
+    records = [[ln for ln in t.splitlines() if not ln.startswith("# ")] for t in texts]
+    assert records[0] and records[0] == records[1]
+    # the header differs only where it echoes the worker count
+    assert texts[0].replace("# workers = 1\n", "# workers = 2\n") == texts[1]
+
+
 def test_pancake_curvature_passes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _ = run(capsys, ["pancake-curvature", "--length", "10", "--grid-n", "1000"])
@@ -250,6 +272,25 @@ def test_inadmissible_parameter_exits_64(tmp_path, monkeypatch, capsys):
     _, columns, rows = parse_csv(out)
     assert columns == ("error", "message")
     assert rows[0][0] == "InadmissibleParameters"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shoot-s1", "--delta1", "nan"],
+        ["shoot-s1", "--exploratory", "--delta1", "nan"],
+        ["shoot-s2", "--delta2", "nan", "--delta3", "0.5"],
+        ["shoot-s1", "--delta1", "1", "--tol-rel", "-1"],
+    ],
+    ids=["delta1-nan", "exploratory-delta1-nan", "delta2-nan", "negative-tol-rel"],
+)
+def test_bad_numbers_fail_fast_with_64(capsys, argv):
+    start = time.perf_counter()
+    code, out = run(capsys, argv)
+    assert code == 64
+    assert time.perf_counter() - start < 5.0
+    _, columns, _ = parse_csv(out)
+    assert columns == ("error", "message")
 
 
 def test_infeasible_blend_exits_64(tmp_path, monkeypatch, capsys):

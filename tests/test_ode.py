@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solshoot.ode import Event, IntegratorConfig, Trajectory, integrate, locate_event
 
@@ -142,3 +144,82 @@ def test_stiffish_rescaling_insensitivity():
     # integrating a fast linear decay still meets tolerance
     traj = integrate(lambda t, y: -50.0 * y, 0.0, [1.0], 1.0)
     assert abs(traj.y[-1, 0] - math.exp(-50.0)) < 1e-10
+
+
+# y = (cos t, -sin t), stopped by a terminal event so that the last segment
+# is shorter than the step its interpolant was built over
+_OSC = integrate(
+    lambda t, y: np.array([y[1], -y[0]]),
+    0.0,
+    [1.0, 0.0],
+    10.0,
+    events=[Event(fn=lambda t, y: y[0] - 0.3, direction=+1)],
+)
+
+
+@st.composite
+def _domain_times(draw):
+    """Sorted times inside _OSC's domain: both endpoints, some nodes, some
+    arbitrary points."""
+    nodes = draw(st.lists(st.sampled_from(_OSC.t.tolist()), max_size=10))
+    inner = draw(st.lists(st.floats(_OSC.t0, _OSC.t_end), max_size=10))
+    return np.sort(np.array([_OSC.t0, _OSC.t_end, *nodes, *inner]))
+
+
+def _eval_reference(traj, t):
+    """Dense output at one time by the per-point Horner loop."""
+    i = min(max(int(np.searchsorted(traj.t, t, side="right")) - 1, 0), len(traj.t) - 2)
+    if t == traj.t[i]:
+        return traj.y[i]
+    if t == traj.t[i + 1]:
+        return traj.y[i + 1]
+    theta = (t - traj.t[i]) / traj.dense_h[i]
+    q = traj.dense_q[i]
+    acc = q[:, 3]
+    for j in (2, 1, 0):
+        acc = acc * theta + q[:, j]
+    return traj.y[i] + traj.dense_h[i] * theta * acc
+
+
+def test_property_trajectory_ends_on_event():
+    assert _OSC.termination == "event"
+    assert _OSC.t[-1] - _OSC.t[-2] < _OSC.dense_h[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ts=_domain_times())
+def test_property_array_eval_is_node_exact_and_matches_reference(ts):
+    ys = _OSC.eval(ts)
+    assert ys.shape == (len(ts), 2)
+    at_node = np.isin(ts, _OSC.t)
+    nodes = np.searchsorted(_OSC.t, ts[at_node])
+    assert ys[at_node].tobytes() == _OSC.y[nodes].tobytes()
+    for t, y in zip(ts, ys):
+        assert _OSC.eval(t).tobytes() == y.tobytes()
+        assert _eval_reference(_OSC, float(t)).tobytes() == y.tobytes()
+    assert np.max(np.abs(ys[:, 0] - np.cos(ts))) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ts=_domain_times(),
+    outside=st.one_of(
+        st.floats(max_value=_OSC.t0, exclude_max=True),
+        st.floats(min_value=_OSC.t_end, exclude_min=True),
+    ),
+    where=st.integers(0, 30),
+)
+def test_property_array_eval_rejects_one_time_outside(ts, outside, where):
+    batch = np.insert(ts, where % (len(ts) + 1), outside)
+    with pytest.raises(ValueError):
+        _OSC.eval(batch)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ts=_domain_times())
+def test_property_antiderivative_is_node_exact(ts):
+    node_vals, F = _OSC.antiderivative(lambda t, y: y[0])
+    assert F(_OSC.t).tobytes() == node_vals.tobytes()
+    vals = F(ts)
+    assert vals.shape == ts.shape
+    assert np.max(np.abs(vals - np.sin(ts))) < 1e-8
