@@ -162,12 +162,10 @@ def verify_f_bounds(curve: BryantCurve) -> FBoundsReport:
     )
 
 
-def steady_reference(
-    t_end: float = 1.0 / 9.0, cfg: Optional[ShootConfig] = None
-) -> ode.Trajectory:
+def steady_reference(cfg: Optional[ShootConfig] = None) -> ode.Trajectory:
     """Reference steady shot: the four-field system at lam = 0 launched
-    from the circle orbit with unit series parameter, integrated to t_end."""
-    _, traj = shoot_curve_point(1.0, cfg, until=("time", t_end), lam=0.0)
+    from the circle orbit with unit series parameter, integrated to t = 1/9."""
+    _, traj = shoot_curve_point(1.0, cfg, until=("time", 1.0 / 9.0), lam=0.0)
     return traj
 
 

@@ -475,7 +475,7 @@ def _cmd_trace_pancake_limit(args):
 
 def _cmd_compare_bryant(args):
     cfg = _config(args)
-    rep = verify.rescaled_bryant_compare(args.delta1, t_eps=args.t_eps, cfg=cfg)
+    rep = verify.rescaled_bryant_compare(args.delta1, cfg)
     ok = rep.c_obs < _COMPARE_CAP
     meta = _meta(args, delta1=args.delta1, cap=_COMPARE_CAP)
     columns = ("delta1", "p_squared", "sup_dev", "c_obs", "status")

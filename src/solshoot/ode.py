@@ -265,6 +265,10 @@ def _crossing_matches(ga, gb, direction) -> bool:
     return True
 
 
+def _blown_up(y: np.ndarray, cfg: IntegratorConfig) -> bool:
+    return bool(np.max(np.abs(y)) >= cfg.blowup_norm or not np.all(np.isfinite(y)))
+
+
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -276,8 +280,9 @@ def integrate(
     """Integrate y' = rhs(t, y) from t0 to t_end (forward only).
 
     Stops early on a terminal event, on the blow-up guard
-    (max|y| >= blowup_norm), or on step-size underflow; the partial
-    trajectory with its termination reason is returned in every case.
+    (max|y| >= blowup_norm or a non-finite component, checked on the initial
+    state too), or on step-size underflow; the partial trajectory with its
+    termination reason is returned in every case.
     """
     cfg = config or IntegratorConfig()
     y = np.array(y0, dtype=float)
@@ -287,6 +292,8 @@ def integrate(
     t_end = float(t_end)
     if not t_end > t0:
         raise ValueError("integration is forward only: t_end must exceed t0")
+    if _blown_up(y, cfg):  # stepping on would only spin through the step budget
+        return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, 4)), np.zeros(0), "blowup")
 
     f = np.asarray(rhs(t0, y), dtype=float)
     n_evals = 1
@@ -387,7 +394,7 @@ def integrate(
         t, y, f = t_new, y_new, K[6].copy()  # FSAL
         h *= factor
 
-        if np.max(np.abs(y)) >= cfg.blowup_norm or not np.all(np.isfinite(y)):
+        if _blown_up(y, cfg):
             termination = "blowup"
             break
 
@@ -409,19 +416,17 @@ def locate_event(
     fn: Callable[[float, np.ndarray], float],
     direction: int = 0,
     which: str = "first",
-    subdiv: int = 8,
-    name: str = "",
 ) -> Optional[EventHit]:
     """Locate a crossing of g(t, y(t)) = 0 on a stored trajectory.
 
-    Each segment is probed at ``subdiv`` dense points before refinement, so
+    Each segment is probed at 8 dense points before refinement, so
     crossings that reverse within one step are still caught.  Returns the
     first or last matching hit, or None when there is no crossing.
     """
     if which not in ("first", "last"):
         raise ValueError("which must be 'first' or 'last'")
     found: list[EventHit] = []
-    fracs = np.linspace(0.0, 1.0, subdiv + 1)[1:]
+    fracs = np.linspace(0.0, 1.0, 9)[1:]
     for i in range(len(traj.t) - 1):
         t_left = float(traj.t[i])
         t_right = float(traj.t[i + 1])
@@ -436,7 +441,7 @@ def locate_event(
                     lambda tt: _interp(y_left, q, h, tt - t_left), fn, ta, tb, ga, gb
                 )
                 y_star = traj.eval(t_star)
-                found.append(EventHit(t=t_star, y=y_star, event_index=-1, name=name))
+                found.append(EventHit(t=t_star, y=y_star, event_index=-1))
                 if which == "first":
                     return found[0]
                 break

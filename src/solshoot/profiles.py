@@ -124,7 +124,7 @@ def _centered_diff(x, f):
     )
 
 
-def second_order_residual(profile: MetricProfile, margin: float = 0.05) -> float:
+def second_order_residual(profile: MetricProfile) -> float:
     """Largest residual of the second-order soliton equations on the grid.
 
     Second derivatives come from centered differences of the profile's
@@ -136,7 +136,7 @@ def second_order_residual(profile: MetricProfile, margin: float = 0.05) -> float
     dt^2 trace component, with the normalization Ric + Hess u = g) are
     evaluated at interior points and the maximum absolute value returned.
 
-    Points where f1 or f2 sits below ``margin`` times its grid maximum are
+    Points where f1 or f2 sits below 5% of its grid maximum are
     excluded: the equations there multiply absolute roundoff by 1/f, so no
     finite-difference check can certify the orbit-adjacent boundary layer
     (the series launch states cover it instead).
@@ -150,7 +150,7 @@ def second_order_residual(profile: MetricProfile, margin: float = 0.05) -> float
     f1, f2 = profile.f1[1:-1], profile.f2[1:-1]
     df1, df2, du = profile.df1[1:-1], profile.df2[1:-1], profile.du[1:-1]
 
-    keep = (f1 >= margin * np.max(profile.f1)) & (f2 >= margin * np.max(profile.f2))
+    keep = (f1 >= 0.05 * np.max(profile.f1)) & (f2 >= 0.05 * np.max(profile.f2))
     if not np.any(keep):
         raise GridTooCoarse("no grid points clear the orbit margins")
     cross = df1 * df2 / (f1 * f2)

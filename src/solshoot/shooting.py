@@ -68,6 +68,11 @@ __all__ = [
 
 ROUND_DELTAS = (1 / 18, -7 / 9, 1 / math.sqrt(3))
 
+_COLLAPSE_L1 = -1e6  # "collapse" stop: L1 falls to this on the circle side,
+_COLLAPSE_R = 1e6  # R rises to this on the sphere side
+_NEWTON_TOL = 1e-7  # Newton converges when |F|_inf < this
+_FD_STEP = 1e-6  # relative forward-difference step of the Jacobian
+
 
 @dataclass(frozen=True)
 class ShootConfig:
@@ -82,14 +87,11 @@ class ShootConfig:
     t_eps: float = 1e-4
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 500_000
     horizon: float = 1e6
-    collapse_l1: float = -1e6
-    collapse_r: float = 1e6
     exploratory: bool = False
 
     def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(rtol=self.rtol, atol=self.atol, max_steps=self.max_steps)
+        return IntegratorConfig(rtol=self.rtol, atol=self.atol)
 
 
 class MeetPoint(NamedTuple):
@@ -257,17 +259,17 @@ def check_admissible(
     """Reject non-finite deltas, and enforce delta1 >= 0, delta2 >= -1,
     delta3 >= 0 unless exploratory."""
     given = (("delta1", delta1), ("delta2", delta2), ("delta3", delta3))
-    bad = [f"{k} = {v!r}" for k, v in given if v is not None and not math.isfinite(v)]
+    bad = [f"{k} = {float(v)!r}" for k, v in given if v is not None and not math.isfinite(v)]
     if bad:
         raise InadmissibleParameters("; ".join(bad) + ": parameters must be finite")
     if exploratory:
         return
     if delta1 is not None and delta1 < 0.0:
-        bad.append(f"delta1 = {delta1!r} < 0")
+        bad.append(f"delta1 = {float(delta1)!r} < 0")
     if delta2 is not None and delta2 < -1.0:
-        bad.append(f"delta2 = {delta2!r} < -1")
+        bad.append(f"delta2 = {float(delta2)!r} < -1")
     if delta3 is not None and delta3 < 0.0:
-        bad.append(f"delta3 = {delta3!r} < 0")
+        bad.append(f"delta3 = {float(delta3)!r} < 0")
     if bad:
         raise InadmissibleParameters(
             "; ".join(bad) + " (pass exploratory to integrate anyway)"
@@ -284,7 +286,7 @@ def _effective_eps(eps: float, *coeffs: float) -> float:
     return min(eps, 1e-2 / math.sqrt(big))
 
 
-def _stop_events(until, side: str, cfg: ShootConfig):
+def _stop_events(until, side: str):
     if until == "meet":
         direction = -1 if side == "s1" else +1
         return [Event(fn=lambda t, y: y[0], direction=direction, terminal=True, name="xi=0")]
@@ -292,7 +294,7 @@ def _stop_events(until, side: str, cfg: ShootConfig):
         if side == "s1":
             return [
                 Event(
-                    fn=lambda t, y: y[1] - cfg.collapse_l1,
+                    fn=lambda t, y: y[1] - _COLLAPSE_L1,
                     direction=-1,
                     terminal=True,
                     name="l1_collapse",
@@ -300,7 +302,7 @@ def _stop_events(until, side: str, cfg: ShootConfig):
             ]
         return [
             Event(
-                fn=lambda t, y: y[3] - cfg.collapse_r,
+                fn=lambda t, y: y[3] - _COLLAPSE_R,
                 direction=+1,
                 terminal=True,
                 name="r_collapse",
@@ -322,7 +324,7 @@ def _shoot(y0: SolitonState, t0: float, side: str, until, cfg: ShootConfig, lam:
     else:
         # the sphere side runs in s = (orbit time) - t, so the field reverses
         field = as_field(lambda v: -family_rhs(v, lam))
-    events = _stop_events(until, side, cfg)
+    events = _stop_events(until, side)
     t_end = float(until[1]) if isinstance(until, tuple) and until[0] == "time" else cfg.horizon
     traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), events=events)
     if events and traj.termination != "event":
@@ -359,7 +361,12 @@ def shoot_curve_point(
     cfg = cfg or ShootConfig()
     check_admissible(delta1=delta1, exploratory=cfg.exploratory)
     t0 = _effective_eps(cfg.t_eps, delta1)
-    y0 = _s1_start(delta1, t0, lam)
+    try:
+        y0 = _s1_start(delta1, t0, lam)
+    except OverflowError:
+        # delta1**2 overflows above ~1.3e154; an infinite launch state is
+        # stopped by the integrator's blow-up guard before the first step
+        y0 = np.full(4, math.inf)
     traj = _shoot(y0, t0, "s1", until, cfg, lam)
     return _meet_from(traj), traj
 
@@ -411,19 +418,17 @@ def _clip_admissible(p: np.ndarray) -> np.ndarray:
 def find_root(
     guess: Sequence[float],
     cfg: Optional[ShootConfig] = None,
-    tol: float = 1e-7,
     max_iter: int = 25,
-    fd_step: float = 1e-6,
 ) -> RootResult:
     """Damped Newton iteration on the mismatch map.
 
-    The Jacobian comes from forward differences with relative step
-    ``fd_step``; each Newton step is halved (up to 20 times) until the
-    residual sup-norm decreases.  Iterates are kept inside the admissible
-    region unless the config is exploratory.  Convergence means
-    |F|_inf < tol; the default tol sits above the ~1e-8 floor that the
-    two integrations impose on the mismatch at default tolerances (Newton
-    typically lands near 1e-8 anyway on its final step).
+    The Jacobian comes from forward differences with relative step 1e-6;
+    each Newton step is halved (up to 20 times) until the residual sup-norm
+    decreases.  Iterates are kept inside the admissible region unless the
+    config is exploratory.  Convergence means |F|_inf < 1e-7, which sits
+    above the ~1e-8 floor that the two integrations impose on the mismatch
+    at default tolerances (Newton typically lands near 1e-8 anyway on its
+    final step).
     """
     cfg = cfg or ShootConfig()
     p = np.array(guess, dtype=float)
@@ -435,11 +440,11 @@ def find_root(
     res = float(np.max(np.abs(F)))
     best = (p.copy(), res)
     for it in range(max_iter):
-        if res < tol:
+        if res < _NEWTON_TOL:
             return RootResult(root=tuple(p), residual=res, iterations=it)
         J = np.empty((3, 3))
         for j in range(3):
-            h = fd_step * max(1.0, abs(p[j]))
+            h = _FD_STEP * max(1.0, abs(p[j]))
             pj = p.copy()
             pj[j] += h
             if not cfg.exploratory:
@@ -472,10 +477,10 @@ def find_root(
         if res < best[1]:
             best = (p.copy(), res)
 
-    if res < tol:
+    if res < _NEWTON_TOL:
         return RootResult(root=tuple(p), residual=res, iterations=max_iter)
     raise MaxIterations(
-        f"residual {res:.3e} still above tol {tol:g} after {max_iter} iterations",
+        f"residual {res:.3e} still above tol {_NEWTON_TOL:g} after {max_iter} iterations",
         result=RootResult(tuple(best[0]), best[1], max_iter),
     )
 
@@ -497,6 +502,11 @@ def _map_jobs(fn, jobs: list, workers: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
+
+
+def _check_finite_bounds(*ranges) -> None:
+    if not np.all(np.isfinite(np.array(ranges, dtype=float))):
+        raise ValueError(f"sweep bounds must be finite, got {ranges!r}")
 
 
 def _curve_node(job) -> CurveSample:
@@ -524,8 +534,8 @@ def sample_curve(
     lo, hi = float(d1_range[0]), float(d1_range[1])
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    if not (0.0 < lo < hi):
-        raise ValueError("log-uniform sweep needs 0 < lo < hi")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"log-uniform sweep needs finite 0 < lo < hi, got {lo!r}, {hi!r}")
     jobs = [(float(d1), cfg) for d1 in np.geomspace(lo, hi, n)]
     return _map_jobs(_curve_node, jobs, workers)
 
@@ -551,6 +561,7 @@ def sample_surface(
     cfg = cfg or ShootConfig()
     if n2 < 2 or n3 < 2:
         raise ValueError("need at least a 2 x 2 grid")
+    _check_finite_bounds(d2_range, d3_range)
     jobs = [
         (float(d2), float(d3), cfg)
         for d2 in np.linspace(float(d2_range[0]), float(d2_range[1]), n2)
@@ -576,12 +587,16 @@ def scan_domain(
     in a grid extended by one ghost node beyond each face: a computable
     ghost vetoes a face node that merely continues a descent out of the box,
     while a ghost that is inadmissible or fails stands as a +inf wall, so
-    genuine boundary minima survive.  ``grid_bound`` is the largest
-    single-cell variation of |F|_inf along any axis inside the box: a
-    minimum below it is indistinguishable from a zero at this resolution,
-    one above it is a certified non-zero at the visited nodes.  Failed
-    shots enter as +inf and are excluded from minima and from the bound;
-    ``n_failed`` counts them over the requested box only.
+    genuine boundary minima survive.  Two 26-adjacent minima each do not
+    exceed the other, so they tie: a flat plateau (e.g. where one mismatch
+    component dominates along a degenerate axis) is a connected component
+    of the minimum mask and is reported once, by its first node in index
+    order.  ``grid_bound`` is the largest single-cell variation of |F|_inf
+    along any axis inside the box: a minimum below it is indistinguishable
+    from a zero at this resolution, one above it is a certified non-zero at
+    the visited nodes.  Failed shots enter as +inf and are excluded from
+    minima and from the bound; ``n_failed`` counts them over the requested
+    box only.  Every box bound must be finite.
     """
     cfg = cfg or ShootConfig()
     if np.isscalar(resolution):
@@ -589,6 +604,7 @@ def scan_domain(
     n1, n2, n3 = (int(r) for r in resolution)
     if min(n1, n2, n3) < 2:
         raise ValueError("resolution must be >= 2 per axis")
+    _check_finite_bounds(*box)
     (a1, b1), (a2, b2), (a3, b3) = box
     d1s = np.linspace(a1, b1, n1)
     d2s = np.linspace(a2, b2, n2)
@@ -598,80 +614,61 @@ def scan_domain(
         h = (hi - lo) / (n - 1)
         return np.concatenate(([lo - h], nodes, [hi + h]))
 
-    d1x = extend(d1s, a1, b1, n1)
-    d2x = extend(d2s, a2, b2, n2)
-    d3x = extend(d3s, a3, b3, n3)
-    m2, m3 = n2 + 2, n3 + 2
-
-    # a failed shot has meet None
-    curve_jobs = [(float(d1), cfg) for d1 in d1x]
-    surf_jobs = [(float(d2), float(d3), cfg) for d2 in d2x for d3 in d3x]
-    curve_results = [c.meet for c in _map_jobs(_curve_node, curve_jobs, workers)]
-    surf_results = [c.meet for c in _map_jobs(_surface_node, surf_jobs, workers)]
-    inner = curve_results[1:-1] + [
-        surf_results[j * m3 + k] for j in range(1, m2 - 1) for k in range(1, m3 - 1)
+    curve_jobs = [(float(d1), cfg) for d1 in extend(d1s, a1, b1, n1)]
+    surf_jobs = [
+        (float(d2), float(d3), cfg)
+        for d2 in extend(d2s, a2, b2, n2)
+        for d3 in extend(d3s, a3, b3, n3)
     ]
-    n_failed = sum(1 for m in inner if m is None)
-    curve_meets = np.full((n1 + 2, 3), np.nan)
-    for i, m in enumerate(curve_results):
-        if m is not None:
-            curve_meets[i] = m
-    surf_meets = np.full((m2, m3, 3), np.nan)
-    for idx, m in enumerate(surf_results):
-        if m is not None:
-            surf_meets[idx // m3, idx % m3] = m
+    # a failed shot has meet None and enters as a NaN row
+    failed = (math.nan,) * 3
+    curve_meets = np.array([s.meet or failed for s in _map_jobs(_curve_node, curve_jobs, workers)])
+    surf_meets = np.array(
+        [s.meet or failed for s in _map_jobs(_surface_node, surf_jobs, workers)]
+    ).reshape(n2 + 2, n3 + 2, 3)
+    n_failed = int(np.isnan(curve_meets[1:-1, 0]).sum() + np.isnan(surf_meets[1:-1, 1:-1, 0]).sum())
 
     diff = curve_meets[:, None, None, :] - surf_meets[None, :, :, :]
     values_ext = np.max(np.abs(diff), axis=-1)
     values_ext = np.where(np.isnan(values_ext), np.inf, values_ext)
+    minima, grid_bound = _grid_minima(values_ext, (d1s, d2s, d3s))
+    return ScanResult(
+        axes=(d1s, d2s, d3s),
+        values=values_ext[1:-1, 1:-1, 1:-1],
+        minima=minima,
+        grid_bound=grid_bound,
+        n_failed=n_failed,
+    )
+
+
+def _grid_minima(values_ext: np.ndarray, axes: tuple) -> tuple:
+    """Minima sorted by value, and grid_bound, of a ghost-extended grid of
+    |F|_inf (+inf where a shot failed), by the rules of ``scan_domain``."""
+    # imported here: scipy.ndimage adds tens of ms to ``import solshoot``
+    from scipy import ndimage
+
     values = values_ext[1:-1, 1:-1, 1:-1]
-
-    min_nodes = set()
-    for i in range(n1):
-        for j in range(n2):
-            for k in range(n3):
-                v = values[i, j, k]
-                if not np.isfinite(v):
-                    continue
-                neigh = values_ext[i : i + 3, j : j + 3, k : k + 3]
-                if v <= neigh.min():
-                    min_nodes.add((i, j, k))
-
-    # merge 26-connected equal-value minima: a flat plateau (e.g. where one
-    # mismatch component dominates identically along a degenerate axis) is a
-    # single minimum, not one per node
-    minima = []
-    remaining = set(min_nodes)
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        vseed = values[seed]
-        while frontier:
-            i, j, k = frontier.pop()
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    for dk in (-1, 0, 1):
-                        nb = (i + di, j + dj, k + dk)
-                        if nb in remaining and nb not in comp and values[nb] == vseed:
-                            comp.add(nb)
-                            frontier.append(nb)
-        remaining -= comp
-        rep = min(comp)
-        arr = np.array(sorted(comp))
-        span = tuple((int(arr[:, ax].min()), int(arr[:, ax].max())) for ax in range(3))
-        minima.append(
-            ScanMinimum(
-                indices=rep,
-                delta1=float(d1s[rep[0]]),
-                delta2=float(d2s[rep[1]]),
-                delta3=float(d3s[rep[2]]),
-                value=float(vseed),
-                n_nodes=len(comp),
-                index_span=span,
-            )
+    lowest = ndimage.minimum_filter(values_ext, size=3)[1:-1, 1:-1, 1:-1]
+    is_min = np.isfinite(values) & (values <= lowest)
+    labels, _ = ndimage.label(is_min, structure=np.ones((3, 3, 3)))
+    flat = labels.ravel()
+    in_min = np.flatnonzero(flat)
+    # labels are 1..n; np.unique gives each one's first flat index in C order
+    _, first = np.unique(flat[in_min], return_index=True)
+    reps = np.column_stack(np.unravel_index(in_min[first], values.shape)).tolist()
+    minima = [
+        ScanMinimum(
+            indices=tuple(rep),
+            delta1=float(axes[0][rep[0]]),
+            delta2=float(axes[1][rep[1]]),
+            delta3=float(axes[2][rep[2]]),
+            value=float(values[tuple(rep)]),
+            n_nodes=int(count),
+            index_span=tuple((sl.start, sl.stop - 1) for sl in span),
         )
-    minima.sort(key=lambda m: m.value)
+        for rep, count, span in zip(reps, np.bincount(flat)[1:], ndimage.find_objects(labels))
+    ]
+    minima.sort(key=lambda m: (m.value, m.indices))
 
     finite = np.where(np.isfinite(values), values, np.nan)
     grid_bound = 0.0
@@ -679,11 +676,4 @@ def scan_domain(
         step = np.abs(np.diff(finite, axis=axis))
         if np.any(np.isfinite(step)):
             grid_bound = max(grid_bound, float(np.nanmax(step)))
-
-    return ScanResult(
-        axes=(d1s, d2s, d3s),
-        values=values,
-        minima=minima,
-        grid_bound=grid_bound,
-        n_failed=n_failed,
-    )
+    return minima, grid_bound

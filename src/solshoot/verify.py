@@ -155,10 +155,10 @@ def max_principle_report(traj: ode.Trajectory) -> MaxPrincipleReport:
     )
 
 
-def sign_profile(traj: ode.Trajectory, zero_band: float = _ZERO_BAND) -> SignReport:
+def sign_profile(traj: ode.Trajectory) -> SignReport:
     """Sign-change inventory of the four curvature eigenvalues.
 
-    An eigenvalue staying within ``zero_band`` of zero everywhere is
+    An eigenvalue staying within 1e-9 of zero everywhere is
     flagged identically zero and contributes no sign changes.  Otherwise
     interior crossings between samples of definite opposite sign are
     refined with a bracketed root solve on the dense output.
@@ -171,7 +171,7 @@ def sign_profile(traj: ode.Trajectory, zero_band: float = _ZERO_BAND) -> SignRep
         i = int(np.argmin(v))
         mins.append(float(v[i]))
         tmins.append(float(ts[i]))
-        if np.max(np.abs(v)) < zero_band:
+        if np.max(np.abs(v)) < _ZERO_BAND:
             flat.append(True)
             changes.append(())
             continue
@@ -183,7 +183,7 @@ def sign_profile(traj: ode.Trajectory, zero_band: float = _ZERO_BAND) -> SignRep
         found = []
         last_sign, last_t = 0, ts[0]
         for tv, vv in zip(ts, v):
-            s = 0 if abs(vv) < zero_band else (1 if vv > 0 else -1)
+            s = 0 if abs(vv) < _ZERO_BAND else (1 if vv > 0 else -1)
             if s != 0:
                 if last_sign != 0 and s != last_sign:
                     found.append(float(brentq(eig_j, last_t, tv, xtol=1e-13)))
@@ -328,26 +328,22 @@ def large_delta1_trace(
     )
 
 
-def rescaled_bryant_compare(
-    d1: float,
-    t_eps: float = 1e-4,
-    n: int = 200,
-    cfg: Optional[ShootConfig] = None,
-) -> BryantCompareReport:
+def rescaled_bryant_compare(d1: float, cfg: Optional[ShootConfig] = None) -> BryantCompareReport:
     """Compare the rescaled large-delta1 shot against the steady reference.
 
     Rescaling by p = 1/sqrt(d1) turns the delta1 = d1 shot into the unit
     shot of the lam = p^2 family; its deviation from the lam = 0 steady
-    reference on [t_eps, 1/9] is reported as
+    reference on 200 points of [cfg.t_eps, 1/9] is reported as
     c_obs = sup |deviation|_inf / (p^2 t).  At d1 = inf the two
     integrations coincide and c_obs = 0 by convention.
     """
     if not d1 >= 100.0:
         raise InadmissibleParameters(f"d1 must be >= 100, got {d1:g}")
+    cfg = cfg or ShootConfig()
     p2 = 0.0 if math.isinf(d1) else 1.0 / d1
     _, shot = shoot_curve_point(1.0, cfg, until=("time", 1.0 / 9.0), lam=p2)
     ref = bryant.steady_reference(cfg=cfg)
-    ts = np.linspace(t_eps, 1.0 / 9.0, n)
+    ts = np.linspace(cfg.t_eps, 1.0 / 9.0, 200)
     dev = np.max(np.abs(shot.eval(ts) - ref.eval(ts)), axis=1)
     sup_dev = float(np.max(dev))
     c_obs = 0.0 if p2 == 0.0 else float(np.max(dev / (p2 * ts)))

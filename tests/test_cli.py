@@ -293,6 +293,44 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
     assert columns == ("error", "message")
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["root", "--guess", "nan,-0.8,0.6"], 64),
+        (["root", "--guess=-0.1,-0.8,0.6"], 64),
+        (["scan", "--box", "0,1,-1,0,0,nan", "--resolution", "3"], 64),
+        (["curve", "--range", "1,inf", "--n", "2"], 64),
+        (["surface", "--d2-range=-1,nan", "--n2", "2", "--n3", "2"], 64),
+        (["shoot-s1", "--delta1", "1e160"], 2),
+        (["shoot-s2", "--delta2", "1e200", "--delta3", "0.5"], 2),
+    ],
+    ids=[
+        "root-nan-guess",
+        "root-negative-guess",
+        "scan-nan-bound",
+        "curve-inf-bound",
+        "surface-nan-bound",
+        "s1-huge-delta1",
+        "s2-huge-delta2",
+    ],
+)
+def test_bad_input_fails_fast_with_error_record(tmp_path, monkeypatch, capsys, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == expected
+    assert elapsed < 5.0
+    # sweeps write their error record to their default file
+    sweep_file = tmp_path / f"{argv[0]}.csv"
+    text = sweep_file.read_text() if sweep_file.exists() else captured.out
+    _, columns, rows = parse_csv(text)
+    assert columns == ("error", "message")
+    assert "Traceback" not in captured.err
+    assert "np.float64" not in rows[0][1]
+
+
 def test_infeasible_blend_exits_64(tmp_path, monkeypatch, capsys):
     # error records land on the subcommand's usual output target, which for
     # a sweep is its default file

@@ -1,6 +1,7 @@
 """Tests for the two-sided shooting map, its root finder, and parameter sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from solshoot.shooting import (
     shoot_curve_point,
     shoot_surface_point,
 )
+from solshoot.shooting import _grid_minima
 
 ROUND_MEET = (-math.sqrt(2.0 / 3.0), 1.0 / math.sqrt(6.0), 1.0 / math.sqrt(2.0))
 
@@ -380,6 +382,66 @@ def test_scan_box_without_root_reports_no_minima():
     # landscape itself stays far from zero
     assert res.minima == []
     assert float(np.min(res.values)) > 0.5
+
+
+def _ghosted(values, ghost=math.inf):
+    """A ghost-extended grid for ``_grid_minima``: one layer of ``ghost``
+    around the box values."""
+    return np.pad(np.asarray(values, dtype=float), 1, constant_values=ghost)
+
+
+def _index_axes(values_ext):
+    return tuple(np.arange(n - 2, dtype=float) for n in values_ext.shape)
+
+
+def test_grid_minima_merges_a_plateau_of_ties():
+    i, j, k = np.indices((4, 4, 4))
+    # a bowl around the line j = 1, k = 2 that is flat for i <= 2
+    ext = _ghosted(1.0 + (j - 1) ** 2 + (k - 2) ** 2 + np.maximum(i - 2, 0))
+    minima, _ = _grid_minima(ext, _index_axes(ext))
+    assert len(minima) == 1
+    m = minima[0]
+    assert m.indices == (0, 1, 2)
+    assert (m.delta1, m.delta2, m.delta3) == (0.0, 1.0, 2.0)
+    assert m.value == 1.0
+    assert m.n_nodes == 3
+    assert m.index_span == ((0, 2), (1, 1), (2, 2))
+
+
+def test_grid_minima_ghost_layer_decides_face_minima():
+    i, j, k = np.indices((3, 3, 3))
+    # descending toward the i = 0 face, lowest at its center node
+    ext = _ghosted(1.0 + i + (j - 1) ** 2 + (k - 1) ** 2)
+    minima, _ = _grid_minima(ext, _index_axes(ext))
+    assert [(m.indices, m.value, m.n_nodes) for m in minima] == [((0, 1, 1), 1.0, 1)]
+    # a computable ghost beyond that face that continues the descent vetoes it
+    ext[0] = 0.5
+    minima, _ = _grid_minima(ext, _index_axes(ext))
+    assert minima == []
+
+
+def test_grid_minima_skips_failed_nodes():
+    values = np.full((3, 2, 2), math.inf)
+    values[0, 0, 0] = 1.0
+    values[0, 0, 1] = 3.0
+    ext = _ghosted(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minima, bound = _grid_minima(ext, _index_axes(ext))
+    assert [m.indices for m in minima] == [(0, 0, 0)]
+    # only the one finite pair of neighbors enters the bound
+    assert bound == 2.0
+
+
+def test_grid_minima_ties_keep_index_order():
+    ext = _ghosted(np.array([1.0, 5.0, 0.5, 5.0, 1.0, 5.0, 1.0]).reshape(7, 1, 1))
+    minima, _ = _grid_minima(ext, _index_axes(ext))
+    assert [(m.indices, m.value) for m in minima] == [
+        ((2, 0, 0), 0.5),
+        ((0, 0, 0), 1.0),
+        ((4, 0, 0), 1.0),
+        ((6, 0, 0), 1.0),
+    ]
 
 
 def test_meet_point_and_mismatch_tuple_behavior():
