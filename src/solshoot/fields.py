@@ -186,12 +186,16 @@ def scalar_curvature(s) -> float:
 
 
 def to_scaled(s) -> ScaledState:
-    """(xi, L1, L2, R) -> (w, x, y, z); needs xi != 0 and R > 0."""
+    """(xi, L1, L2, R) -> (w, x, y, z); needs xi != 0 and R > 0.
+
+    The components may be arrays of equal shape (``states.T`` of an (n, 4)
+    array, say); the guards then apply to every entry.
+    """
     xi, l1, l2, r = s
-    if xi == 0.0:
+    if np.any(np.equal(xi, 0.0)):
         raise DegenerateXi("to_scaled: xi = 0 has no scaled image")
-    if r <= 0.0:
-        raise DegenerateZ(f"to_scaled: r = {r!r} must be positive")
+    if np.any(np.less_equal(r, 0.0)):
+        raise DegenerateZ(f"to_scaled: r = {np.min(r)} must be positive")
     return ScaledState(w=l1, x=l2 / r, y=r / xi, z=1.0 / r)
 
 
@@ -211,12 +215,15 @@ def gauge_quantities(s) -> GaugeQuantities:
 
     Requires y != 0.  At z = 1 only C degenerates; it is reported as nan
     while D and E stay valid (the exact Gaussian trajectory lives at z = 1,
-    D = -1, E = 0).
+    D = -1, E = 0).  Array components work as in ``to_scaled``.
     """
     w, x, y, z = s
-    if y == 0.0:
+    if np.any(np.equal(y, 0.0)):
         raise UndefinedGauge("gauge quantities need y != 0")
-    c = x / (y * (1.0 - z)) if z != 1.0 else math.nan
+    # C is nan at z = 1, where 1 - z becomes 1 so nothing divides by zero;
+    # [()] turns the 0-d result of a scalar call back into a float
+    at_one = np.equal(z, 1.0)
+    c = np.where(at_one, math.nan, x / (y * np.where(at_one, 1.0, 1.0 - z)))[()]
     return GaugeQuantities(
         c_gauge=c,
         d_gauge=w / y - w * w,

@@ -68,8 +68,9 @@ _P = np.array(
 _GL3_NODES = np.array([0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10])
 _GL3_WEIGHTS = np.array([5 / 18, 8 / 18, 5 / 18])
 
-# interior dense points probed for event sign changes on every step
-_PROBE_FRACS = np.array([0.25, 0.5, 0.75])
+# dense points probed for event sign changes on every step, so tight double
+# crossings inside one step are still seen; t + 1.0 * h is exactly t + h
+_PROBE_FRACS = np.array([0.25, 0.5, 0.75, 1.0])
 
 ORDER = 5  # propagating order of the pair
 
@@ -265,8 +266,23 @@ def _crossing_matches(ga, gb, direction) -> bool:
     return True
 
 
+def _first_crossing(fn, direction, ta, ga, probe_ts, seg_eval, t_right, y_right):
+    """Refined time of the first matching crossing of fn in one segment, or None.
+
+    The walk starts at (ta, ga) and visits the probe times in order; a probe
+    exactly at t_right reads the stored y_right instead of ``seg_eval``.
+    """
+    for tb, yb in zip(probe_ts.tolist(), seg_eval(probe_ts)):
+        gb = fn(tb, y_right if tb == t_right else yb)
+        if _crossing_matches(ga, gb, direction):
+            return _refine_crossing(seg_eval, fn, ta, tb, ga, gb)
+        ta, ga = tb, gb
+    return None
+
+
 def _blown_up(y: np.ndarray, cfg: IntegratorConfig) -> bool:
-    return bool(np.max(np.abs(y)) >= cfg.blowup_norm or not np.all(np.isfinite(y)))
+    # NaN propagates through max and fails the comparison, as does inf
+    return not np.abs(y).max() < cfg.blowup_norm
 
 
 def integrate(
@@ -343,7 +359,7 @@ def integrate(
                 err_norm = math.inf
             if err_norm > 1.0:
                 n_rejected += 1
-                factor = max(0.2, 0.9 * err_norm ** (-1 / ORDER)) if np.isfinite(err_norm) else 0.2
+                factor = max(0.2, 0.9 * err_norm ** (-1 / ORDER))
                 h *= min(factor, 1.0)
                 continue
             factor = min(10.0, 0.9 * max(err_norm, 1e-10) ** (-1 / ORDER))
@@ -357,26 +373,20 @@ def integrate(
             return _interp(seg_y0, q, seg_h, tt - seg_t0)
 
         terminal_hit = None
-        if events:
-            # check a few interior dense points so tight double crossings
-            # inside one step are still seen
-            probe_ts = seg_t0 + _PROBE_FRACS * seg_h
-            probes = list(zip(probe_ts.tolist(), seg_eval(probe_ts))) + [(t_new, y_new)]
-            for ei, e in enumerate(events):
-                ga, ta = g_prev[ei], seg_t0
-                for tb, yb in probes:
-                    gb = e.fn(tb, y_new if tb == t_new else yb)
-                    if _crossing_matches(ga, gb, e.direction):
-                        t_star = _refine_crossing(seg_eval, e.fn, ta, tb, ga, gb)
-                        y_star = seg_eval(t_star) if t_star != t_new else y_new.copy()
-                        hit = EventHit(t=t_star, y=y_star, event_index=ei, name=e.name)
-                        if e.terminal and (terminal_hit is None or t_star < terminal_hit.t):
-                            terminal_hit = hit
-                        elif not e.terminal:
-                            hits.append(hit)
-                        break
-                    ga, ta = gb, tb
-                g_prev[ei] = e.fn(t_new, y_new)
+        for ei, e in enumerate(events):
+            t_star = _first_crossing(
+                e.fn, e.direction, seg_t0, g_prev[ei], seg_t0 + _PROBE_FRACS * seg_h,
+                seg_eval, t_new, y_new,
+            )
+            g_prev[ei] = e.fn(t_new, y_new)
+            if t_star is None:
+                continue
+            y_star = seg_eval(t_star) if t_star != t_new else y_new.copy()
+            hit = EventHit(t=t_star, y=y_star, event_index=ei, name=e.name)
+            if not e.terminal:
+                hits.append(hit)
+            elif terminal_hit is None or t_star < terminal_hit.t:
+                terminal_hit = hit
 
         if terminal_hit is not None:
             ts.append(terminal_hit.t)
@@ -425,27 +435,18 @@ def locate_event(
     """
     if which not in ("first", "last"):
         raise ValueError("which must be 'first' or 'last'")
-    found: list[EventHit] = []
+    found = None
     fracs = np.linspace(0.0, 1.0, 9)[1:]
     for i in range(len(traj.t) - 1):
-        t_left = float(traj.t[i])
-        t_right = float(traj.t[i + 1])
+        t_left, t_right = float(traj.t[i]), float(traj.t[i + 1])
         y_left, q, h = traj.y[i], traj.dense_q[i], traj.dense_h[i]
-        probe_ts = np.minimum(t_left + fracs * (t_right - t_left), t_right)
-        probe_ys = _interp(y_left, q, h, probe_ts - t_left)
-        ta, ga = t_left, fn(t_left, y_left)
-        for tb, yb in zip(probe_ts.tolist(), probe_ys):
-            gb = fn(tb, traj.y[i + 1] if tb == t_right else yb)
-            if _crossing_matches(ga, gb, direction):
-                t_star = _refine_crossing(
-                    lambda tt: _interp(y_left, q, h, tt - t_left), fn, ta, tb, ga, gb
-                )
-                y_star = traj.eval(t_star)
-                found.append(EventHit(t=t_star, y=y_star, event_index=-1))
-                if which == "first":
-                    return found[0]
+        t_star = _first_crossing(
+            fn, direction, t_left, fn(t_left, y_left),
+            np.minimum(t_left + fracs * (t_right - t_left), t_right),
+            lambda tt: _interp(y_left, q, h, tt - t_left), t_right, traj.y[i + 1],
+        )
+        if t_star is not None:
+            found = EventHit(t=t_star, y=traj.eval(t_star), event_index=-1)
+            if which == "first":
                 break
-            ga, ta = gb, tb
-    if not found:
-        return None
-    return found[-1]
+    return found

@@ -286,36 +286,33 @@ def _effective_eps(eps: float, *coeffs: float) -> float:
     return min(eps, 1e-2 / math.sqrt(big))
 
 
-def _stop_events(until, side: str):
-    if until == "meet":
-        direction = -1 if side == "s1" else +1
-        return [Event(fn=lambda t, y: y[0], direction=direction, terminal=True, name="xi=0")]
-    if until == "collapse":
-        if side == "s1":
-            return [
-                Event(
-                    fn=lambda t, y: y[1] - _COLLAPSE_L1,
-                    direction=-1,
-                    terminal=True,
-                    name="l1_collapse",
-                )
-            ]
-        return [
-            Event(
-                fn=lambda t, y: y[3] - _COLLAPSE_R,
-                direction=+1,
-                terminal=True,
-                name="r_collapse",
-            )
-        ]
+# named stop rules per side: (state component k, level, direction, name); the
+# stop event is y[k] - level
+_STOP_TABLE = {
+    ("meet", "s1"): (0, 0.0, -1, "xi=0"),
+    ("meet", "s2"): (0, 0.0, +1, "xi=0"),
+    ("collapse", "s1"): (1, _COLLAPSE_L1, -1, "l1_collapse"),
+    ("collapse", "s2"): (3, _COLLAPSE_R, +1, "r_collapse"),
+}
+
+
+def _stop_rule(until, side: str, horizon: float):
+    """(terminal events, t_end) of a shot under the stop rule ``until``.
+
+    ("xi", v) stops at xi = v in either direction; ("time", T) has no event
+    and ends at T instead of the horizon.
+    """
+    if isinstance(until, tuple) and len(until) == 2 and until[0] == "time":
+        return [], float(until[1])
     if isinstance(until, tuple) and len(until) == 2 and until[0] == "xi":
         level = float(until[1])
-        return [
-            Event(fn=lambda t, y: y[0] - level, direction=0, terminal=True, name=f"xi={level:g}")
-        ]
-    if isinstance(until, tuple) and len(until) == 2 and until[0] == "time":
-        return []
-    raise ValueError(f"unknown stop rule {until!r}")
+        k, direction, name = 0, 0, f"xi={level:g}"
+    elif isinstance(until, str) and (until, side) in _STOP_TABLE:
+        k, level, direction, name = _STOP_TABLE[until, side]
+    else:
+        raise ValueError(f"unknown stop rule {until!r}")
+    event = Event(fn=lambda t, y: y[k] - level, direction=direction, terminal=True, name=name)
+    return [event], horizon
 
 
 def _shoot(y0: SolitonState, t0: float, side: str, until, cfg: ShootConfig, lam: float):
@@ -324,13 +321,13 @@ def _shoot(y0: SolitonState, t0: float, side: str, until, cfg: ShootConfig, lam:
     else:
         # the sphere side runs in s = (orbit time) - t, so the field reverses
         field = as_field(lambda v: -family_rhs(v, lam))
-    events = _stop_events(until, side)
-    t_end = float(until[1]) if isinstance(until, tuple) and until[0] == "time" else cfg.horizon
+    events, t_end = _stop_rule(until, side, cfg.horizon)
     traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), events=events)
     if events and traj.termination != "event":
         raise EventNotReached(
             f"{side} shot never reached {events[0].name}: stopped by "
-            f"{traj.termination} at t={traj.t_end:.6g}, state={traj.y[-1]!r}"
+            f"{traj.termination} at t={traj.t_end:.6g} with "
+            f"state={' '.join(f'{v:.6g}' for v in traj.y[-1])}"
         )
     if not events and traj.termination != "reached_end":
         raise EventNotReached(

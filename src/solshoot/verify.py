@@ -306,25 +306,19 @@ def large_delta1_trace(
     if not d1 > 0.0:
         raise InadmissibleParameters(f"d1 must be positive, got {d1:g}")
     _, traj = shoot_curve_point(d1, cfg, until=("xi", 10.0))
-    ts = np.asarray(traj.t)
-    states = np.asarray(traj.y)
-    scaled = np.array([fields.to_scaled(st) for st in states])
-    w, x, y, z = scaled.T
+    scaled = fields.to_scaled(traj.y.T)
+    w, x, y, z = scaled
     dist = np.sqrt(w * w + x * x + y * y + (z - np.clip(z, 0.0, 1.0)) ** 2)
-    e_vals = np.array(
-        [fields.gauge_quantities(row).e_gauge for row in scaled]
-    )
-    sw, sx, sy, sz = fields.to_scaled(states[-1])
-    d_at_event = fields.gauge_quantities((sw, sx, sy, sz)).d_gauge
+    gauges = fields.gauge_quantities(scaled)
     return PancakeTraceReport(
-        z=float(sz),
-        w=float(sw),
-        d_plus_1=float(d_at_event + 1.0),
-        x=float(sx),
-        e_min=float(np.min(e_vals)),
+        z=float(z[-1]),
+        w=float(w[-1]),
+        d_plus_1=float(gauges.d_gauge[-1] + 1.0),
+        x=float(x[-1]),
+        e_min=float(np.min(gauges.e_gauge)),
         x_min=float(np.min(x)),
         dist_critical_line=float(np.min(dist)),
-        t_event=float(ts[-1]),
+        t_event=traj.t_end,
     )
 
 

@@ -331,6 +331,19 @@ def test_bad_input_fails_fast_with_error_record(tmp_path, monkeypatch, capsys, a
     assert "np.float64" not in rows[0][1]
 
 
+def test_shot_failure_record_prints_plain_numbers(capsys):
+    # the final state is written as plain numbers, not a numpy repr whose
+    # commas the CSV record would turn into ';'
+    code, out = run(capsys, ["shoot-s2", "--delta2", "1e200", "--delta3", "0.5"])
+    assert code == 2
+    _, columns, rows = parse_csv(out)
+    assert columns == ("error", "message")
+    assert len(rows) == 1 and len(rows[0]) == 2
+    message = rows[0][1]
+    assert "array(" not in message and ";" not in message
+    assert message.endswith("state=inf -inf 3.74991e-103 0.5")
+
+
 def test_infeasible_blend_exits_64(tmp_path, monkeypatch, capsys):
     # error records land on the subcommand's usual output target, which for
     # a sweep is its default file

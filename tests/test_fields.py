@@ -157,6 +157,38 @@ def test_gauge_quantities_values():
         gauge_quantities((0.0, 1.0, 0.0, 0.5))
 
 
+def test_scaled_array_calls_match_per_row_calls():
+    rng = np.random.default_rng(11)
+    states = np.column_stack(
+        [rng.uniform(0.2, 4, 40), rng.normal(size=40), rng.normal(size=40), rng.uniform(0.1, 3, 40)]
+    )
+    states[5, 3] = 1.0  # z = 1: C is nan there, D and E stay finite
+    scaled = to_scaled(states.T)
+    gauges = gauge_quantities(scaled)
+    for i, row in enumerate(states):
+        one = to_scaled(row)
+        assert np.array([v[i] for v in scaled]).tobytes() == np.array(one).tobytes()
+        assert np.array([v[i] for v in gauges]).tobytes() == np.array(gauge_quantities(one)).tobytes()
+    assert math.isnan(gauges.c_gauge[5]) and np.isfinite(gauges.e_gauge[5])
+    # one degenerate row anywhere fails the whole call
+    for col, exc in ((0, DegenerateXi), (3, DegenerateZ)):
+        bad = states.copy()
+        bad[17, col] = 0.0
+        with pytest.raises(exc):
+            to_scaled(bad.T)
+    bad = np.array(scaled)
+    bad[2, 23] = 0.0
+    with pytest.raises(UndefinedGauge):
+        gauge_quantities(bad)
+
+
+def test_scaled_scalar_calls_return_floats():
+    s = to_scaled((2.0, 0.5, 1.0, 4.0))
+    g = gauge_quantities(s)
+    assert all(isinstance(v, float) for v in (*s, *g))
+    assert math.isnan(gauge_quantities((0.5, 0.0, 2.0, 1.0)).c_gauge)
+
+
 def test_e_gauge_recovers_kt2():
     # E * R^2 equals the k_t2 eigenvalue wherever the scaled chart exists
     rng = np.random.default_rng(5)

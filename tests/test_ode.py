@@ -223,3 +223,28 @@ def test_property_antiderivative_is_node_exact(ts):
     vals = F(ts)
     assert vals.shape == ts.shape
     assert np.max(np.abs(vals - np.sin(ts))) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    omega=st.floats(0.3, 8.0),
+    level=st.floats(-0.95, 0.95),
+    direction=st.sampled_from([-1, 0, 1]),
+)
+def test_property_event_time_does_not_depend_on_probe_subdivision(omega, level, direction):
+    # y = cos(omega t) falls through `level` at t1 and rises through it at t2
+    def rhs(t, y):
+        return np.array([y[1], -omega * omega * y[0]])
+
+    t_end = 4 * math.pi / omega
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
+    ev = Event(fn=lambda t, y: y[0] - level, direction=direction, terminal=True)
+    hit = integrate(rhs, 0.0, [1.0, 0.0], t_end, cfg, events=[ev]).event_hits[0]
+    # events do not steer the step size, so the stored event-free trajectory
+    # has the same segments; locate_event probes each at 8 points, not 4
+    stored = integrate(rhs, 0.0, [1.0, 0.0], t_end, cfg)
+    located = locate_event(stored, ev.fn, direction)
+    t1 = math.acos(level) / omega
+    t2 = (2 * math.pi - math.acos(level)) / omega
+    assert abs(hit.t - located.t) < 1e-12
+    assert abs(hit.t - (t2 if direction > 0 else t1)) < 1e-9

@@ -195,6 +195,12 @@ def test_horizon_guard_raises_event_not_reached():
         shoot_curve_point(ROUND_DELTAS[0], ShootConfig(horizon=0.5))
 
 
+@pytest.mark.parametrize("until", ["bogus", ("xi",)])
+def test_unknown_stop_rule_raises(until):
+    with pytest.raises(ValueError, match="unknown stop rule"):
+        shoot_curve_point(0.1, until=until)
+
+
 def test_large_delta1_meets_drift_toward_product_point():
     limit = np.array([-1.0, 0.0, 1.0])
     d100 = np.max(np.abs(meet_array(shoot_curve_point(1e2)[0]) - limit))
