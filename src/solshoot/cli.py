@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from . import __version__, bryant, output, pancake, shooting, verify
 from .errors import (
@@ -66,30 +67,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _pair(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected lo,hi - got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+class _Report(NamedTuple):
+    """What a handler hands to ``main``: the header parameters beyond the
+    common configuration, the column names, the records, and whether every
+    check passed (exit 0) or one failed (exit 1)."""
+
+    params: dict
+    columns: tuple
+    records: list
+    ok: bool = True
 
 
-def _triple(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated numbers - got {text!r}")
-    return (float(parts[0]), float(parts[1]), float(parts[2]))
+def _numbers(count=None):
+    """argparse type: comma-separated numbers, exactly ``count`` of them
+    when given."""
+
+    def parse(text):
+        try:
+            values = tuple(float(p) for p in text.split(","))
+            if count is None or len(values) == count:
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected {count or 'one or more'} comma-separated numbers, got {text!r}"
+        )
+
+    return parse
 
 
-def _box(text):
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise ValueError(f"expected six comma-separated numbers - got {text!r}")
-    vals = [float(p) for p in parts]
-    return ((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5]))
-
-
-def _float_list(text):
-    return tuple(float(p) for p in text.split(","))
+def _joined(values) -> str:
+    """Header text of a list-valued parameter: shortest round-trip floats."""
+    return ",".join(repr(v) for v in values)
 
 
 def _config(args) -> ShootConfig:
@@ -112,6 +121,16 @@ def _safe(text) -> str:
     return str(text).replace(",", ";").replace("\n", " ")
 
 
+def _status(ok) -> str:
+    return "pass" if ok else "fail"
+
+
+def _check_report(params, rep, ok) -> _Report:
+    """One-record report of a NamedTuple check result and its status; the
+    columns are the tuple's fields, so header and values cannot drift."""
+    return _Report(params, type(rep)._fields + ("status",), [(*rep, _status(ok))], ok)
+
+
 def _meta(args, **params) -> dict:
     meta = {
         "tool": "solshoot",
@@ -131,12 +150,15 @@ def _meta(args, **params) -> dict:
     return meta
 
 
-def _emit(args, meta, columns, records) -> None:
+def _emit(args, meta, columns, records, path=None) -> None:
+    """Write one document to ``path``; by default to ``--out``, else the
+    subcommand's default file or stdout."""
     if args.format == "json":
         text = output.format_json(meta, columns, records)
     else:
         text = output.format_csv(meta, columns, records)
-    path = args.out
+    if path is None:
+        path = args.out
     if path is None and args.subcommand in _FILE_DEFAULT:
         path = f"{args.subcommand}.{args.format}"
     output.write_text(path, text)
@@ -145,68 +167,45 @@ def _emit(args, meta, columns, records) -> None:
 
 
 def _emit_error(args, exc) -> None:
-    meta = _meta(args)
     records = [(type(exc).__name__, _safe(exc))]
-    _emit(args, meta, ("error", "message"), records)
+    _emit(args, _meta(args), ("error", "message"), records)
     sys.stderr.write(f"error: {exc}\n")
 
 
 # ---------------------------------------------------------------- shooting
 
 
-def _cmd_shoot_s1(args):
-    cfg = _config(args)
+def _cmd_shoot_s1(args, cfg):
     meet, traj = shooting.shoot_curve_point(args.delta1, cfg)
-    meta = _meta(args, delta1=args.delta1)
     columns = ("delta1", "l1", "l2", "r", "t_meet", "n_nodes")
-    rec = (args.delta1, meet.l1, meet.l2, meet.r, float(traj.t[-1]), traj.t.size)
-    _emit(args, meta, columns, [rec])
-    return EXIT_OK
+    rec = (args.delta1, *meet, float(traj.t[-1]), traj.t.size)
+    return _Report(dict(delta1=args.delta1), columns, [rec])
 
 
-def _cmd_shoot_s2(args):
-    cfg = _config(args)
+def _cmd_shoot_s2(args, cfg):
     meet, traj = shooting.shoot_surface_point(args.delta2, args.delta3, cfg)
-    meta = _meta(args, delta2=args.delta2, delta3=args.delta3)
     columns = ("delta2", "delta3", "l1", "l2", "r", "s_meet", "n_nodes")
-    rec = (
-        args.delta2,
-        args.delta3,
-        meet.l1,
-        meet.l2,
-        meet.r,
-        float(traj.t[-1]),
-        traj.t.size,
-    )
-    _emit(args, meta, columns, [rec])
-    return EXIT_OK
+    rec = (args.delta2, args.delta3, *meet, float(traj.t[-1]), traj.t.size)
+    return _Report(dict(delta2=args.delta2, delta3=args.delta3), columns, [rec])
 
 
-def _cmd_mismatch(args):
-    cfg = _config(args)
-    vec = shooting.mismatch(args.delta1, args.delta2, args.delta3, cfg)
-    f_inf = max(abs(vec.dl1), abs(vec.dl2), abs(vec.dr))
-    meta = _meta(args, delta1=args.delta1, delta2=args.delta2, delta3=args.delta3)
+def _cmd_mismatch(args, cfg):
+    deltas = (args.delta1, args.delta2, args.delta3)
+    vec = shooting.mismatch(*deltas, cfg)
     columns = ("delta1", "delta2", "delta3", "dl1", "dl2", "dr", "f_inf")
-    rec = (args.delta1, args.delta2, args.delta3, vec.dl1, vec.dl2, vec.dr, f_inf)
-    _emit(args, meta, columns, [rec])
-    return EXIT_OK
+    params = dict(delta1=args.delta1, delta2=args.delta2, delta3=args.delta3)
+    return _Report(params, columns, [(*deltas, *vec, vec.inf_norm)])
 
 
-def _cmd_root(args):
-    cfg = _config(args)
+def _cmd_root(args, cfg):
     res = shooting.find_root(args.guess, cfg)
-    meta = _meta(args, guess=",".join(repr(g) for g in args.guess))
     columns = ("delta1", "delta2", "delta3", "residual_inf", "iterations", "converged")
     rec = (*res.root, res.residual, res.iterations, True)
-    _emit(args, meta, columns, [rec])
-    return EXIT_OK
+    return _Report(dict(guess=_joined(args.guess)), columns, [rec])
 
 
-def _cmd_curve(args):
-    cfg = _config(args)
+def _cmd_curve(args, cfg):
     samples = shooting.sample_curve(args.range, args.n, cfg, workers=_workers(args))
-    meta = _meta(args, range=f"{args.range[0]!r},{args.range[1]!r}", n=args.n)
     columns = (
         "delta1",
         "l1",
@@ -224,19 +223,16 @@ def _cmd_curve(args):
             records.append((s.delta1,) + (math.nan,) * 7 + (_safe(s.status),))
         else:
             records.append((s.delta1, *s.meet, *s.eig_min, s.status))
-    _emit(args, meta, columns, records)
-    return EXIT_OK
+    return _Report(dict(range=_joined(args.range), n=args.n), columns, records)
 
 
-def _cmd_surface(args):
-    cfg = _config(args)
+def _cmd_surface(args, cfg):
     samples = shooting.sample_surface(
         args.d2_range, args.d3_range, args.n2, args.n3, cfg, workers=_workers(args)
     )
-    meta = _meta(
-        args,
-        d2_range=f"{args.d2_range[0]!r},{args.d2_range[1]!r}",
-        d3_range=f"{args.d3_range[0]!r},{args.d3_range[1]!r}",
+    params = dict(
+        d2_range=_joined(args.d2_range),
+        d3_range=_joined(args.d3_range),
         n2=args.n2,
         n3=args.n3,
     )
@@ -247,17 +243,14 @@ def _cmd_surface(args):
             records.append((s.delta2, s.delta3) + (math.nan,) * 3 + (_safe(s.status),))
         else:
             records.append((s.delta2, s.delta3, *s.meet, s.status))
-    _emit(args, meta, columns, records)
-    return EXIT_OK
+    return _Report(params, columns, records)
 
 
-def _cmd_scan(args):
-    cfg = _config(args)
-    res = shooting.scan_domain(args.box, args.resolution, cfg, workers=_workers(args))
-    box_text = ",".join(repr(v) for pair in args.box for v in pair)
-    meta = _meta(
-        args,
-        box=box_text,
+def _cmd_scan(args, cfg):
+    box = tuple(zip(args.box[::2], args.box[1::2]))
+    res = shooting.scan_domain(box, args.resolution, cfg, workers=_workers(args))
+    params = dict(
+        box=_joined(args.box),
         resolution=args.resolution,
         grid_bound=res.grid_bound,
         n_failed=res.n_failed,
@@ -268,8 +261,7 @@ def _cmd_scan(args):
         (m.delta1, m.delta2, m.delta3, m.value, m.n_nodes, *m.indices)
         for m in res.minima
     ]
-    _emit(args, meta, columns, records)
-    return EXIT_OK
+    return _Report(params, columns, records)
 
 
 # ------------------------------------------------------------ verification
@@ -285,7 +277,7 @@ def _max_principle_record(name, traj, check):
             and mp.min_k_s >= -_SIGN_TOL
             and n_changes == 0
         )
-        status = "pass" if ok else "fail"
+        status = _status(ok)
     else:
         ok, status = True, "report"
     rec = (
@@ -300,8 +292,7 @@ def _max_principle_record(name, traj, check):
     return rec, ok
 
 
-def _cmd_verify_maxprinciple(args):
-    cfg = _config(args)
+def _cmd_verify_maxprinciple(args, cfg):
     custom_s1 = args.delta1 is not None
     custom_s2 = args.delta2 is not None or args.delta3 is not None
     if custom_s2 and (args.delta2 is None or args.delta3 is None):
@@ -329,7 +320,6 @@ def _cmd_verify_maxprinciple(args):
             rec, ok = _max_principle_record(name, traj, check=True)
             records.append(rec)
             all_ok = all_ok and ok
-    meta = _meta(args, threshold=_SIGN_TOL)
     columns = (
         "case",
         "min_k_t1",
@@ -339,85 +329,38 @@ def _cmd_verify_maxprinciple(args):
         "sign_changes",
         "status",
     )
-    _emit(args, meta, columns, records)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return _Report(dict(threshold=_SIGN_TOL), columns, records, all_ok)
 
 
-def _cmd_verify_delta3(args):
+def _cmd_verify_delta3(args, cfg):
     rep = verify.delta3_integral_check()
     ok = (
         rep.closed_form > 1.0
         and rep.first_term >= 1.89
         and abs(rep.closed_form - rep.quadrature) < 1e-10
     )
-    meta = _meta(args)
-    columns = ("closed_form", "quadrature", "first_term", "status")
-    rec = (rep.closed_form, rep.quadrature, rep.first_term, "pass" if ok else "fail")
-    _emit(args, meta, columns, [rec])
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _check_report({}, rep, ok)
 
 
-def _cmd_verify_bryant(args):
+def _cmd_verify_bryant(args, cfg):
     curve = bryant.bryant_unstable_curve(
         args.launch_offset, IntegratorConfig(rtol=args.tol_rel)
     )
     fb = bryant.verify_f_bounds(curve)
-    margins = (
-        fb.margin_ge_half_x,
-        fb.margin_le_half_x_plus_sq,
-        fb.margin_ge_x_minus_x2,
-        fb.margin_le_x,
-    )
-    ok = min(margins) >= -_MARGIN_TOL and fb.y_at_x03 > 0.21
-    meta = _meta(args, launch_offset=args.launch_offset, threshold=_MARGIN_TOL)
-    columns = (
-        "margin_ge_half_x",
-        "margin_le_half_x_plus_sq",
-        "margin_ge_x_minus_x2",
-        "margin_le_x",
-        "y_at_x03",
-        "status",
-    )
-    rec = (*margins, fb.y_at_x03, "pass" if ok else "fail")
-    _emit(args, meta, columns, [rec])
+    ok = min(fb[:4]) >= -_MARGIN_TOL and fb.y_at_x03 > 0.21  # fb[:4]: the margins
     if args.curve_out is not None:
-        curve_meta = _meta(args, launch_offset=args.launch_offset)
-        for name, value in zip(columns[:5], rec[:5]):
-            curve_meta[name] = value
-        text_fn = output.format_json if args.format == "json" else output.format_csv
-        text = text_fn(curve_meta, ("x", "y"), list(zip(curve.x, curve.y)))
-        output.write_text(args.curve_out, text)
-        sys.stderr.write(f"wrote {args.curve_out}\n")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        curve_meta = {**_meta(args, launch_offset=args.launch_offset), **fb._asdict()}
+        _emit(args, curve_meta, ("x", "y"), list(zip(curve.x, curve.y)), args.curve_out)
+    return _check_report(dict(launch_offset=args.launch_offset, threshold=_MARGIN_TOL), fb, ok)
 
 
-def _cmd_verify_smalltime(args):
-    cfg = _config(args)
+def _cmd_verify_smalltime(args, cfg):
     rep = bryant.bryant_smalltime(cfg)
-    margins = (
-        rep.z_lower_margin,
-        rep.z_upper_margin,
-        rep.x_lower_margin,
-        rep.x_upper_margin,
-    )
-    ok = min(margins) >= -_MARGIN_TOL
-    meta = _meta(args, threshold=_MARGIN_TOL)
-    columns = (
-        "z_lower_margin",
-        "z_upper_margin",
-        "x_lower_margin",
-        "x_upper_margin",
-        "z_end",
-        "x_end",
-        "status",
-    )
-    rec = (*margins, rep.z_end, rep.x_end, "pass" if ok else "fail")
-    _emit(args, meta, columns, [rec])
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    ok = min(rep[:4]) >= -_MARGIN_TOL  # the four envelope margins
+    return _check_report(dict(threshold=_MARGIN_TOL), rep, ok)
 
 
-def _cmd_trace_pancake_limit(args):
-    cfg = _config(args)
+def _cmd_trace_pancake_limit(args, cfg):
     d1s = args.delta1 if args.delta1 is not None else (100.0, 1000.0, 10000.0)
     records, all_ok = [], True
     devs, gaps = [], []
@@ -440,7 +383,7 @@ def _cmd_trace_pancake_limit(args):
                 rep.x_min,
                 rep.dist_critical_line,
                 rep.t_event,
-                "pass" if ok else "fail",
+                _status(ok),
             )
         )
     trend_checked = len(d1s) >= 2 and list(d1s) == sorted(d1s)
@@ -450,9 +393,8 @@ def _cmd_trace_pancake_limit(args):
             b < a for a, b in zip(gaps, gaps[1:])
         )
         all_ok = all_ok and trend_ok
-    meta = _meta(
-        args,
-        delta1_list=",".join(repr(d) for d in d1s),
+    params = dict(
+        delta1_list=_joined(d1s),
         trend_checked=trend_checked,
         trend_monotone=trend_ok,
     )
@@ -469,70 +411,57 @@ def _cmd_trace_pancake_limit(args):
         "t_event",
         "status",
     )
-    _emit(args, meta, columns, records)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return _Report(params, columns, records, all_ok)
 
 
-def _cmd_compare_bryant(args):
-    cfg = _config(args)
+def _cmd_compare_bryant(args, cfg):
     rep = verify.rescaled_bryant_compare(args.delta1, cfg)
     ok = rep.c_obs < _COMPARE_CAP
-    meta = _meta(args, delta1=args.delta1, cap=_COMPARE_CAP)
     columns = ("delta1", "p_squared", "sup_dev", "c_obs", "status")
-    rec = (args.delta1, rep.p_squared, rep.sup_dev, rep.c_obs, "pass" if ok else "fail")
-    _emit(args, meta, columns, [rec])
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    rec = (args.delta1, rep.p_squared, rep.sup_dev, rep.c_obs, _status(ok))
+    return _Report(dict(delta1=args.delta1, cap=_COMPARE_CAP), columns, [rec], ok)
 
 
 # ----------------------------------------------------------------- pancake
 
 
-def _build_profile_from(args):
+def _pancake_profile(args):
+    """The profile the pancake flags describe, and its header entries."""
     blend = pancake.BlendParams(f2_window=args.f2_window, f1_window=args.f1_window)
-    return pancake.build_profile(args.length, blend=blend, grid_n=args.grid_n)
-
-
-def _pancake_meta(args, prof):
-    return dict(
+    prof = pancake.build_profile(args.length, blend=blend, grid_n=args.grid_n)
+    params = dict(
         length=prof.length,
         grid_n=args.grid_n,
-        f2_window=",".join(repr(v) for v in prof.f2_window),
-        f1_window=",".join(repr(v) for v in prof.f1_window),
+        f2_window=_joined(prof.f2_window),
+        f1_window=_joined(prof.f1_window),
         f2_blend_coefs=";".join(repr(float(c)) for c in prof.f2_blend_coefs),
     )
+    return prof, params
 
 
-def _cmd_pancake_build(args):
-    prof = _build_profile_from(args)
+def _cmd_pancake_build(args, cfg):
+    prof, params = _pancake_profile(args)
     rep = pancake.profile_report(prof)
-    res = pancake.smoothness_residuals(prof)
-    meta = _meta(
-        args,
-        **_pancake_meta(args, prof),
+    params.update(
         volume=rep.volume,
         diameter_low=rep.diameter_low,
         diameter_high=rep.diameter_high,
-        max_smoothness_residual=max(res),
+        max_smoothness_residual=max(pancake.smoothness_residuals(prof)),
     )
-    columns = ("r", "f1", "f2")
-    records = list(zip(prof.r, prof.f1, prof.f2))
-    _emit(args, meta, columns, records)
-    return EXIT_OK
+    return _Report(params, ("r", "f1", "f2"), list(zip(prof.r, prof.f1, prof.f2)))
 
 
-def _cmd_pancake_curvature(args):
-    prof = _build_profile_from(args)
+def _cmd_pancake_curvature(args, cfg):
+    prof, params = _pancake_profile(args)
     curv = pancake.profile_curvature(prof)
     ok = curv.min_eig >= -_EIG_TOL
-    meta = _meta(
-        args,
-        **_pancake_meta(args, prof),
+    params.update(
         min_eig=curv.min_eig,
         s_min=curv.s_min,
         s_max=curv.s_max,
         c_bound=curv.c_bound,
         threshold=_EIG_TOL,
-        status="pass" if ok else "fail",
+        status=_status(ok),
     )
     columns = ("r", "f1", "f2", "k_t1", "k_t2", "k_s", "k_m", "S")
     records = list(
@@ -547,8 +476,7 @@ def _cmd_pancake_curvature(args):
             curv.scalar,
         )
     )
-    _emit(args, meta, columns, records)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _Report(params, columns, records, ok)
 
 
 # ------------------------------------------------------------------ parser
@@ -575,6 +503,8 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler)
         return p
 
+    pair, triple = _numbers(2), _numbers(3)
+
     p = cmd("shoot-s1", _cmd_shoot_s1, "integrate the circle-side shot to its xi=0 crossing")
     p.add_argument("--delta1", type=float, required=True)
 
@@ -588,20 +518,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta3", type=float, required=True)
 
     p = cmd("root", _cmd_root, "damped Newton on the mismatch map")
-    p.add_argument("--guess", type=_triple, required=True, metavar="D1,D2,D3")
+    p.add_argument("--guess", type=triple, required=True, metavar="D1,D2,D3")
 
     p = cmd("curve", _cmd_curve, "log-uniform sweep of the circle-side meet map")
-    p.add_argument("--range", type=_pair, default=(0.01, 10.0), metavar="LO,HI")
+    p.add_argument("--range", type=pair, default=(0.01, 10.0), metavar="LO,HI")
     p.add_argument("--n", type=int, default=100)
 
     p = cmd("surface", _cmd_surface, "grid sweep of the sphere-side meet map")
-    p.add_argument("--d2-range", type=_pair, default=(-1.0, 0.0), metavar="LO,HI")
-    p.add_argument("--d3-range", type=_pair, default=(0.1, 2.0), metavar="LO,HI")
+    p.add_argument("--d2-range", type=pair, default=(-1.0, 0.0), metavar="LO,HI")
+    p.add_argument("--d3-range", type=pair, default=(0.1, 2.0), metavar="LO,HI")
     p.add_argument("--n2", type=int, default=10)
     p.add_argument("--n3", type=int, default=10)
 
     p = cmd("scan", _cmd_scan, "grid-local minima of |F|_inf over a parameter box")
-    p.add_argument("--box", type=_box, default=shooting.DEFAULT_SCAN_BOX, metavar="D1LO,D1HI,D2LO,D2HI,D3LO,D3HI")
+    p.add_argument(
+        "--box",
+        type=_numbers(6),
+        default=sum(shooting.DEFAULT_SCAN_BOX, ()),
+        metavar="D1LO,D1HI,D2LO,D2HI,D3LO,D3HI",
+    )
     p.add_argument("--resolution", type=int, default=20)
 
     p = cmd("verify-maxprinciple", _cmd_verify_maxprinciple, "curvature sign conditions on closed-form solitons (or report a custom shot)")
@@ -618,22 +553,20 @@ def _build_parser() -> _Parser:
     cmd("verify-smalltime", _cmd_verify_smalltime, "small-time envelope for the delta1=1 shot")
 
     p = cmd("trace-pancake-limit", _cmd_trace_pancake_limit, "scaled-variable traces of large-delta1 shots")
-    p.add_argument("--delta1", type=_float_list, default=None, metavar="D1[,D1...]")
+    p.add_argument("--delta1", type=_numbers(), default=None, metavar="D1[,D1...]")
 
     p = cmd("compare-bryant", _cmd_compare_bryant, "rescaled large-delta1 shot against the steady reference")
     p.add_argument("--delta1", type=float, required=True)
 
-    p = cmd("pancake-build", _cmd_pancake_build, "build a pancake profile and export it")
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--grid-n", type=int, default=2048)
-    p.add_argument("--f2-window", type=_pair, default=(0.5, 1.5), metavar="A,B")
-    p.add_argument("--f1-window", type=_pair, default=(0.5, 1.5), metavar="C,D")
-
-    p = cmd("pancake-curvature", _cmd_pancake_curvature, "curvature eigenvalues and scalar range of a pancake profile")
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--grid-n", type=int, default=2048)
-    p.add_argument("--f2-window", type=_pair, default=(0.5, 1.5), metavar="A,B")
-    p.add_argument("--f1-window", type=_pair, default=(0.5, 1.5), metavar="C,D")
+    for name, handler, help_text in (
+        ("pancake-build", _cmd_pancake_build, "build a pancake profile and export it"),
+        ("pancake-curvature", _cmd_pancake_curvature, "curvature eigenvalues and scalar range of a pancake profile"),
+    ):
+        p = cmd(name, handler, help_text)
+        p.add_argument("--length", type=float, required=True)
+        p.add_argument("--grid-n", type=int, default=2048)
+        p.add_argument("--f2-window", type=pair, default=(0.5, 1.5), metavar="A,B")
+        p.add_argument("--f1-window", type=pair, default=(0.5, 1.5), metavar="C,D")
 
     return parser
 
@@ -645,13 +578,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return args.handler(args)
+        rep = args.handler(args, _config(args))
     except _USAGE_ERRORS as exc:
         _emit_error(args, exc)
         return EXIT_USAGE
     except SolshootError as exc:
         _emit_error(args, exc)
         return EXIT_NUMERICAL
+    _emit(args, _meta(args, **rep.params), rep.columns, rep.records)
+    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

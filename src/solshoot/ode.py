@@ -72,6 +72,10 @@ _GL3_WEIGHTS = np.array([5 / 18, 8 / 18, 5 / 18])
 # crossings inside one step are still seen; t + 1.0 * h is exactly t + h
 _PROBE_FRACS = np.array([0.25, 0.5, 0.75, 1.0])
 
+# brentq accuracy of every refined crossing: |t - root| <= _XTOL + _RTOL |t|
+_XTOL = 1e-15
+_RTOL = 8.9e-16
+
 ORDER = 5  # propagating order of the pair
 
 
@@ -249,7 +253,7 @@ def _refine_crossing(traj_eval, gfn, ta, tb, ga, gb):
     def f(t):
         return gfn(t, traj_eval(t))
 
-    return float(brentq(f, ta, tb, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    return float(brentq(f, ta, tb, xtol=_XTOL, rtol=_RTOL, maxiter=200))
 
 
 def _crossing_matches(ga, gb, direction) -> bool:
@@ -432,19 +436,40 @@ def locate_event(
     Each segment is probed at 8 dense points before refinement, so
     crossings that reverse within one step are still caught.  Returns the
     first or last matching hit, or None when there is no crossing.
+
+    A trajectory stopped by a terminal event ends at the refined root,
+    where g may still sit on the near side of zero by a rounding error.
+    So when its last segment shows no crossing, the walk goes on along
+    that step's interpolant to the step's original end, and a crossing
+    that refines onto t[-1] within the refinement accuracy is reported
+    at t[-1].
     """
     if which not in ("first", "last"):
         raise ValueError("which must be 'first' or 'last'")
     found = None
     fracs = np.linspace(0.0, 1.0, 9)[1:]
-    for i in range(len(traj.t) - 1):
+    n_seg = len(traj.t) - 1
+    for i in range(n_seg):
         t_left, t_right = float(traj.t[i]), float(traj.t[i + 1])
         y_left, q, h = traj.y[i], traj.dense_q[i], traj.dense_h[i]
+
+        def seg_eval(tt):
+            return _interp(y_left, q, h, tt - t_left)
+
         t_star = _first_crossing(
             fn, direction, t_left, fn(t_left, y_left),
             np.minimum(t_left + fracs * (t_right - t_left), t_right),
-            lambda tt: _interp(y_left, q, h, tt - t_left), t_right, traj.y[i + 1],
+            seg_eval, t_right, traj.y[i + 1],
         )
+        if t_star is None and i == n_seg - 1 and traj.termination == "event":
+            t_step = t_left + h  # the step's end before the event cut it
+            t_past = _first_crossing(
+                fn, direction, t_right, fn(t_right, traj.y[-1]),
+                np.minimum(t_right + fracs * (t_step - t_right), t_step),
+                seg_eval, None, None,
+            )
+            if t_past is not None and t_past - t_right <= _XTOL + _RTOL * abs(t_right):
+                t_star = t_right
         if t_star is not None:
             found = EventHit(t=t_star, y=traj.eval(t_star), event_index=-1)
             if which == "first":

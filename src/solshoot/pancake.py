@@ -30,6 +30,14 @@ __all__ = [
 
 _FEASIBILITY_TOL = 1e-12
 
+# one-sided 6-point stencils (exact through quintics): the first and second
+# derivative at an edge node and at its neighbour, from the 6 nodes starting
+# at the edge
+_D1_EDGE = np.array([-137.0, 300.0, -300.0, 200.0, -75.0, 12.0]) / 60.0
+_D1_NEXT = np.array([-12.0, -65.0, 120.0, -60.0, 20.0, -3.0]) / 60.0
+_D2_EDGE = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
+_D2_NEXT = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
+
 
 class BlendParams(NamedTuple):
     """Transition windows (r_start, r_end) for the two warping functions.
@@ -166,13 +174,16 @@ def build_profile(
 ) -> PancakeProfile:
     """Build a pancake profile of plateau height ``length`` on [0, L+1].
 
-    Requires length >= 10 and grid_n >= 1000.  Raises BlendInfeasible when
-    the requested windows cannot carry a monotone concave f2 transition,
-    or when the f1 window is not centered at r = 1 (the smoothstep drop
-    is half the window width, which must match the linear continuation).
+    Requires a finite length >= 10 and grid_n >= 1000.  Raises
+    BlendInfeasible when the requested windows cannot carry a monotone
+    concave f2 transition, or when the f1 window is not centered at r = 1
+    (the smoothstep drop is half the window width, which must match the
+    linear continuation).
     """
     if not length >= 10.0:
         raise ValueError(f"length must be at least 10, got {length:g}")
+    if not math.isfinite(length):
+        raise ValueError(f"length must be finite, got {length:g}")
     if grid_n < 1000:
         raise GridTooCoarse(f"grid_n must be >= 1000, got {grid_n}")
     blend = blend or BlendParams()
@@ -216,19 +227,15 @@ def _fd_derivatives(r: np.ndarray, f: np.ndarray, lo: int, hi: int):
     d2[2:-2] = (
         -seg[:-4] + 16 * seg[1:-3] - 30 * seg[2:-2] + 16 * seg[3:-1] - seg[4:]
     ) / (12 * h * h)
-    # edges: one-sided 6-point (exact through quintics)
-    c1 = np.array([-137.0, 300.0, -300.0, 200.0, -75.0, 12.0]) / 60.0
-    c1b = np.array([-12.0, -65.0, 120.0, -60.0, 20.0, -3.0]) / 60.0
-    c2 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-    c2b = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
-    d1[0] = c1 @ seg[:6] / h
-    d1[1] = c1b @ seg[:6] / h
-    d1[-1] = -(c1 @ seg[-1:-7:-1]) / h
-    d1[-2] = -(c1b @ seg[-1:-7:-1]) / h
-    d2[0] = c2 @ seg[:6] / (h * h)
-    d2[1] = c2b @ seg[:6] / (h * h)
-    d2[-1] = c2 @ seg[-1:-7:-1] / (h * h)
-    d2[-2] = c2b @ seg[-1:-7:-1] / (h * h)
+    # edges: one-sided 6-point stencils
+    d1[0] = _D1_EDGE @ seg[:6] / h
+    d1[1] = _D1_NEXT @ seg[:6] / h
+    d1[-1] = -(_D1_EDGE @ seg[-1:-7:-1]) / h
+    d1[-2] = -(_D1_NEXT @ seg[-1:-7:-1]) / h
+    d2[0] = _D2_EDGE @ seg[:6] / (h * h)
+    d2[1] = _D2_NEXT @ seg[:6] / (h * h)
+    d2[-1] = _D2_EDGE @ seg[-1:-7:-1] / (h * h)
+    d2[-2] = _D2_NEXT @ seg[-1:-7:-1] / (h * h)
     return d1, d2
 
 
@@ -367,13 +374,11 @@ def smoothness_residuals(profile: PancakeProfile) -> SmoothnessReport:
     hs = stride * h
     tail1 = f1[-1 : -6 * stride - 1 : -stride]
     tail2 = f2[-1 : -6 * stride - 1 : -stride]
-    c1 = np.array([-137.0, 300.0, -300.0, 200.0, -75.0, 12.0]) / 60.0
-    c2 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
     return SmoothnessReport(
-        f2_slope_origin=abs(float(c1 @ f2[:6] / h) - 1.0),
-        f2_curv_origin=abs(float(c2 @ f2[:6] / (h * h))),
-        f1_slope_origin=abs(float(c1 @ f1[:6] / h)),
-        f1_slope_far=abs(float(-(c1 @ tail1) / hs) + 1.0),
-        f1_curv_far=abs(float(c2 @ tail1 / (hs * hs))),
-        f2_slope_far=abs(float(-(c1 @ tail2) / hs)),
+        f2_slope_origin=abs(float(_D1_EDGE @ f2[:6] / h) - 1.0),
+        f2_curv_origin=abs(float(_D2_EDGE @ f2[:6] / (h * h))),
+        f1_slope_origin=abs(float(_D1_EDGE @ f1[:6] / h)),
+        f1_slope_far=abs(float(-(_D1_EDGE @ tail1) / hs) + 1.0),
+        f1_curv_far=abs(float(_D2_EDGE @ tail1 / (hs * hs))),
+        f2_slope_far=abs(float(-(_D1_EDGE @ tail2) / hs)),
     )

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .fields import (
     SolitonState,
-    as_field,
     curvature_eigs_grid,
     family_rhs,
 )
@@ -317,10 +316,10 @@ def _stop_rule(until, side: str, horizon: float):
 
 def _shoot(y0: SolitonState, t0: float, side: str, until, cfg: ShootConfig, lam: float):
     if side == "s1":
-        field = as_field(lambda v: family_rhs(v, lam))
+        field = lambda t, y: family_rhs(y, lam)
     else:
         # the sphere side runs in s = (orbit time) - t, so the field reverses
-        field = as_field(lambda v: -family_rhs(v, lam))
+        field = lambda t, y: -family_rhs(y, lam)
     events, t_end = _stop_rule(until, side, cfg.horizon)
     traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), events=events)
     if events and traj.termination != "event":

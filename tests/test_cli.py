@@ -1,11 +1,14 @@
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from solshoot import cli
 from solshoot.errors import EventNotReached
+from solshoot.shooting import ROUND_DELTAS
 
 
 def run(capsys, argv):
@@ -262,6 +265,81 @@ def test_pancake_curvature_passes(tmp_path, monkeypatch, capsys):
     assert meta["status"] == "pass"
 
 
+def _readme_column_table():
+    # the "Frozen CSV column orders" table: {first cell: column tuple}
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Frozen CSV column orders", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `?([^`|]+?)`? +\| `([^`]+)` +\|$", section, flags=re.M)
+    return {name: tuple(cols.split(",")) for name, cols in rows}
+
+
+_FROZEN_COLUMNS = _readme_column_table()
+
+# one cheap invocation per table row, with the exit code it should give
+_TABLE_RUNS = {
+    "shoot-s1": (["shoot-s1", "--delta1", "0.0555"], 0),
+    "shoot-s2": (["shoot-s2", "--delta2", "-0.5", "--delta3", "0.5"], 0),
+    "mismatch": (["mismatch", "--delta1", "0.06", "--delta2", "-0.78", "--delta3", "0.58"], 0),
+    "root": (["root", "--guess", ",".join(repr(d) for d in ROUND_DELTAS)], 0),
+    "curve": (["curve", "--range", "0.05,0.06", "--n", "2", "--workers", "1"], 0),
+    "surface": (["surface", "--d2-range=-0.5,-0.4", "--d3-range", "0.5,0.6", "--n2", "2", "--n3", "2", "--workers", "1"], 0),
+    "scan": (["scan", "--resolution", "3", "--workers", "1"], 0),
+    "verify-maxprinciple": (["verify-maxprinciple"], 0),
+    "verify-delta3": (["verify-delta3"], 0),
+    "verify-bryant": (["verify-bryant"], 0),
+    "verify-bryant --curve-out": (["verify-bryant", "--curve-out"], 0),
+    "verify-smalltime": (["verify-smalltime"], 0),
+    "trace-pancake-limit": (["trace-pancake-limit", "--delta1", "100"], 0),
+    "compare-bryant": (["compare-bryant", "--delta1", "100"], 0),
+    "pancake-build": (["pancake-build", "--length", "10", "--grid-n", "1000"], 0),
+    "pancake-curvature": (["pancake-curvature", "--length", "10", "--grid-n", "1000"], 0),
+    "error records": (["shoot-s1", "--delta1", "-1"], 64),
+}
+
+
+def test_readme_column_table_lists_every_output():
+    assert set(_FROZEN_COLUMNS) == set(_TABLE_RUNS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("row", sorted(_TABLE_RUNS))
+def test_output_columns_match_readme_table(tmp_path, capsys, row, fmt):
+    argv, expected = _TABLE_RUNS[row]
+    target = tmp_path / f"out.{fmt}"
+    # --curve-out takes the path as its value; every other row writes --out
+    argv = argv + [str(target)] if argv[-1] == "--curve-out" else argv + ["--out", str(target)]
+    code = cli.main(argv + ["--format", fmt])
+    capsys.readouterr()
+    assert code == expected
+    columns = _FROZEN_COLUMNS[row]
+    text = target.read_text()
+    if fmt == "csv":
+        _, got, records = parse_csv(text)
+        assert got == columns
+        assert records and all(len(rec) == len(columns) for rec in records)
+    else:
+        records = json.loads(text)["records"]
+        assert records and all(tuple(rec) == columns for rec in records)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["root", "--guess", "0.1,0.2"], "expected 3 comma-separated numbers, got '0.1,0.2'"),
+        (["scan", "--box", "1,2"], "expected 6 comma-separated numbers, got '1,2'"),
+        (["curve", "--range", "1"], "expected 2 comma-separated numbers, got '1'"),
+        (["trace-pancake-limit", "--delta1", "1e2,abc"], "expected one or more comma-separated numbers, got '1e2,abc'"),
+    ],
+    ids=["root-guess", "scan-box", "curve-range", "trace-delta1"],
+)
+def test_list_flag_usage_error_says_what_was_expected(capsys, argv, expected):
+    assert cli.main(argv) == 64
+    err = capsys.readouterr().err
+    assert expected in err
+    # argparse names the type function when it swallows the reason
+    assert re.search(r"(?<!\w)_\w", err) is None
+
+
 # ---------------------------------------------------------------- failures
 
 
@@ -329,6 +407,21 @@ def test_bad_input_fails_fast_with_error_record(tmp_path, monkeypatch, capsys, a
     assert columns == ("error", "message")
     assert "Traceback" not in captured.err
     assert "np.float64" not in rows[0][1]
+
+
+@pytest.mark.parametrize("subcommand", ["pancake-build", "pancake-curvature"])
+def test_non_finite_pancake_length_fails_fast_with_error_record(tmp_path, monkeypatch, capsys, subcommand):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code = cli.main([subcommand, "--length", "inf", "--grid-n", "1000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 64
+    assert elapsed < 5.0
+    _, columns, rows = parse_csv((tmp_path / f"{subcommand}.csv").read_text())
+    assert columns == ("error", "message")
+    assert rows == [["ValueError", "length must be finite; got inf"]]
+    assert "Traceback" not in captured.err
 
 
 def test_shot_failure_record_prints_plain_numbers(capsys):

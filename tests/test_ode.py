@@ -111,6 +111,28 @@ def test_locate_event_first_and_last():
     assert none is None
 
 
+def test_locate_event_finds_the_crossing_that_stopped_the_trajectory():
+    # the stored end of an event-stopped trajectory is the refined root, where
+    # g can still sit a rounding error before zero; the crossing must be found
+    for omega in np.linspace(0.5, 3.0, 60):
+
+        def rhs(t, y, omega=omega):
+            return np.array([y[1], -omega * omega * y[0]])
+
+        def g(t, y):
+            return y[0] - 0.3
+
+        traj = integrate(rhs, 0.0, [1.0, 0.0], 20.0, events=[Event(g, direction=-1)])
+        assert traj.termination == "event"
+        for which in ("first", "last"):
+            hit = locate_event(traj, g, -1, which)
+            assert hit is not None, omega
+            assert hit.t == traj.t[-1] == traj.event_hits[0].t
+            assert hit.y.tobytes() == traj.y[-1].tobytes()
+        # a rising crossing does not end this trajectory
+        assert locate_event(traj, g, +1) is None
+
+
 def test_antiderivative_exact_on_polynomial():
     # y' = 1 gives y = t; integrate g = y^3 exactly (GL3 handles quartics,
     # and the dense interpolant reproduces linear solutions exactly)
