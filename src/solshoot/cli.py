@@ -101,16 +101,25 @@ def _joined(values) -> str:
     return ",".join(repr(v) for v in values)
 
 
+# --tol-abs defaults to None so that a handler can tell whether it was given
+_TOL_ABS = 1e-12
+
+
+def _tol_abs(args) -> float:
+    return _TOL_ABS if args.tol_abs is None else args.tol_abs
+
+
 def _config(args) -> ShootConfig:
     return ShootConfig(
         t_eps=args.t_eps,
         rtol=args.tol_rel,
-        atol=args.tol_abs,
+        atol=_tol_abs(args),
         exploratory=args.exploratory,
     )
 
 
 def _workers(args) -> int:
+    """The ``--workers`` value the header echoes; sweeps do not use it."""
     if args.workers is not None:
         return max(1, args.workers)
     return os.cpu_count() or 1
@@ -140,7 +149,7 @@ def _meta(args, **params) -> dict:
     meta.update(params)
     meta.update(
         tol_rel=args.tol_rel,
-        tol_abs=args.tol_abs,
+        tol_abs=_tol_abs(args),
         t_eps=args.t_eps,
         exploratory=args.exploratory,
         workers=_workers(args),
@@ -205,7 +214,7 @@ def _cmd_root(args, cfg):
 
 
 def _cmd_curve(args, cfg):
-    samples = shooting.sample_curve(args.range, args.n, cfg, workers=_workers(args))
+    samples = shooting.sample_curve(args.range, args.n, cfg)
     columns = (
         "delta1",
         "l1",
@@ -227,9 +236,7 @@ def _cmd_curve(args, cfg):
 
 
 def _cmd_surface(args, cfg):
-    samples = shooting.sample_surface(
-        args.d2_range, args.d3_range, args.n2, args.n3, cfg, workers=_workers(args)
-    )
+    samples = shooting.sample_surface(args.d2_range, args.d3_range, args.n2, args.n3, cfg)
     params = dict(
         d2_range=_joined(args.d2_range),
         d3_range=_joined(args.d3_range),
@@ -248,7 +255,7 @@ def _cmd_surface(args, cfg):
 
 def _cmd_scan(args, cfg):
     box = tuple(zip(args.box[::2], args.box[1::2]))
-    res = shooting.scan_domain(box, args.resolution, cfg, workers=_workers(args))
+    res = shooting.scan_domain(box, args.resolution, cfg)
     params = dict(
         box=_joined(args.box),
         resolution=args.resolution,
@@ -343,6 +350,11 @@ def _cmd_verify_delta3(args, cfg):
 
 
 def _cmd_verify_bryant(args, cfg):
+    if args.tol_abs is not None:
+        raise ValueError(
+            "verify-bryant does not take --tol-abs: its trace fixes the absolute "
+            "tolerance at 1e-24, because the gap it follows shrinks like x^2"
+        )
     curve = bryant.bryant_unstable_curve(
         args.launch_offset, IntegratorConfig(rtol=args.tol_rel)
     )
@@ -484,11 +496,11 @@ def _cmd_pancake_curvature(args, cfg):
 
 def _add_common(p):
     p.add_argument("--tol-rel", type=float, default=1e-10, help="integrator relative tolerance")
-    p.add_argument("--tol-abs", type=float, default=1e-12, help="integrator absolute tolerance")
+    p.add_argument("--tol-abs", type=float, default=None, help=f"integrator absolute tolerance (default {_TOL_ABS:g}; not taken by verify-bryant)")
     p.add_argument("--t-eps", type=float, default=1e-4, help="series handoff distance from the singular orbit")
     p.add_argument("--out", default=None, help="output path (default: stdout for reports, <subcommand>.<format> for sweeps)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=None, help="sweep parallelism (default: available cores)")
+    p.add_argument("--workers", type=int, default=None, help="accepted and echoed in the header; no effect, sweeps run batched in one process")
     p.add_argument("--exploratory", action="store_true", help="allow parameters outside the admissible region")
 
 

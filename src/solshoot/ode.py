@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -32,6 +32,8 @@ __all__ = [
     "EventHit",
     "Trajectory",
     "integrate",
+    "integrate_batch",
+    "LaneEnd",
     "locate_event",
 ]
 
@@ -423,6 +425,220 @@ def integrate(
         n_rejected=n_rejected,
     )
     return traj
+
+
+class LaneEnd(NamedTuple):
+    """Where one lane of :func:`integrate_batch` stopped, without its history."""
+
+    t: float
+    y: np.ndarray
+    termination: str
+
+
+def _crossing_mask(ga, gb, direction):
+    """``_crossing_matches`` elementwise over arrays of g values."""
+    with np.errstate(invalid="ignore"):
+        ok = (ga != gb) & ~((ga * gb > 0) & (gb != 0.0)) & (ga != 0.0)
+        if direction > 0:
+            ok &= ga < gb
+        elif direction < 0:
+            ok &= ga > gb
+    return ok
+
+
+def integrate_batch(
+    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    t0,
+    y0,
+    t_end: float,
+    event: Event,
+    config: Optional[IntegratorConfig] = None,
+    history: bool = False,
+) -> list:
+    """Integrate many independent initial value problems in lockstep.
+
+    Lane i starts at (t0[i], y0[i]) and runs to t_end or to the first
+    crossing of the terminal ``event``, which all lanes share.  Each lane has its own step size
+    and accept/reject decision, and a lane that stops leaves the batch.
+    ``rhs(t, y)`` takes t of shape (m,) and y of shape (m, d) and returns
+    the m derivative rows.  The event's ``fn(t, y)`` takes arrays too: t of
+    some shape S and y of shape (d, *S), so ``y[k]`` is component k.
+
+    Every lane repeats the arithmetic of :func:`integrate` bit for bit, so
+    its result does not depend on the batch size or on the other lanes.
+    That needs a state width d that is a multiple of 4: the stage sums and
+    the dense coefficients of all lanes are each one BLAS product, and only
+    then does each lane's block of d entries take the same kernel path as a
+    single lane's.  Pad a narrower state with a constant component.
+
+    Returns one entry per lane: its :class:`Trajectory` when ``history`` is
+    set, else a :class:`LaneEnd` with the final node and the termination.
+    """
+    cfg = config or IntegratorConfig()
+    if cfg.fixed_step is not None:
+        raise ValueError("integrate_batch steps adaptively only")
+    if not event.terminal:
+        raise ValueError("integrate_batch takes a terminal event only")
+    t0 = np.array(t0, dtype=float)
+    y0 = np.array(y0, dtype=float)
+    if y0.ndim != 2 or t0.shape != y0.shape[:1]:
+        raise ValueError("need t0 of shape (B,) and y0 of shape (B, d)")
+    if y0.shape[1] % 4:
+        raise ValueError(f"state width {y0.shape[1]} is not a multiple of 4")
+    t_end = float(t_end)
+    if not np.all(t_end > t0):
+        raise ValueError("integration is forward only: t_end must exceed every t0")
+    n_lanes, d = y0.shape
+    # per lane (t, y, termination, rhs evaluations) of its final node
+    ends = [None] * n_lanes
+    n_rejected = np.zeros(n_lanes, dtype=int)
+    # per step, the accepted nodes: (lane ids, t, y, dense_q, dense_h)
+    log = [(np.zeros(0, int), np.zeros(0), np.zeros((0, d)), np.zeros((0, d, 4)), np.zeros(0))]
+    n_steps = 0  # steps tried by every lane still in the batch
+    tiny = 10 * np.finfo(float).eps
+
+    # the blow-up guard on the initial state, as in ``integrate``
+    blown = ~(np.abs(y0).max(axis=1) < cfg.blowup_norm)
+    for i in np.flatnonzero(blown).tolist():
+        ends[i] = (float(t0[i]), y0[i].copy(), "blowup", 0)
+    lane = np.flatnonzero(~blown)
+    t, y = t0[lane], y0[lane]
+    f = rhs(t, y)
+
+    def lane_rhs(tt, yy):
+        return rhs(np.array([tt]), yy[None])[0]
+
+    h = np.array(
+        [
+            _hairer_initial_step(lane_rhs, t[i], y[i], f[i], cfg.rtol, cfg.atol, t_end - t[i])
+            for i in range(lane.size)
+        ]
+    )
+    g_prev = event.fn(t, y.T)
+
+    def finish(mask, t, y, why):
+        for i in np.flatnonzero(mask).tolist():
+            reason = why if isinstance(why, str) else str(why[i])
+            ends[lane[i]] = (float(t[i]), y[i].copy(), reason, 2 + 6 * n_steps)
+
+    def drop(mask):
+        nonlocal lane, t, y, f, h, g_prev
+        keep = ~mask
+        lane, t, y, f, h, g_prev = lane[keep], t[keep], y[keep], f[keep], h[keep], g_prev[keep]
+
+    while lane.size:
+        # the checks before a step, in ``integrate``'s order
+        h = np.minimum(h, t_end - t)
+        ended = ~(t < t_end)
+        spent = n_steps >= cfg.max_steps
+        stop = ended | spent | (h < tiny * np.maximum(np.abs(t), 1.0))
+        if stop.any():
+            late = "max_steps" if spent else "step_underflow"
+            finish(stop, t, y, np.where(ended, "reached_end", late))
+            drop(stop)
+            continue
+        n_steps += 1
+
+        # the stages of all lanes side by side: each stage sum is one
+        # vector-matrix product, bitwise the per-lane ``_A[s] @ K[:s]``
+        n = lane.size
+        K = np.empty((7, n * d))
+        K3 = K.reshape(7, n, d)
+        K3[0] = f
+        hc = h[:, None]
+        for s in range(1, 6):
+            K3[s] = rhs(t + _C[s] * h, y + hc * (_A[s] @ K[:s]).reshape(n, d))
+        y_new = y + hc * (_B @ K[:6]).reshape(n, d)
+        t_new = t + h
+        K3[6] = rhs(t_new, y_new)
+
+        err = hc * (_E @ K).reshape(n, d)
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            # the row means of ``_rms``, as np.mean forms them: sum, then / d
+            err_norm = np.sqrt(np.add.reduce(np.square(err / scale), axis=1) / d)
+        err_norm[~np.isfinite(err_norm)] = math.inf
+        ok = err_norm <= 1.0
+        n_rejected[lane[~ok]] += 1
+        # step factors in Python floats: numpy's array power differs from
+        # ``float ** float`` in the last bit on some inputs
+        factor = np.array(
+            [
+                min(10.0, 0.9 * max(e, 1e-10) ** (-1 / ORDER)) if e <= 1.0
+                else min(max(0.2, 0.9 * e ** (-1 / ORDER)), 1.0)
+                for e in err_norm.tolist()
+            ]
+        )
+        # one product for all lanes' dense coefficients, bitwise K.T @ _P
+        q = (K.T @ _P).reshape(n, d, 4)
+
+        probe_t = t[:, None] + _PROBE_FRACS * hc
+        probe_y = _interp(y[:, None], q[:, None], hc, probe_t - t[:, None])
+        probe_y = np.where((probe_t == t_new[:, None])[..., None], y_new[:, None], probe_y)
+        g = event.fn(probe_t, probe_y.transpose(2, 0, 1))
+        # each probe against the one before it, the first against the node
+        ga = np.column_stack((g_prev, g[:, :-1]))
+        match = _crossing_mask(ga, g, event.direction) & ok[:, None]
+        t_hit = np.full(n, math.nan)
+        for i in np.flatnonzero(match.any(axis=1)).tolist():
+            p = int(np.argmax(match[i]))
+            y_i, q_i, h_i, t_i = y[i], q[i], h[i], t[i]
+            ta = t_i if p == 0 else probe_t[i, p - 1]
+            t_hit[i] = _refine_crossing(
+                lambda tt: _interp(y_i, q_i, h_i, tt - t_i),
+                event.fn, float(ta), float(probe_t[i, p]), ga[i, p], g[i, p],
+            )
+        # the last probe is t + 1.0 * h, exactly t_new
+        g_prev = np.where(ok, g[:, -1], g_prev)
+
+        hit = ok & ~np.isnan(t_hit)
+        node_t = np.where(hit, t_hit, t_new)
+        node_y = y_new.copy()
+        for i in np.flatnonzero(hit & (t_hit != t_new)).tolist():
+            node_y[i] = _interp(y[i], q[i], h[i], t_hit[i] - t[i])
+        if history:
+            log.append((lane[ok], node_t[ok], node_y[ok], q[ok], h[ok]))
+        finish(hit, node_t, node_y, "event")
+
+        go = ok & ~hit
+        t = np.where(go, t_new, t)
+        y = np.where(go[:, None], y_new, y)
+        f = np.where(go[:, None], K3[6], f)
+        h = h * factor
+        blow = go & ~(np.abs(y).max(axis=1) < cfg.blowup_norm)
+        finish(blow, t, y, "blowup")
+        if (hit | blow).any():
+            drop(hit | blow)
+
+    if not history:
+        return [LaneEnd(t_i, y_i, why) for t_i, y_i, why, _ in ends]
+    return _assemble(t0, y0, ends, log, n_rejected, event)
+
+
+def _assemble(t0, y0, ends, log, n_rejected, event) -> list:
+    """Per-lane trajectories from the accepted nodes logged by the batch."""
+    ids, ts, ys, qs, hs = (np.concatenate(parts) for parts in zip(*log))
+    order = np.argsort(ids, kind="stable")
+    bounds = np.searchsorted(ids[order], np.arange(len(ends) + 1))
+    out = []
+    for i, (t_last, y_last, why, n_evals) in enumerate(ends):
+        rows = order[bounds[i]:bounds[i + 1]]
+        hits = []
+        if why == "event":
+            hits.append(EventHit(t=t_last, y=y_last, event_index=0, name=event.name))
+        out.append(
+            Trajectory(
+                t=np.concatenate(([t0[i]], ts[rows])),
+                y=np.concatenate((y0[i][None], ys[rows])),
+                dense_q=qs[rows],
+                dense_h=hs[rows],
+                termination=why,
+                event_hits=hits,
+                n_rhs_evals=n_evals,
+                n_rejected=int(n_rejected[i]),
+            )
+        )
+    return out
 
 
 def locate_event(

@@ -15,6 +15,14 @@ is the mismatch map; its zeroes are the solitons.  The module also provides
 the damped-Newton root finder and the coarse domain scan used to look for
 zeroes away from the known round solution.
 
+The sweeps (``sample_curve``, ``sample_surface``, ``scan_domain``) shoot all
+their nodes of one side together, in lockstep through
+``ode.integrate_batch``, one process.  Every node's result is bit-identical
+to its single shot (``shoot_curve_point``/``shoot_surface_point``), so it
+does not depend on the sweep's size or order; the ``workers`` argument is
+accepted and has no effect.  Only ``sample_curve`` keeps each node's
+trajectory, for its curvature minima.
+
 Failed shots inside sweeps are recorded, not raised: the large-delta1 regime
 legitimately stresses the integrator and the failure boundary is data.
 """
@@ -22,8 +30,7 @@ legitimately stresses the integrator and the failure boundary is data.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,7 +48,7 @@ from .fields import (
     curvature_eigs_grid,
     family_rhs,
 )
-from .ode import Event, IntegratorConfig, Trajectory, integrate
+from .ode import Event, IntegratorConfig, LaneEnd, Trajectory, integrate, integrate_batch
 
 __all__ = [
     "ROUND_DELTAS",
@@ -152,11 +159,17 @@ class ScanMinimum(NamedTuple):
 
 @dataclass
 class ScanResult:
+    """``failures`` holds one (side, parameters, reason) entry per failed
+    shot inside the box: side "s1" with (delta1,) or "s2" with (delta2,
+    delta3), and the reason the single shot would raise.  ``n_failed`` is
+    its length."""
+
     axes: tuple
     values: np.ndarray
     minima: list
     grid_bound: float
     n_failed: int
+    failures: list = field(default_factory=list)
 
     def region_contains(self, m: ScanMinimum, d1: float, d2: float, d3: float) -> bool:
         """Whether a parameter point lies in the half-cell neighborhood of a
@@ -314,30 +327,53 @@ def _stop_rule(until, side: str, horizon: float):
     return [event], horizon
 
 
-def _shoot(y0: SolitonState, t0: float, side: str, until, cfg: ShootConfig, lam: float):
+def _launch(side: str, params: tuple, cfg: ShootConfig, lam: float = 1.0):
+    """(handoff distance, series start state) of a shot from ``params``:
+    (delta1,) on the circle side, (delta2, delta3) on the sphere side."""
+    t0 = _effective_eps(cfg.t_eps, *params)
+    if side == "s2":
+        return t0, _s2_start(*params, t0)
+    try:
+        return t0, _s1_start(*params, t0, lam)
+    except OverflowError:
+        # delta1**2 overflows above ~1.3e154; an infinite launch state is
+        # stopped by the integrator's blow-up guard before the first step
+        return t0, np.full(4, math.inf)
+
+
+def _field(side: str, lam: float):
     if side == "s1":
-        field = lambda t, y: family_rhs(y, lam)
-    else:
-        # the sphere side runs in s = (orbit time) - t, so the field reverses
-        field = lambda t, y: -family_rhs(y, lam)
-    events, t_end = _stop_rule(until, side, cfg.horizon)
-    traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), events=events)
-    if events and traj.termination != "event":
-        raise EventNotReached(
+        return lambda t, y: family_rhs(y, lam)
+    # the sphere side runs in s = (orbit time) - t, so the field reverses
+    return lambda t, y: -family_rhs(y, lam)
+
+
+def _failure(side: str, events, t_end: float, last: LaneEnd) -> Optional[str]:
+    """Why a shot that ended at ``last`` missed its stop rule, or None."""
+    if events and last.termination != "event":
+        return (
             f"{side} shot never reached {events[0].name}: stopped by "
-            f"{traj.termination} at t={traj.t_end:.6g} with "
-            f"state={' '.join(f'{v:.6g}' for v in traj.y[-1])}"
+            f"{last.termination} at t={last.t:.6g} with "
+            f"state={' '.join(f'{v:.6g}' for v in last.y)}"
         )
-    if not events and traj.termination != "reached_end":
-        raise EventNotReached(
-            f"{side} shot stopped by {traj.termination} at t={traj.t_end:.6g} "
+    if not events and last.termination != "reached_end":
+        return (
+            f"{side} shot stopped by {last.termination} at t={last.t:.6g} "
             f"before the requested time {t_end:g}"
         )
+    return None
+
+
+def _shoot(y0, t0: float, side: str, until, cfg: ShootConfig, lam: float):
+    events, t_end = _stop_rule(until, side, cfg.horizon)
+    traj = integrate(_field(side, lam), t0, np.array(y0), t_end, cfg.integrator(), events=events)
+    reason = _failure(side, events, t_end, LaneEnd(traj.t_end, traj.y[-1], traj.termination))
+    if reason is not None:
+        raise EventNotReached(reason)
     return traj
 
 
-def _meet_from(traj: Trajectory) -> MeetPoint:
-    y = traj.y[-1]
+def _meet_from(y: np.ndarray) -> MeetPoint:
     return MeetPoint(l1=float(y[1]), l2=float(y[2]), r=float(y[3]))
 
 
@@ -356,15 +392,9 @@ def shoot_curve_point(
     """
     cfg = cfg or ShootConfig()
     check_admissible(delta1=delta1, exploratory=cfg.exploratory)
-    t0 = _effective_eps(cfg.t_eps, delta1)
-    try:
-        y0 = _s1_start(delta1, t0, lam)
-    except OverflowError:
-        # delta1**2 overflows above ~1.3e154; an infinite launch state is
-        # stopped by the integrator's blow-up guard before the first step
-        y0 = np.full(4, math.inf)
+    t0, y0 = _launch("s1", (delta1,), cfg, lam)
     traj = _shoot(y0, t0, "s1", until, cfg, lam)
-    return _meet_from(traj), traj
+    return _meet_from(traj.y[-1]), traj
 
 
 def shoot_surface_point(
@@ -383,10 +413,9 @@ def shoot_surface_point(
     """
     cfg = cfg or ShootConfig()
     check_admissible(delta2=delta2, delta3=delta3, exploratory=cfg.exploratory)
-    s0 = _effective_eps(cfg.t_eps, delta2, delta3)
-    y0 = _s2_start(delta2, delta3, s0)
+    s0, y0 = _launch("s2", (delta2, delta3), cfg)
     traj = _shoot(y0, s0, "s2", until, cfg, lam=1.0)
-    return _meet_from(traj), traj
+    return _meet_from(traj.y[-1]), traj
 
 
 def mismatch(
@@ -488,30 +517,48 @@ def _eig_minima(traj: Trajectory) -> tuple:
     return tuple(float(v) for v in curvature_eigs_grid(states).min(axis=0))
 
 
-def _map_jobs(fn, jobs: list, workers: int) -> list:
-    """Evaluate independent node jobs, optionally across processes.
+_PARAM_NAMES = {"s1": ("delta1",), "s2": ("delta2", "delta3")}
 
-    Results come back in job order either way, so the assembled output is
-    identical for any worker count.
+
+def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = False) -> list:
+    """Meet shots of many parameter points, in lockstep through
+    ``integrate_batch``.
+
+    Per point, (meet, trajectory, reason): a failed shot has meet None and
+    the text its single shot would raise as reason; the trajectory is kept
+    only with ``history``.
     """
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+    out = [None] * len(points)
+    lanes, t0s, y0s = [], [], []
+    for i, p in enumerate(points):
+        try:
+            check_admissible(**dict(zip(_PARAM_NAMES[side], p)), exploratory=cfg.exploratory)
+        except InadmissibleParameters as exc:
+            out[i] = (None, None, str(exc))
+            continue
+        t0, y0 = _launch(side, p, cfg)
+        lanes.append(i)
+        t0s.append(t0)
+        y0s.append(y0)
+    if not lanes:
+        return out
+    events, t_end = _stop_rule("meet", side, cfg.horizon)
+    field = _field(side, 1.0)
+    # the batch passes states as rows; the field reads them as columns
+    ends = integrate_batch(
+        lambda t, y: field(t, y.T).T, t0s, y0s, t_end, events[0], cfg.integrator(), history
+    )
+    for i, end in zip(lanes, ends):
+        last = LaneEnd(end.t_end, end.y[-1], end.termination) if history else end
+        reason = _failure(side, events, t_end, last)
+        meet = None if reason is not None else _meet_from(last.y)
+        out[i] = (meet, end if history else None, reason)
+    return out
 
 
 def _check_finite_bounds(*ranges) -> None:
     if not np.all(np.isfinite(np.array(ranges, dtype=float))):
         raise ValueError(f"sweep bounds must be finite, got {ranges!r}")
-
-
-def _curve_node(job) -> CurveSample:
-    d1, cfg = job
-    try:
-        meet, traj = shoot_curve_point(d1, cfg)
-        return CurveSample(d1, meet, _eig_minima(traj), "ok")
-    except (EventNotReached, InadmissibleParameters) as exc:
-        return CurveSample(d1, None, None, f"failed: {exc}")
 
 
 def sample_curve(
@@ -524,7 +571,7 @@ def sample_curve(
 
     Each record carries the MeetPoint and the per-eigenvalue trajectory
     minima; failed shots keep their slot with the failure reason in
-    ``status``.
+    ``status``.  ``workers`` has no effect (see the module docstring).
     """
     cfg = cfg or ShootConfig()
     lo, hi = float(d1_range[0]), float(d1_range[1])
@@ -532,17 +579,13 @@ def sample_curve(
         raise ValueError("need n >= 2 samples")
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"log-uniform sweep needs finite 0 < lo < hi, got {lo!r}, {hi!r}")
-    jobs = [(float(d1), cfg) for d1 in np.geomspace(lo, hi, n)]
-    return _map_jobs(_curve_node, jobs, workers)
-
-
-def _surface_node(job) -> SurfaceSample:
-    d2, d3, cfg = job
-    try:
-        meet, _ = shoot_surface_point(d2, d3, cfg)
-        return SurfaceSample(d2, d3, meet, "ok")
-    except (EventNotReached, InadmissibleParameters) as exc:
-        return SurfaceSample(d2, d3, None, f"failed: {exc}")
+    d1s = [float(d1) for d1 in np.geomspace(lo, hi, n)]
+    shots = _shoot_lanes("s1", [(d1,) for d1 in d1s], cfg, history=True)
+    return [
+        CurveSample(d1, meet, _eig_minima(traj), "ok") if reason is None
+        else CurveSample(d1, None, None, f"failed: {reason}")
+        for d1, (meet, traj, reason) in zip(d1s, shots)
+    ]
 
 
 def sample_surface(
@@ -553,17 +596,21 @@ def sample_surface(
     cfg: Optional[ShootConfig] = None,
     workers: int = 1,
 ) -> list:
-    """Uniform n2 x n3 sweep of the sphere-side meet map."""
+    """Uniform n2 x n3 sweep of the sphere-side meet map.  ``workers`` has
+    no effect (see the module docstring)."""
     cfg = cfg or ShootConfig()
     if n2 < 2 or n3 < 2:
         raise ValueError("need at least a 2 x 2 grid")
     _check_finite_bounds(d2_range, d3_range)
-    jobs = [
-        (float(d2), float(d3), cfg)
+    points = [
+        (float(d2), float(d3))
         for d2 in np.linspace(float(d2_range[0]), float(d2_range[1]), n2)
         for d3 in np.linspace(float(d3_range[0]), float(d3_range[1]), n3)
     ]
-    return _map_jobs(_surface_node, jobs, workers)
+    return [
+        SurfaceSample(d2, d3, meet, "ok" if reason is None else f"failed: {reason}")
+        for (d2, d3), (meet, _, reason) in zip(points, _shoot_lanes("s2", points, cfg))
+    ]
 
 
 DEFAULT_SCAN_BOX = ((0.0, 10.0), (-1.0, 0.0), (0.0, 40.0))
@@ -591,8 +638,9 @@ def scan_domain(
     along any axis inside the box: a minimum below it is indistinguishable
     from a zero at this resolution, one above it is a certified non-zero at
     the visited nodes.  Failed shots enter as +inf and are excluded from
-    minima and from the bound; ``n_failed`` counts them over the requested
-    box only.  Every box bound must be finite.
+    minima and from the bound; ``failures`` lists them, with their reasons,
+    over the requested box only.  Every box bound must be finite.
+    ``workers`` has no effect (see the module docstring).
     """
     cfg = cfg or ShootConfig()
     if np.isscalar(resolution):
@@ -610,19 +658,30 @@ def scan_domain(
         h = (hi - lo) / (n - 1)
         return np.concatenate(([lo - h], nodes, [hi + h]))
 
-    curve_jobs = [(float(d1), cfg) for d1 in extend(d1s, a1, b1, n1)]
-    surf_jobs = [
-        (float(d2), float(d3), cfg)
+    curve_points = [(float(d1),) for d1 in extend(d1s, a1, b1, n1)]
+    surf_points = [
+        (float(d2), float(d3))
         for d2 in extend(d2s, a2, b2, n2)
         for d3 in extend(d3s, a3, b3, n3)
     ]
+    curve = _shoot_lanes("s1", curve_points, cfg)
+    surf = _shoot_lanes("s2", surf_points, cfg)
+    # the ghost nodes lie outside the box: their failures are walls, not data
+    failures = [
+        ("s1", p, reason)
+        for p, (_, _, reason) in zip(curve_points[1:-1], curve[1:-1])
+        if reason
+    ]
+    in_box = np.pad(np.ones((n2, n3), bool), 1).ravel()
+    failures += [
+        ("s2", p, reason)
+        for p, (_, _, reason), inside in zip(surf_points, surf, in_box)
+        if inside and reason
+    ]
     # a failed shot has meet None and enters as a NaN row
     failed = (math.nan,) * 3
-    curve_meets = np.array([s.meet or failed for s in _map_jobs(_curve_node, curve_jobs, workers)])
-    surf_meets = np.array(
-        [s.meet or failed for s in _map_jobs(_surface_node, surf_jobs, workers)]
-    ).reshape(n2 + 2, n3 + 2, 3)
-    n_failed = int(np.isnan(curve_meets[1:-1, 0]).sum() + np.isnan(surf_meets[1:-1, 1:-1, 0]).sum())
+    curve_meets = np.array([meet or failed for meet, _, _ in curve])
+    surf_meets = np.array([meet or failed for meet, _, _ in surf]).reshape(n2 + 2, n3 + 2, 3)
 
     diff = curve_meets[:, None, None, :] - surf_meets[None, :, :, :]
     values_ext = np.max(np.abs(diff), axis=-1)
@@ -633,7 +692,8 @@ def scan_domain(
         values=values_ext[1:-1, 1:-1, 1:-1],
         minima=minima,
         grid_bound=grid_bound,
-        n_failed=n_failed,
+        n_failed=len(failures),
+        failures=failures,
     )
 
 

@@ -490,3 +490,19 @@ def test_version_exits_zero(capsys):
 def test_status_strings_are_comma_safe():
     assert "," not in cli._safe("a, b, c")
     assert "\n" not in cli._safe("two\nlines")
+
+
+def test_verify_bryant_refuses_tol_abs(capsys):
+    # the Bryant trace fixes its absolute tolerance; a given --tol-abs used to
+    # be echoed in the header and then ignored
+    code, out = run(capsys, ["verify-bryant", "--tol-abs", "1e-3"])
+    assert code == 64
+    meta, columns, rows = parse_csv(out)
+    assert columns == ("error", "message")
+    assert rows[0][0] == "ValueError"
+    assert "--tol-abs" in rows[0][1]
+    assert float(meta["tol_abs"]) == 1e-3
+    # without the flag the header still echoes the default
+    code, out = run(capsys, ["verify-bryant"])
+    assert code == 0
+    assert float(parse_csv(out)[0]["tol_abs"]) == 1e-12

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solshoot import ode
 from solshoot.ode import Event, IntegratorConfig, Trajectory, integrate, locate_event
 
 
@@ -270,3 +271,78 @@ def test_property_event_time_does_not_depend_on_probe_subdivision(omega, level, 
     t2 = (2 * math.pi - math.acos(level)) / omega
     assert abs(hit.t - located.t) < 1e-12
     assert abs(hit.t - (t2 if direction > 0 else t1)) < 1e-9
+
+
+# ------------------------------------------------------------ batched lanes
+
+
+def _osc(t, y):
+    # y = (x, v, omega, 0): a harmonic oscillator that carries its own
+    # frequency, so lanes differ by their initial states only; the constant
+    # last component makes the width 4, which integrate_batch needs
+    return np.array([y[1], -y[2] * y[2] * y[0], 0.0 * y[2], 0.0 * y[3]])
+
+
+def _osc_rows(t, y):
+    return _osc(t, y.T).T
+
+
+def _trajectory_bytes(traj):
+    hits = [(h.t, h.y.tobytes(), h.event_index, h.name) for h in traj.event_hits]
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (traj.t, traj.y, traj.dense_q, traj.dense_h)]
+    return arrays, traj.termination, traj.n_rhs_evals, traj.n_rejected, hits
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(st.floats(0.3, 6.0), st.floats(0.0, 0.5), st.floats(0.5, 2.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    level=st.floats(-1.5, 0.9),
+    direction=st.sampled_from([-1, 0, 1]),
+    t_end=st.floats(0.6, 6.0),
+    max_steps=st.sampled_from([3, 40, 500_000]),
+)
+def test_property_integrate_batch_repeats_integrate_per_lane(
+    lanes, level, direction, t_end, max_steps
+):
+    # a level below -amplitude is never crossed: those lanes reach t_end
+    cfg = IntegratorConfig(max_steps=max_steps)
+    event = Event(lambda t, y: y[0] - level, direction, name="level")
+    t0 = [start for _, start, _ in lanes]
+    y0 = [[amp, 0.0, omega, 0.0] for omega, _, amp in lanes]
+    # a lane that starts non-finite stops at once, as in ``integrate``
+    t0.append(0.1)
+    y0.append([math.inf, 0.0, 1.0, 0.0])
+    singles = [integrate(_osc, a, b, t_end, cfg, events=[event]) for a, b in zip(t0, y0)]
+    order = list(range(len(t0)))[::-1]
+    batch = ode.integrate_batch(_osc_rows, t0, y0, t_end, event, cfg, history=True)
+    reverse = ode.integrate_batch(
+        _osc_rows, [t0[i] for i in order], [y0[i] for i in order], t_end, event, cfg, history=True
+    )
+    ends = ode.integrate_batch(_osc_rows, t0, y0, t_end, event, cfg)
+    for i, single in enumerate(singles):
+        want = _trajectory_bytes(single)
+        assert _trajectory_bytes(batch[i]) == want
+        assert _trajectory_bytes(reverse[order.index(i)]) == want
+        assert ends[i].t == single.t_end
+        assert ends[i].y.tobytes() == single.y[-1].tobytes()
+        assert ends[i].termination == single.termination
+    assert singles[-1].termination == "blowup"
+
+
+def test_integrate_batch_rejects_inputs_it_cannot_repeat():
+    start = [1.0, 0.0, 1.0, 0.0]
+    event = Event(lambda t, y: y[0])
+    with pytest.raises(ValueError):
+        ode.integrate_batch(_osc_rows, [0.0], start, 1.0, event)
+    with pytest.raises(ValueError):  # t_end must exceed every t0
+        ode.integrate_batch(_osc_rows, [0.0, 2.0], [start] * 2, 1.0, event)
+    with pytest.raises(ValueError):  # a state width that is not a multiple of 4
+        ode.integrate_batch(lambda t, y: -y, [0.0], [[1.0, 0.0, 1.0]], 1.0, event)
+    with pytest.raises(ValueError):
+        ode.integrate_batch(_osc_rows, [0.0], [start], 1.0, event, IntegratorConfig(fixed_step=0.1))
+    with pytest.raises(ValueError):
+        ode.integrate_batch(_osc_rows, [0.0], [start], 1.0, Event(lambda t, y: y[0], terminal=False))

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solshoot import fields, ode
 from solshoot.errors import (
@@ -31,7 +33,7 @@ from solshoot.shooting import (
     shoot_curve_point,
     shoot_surface_point,
 )
-from solshoot.shooting import _grid_minima
+from solshoot.shooting import _grid_minima, _shoot_lanes
 
 ROUND_MEET = (-math.sqrt(2.0 / 3.0), 1.0 / math.sqrt(6.0), 1.0 / math.sqrt(2.0))
 
@@ -455,3 +457,109 @@ def test_meet_point_and_mismatch_tuple_behavior():
     assert tuple(m) == (-1.0, 0.0, 1.0)
     v = MismatchVector(0.25, -0.5, 0.125)
     assert v.inf_norm == 0.5
+
+
+# ---------------------------------------------------------------------------
+# batched sweep lanes
+
+
+def _single_s1(d1, cfg):
+    try:
+        meet, traj = shoot_curve_point(d1, cfg)
+        return meet, traj, "ok"
+    except (EventNotReached, InadmissibleParameters) as exc:
+        return None, None, f"failed: {exc}"
+
+
+def _single_s2(d2, d3, cfg):
+    try:
+        return shoot_surface_point(d2, d3, cfg)[0], "ok"
+    except (EventNotReached, InadmissibleParameters) as exc:
+        return None, f"failed: {exc}"
+
+
+def _lane_status(reason):
+    return "ok" if reason is None else f"failed: {reason}"
+
+
+def _traj_bytes(traj):
+    hits = [(h.t, h.y.tobytes(), h.event_index, h.name) for h in traj.event_hits]
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (traj.t, traj.y, traj.dense_q, traj.dense_h)]
+    return arrays, traj.termination, traj.n_rhs_evals, traj.n_rejected, hits
+
+
+def _orders(n, rotate, n_alone):
+    """The lane orders the batches run in: as given, rotated, reversed, and
+    each of the first ``n_alone`` lanes alone."""
+    ids = list(range(n))
+    k = rotate % n
+    return [ids, ids[k:] + ids[:k], ids[::-1]] + [[i] for i in ids[:n_alone]]
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    d1s=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=2),
+    rotate=st.integers(0, 3),
+)
+def test_property_curve_lanes_repeat_single_shots(d1s, rotate):
+    cfg = ShootConfig()
+    n_drawn = len(d1s)
+    d1s = d1s + [-0.5, 1e160]  # an inadmissible lane and a launch blow-up
+    want = [_single_s1(d1, cfg) for d1 in d1s]
+    assert want[-2][2].startswith("failed: delta1 = -0.5 < 0")
+    assert want[-1][2].startswith("failed: s1 shot never reached xi=0: stopped by blowup")
+    for order in _orders(len(d1s), rotate, n_drawn):
+        lanes = _shoot_lanes("s1", [(d1s[i],) for i in order], cfg, history=True)
+        for i, (meet, traj, reason) in zip(order, lanes):
+            w_meet, w_traj, w_status = want[i]
+            assert (meet, _lane_status(reason)) == (w_meet, w_status)
+            if w_traj is not None:
+                assert _traj_bytes(traj) == _traj_bytes(w_traj)
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.floats(-1.0, 0.5), st.floats(0.0, 45.0)), min_size=1, max_size=4
+    ),
+    rotate=st.integers(0, 7),
+)
+def test_property_surface_lanes_repeat_single_shots(points, rotate):
+    cfg = ShootConfig()
+    # a shrunk handoff (eps = 1e-2 / sqrt(d3) < t_eps), an inadmissible
+    # lane and a lane that blows up at launch
+    n_drawn = len(points)
+    points = points + [(-0.5, 2e4), (-1.5, 0.5), (0.0, 1e13)]
+    want = [_single_s2(d2, d3, cfg) for d2, d3 in points]
+    assert want[-3][1] == "ok"
+    assert want[-2][1].startswith("failed: delta2 = -1.5 < -1")
+    assert want[-1][1].startswith(
+        "failed: s2 shot never reached xi=0: stopped by blowup at t=3.16228e-09"
+    )
+    for order in _orders(len(points), rotate, n_drawn):
+        lanes = _shoot_lanes("s2", [points[i] for i in order], cfg)
+        for i, (meet, traj, reason) in zip(order, lanes):
+            assert traj is None
+            assert (meet, _lane_status(reason)) == want[i]
+
+
+def test_sweep_samples_carry_the_single_shot_status():
+    cfg = ShootConfig()
+    samples = sample_surface((-1.5, 0.0), (0.0, 1e13), 2, 2, cfg)
+    assert [(s.meet, s.status) for s in samples] == [
+        _single_s2(s.delta2, s.delta3, cfg) for s in samples
+    ]
+    assert [s.status == "ok" for s in samples] == [False, False, True, False]
+
+
+def test_scan_failure_inventory_lists_every_failed_shot_in_the_box():
+    res = scan_domain(((0.0, 1.0), (-1.0, 0.0), (0.0, 1e13)), 2)
+    assert res.n_failed == len(res.failures) == 2
+    # the inadmissible ghost nodes below the box are not listed
+    assert [(side, p) for side, p, _ in res.failures] == [
+        ("s2", (-1.0, 1e13)),
+        ("s2", (0.0, 1e13)),
+    ]
+    for _, (d2, d3), reason in res.failures:
+        assert f"failed: {reason}" == _single_s2(d2, d3, ShootConfig())[1]
+    assert scan_domain(resolution=2).failures == []
