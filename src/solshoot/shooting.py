@@ -510,11 +510,11 @@ def find_root(
     )
 
 
-def _eig_minima(traj: Trajectory) -> tuple:
-    """Minimum of each curvature eigenvalue over nodes and segment midpoints."""
-    mids = 0.5 * (traj.t[:-1] + traj.t[1:])
-    states = np.vstack([traj.y, traj.eval(mids)])
-    return tuple(float(v) for v in curvature_eigs_grid(states).min(axis=0))
+def _eig_samples(traj: Trajectory) -> tuple:
+    """(times, curvature eigenvalue rows) at a trajectory's nodes and step
+    midpoints, in ascending time."""
+    ts = np.sort(np.concatenate((traj.t, 0.5 * (traj.t[:-1] + traj.t[1:]))))
+    return ts, curvature_eigs_grid(traj.eval(ts))
 
 
 _PARAM_NAMES = {"s1": ("delta1",), "s2": ("delta2", "delta3")}
@@ -582,7 +582,8 @@ def sample_curve(
     d1s = [float(d1) for d1 in np.geomspace(lo, hi, n)]
     shots = _shoot_lanes("s1", [(d1,) for d1 in d1s], cfg, history=True)
     return [
-        CurveSample(d1, meet, _eig_minima(traj), "ok") if reason is None
+        CurveSample(d1, meet, tuple(_eig_samples(traj)[1].min(axis=0).tolist()), "ok")
+        if reason is None
         else CurveSample(d1, None, None, f"failed: {reason}")
         for d1, (meet, traj, reason) in zip(d1s, shots)
     ]

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from . import bryant, fields, ode
 from .errors import EventNotReached, ExtrapolationUnstable, InadmissibleParameters
-from .shooting import ShootConfig, shoot_curve_point
+from .shooting import ShootConfig, _eig_samples, shoot_curve_point
 
 __all__ = [
     "MaxPrincipleReport",
@@ -130,21 +130,9 @@ class BryantCompareReport(NamedTuple):
     p_squared: float
 
 
-def _dense_times(traj: ode.Trajectory) -> np.ndarray:
-    """Trajectory nodes plus step midpoints, ascending."""
-    t = np.asarray(traj.t)
-    mids = 0.5 * (t[:-1] + t[1:])
-    return np.sort(np.concatenate([t, mids]))
-
-
-def _eigs_on(traj: ode.Trajectory, ts: np.ndarray) -> np.ndarray:
-    return fields.curvature_eigs_grid(traj.eval(ts))
-
-
 def max_principle_report(traj: ode.Trajectory) -> MaxPrincipleReport:
     """Minima of k_t1 and k_s over nodes and midpoints of a trajectory."""
-    ts = _dense_times(traj)
-    eigs = _eigs_on(traj, ts)
+    ts, eigs = _eig_samples(traj)
     i1 = int(np.argmin(eigs[:, 0]))
     i2 = int(np.argmin(eigs[:, 1]))
     return MaxPrincipleReport(
@@ -163,8 +151,7 @@ def sign_profile(traj: ode.Trajectory) -> SignReport:
     interior crossings between samples of definite opposite sign are
     refined with a bracketed root solve on the dense output.
     """
-    ts = _dense_times(traj)
-    eigs = _eigs_on(traj, ts)
+    ts, eigs = _eig_samples(traj)
     mins, tmins, changes, flat = [], [], [], []
     for j in range(4):
         v = eigs[:, j]
@@ -180,15 +167,12 @@ def sign_profile(traj: ode.Trajectory) -> SignReport:
         def eig_j(t):
             return float(fields.curvature_eigs(traj.eval(t))[j])
 
-        found = []
-        last_sign, last_t = 0, ts[0]
-        for tv, vv in zip(ts, v):
-            s = 0 if abs(vv) < _ZERO_BAND else (1 if vv > 0 else -1)
-            if s != 0:
-                if last_sign != 0 and s != last_sign:
-                    found.append(float(brentq(eig_j, last_t, tv, xtol=1e-13)))
-                last_sign, last_t = s, tv
-        changes.append(tuple(found))
+        # brackets between consecutive definite samples of opposite sign (a
+        # NaN sample counts as definite and negative)
+        k = np.flatnonzero(~(np.abs(v) < _ZERO_BAND))
+        flip = (v[k[1:]] > 0) != (v[k[:-1]] > 0)
+        brackets = zip(ts[k[:-1][flip]], ts[k[1:][flip]])
+        changes.append(tuple(float(brentq(eig_j, a, b, xtol=1e-13)) for a, b in brackets))
     return SignReport(tuple(mins), tuple(tmins), tuple(changes), tuple(flat))
 
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from solshoot import ode
 from solshoot.ode import Event, IntegratorConfig, Trajectory, integrate, locate_event
@@ -346,3 +347,116 @@ def test_integrate_batch_rejects_inputs_it_cannot_repeat():
         ode.integrate_batch(_osc_rows, [0.0], [start], 1.0, event, IntegratorConfig(fixed_step=0.1))
     with pytest.raises(ValueError):
         ode.integrate_batch(_osc_rows, [0.0], [start], 1.0, Event(lambda t, y: y[0], terminal=False))
+
+
+# ------------------------------------------------------------ crossing rule
+
+
+def test_tiny_event_function_crosses_in_every_search():
+    # |g| ~ 1e-171 near the root: the product of two such values underflows
+    # to 0, so only a test of their signs tells a crossing from none
+    def g(t, y):
+        return 1e-170 * (y[0] - 0.3)
+
+    want = math.acos(0.3)
+    ev = Event(g, -1)
+    traj = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 10.0, events=[ev])
+    assert traj.termination == "event"
+    assert abs(traj.t_end - want) < 1e-9
+    (lane,) = ode.integrate_batch(_osc_rows, [0.0], [[1.0, 0.0, 1.0, 0.0]], 10.0, ev)
+    assert lane.termination == "event"
+    assert abs(lane.t - want) < 1e-9
+    stored = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 10.0)
+    assert abs(locate_event(stored, g, -1).t - want) < 1e-9
+
+
+def test_nan_event_function_never_crosses():
+    for direction in (-1, 0, 1):
+        for ga, gb in ((math.nan, 1.0), (-1.0, math.nan), (1.0, math.nan), (math.nan, math.nan)):
+            assert not ode._crossing(ga, gb, direction)
+        assert not ode._crossing(np.array([math.nan, -1.0]), np.array([1.0, math.nan]), direction).any()
+    traj = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 5.0, events=[Event(lambda t, y: y[0] * math.nan)])
+    assert traj.termination == "reached_end"
+    assert traj.event_hits == []
+    assert locate_event(traj, lambda t, y: y[0] * math.nan) is None
+
+
+def _locate_reference(traj, fn, direction, which):
+    """``locate_event`` as a walk over the segments one at a time, calling
+    fn at one point at a time: the reference for the array search."""
+
+    def crosses(ga, gb):
+        rising, falling = ga < 0.0 <= gb, ga > 0.0 >= gb
+        return rising if direction > 0 else falling if direction < 0 else rising or falling
+
+    def dense(i, t):
+        theta = (t - float(traj.t[i])) / traj.dense_h[i]
+        q = traj.dense_q[i]
+        acc = q[:, 3]
+        for j in (2, 1, 0):
+            acc = acc * theta + q[:, j]
+        return traj.y[i] + traj.dense_h[i] * theta * acc
+
+    def first_crossing(i, ta, ga, probes, t_right, y_right):
+        for tb in probes.tolist():
+            gb = fn(tb, y_right if tb == t_right else dense(i, tb))
+            if crosses(ga, gb):
+                if gb == 0.0:
+                    return tb
+                return float(
+                    brentq(lambda t: fn(t, dense(i, t)), ta, tb, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+                )
+            ta, ga = tb, gb
+        return None
+
+    fracs = np.linspace(0.0, 1.0, 9)[1:]
+    n_seg = len(traj.t) - 1
+    found = None
+    for i in range(n_seg):
+        t_left, t_right = float(traj.t[i]), float(traj.t[i + 1])
+        probes = np.minimum(t_left + fracs * (t_right - t_left), t_right)
+        t_star = first_crossing(i, t_left, fn(t_left, traj.y[i]), probes, t_right, traj.y[i + 1])
+        if t_star is None and i == n_seg - 1 and traj.termination == "event":
+            t_step = t_left + traj.dense_h[i]
+            probes = np.minimum(t_right + fracs * (t_step - t_right), t_step)
+            t_past = first_crossing(i, t_right, fn(t_right, traj.y[-1]), probes, None, None)
+            if t_past is not None and t_past - t_right <= 1e-15 + 8.9e-16 * abs(t_right):
+                t_star = t_right
+        if t_star is not None:
+            found = t_star
+            if which == "first":
+                break
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@example(omega=1.0, level=0.2, direction=0, which="last", end="t_end", periods=3.0)
+@example(omega=2.0, level=0.3, direction=-1, which="first", end="located_event", periods=2.0)
+@given(
+    omega=st.floats(0.3, 6.0),
+    level=st.one_of(st.floats(-0.95, 0.95), st.just(1.5)),
+    direction=st.sampled_from([-1, 0, 1]),
+    which=st.sampled_from(["first", "last"]),
+    end=st.sampled_from(["t_end", "located_event", "other_event", "blowup"]),
+    periods=st.floats(0.1, 3.0),
+)
+def test_property_locate_event_repeats_the_per_segment_walk(omega, level, direction, which, end, periods):
+    # y = cos(omega t) crosses each level in (-1, 1) twice a period, never 1.5
+    def g(t, y):
+        return y[0] - level
+
+    stops = {
+        "located_event": [Event(g, direction)],
+        # v = -omega sin(omega t) rises through omega / 2 at omega t = 7 pi / 6
+        "other_event": [Event(lambda t, y: y[1] - 0.5 * omega, +1)],
+    }
+    start = [math.inf if end == "blowup" else 1.0, 0.0, omega, 0.0]
+    traj = integrate(_osc, 0.0, start, periods * 2 * math.pi / omega, events=stops.get(end, []))
+    assert (len(traj.t) == 1) == (end == "blowup")
+    want = _locate_reference(traj, g, direction, which)
+    got = locate_event(traj, g, direction, which)
+    if want is None:
+        assert got is None
+    else:
+        assert type(got.t) is float and got.t.hex() == want.hex()
+        assert got.y.tobytes() == traj.eval(want).tobytes()

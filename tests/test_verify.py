@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from solshoot import fields, ode, verify
 from solshoot.errors import (
@@ -93,6 +94,52 @@ def test_gaussian_sign_profile(gauss_s2):
     assert names["k_m"] is True
     assert names["k_t2"] is True
     assert all(c == () for c in rep.sign_changes)
+
+
+def _sign_profile_reference(traj):
+    """``sign_profile`` by a walk over the sorted samples, one at a time."""
+    ts = np.sort(np.concatenate([traj.t, 0.5 * (traj.t[:-1] + traj.t[1:])]))
+    eigs = fields.curvature_eigs_grid(traj.eval(ts))
+    mins, tmins, changes = [], [], []
+    for j in range(4):
+        v = eigs[:, j]
+        mins.append(float(np.min(v)))
+        tmins.append(float(ts[np.argmin(v)]))
+
+        def eig_j(t):
+            return float(fields.curvature_eigs(traj.eval(t))[j])
+
+        found, last_sign, last_t = [], 0, ts[0]
+        for tv, vv in zip(ts, v):
+            s = 0 if abs(vv) < 1e-9 else (1 if vv > 0 else -1)
+            if s != 0:
+                if last_sign != 0 and s != last_sign:
+                    found.append(float(brentq(eig_j, last_t, tv, xtol=1e-13)))
+                last_sign, last_t = s, tv
+        changes.append(tuple(found))
+    return tuple(mins), tuple(tmins), tuple(changes)
+
+
+def test_sign_profile_repeats_the_per_sample_walk():
+    # k_m = -l1 l2 = -l2 on a linear interpolant of these nodes: it crosses
+    # zero once, through a stretch of samples inside the +-1e-9 zero band
+    l2 = np.array([1.0, 0.5, 1e-12, -1e-12, 1e-12, -0.5, -1.0])
+    t = np.arange(l2.size, dtype=float)
+    y = np.column_stack((0.0 * t, 1.0 + 0.0 * t, l2, 1.0 + 0.0 * t))
+    q = np.zeros((t.size - 1, 4, 4))
+    q[:, :, 0] = np.diff(y, axis=0)  # unit steps: y[i] + (t - t[i]) (y[i+1] - y[i])
+    banded = ode.Trajectory(t, y, q, np.ones(t.size - 1), "reached_end")
+    shots = [shoot_curve_point(0.3)[1], shoot_surface_point(-0.5, 0.7, until=("xi", 10.0))[1], banded]
+    n_changes = 0
+    for traj in shots:
+        rep = verify.sign_profile(traj)
+        want = _sign_profile_reference(traj)
+        assert repr((rep.min_values, rep.min_times, rep.sign_changes)) == repr(want)
+        mp = verify.max_principle_report(traj)
+        assert (mp.min_k_t1, mp.t_at_min_k_t1) == (want[0][0], want[1][0])
+        assert (mp.min_k_s, mp.t_at_min_k_s) == (want[0][1], want[1][1])
+        n_changes += sum(len(c) for c in rep.sign_changes)
+    assert n_changes == 5
 
 
 def test_large_d1_second_sphere_eig_positive_to_event(big_shot):
