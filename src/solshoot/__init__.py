@@ -23,6 +23,7 @@ from .shooting import (
     ROUND_DELTAS,
     MeetPoint,
     MismatchVector,
+    NewtonStep,
     RootResult,
     ShootConfig,
     find_root,
@@ -58,6 +59,7 @@ __all__ = [
     "ROUND_DELTAS",
     "MeetPoint",
     "MismatchVector",
+    "NewtonStep",
     "RootResult",
     "ShootConfig",
     "find_root",

@@ -58,7 +58,7 @@ class EpsilonTooLarge(SolshootError):
 
 
 class SingularJacobian(NonConvergence):
-    """Newton stopped: the finite-difference Jacobian is not invertible."""
+    """Newton stopped: the shooting Jacobian is not invertible."""
 
 
 class MaxIterations(NonConvergence):

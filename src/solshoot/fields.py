@@ -41,6 +41,7 @@ __all__ = [
     "EIG_MULTIPLICITIES",
     "soliton_rhs",
     "family_rhs",
+    "family_tangent",
     "bryant_rhs",
     "bryant_xy_rhs",
     "scaled_rhs",
@@ -104,6 +105,22 @@ def family_rhs(s, lam: float) -> np.ndarray:
             -xi * l1 - lam,
             -xi * l2 + r * r - lam,
             -l2 * r,
+        ]
+    )
+
+
+def family_tangent(s, v) -> np.ndarray:
+    """J(s) v: the Jacobian of ``family_rhs`` at the state s applied to a
+    tangent vector v (xi, L1, L2, R components).  lam is a constant term, so
+    it drops out.  v may also be a (4, k) stack of k tangent columns."""
+    xi, l1, l2, r = s
+    v0, v1, v2, v3 = v
+    return np.array(
+        [
+            -2.0 * l1 * v1 - 4.0 * l2 * v2,
+            -l1 * v0 - xi * v1,
+            -l2 * v0 - xi * v2 + 2.0 * r * v3,
+            -r * v2 - l2 * v3,
         ]
     )
 

@@ -241,16 +241,18 @@ def _interp(y0, q, h, dt):
     return y0 + (h * theta)[..., None] * acc
 
 
-def _hairer_initial_step(rhs, t0, y0, f0, rtol, atol, span):
-    """Standard starting-step heuristic (Hairer, Norsett & Wanner II.4)."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+def _hairer_initial_step(rhs, t0, y0, f0, rtol, atol, span, n_state=None):
+    """Standard starting-step heuristic (Hairer, Norsett & Wanner II.4),
+    read on the first ``n_state`` components (default all)."""
+    state = y0[:n_state]
+    scale = atol + rtol * np.abs(state)
+    d0 = _rms(state / scale)
+    d1 = _rms(f0[:n_state] / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1 - f0)[:n_state] / scale) / h0
     dmax = max(d1, d2)
     h1 = (0.01 / dmax) ** (1 / ORDER) if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1, span)
@@ -327,6 +329,7 @@ def integrate(
     t_end: float,
     config: Optional[IntegratorConfig] = None,
     events: Sequence[Event] = (),
+    n_state: Optional[int] = None,
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to t_end (forward only).
 
@@ -334,16 +337,25 @@ def integrate(
     (max|y| >= blowup_norm or a non-finite component, checked on the initial
     state too), or on step-size underflow; the partial trajectory with its
     termination reason is returned in every case.
+
+    With ``n_state`` set, only the first n_state components of y enter the
+    step control (the error norm, the initial-step heuristic and the blow-up
+    guard); the others ride along, as the tangent columns of a variational
+    system do.  Their presence then leaves the steps, the event times and
+    the first n_state components bitwise as they are without them, provided
+    both widths are multiples of 4 (see :func:`integrate_batch`).
     """
     cfg = config or IntegratorConfig()
     y = np.array(y0, dtype=float)
     if y.ndim != 1:
         raise ValueError("y0 must be a 1-d state vector")
+    if n_state is not None and not 0 < n_state <= y.size:
+        raise ValueError(f"n_state {n_state!r} outside [1, {y.size}]")
     t0 = float(t0)
     t_end = float(t_end)
     if not t_end > t0:
         raise ValueError("integration is forward only: t_end must exceed t0")
-    if _blown_up(y, cfg):  # stepping on would only spin through the step budget
+    if _blown_up(y[:n_state], cfg):  # stepping on would only spin through the step budget
         return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, 4)), np.zeros(0), "blowup")
 
     f = np.asarray(rhs(t0, y), dtype=float)
@@ -351,7 +363,7 @@ def integrate(
     if cfg.fixed_step is not None:
         h = min(cfg.fixed_step, t_end - t0)
     else:
-        h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0)
+        h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state)
         n_evals += 1
 
     ts = [t0]
@@ -366,6 +378,7 @@ def integrate(
     n_rejected = 0
     n_steps = 0
     K = np.empty((7, y.size))
+    tiny = 10 * np.finfo(float).eps
 
     while t < t_end:
         n_steps += 1
@@ -373,7 +386,7 @@ def integrate(
             termination = "max_steps"
             break
         h = min(h, t_end - t)
-        if h < 10 * np.finfo(float).eps * max(abs(t), 1.0):
+        if h < tiny * max(abs(t), 1.0):
             termination = "step_underflow"
             break
 
@@ -384,10 +397,12 @@ def integrate(
         t_new = t + h
         K[6] = rhs(t_new, y_new)
         n_evals += 6
+        state_new = y_new[:n_state]
 
         factor = 1.0
         if cfg.fixed_step is None:
-            err_norm = float(_error_norm(h * (_E @ K), y, y_new, cfg))
+            err = (h * (_E @ K))[:n_state]
+            err_norm = float(_error_norm(err, y[:n_state], state_new, cfg))
             factor = _step_factor(err_norm)
             if not err_norm <= 1.0:
                 n_rejected += 1
@@ -428,7 +443,7 @@ def integrate(
         t, y, f = t_new, y_new, K[6].copy()  # FSAL
         h *= factor
 
-        if _blown_up(y, cfg):
+        if _blown_up(state_new, cfg):
             termination = "blowup"
             break
 

@@ -13,6 +13,7 @@ from solshoot.fields import (
     curvature_eigs,
     curvature_eigs_grid,
     family_rhs,
+    family_tangent,
     from_scaled,
     gauge_quantities,
     scalar_curvature,
@@ -220,3 +221,17 @@ def test_eig_multiplicities_sum_to_six():
 
     assert sum(EIG_MULTIPLICITIES) == 6
     assert len(CurvatureEigenvalues._fields) == 4
+
+
+def test_family_tangent_is_the_jacobian_of_family_rhs():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        s, lam = rng.normal(size=4), rng.uniform(0.0, 2.0)
+        h = 1e-6
+        jac = np.column_stack(
+            [(family_rhs(s + h * e, lam) - family_rhs(s - h * e, lam)) / (2 * h) for e in np.eye(4)]
+        )
+        v = rng.normal(size=(4, 3))
+        np.testing.assert_allclose(family_tangent(s, v), jac @ v, rtol=1e-8, atol=1e-8)
+        for j in range(3):
+            assert family_tangent(s, v[:, j]).tolist() == family_tangent(s, v)[:, j].tolist()

@@ -460,3 +460,41 @@ def test_property_locate_event_repeats_the_per_segment_walk(omega, level, direct
     else:
         assert type(got.t) is float and got.t.hex() == want.hex()
         assert got.y.tobytes() == traj.eval(want).tobytes()
+
+
+def _osc_with_riders(t, y):
+    # the oscillator and, behind it, components that grow like exp(40 t):
+    # in the step control they would shrink the steps and trip the guard
+    return np.concatenate((_osc(t, y[:4]), 40.0 * y[4:]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    omega=st.floats(0.5, 4.0),
+    amp=st.floats(0.5, 2.0),
+    riders=st.sampled_from([4, 8]),
+    level=st.floats(-1.5, 0.9),
+    t_end=st.floats(0.5, 4.0),
+)
+def test_property_riders_outside_the_step_control_leave_the_state_bitwise(
+    omega, amp, riders, level, t_end
+):
+    event = Event(lambda t, y: y[0] - level, name="level")
+    plain = integrate(_osc, 0.0, [amp, 0.0, omega, 0.0], t_end, events=[event])
+    y0 = [amp, 0.0, omega, 0.0] + [1e3] * riders
+    aug = integrate(_osc_with_riders, 0.0, y0, t_end, events=[event], n_state=4)
+    assert aug.y.shape[1] == 4 + riders
+    assert aug.t.tobytes() == plain.t.tobytes()
+    assert aug.y[:, :4].tobytes() == plain.y.tobytes()
+    assert aug.dense_q[:, :4].tobytes() == plain.dense_q.tobytes()
+    assert aug.dense_h.tobytes() == plain.dense_h.tobytes()
+    assert (aug.termination, aug.n_rhs_evals, aug.n_rejected) == (
+        plain.termination, plain.n_rhs_evals, plain.n_rejected
+    )
+    assert [h.t for h in aug.event_hits] == [h.t for h in plain.event_hits]
+
+
+@pytest.mark.parametrize("n_state", [0, 9])
+def test_n_state_outside_the_state_width_is_rejected(n_state):
+    with pytest.raises(ValueError):
+        integrate(_osc_with_riders, 0.0, [1.0, 0.0, 1.0, 0.0] + [0.0] * 4, 1.0, n_state=n_state)

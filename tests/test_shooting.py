@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solshoot import fields, ode
+from solshoot import fields, ode, shooting
 from solshoot.errors import (
     EpsilonTooLarge,
     EventNotReached,
@@ -563,3 +563,129 @@ def test_scan_failure_inventory_lists_every_failed_shot_in_the_box():
     for _, (d2, d3), reason in res.failures:
         assert f"failed: {reason}" == _single_s2(d2, d3, ShootConfig())[1]
     assert scan_domain(resolution=2).failures == []
+
+
+# ---------------------------------------------------------------------------
+# the exact Newton Jacobian: tangent shots, start derivatives, history
+
+
+def test_start_tangents_match_symbolic_derivatives_of_the_series():
+    sp = pytest.importorskip("sympy")
+    d1, d2, d3, t, lam = sp.symbols("d1 d2 d3 t lam")
+    s1 = [sp.diff(e, d1) for e in shooting._s1_series(d1, t, lam)]
+    s2 = [[sp.diff(e, v) for e in shooting._s2_series(d2, d3, t)] for v in (d2, d3)]
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        a, b, c = rng.uniform(0.0, 30.0), rng.uniform(-1.0, 2.0), rng.uniform(0.0, 30.0)
+        tv, lv = 10.0 ** rng.uniform(-5, -3), rng.choice([0.0, 1.0, 2.5])
+        want1 = np.array([[float(e.subs({d1: a, t: tv, lam: lv})) for e in s1]])
+        want2 = np.array([[float(e.subs({d2: b, d3: c, t: tv})) for e in row] for row in s2])
+        got1 = shooting._s1_start_tangent(a, tv, lv)
+        got2 = shooting._s2_start_tangent(b, c, tv)
+        np.testing.assert_allclose(got1, want1, rtol=1e-12, atol=1e-14 * tv)
+        np.testing.assert_allclose(got2, want2, rtol=1e-12, atol=1e-14 * tv)
+
+
+def _central_jacobian(p, h):
+    cols = []
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        cols.append((np.array(mismatch(*(p + e))) - np.array(mismatch(*(p - e)))) / (2 * h))
+    return np.column_stack(cols)
+
+
+@settings(max_examples=5, deadline=None)
+@given(u=st.tuples(*[st.floats(-0.2, 0.2)] * 3))
+def test_property_exact_jacobian_matches_central_differences(u):
+    p = np.array(ROUND_DELTAS) * (1.0 + np.array(u))
+    F, J = shooting._mismatch_with_jacobian(p, ShootConfig())
+    want = _central_jacobian(p, 1e-3)
+    for j in range(3):
+        assert np.max(np.abs(J[:, j] - want[:, j])) <= 1e-4 * np.max(np.abs(want[:, j]))
+
+
+@pytest.mark.parametrize("guess", [ROUND_DELTAS, (0.05, -0.8, 0.6)])
+def test_newton_residual_is_bitwise_the_mismatch_at_every_iterate(monkeypatch, guess):
+    seen = []
+    inner = shooting._mismatch_with_jacobian
+
+    def spy(p, cfg):
+        F, J = inner(p, cfg)
+        seen.append((p.copy(), F))
+        return F, J
+
+    monkeypatch.setattr(shooting, "_mismatch_with_jacobian", spy)
+    res = find_root(guess)
+    assert len(seen) == 1 + sum(h.integrations for h in res.history) // 2
+    for p, F in seen:
+        assert F.tobytes() == np.array(mismatch(*p)).tobytes()
+    assert res.residual == mismatch(*res.root).inf_norm
+
+
+def test_newton_needs_few_integrations_from_the_criterion_guess(monkeypatch):
+    calls = []
+    inner = shooting.integrate
+    monkeypatch.setattr(shooting, "integrate", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    res = find_root((0.05, -0.8, 0.6))
+    assert res.iterations <= 4
+    assert len(calls) == 2 + sum(h.integrations for h in res.history) <= 12
+
+
+def test_root_history_has_one_step_per_iteration():
+    res = find_root((0.05, -0.8, 0.6))
+    assert len(res.history) == res.iterations
+    assert res.history[-1].residual == res.residual
+    residuals = [h.residual for h in res.history]
+    assert residuals == sorted(residuals, reverse=True)
+    for h in res.history:
+        assert 0.0 < h.damping <= 1.0 and 1.0 <= h.cond < math.inf
+        assert h.integrations >= 2 and h.integrations % 2 == 0
+    assert find_root(ROUND_DELTAS).history == ()
+
+
+def test_non_convergence_carries_the_history(monkeypatch):
+    calls = []
+    inner = shooting.integrate
+    monkeypatch.setattr(shooting, "integrate", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    # far out along the curve the first step is damped
+    with pytest.raises(MaxIterations) as info:
+        find_root((500.0, -0.999, 0.999), ShootConfig(rtol=1e-8, atol=1e-10), max_iter=2)
+    partial = info.value.result
+    assert len(partial.history) == partial.iterations == 2
+    assert partial.history[-1].residual == partial.residual
+    assert partial.history[0].damping < 1.0
+    assert len(calls) == 2 + sum(h.integrations for h in partial.history)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    side=st.sampled_from(["s1", "s2"]),
+    u=st.tuples(st.floats(0.0, 5.0), st.floats(-1.0, 0.0), st.floats(0.0, 3.0)),
+    tangent=st.booleans(),
+)
+def test_property_identical_inputs_give_identical_trajectories(side, u, tangent):
+    params = (u[0],) if side == "s1" else u[1:]
+    k = len(params) if tangent else 0
+    cfg = ShootConfig()
+
+    def shot():
+        t0, y0 = shooting._launch(side, params, cfg, tangent=tangent)
+        return shooting._shoot(y0, t0, side, "meet", cfg, 1.0, k)
+
+    first, second = shot(), shot()
+    assert first.y.shape[1] == 4 * (1 + k)
+    assert _traj_bytes(first) == _traj_bytes(second)
+
+
+@pytest.mark.parametrize("side, params", [("s1", (0.3,)), ("s1", (120.0,)), ("s2", (-0.5, 0.7))])
+def test_tangent_columns_leave_the_shot_bitwise_unchanged(side, params):
+    cfg = ShootConfig()
+    t0, y0 = shooting._launch(side, params, cfg)
+    plain = shooting._shoot(y0, t0, side, "meet", cfg, 1.0)
+    t0, y0 = shooting._launch(side, params, cfg, tangent=True)
+    aug = shooting._shoot(y0, t0, side, "meet", cfg, 1.0, len(params))
+    assert aug.t.tobytes() == plain.t.tobytes()
+    assert aug.y[:, :4].tobytes() == plain.y.tobytes()
+    assert aug.dense_q[:, :4].tobytes() == plain.dense_q.tobytes()
+    assert (aug.n_rhs_evals, aug.n_rejected) == (plain.n_rhs_evals, plain.n_rejected)
