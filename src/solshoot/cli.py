@@ -184,18 +184,25 @@ def _emit_error(args, exc) -> None:
 # ---------------------------------------------------------------- shooting
 
 
+def _shot_telemetry(traj) -> dict:
+    """Header entries of one shot: the handoff distance it started from
+    (after ``_effective_eps``) and its integrator counters."""
+    return dict(handoff_eps=traj.t0, rhs_evals=traj.n_rhs_evals, rejected_steps=traj.n_rejected)
+
+
 def _cmd_shoot_s1(args, cfg):
     meet, traj = shooting.shoot_curve_point(args.delta1, cfg)
     columns = ("delta1", "l1", "l2", "r", "t_meet", "n_nodes")
     rec = (args.delta1, *meet, float(traj.t[-1]), traj.t.size)
-    return _Report(dict(delta1=args.delta1), columns, [rec])
+    return _Report(dict(delta1=args.delta1, **_shot_telemetry(traj)), columns, [rec])
 
 
 def _cmd_shoot_s2(args, cfg):
     meet, traj = shooting.shoot_surface_point(args.delta2, args.delta3, cfg)
     columns = ("delta2", "delta3", "l1", "l2", "r", "s_meet", "n_nodes")
     rec = (args.delta2, args.delta3, *meet, float(traj.t[-1]), traj.t.size)
-    return _Report(dict(delta2=args.delta2, delta3=args.delta3), columns, [rec])
+    params = dict(delta2=args.delta2, delta3=args.delta3, **_shot_telemetry(traj))
+    return _Report(params, columns, [rec])
 
 
 def _cmd_mismatch(args, cfg):

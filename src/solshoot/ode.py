@@ -16,6 +16,11 @@ Conventions
 Termination reasons: ``"reached_end"``, ``"event"``, ``"blowup"``,
 ``"step_underflow"`` and (as a safety valve) ``"max_steps"``.
 
+Events: an integration takes at most one :class:`Event`, and its first
+matching crossing ends the integration.  The trajectory then ends on the
+refined crossing, so ``(t[-1], y[-1])`` is the hit.  :func:`locate_event`
+finds a crossing time on a stored trajectory after the fact.
+
 Two stepping loops, :func:`integrate` for one state and
 :func:`integrate_batch` for many lanes in lockstep, share every rule (step
 factor, error norm, blow-up test, crossing test and refinement).  They stay
@@ -27,8 +32,8 @@ on the sphere side (2-core Xeon VM, best of 7 runs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -36,7 +41,6 @@ from scipy.optimize import brentq
 __all__ = [
     "IntegratorConfig",
     "Event",
-    "EventHit",
     "Trajectory",
     "integrate",
     "integrate_batch",
@@ -115,7 +119,7 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Event:
-    """Event function g(t, y); a root of g along the trajectory.
+    """Event function g(t, y) whose first matching root ends the integration.
 
     ``fn`` is called on arrays: ``t`` of shape (m,) and ``y`` of shape
     (d, m), so ``y[k]`` is component k at every t; it returns the m values.
@@ -123,20 +127,10 @@ class Event:
     while a crossing is refined) it gets a scalar t and y of shape (d,).
 
     direction: +1 only rising crossings, -1 only falling, 0 both.
-    terminal: stop the integration at the first matching crossing.
     """
 
     fn: Callable[[float, np.ndarray], float]
     direction: int = 0
-    terminal: bool = True
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class EventHit:
-    t: float
-    y: np.ndarray
-    event_index: int
     name: str = ""
 
 
@@ -147,7 +141,8 @@ class Trajectory:
     ``t``/``y`` are the accepted nodes (shape (n,), (n, d)).  Segment i covers
     [t[i], t[i+1]] and carries coefficients ``dense_q[i]`` (d, 4) built over
     the original step ``dense_h[i]``; the two differ only on a final segment
-    truncated by a terminal event.
+    truncated by the event.  When ``termination`` is ``"event"`` the last
+    node ``(t[-1], y[-1])`` is the refined crossing.
     """
 
     t: np.ndarray
@@ -155,7 +150,6 @@ class Trajectory:
     dense_q: np.ndarray
     dense_h: np.ndarray
     termination: str
-    event_hits: list[EventHit] = field(default_factory=list)
     n_rhs_evals: int = 0
     n_rejected: int = 0
 
@@ -328,15 +322,16 @@ def integrate(
     y0,
     t_end: float,
     config: Optional[IntegratorConfig] = None,
-    events: Sequence[Event] = (),
+    event: Optional[Event] = None,
     n_state: Optional[int] = None,
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to t_end (forward only).
 
-    Stops early on a terminal event, on the blow-up guard
-    (max|y| >= blowup_norm or a non-finite component, checked on the initial
-    state too), or on step-size underflow; the partial trajectory with its
-    termination reason is returned in every case.
+    Stops early at the first matching crossing of ``event`` (the trajectory
+    then ends on the refined crossing, termination ``"event"``), on the
+    blow-up guard (max|y| >= blowup_norm or a non-finite component, checked
+    on the initial state too), or on step-size underflow; the partial
+    trajectory with its termination reason is returned in every case.
 
     With ``n_state`` set, only the first n_state components of y enter the
     step control (the error norm, the initial-step heuristic and the blow-up
@@ -370,8 +365,7 @@ def integrate(
     ys = [y.copy()]
     qs: list[np.ndarray] = []
     hs: list[float] = []
-    hits: list[EventHit] = []
-    g_prev = [e.fn(t0, y) for e in events]
+    g_prev = event.fn(t0, y) if event is not None else None
 
     t = t0
     termination = "reached_end"
@@ -410,35 +404,28 @@ def integrate(
                 continue
 
         q = K.T @ _P  # (d, 4) dense coefficients over this step
-        terminal_hit = None
-        if events:
+        node_t, node_y = t_new, y_new
+        if event is not None:
             seg_eval = _segment(t, y, q, h)
             probe_t = t + _PROBE_FRACS * h
             probe_y = seg_eval(probe_t)
             probe_y[-1] = y_new  # the last probe is t_new
-            walk_t = [t, *probe_t.tolist()]
-        for ei, e in enumerate(events):
             # one call of g on the probes; the last becomes the next g_prev
-            walk_g = [g_prev[ei], *e.fn(probe_t, probe_y.T).tolist()]
-            g_prev[ei] = walk_g[-1]
-            p = next((p for p in range(4) if _crossing(*walk_g[p:p + 2], e.direction)), None)
-            if p is None:
-                continue
-            t_star = _refine_crossing(seg_eval, e.fn, walk_t, walk_g, p)
-            y_star = seg_eval(t_star) if t_star != t_new else y_new.copy()
-            hit = EventHit(t=t_star, y=y_star, event_index=ei, name=e.name)
-            if not e.terminal:
-                hits.append(hit)
-            elif terminal_hit is None or t_star < terminal_hit.t:
-                terminal_hit = hit
+            walk_t = [t, *probe_t.tolist()]
+            walk_g = [g_prev, *event.fn(probe_t, probe_y.T).tolist()]
+            g_prev = walk_g[-1]
+            p = next((p for p in range(4) if _crossing(*walk_g[p:p + 2], event.direction)), None)
+            if p is not None:
+                termination = "event"
+                node_t = _refine_crossing(seg_eval, event.fn, walk_t, walk_g, p)
+                if node_t != t_new:
+                    node_y = seg_eval(node_t)
 
-        ts.append(t_new if terminal_hit is None else terminal_hit.t)
-        ys.append(y_new.copy() if terminal_hit is None else terminal_hit.y)
+        ts.append(node_t)
+        ys.append(node_y)
         qs.append(q)
         hs.append(h)
-        if terminal_hit is not None:
-            hits.append(terminal_hit)
-            termination = "event"
+        if termination == "event":
             break
         t, y, f = t_new, y_new, K[6].copy()  # FSAL
         h *= factor
@@ -453,7 +440,6 @@ def integrate(
         dense_q=np.array(qs) if qs else np.zeros((0, y.size, 4)),
         dense_h=np.array(hs),
         termination=termination,
-        event_hits=hits,
         n_rhs_evals=n_evals,
         n_rejected=n_rejected,
     )
@@ -481,11 +467,11 @@ def integrate_batch(
     """Integrate many independent initial value problems in lockstep.
 
     Lane i starts at (t0[i], y0[i]) and runs to t_end or to the first
-    crossing of the terminal ``event``, which all lanes share.  Each lane
-    has its own step size and accept/reject decision, and a lane that stops
-    leaves the batch.  ``rhs(t, y)`` takes t of shape (m,) and y of shape
-    (m, d) and returns the m derivative rows.  The event's ``fn`` is called
-    once per step on the probes of every lane, as :class:`Event` describes.
+    crossing of ``event``, which all lanes share.  Each lane has its own
+    step size and accept/reject decision, and a lane that stops leaves the
+    batch.  ``rhs(t, y)`` takes t of shape (m,) and y of shape (m, d) and
+    returns the m derivative rows.  The event's ``fn`` is called once per
+    step on the probes of every lane, as :class:`Event` describes.
 
     Every lane repeats the arithmetic of :func:`integrate` bit for bit, so
     its result does not depend on the batch size or on the other lanes.
@@ -500,8 +486,6 @@ def integrate_batch(
     cfg = config or IntegratorConfig()
     if cfg.fixed_step is not None:
         raise ValueError("integrate_batch steps adaptively only")
-    if not event.terminal:
-        raise ValueError("integrate_batch takes a terminal event only")
     t0 = np.array(t0, dtype=float)
     y0 = np.array(y0, dtype=float)
     if y0.ndim != 2 or t0.shape != y0.shape[:1]:
@@ -611,16 +595,16 @@ def integrate_batch(
 
     if not history:
         return [LaneEnd(t_i, y_i, why) for t_i, y_i, why, _ in ends]
-    return _assemble(t0, y0, ends, log, n_rejected, event)
+    return _assemble(t0, y0, ends, log, n_rejected)
 
 
-def _assemble(t0, y0, ends, log, n_rejected, event) -> list:
+def _assemble(t0, y0, ends, log, n_rejected) -> list:
     """Per-lane trajectories from the accepted nodes logged by the batch."""
     ids, ts, ys, qs, hs = (np.concatenate(parts) for parts in zip(*log))
     order = np.argsort(ids, kind="stable")
     bounds = np.searchsorted(ids[order], np.arange(len(ends) + 1))
     out = []
-    for i, (t_last, y_last, why, n_evals) in enumerate(ends):
+    for i, (_, _, why, n_evals) in enumerate(ends):
         rows = order[bounds[i]:bounds[i + 1]]
         out.append(
             Trajectory(
@@ -629,7 +613,6 @@ def _assemble(t0, y0, ends, log, n_rejected, event) -> list:
                 dense_q=qs[rows],
                 dense_h=hs[rows],
                 termination=why,
-                event_hits=[EventHit(t_last, y_last, 0, event.name)] if why == "event" else [],
                 n_rhs_evals=n_evals,
                 n_rejected=int(n_rejected[i]),
             )
@@ -642,21 +625,21 @@ def locate_event(
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     direction: int = 0,
     which: str = "first",
-) -> Optional[EventHit]:
-    """Locate a crossing of g(t, y(t)) = 0 on a stored trajectory.
+) -> Optional[float]:
+    """Time of a crossing of g(t, y(t)) = 0 on a stored trajectory.
 
     ``fn`` is called as :class:`Event` describes: once on the probes of
     every segment (t of shape (m,), y of shape (d, m)), then at scalar t
     while the chosen crossing is refined.  Each segment is probed at 8
     dense points, so crossings that reverse within one step are still
-    caught.  Returns the first or last matching hit, or None.
+    caught.  Returns the time of the first or last matching crossing, or
+    None; ``traj.eval`` gives the state there.
 
-    A trajectory stopped by a terminal event ends at the refined root,
-    where g may still sit on the near side of zero by a rounding error.
-    So when its last segment shows no crossing, the search goes on along
-    that step's interpolant to the step's original end, and a crossing
-    that refines onto t[-1] within the refinement accuracy is reported
-    at t[-1].
+    A trajectory stopped by an event ends at the refined root, where g
+    may still sit on the near side of zero by a rounding error.  So when
+    its last segment shows no crossing, the search goes on along that
+    step's interpolant to the step's original end, and a crossing that
+    refines onto t[-1] within the refinement accuracy is reported at t[-1].
     """
     if which not in ("first", "last"):
         raise ValueError("which must be 'first' or 'last'")
@@ -695,9 +678,7 @@ def locate_event(
         extended and first[-2] < 0 and first[-1] >= 0 and (which == "last" or not rows.size)
         and refine(n_seg) - t_end <= _XTOL + _RTOL * abs(t_end)
     ):
-        t_star = t_end
-    elif rows.size:
-        t_star = refine(rows[0] if which == "first" else rows[-1])
-    else:
-        return None
-    return EventHit(t=t_star, y=traj.eval(t_star), event_index=-1)
+        return t_end
+    if rows.size:
+        return refine(rows[0] if which == "first" else rows[-1])
+    return None

@@ -99,9 +99,9 @@ def reconstruct_profile(
 
     # potential: u' = L1 + 2 L2 - xi in physical time, flipped with the grid
     _, u_eval = traj.antiderivative(lambda t, y: sgn * (y[1] + 2.0 * y[2] - y[0]))
-    hit = ode.locate_event(traj, lambda t, y: y[0])
-    if hit is not None:
-        u_ref, u_gauge = u_eval(hit.t), "xi-zero"
+    t_zero = ode.locate_event(traj, lambda t, y: y[0])
+    if t_zero is not None:
+        u_ref, u_gauge = u_eval(t_zero), "xi-zero"
     else:
         u_ref, u_gauge = u_eval(grid[0]), "left-endpoint"
     u = u_eval(grid) - u_ref

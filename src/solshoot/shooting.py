@@ -391,13 +391,13 @@ _STOP_TABLE = {
 
 
 def _stop_rule(until, side: str, horizon: float):
-    """(terminal events, t_end) of a shot under the stop rule ``until``.
+    """(event or None, t_end) of a shot under the stop rule ``until``.
 
     ("xi", v) stops at xi = v in either direction; ("time", T) has no event
     and ends at T instead of the horizon.
     """
     if isinstance(until, tuple) and len(until) == 2 and until[0] == "time":
-        return [], float(until[1])
+        return None, float(until[1])
     if isinstance(until, tuple) and len(until) == 2 and until[0] == "xi":
         level = float(until[1])
         k, direction, name = 0, 0, f"xi={level:g}"
@@ -405,8 +405,7 @@ def _stop_rule(until, side: str, horizon: float):
         k, level, direction, name = _STOP_TABLE[until, side]
     else:
         raise ValueError(f"unknown stop rule {until!r}")
-    event = Event(fn=lambda t, y: y[k] - level, direction=direction, terminal=True, name=name)
-    return [event], horizon
+    return Event(fn=lambda t, y: y[k] - level, direction=direction, name=name), horizon
 
 
 _PARAM_NAMES = {"s1": ("delta1",), "s2": ("delta2", "delta3")}
@@ -460,15 +459,15 @@ def _field(side: str, lam: float, k: int = 0):
     return lambda t, y: -augmented(t, y)
 
 
-def _failure(side: str, events, t_end: float, last: LaneEnd) -> Optional[str]:
+def _failure(side: str, event, t_end: float, last: LaneEnd) -> Optional[str]:
     """Why a shot that ended at ``last`` missed its stop rule, or None."""
-    if events and last.termination != "event":
+    if event is not None and last.termination != "event":
         return (
-            f"{side} shot never reached {events[0].name}: stopped by "
+            f"{side} shot never reached {event.name}: stopped by "
             f"{last.termination} at t={last.t:.6g} with "
             f"state={' '.join(f'{v:.6g}' for v in last.y)}"
         )
-    if not events and last.termination != "reached_end":
+    if event is None and last.termination != "reached_end":
         return (
             f"{side} shot stopped by {last.termination} at t={last.t:.6g} "
             f"before the requested time {t_end:g}"
@@ -479,10 +478,10 @@ def _failure(side: str, events, t_end: float, last: LaneEnd) -> Optional[str]:
 def _shoot(y0, t0: float, side: str, until, cfg: ShootConfig, lam: float, k: int = 0):
     """The trajectory of a shot from (t0, y0) under ``until``, with ``k``
     tangent columns riding along; EventNotReached if it misses the rule."""
-    events, t_end = _stop_rule(until, side, cfg.horizon)
+    event, t_end = _stop_rule(until, side, cfg.horizon)
     field, n_state = _field(side, lam, k), (4 if k else None)
-    traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), events=events, n_state=n_state)
-    reason = _failure(side, events, t_end, LaneEnd(traj.t_end, traj.y[-1, :4], traj.termination))
+    traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), event, n_state)
+    reason = _failure(side, event, t_end, LaneEnd(traj.t_end, traj.y[-1, :4], traj.termination))
     if reason is not None:
         raise EventNotReached(reason)
     return traj
@@ -678,15 +677,15 @@ def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = Fals
         y0s.append(y0)
     if not lanes:
         return out
-    events, t_end = _stop_rule("meet", side, cfg.horizon)
+    event, t_end = _stop_rule("meet", side, cfg.horizon)
     field = _field(side, 1.0)
     # the batch passes states as rows; the field reads them as columns
     ends = integrate_batch(
-        lambda t, y: field(t, y.T).T, t0s, y0s, t_end, events[0], cfg.integrator(), history
+        lambda t, y: field(t, y.T).T, t0s, y0s, t_end, event, cfg.integrator(), history
     )
     for i, end in zip(lanes, ends):
         last = LaneEnd(end.t_end, end.y[-1], end.termination) if history else end
-        reason = _failure(side, events, t_end, last)
+        reason = _failure(side, event, t_end, last)
         meet = None if reason is not None else _meet_from(last.y)
         out[i] = (meet, end if history else None, reason)
     return out

@@ -179,15 +179,15 @@ def sign_profile(traj: ode.Trajectory) -> SignReport:
 def gaussian_closeness_at_xi10(traj: ode.Trajectory) -> GaussianCloseness:
     """Deviation of (L1, R, L2) from the Gaussian values at the xi = 10
     orbit: L1 = -1/(5 + sqrt(26)), R = 1, L2 = 0."""
-    hit = ode.locate_event(traj, lambda t, y: y[0] - 10.0)
-    if hit is None:
+    t_hit = ode.locate_event(traj, lambda t, y: y[0] - 10.0)
+    if t_hit is None:
         raise EventNotReached("trajectory has no xi = 10 orbit")
-    xi, l1, l2, r = traj.eval(hit.t)
+    xi, l1, l2, r = traj.eval(t_hit)
     return GaussianCloseness(
         dl1=abs(l1 + 1.0 / (5.0 + math.sqrt(26.0))),
         dr=abs(r - 1.0),
         dl2=abs(l2),
-        t_event=float(hit.t),
+        t_event=t_hit,
     )
 
 

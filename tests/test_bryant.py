@@ -83,14 +83,14 @@ def test_locus_invariant_under_time_parameterization(curve):
     # time-parameterized flow (stopped before its stiff tail)
     h = curve.h
     y0 = np.array([1.0 - h, 0.5 - h / 2.0 + 0.4 * h * h])
-    stop = ode.Event(fn=lambda t, y: y[0] - 0.05, direction=-1.0, terminal=True)
+    stop = ode.Event(fn=lambda t, y: y[0] - 0.05, direction=-1.0)
     traj = ode.integrate(
         fields.as_field(fields.bryant_xy_rhs),
         0.0,
         y0,
         1e4,
         ode.IntegratorConfig(rtol=1e-11, atol=1e-13),
-        [stop],
+        stop,
     )
     assert traj.termination == "event"
     nodes = np.asarray(traj.y)

@@ -8,7 +8,7 @@ import pytest
 
 from solshoot import cli
 from solshoot.errors import EventNotReached
-from solshoot.shooting import ROUND_DELTAS
+from solshoot.shooting import ROUND_DELTAS, shoot_surface_point
 
 
 def run(capsys, argv):
@@ -150,6 +150,22 @@ def test_header_echoes_full_configuration(capsys):
     assert meta["random_free"] == "true"
     assert int(meta["workers"]) >= 1
     assert "version" in meta
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_shot_header_reports_handoff_and_counters(capsys, fmt):
+    # a large delta3 shrinks the handoff below t_eps (``_effective_eps``)
+    code, out = run(capsys, ["shoot-s2", "--delta2", "-0.5", "--delta3", "2e4", "--format", fmt])
+    assert code == 0
+    if fmt == "csv":
+        meta = parse_csv(out)[0]
+    else:
+        meta = {key: str(value) for key, value in json.loads(out)["meta"].items()}
+    _, traj = shoot_surface_point(-0.5, 2e4)
+    assert meta["t_eps"] == "0.0001"
+    assert meta["handoff_eps"] == "7.071067811865475e-05" == repr(traj.t0)
+    counters = (int(meta["rhs_evals"]), int(meta["rejected_steps"]))
+    assert counters == (traj.n_rhs_evals, traj.n_rejected) == (68, 3)
 
 
 def test_reruns_are_byte_identical(capsys):

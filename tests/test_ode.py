@@ -61,15 +61,11 @@ def test_terminal_event_harmonic_oscillator():
     def rhs(t, y):
         return np.array([y[1], -y[0]])
 
-    ev = Event(fn=lambda t, y: y[0], direction=-1, terminal=True, name="cos_zero")
-    traj = integrate(rhs, 0.0, [1.0, 0.0], 10.0, events=[ev])
+    ev = Event(fn=lambda t, y: y[0], direction=-1, name="cos_zero")
+    traj = integrate(rhs, 0.0, [1.0, 0.0], 10.0, event=ev)
     assert traj.termination == "event"
-    assert len(traj.event_hits) == 1
-    hit = traj.event_hits[0]
-    assert hit.name == "cos_zero"
-    assert abs(hit.t - math.pi / 2) < 1e-10
-    # trajectory is truncated at the hit and dense eval still works inside
-    assert traj.t_end == hit.t
+    assert abs(traj.t[-1] - math.pi / 2) < 1e-10
+    # the trajectory ends at the hit and dense eval still works inside
     tm = 0.5 * (traj.t[-2] + traj.t[-1])
     assert abs(traj.eval(tm)[0] - math.cos(tm)) < 1e-9
 
@@ -79,24 +75,10 @@ def test_event_direction_filter():
     def rhs(t, y):
         return np.array([y[1], -y[0]])
 
-    ev = Event(fn=lambda t, y: y[0], direction=-1, terminal=True)
-    traj = integrate(rhs, 0.0, [0.0, 1.0], 10.0, events=[ev])
+    ev = Event(fn=lambda t, y: y[0], direction=-1)
+    traj = integrate(rhs, 0.0, [0.0, 1.0], 10.0, event=ev)
     assert traj.termination == "event"
-    assert abs(traj.event_hits[0].t - math.pi) < 1e-10
-
-
-def test_non_terminal_events_collect_all_crossings():
-    def rhs(t, y):
-        return np.array([y[1], -y[0]])
-
-    ev = Event(fn=lambda t, y: y[0], direction=0, terminal=False, name="zero")
-    traj = integrate(rhs, 0.0, [1.0, 0.0], 10.0, events=[ev])
-    assert traj.termination == "reached_end"
-    times = [h.t for h in traj.event_hits]
-    expect = [math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2]
-    assert len(times) == len(expect)
-    for got, want in zip(times, expect):
-        assert abs(got - want) < 1e-9
+    assert abs(traj.t[-1] - math.pi) < 1e-10
 
 
 def test_locate_event_first_and_last():
@@ -107,8 +89,8 @@ def test_locate_event_first_and_last():
     first = locate_event(traj, lambda t, y: y[0], which="first")
     last = locate_event(traj, lambda t, y: y[0], which="last")
     assert first is not None and last is not None
-    assert abs(first.t - math.pi / 2) < 1e-9
-    assert abs(last.t - 5 * math.pi / 2) < 1e-9
+    assert abs(first - math.pi / 2) < 1e-9
+    assert abs(last - 5 * math.pi / 2) < 1e-9
     none = locate_event(traj, lambda t, y: y[0] - 5.0)
     assert none is None
 
@@ -124,13 +106,13 @@ def test_locate_event_finds_the_crossing_that_stopped_the_trajectory():
         def g(t, y):
             return y[0] - 0.3
 
-        traj = integrate(rhs, 0.0, [1.0, 0.0], 20.0, events=[Event(g, direction=-1)])
+        traj = integrate(rhs, 0.0, [1.0, 0.0], 20.0, event=Event(g, direction=-1))
         assert traj.termination == "event"
         for which in ("first", "last"):
             hit = locate_event(traj, g, -1, which)
             assert hit is not None, omega
-            assert hit.t == traj.t[-1] == traj.event_hits[0].t
-            assert hit.y.tobytes() == traj.y[-1].tobytes()
+            assert hit == traj.t[-1]
+            assert traj.eval(hit).tobytes() == traj.y[-1].tobytes()
         # a rising crossing does not end this trajectory
         assert locate_event(traj, g, +1) is None
 
@@ -177,7 +159,7 @@ _OSC = integrate(
     0.0,
     [1.0, 0.0],
     10.0,
-    events=[Event(fn=lambda t, y: y[0] - 0.3, direction=+1)],
+    event=Event(fn=lambda t, y: y[0] - 0.3, direction=+1),
 )
 
 
@@ -262,16 +244,17 @@ def test_property_event_time_does_not_depend_on_probe_subdivision(omega, level, 
 
     t_end = 4 * math.pi / omega
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
-    ev = Event(fn=lambda t, y: y[0] - level, direction=direction, terminal=True)
-    hit = integrate(rhs, 0.0, [1.0, 0.0], t_end, cfg, events=[ev]).event_hits[0]
+    ev = Event(fn=lambda t, y: y[0] - level, direction=direction)
+    stopped = integrate(rhs, 0.0, [1.0, 0.0], t_end, cfg, event=ev)
+    assert stopped.termination == "event"
     # events do not steer the step size, so the stored event-free trajectory
     # has the same segments; locate_event probes each at 8 points, not 4
     stored = integrate(rhs, 0.0, [1.0, 0.0], t_end, cfg)
     located = locate_event(stored, ev.fn, direction)
     t1 = math.acos(level) / omega
     t2 = (2 * math.pi - math.acos(level)) / omega
-    assert abs(hit.t - located.t) < 1e-12
-    assert abs(hit.t - (t2 if direction > 0 else t1)) < 1e-9
+    assert abs(stopped.t[-1] - located) < 1e-12
+    assert abs(stopped.t[-1] - (t2 if direction > 0 else t1)) < 1e-9
 
 
 # ------------------------------------------------------------ batched lanes
@@ -289,9 +272,8 @@ def _osc_rows(t, y):
 
 
 def _trajectory_bytes(traj):
-    hits = [(h.t, h.y.tobytes(), h.event_index, h.name) for h in traj.event_hits]
     arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (traj.t, traj.y, traj.dense_q, traj.dense_h)]
-    return arrays, traj.termination, traj.n_rhs_evals, traj.n_rejected, hits
+    return arrays, traj.termination, traj.n_rhs_evals, traj.n_rejected
 
 
 @settings(max_examples=15, deadline=None)
@@ -317,7 +299,7 @@ def test_property_integrate_batch_repeats_integrate_per_lane(
     # a lane that starts non-finite stops at once, as in ``integrate``
     t0.append(0.1)
     y0.append([math.inf, 0.0, 1.0, 0.0])
-    singles = [integrate(_osc, a, b, t_end, cfg, events=[event]) for a, b in zip(t0, y0)]
+    singles = [integrate(_osc, a, b, t_end, cfg, event=event) for a, b in zip(t0, y0)]
     order = list(range(len(t0)))[::-1]
     batch = ode.integrate_batch(_osc_rows, t0, y0, t_end, event, cfg, history=True)
     reverse = ode.integrate_batch(
@@ -345,8 +327,25 @@ def test_integrate_batch_rejects_inputs_it_cannot_repeat():
         ode.integrate_batch(lambda t, y: -y, [0.0], [[1.0, 0.0, 1.0]], 1.0, event)
     with pytest.raises(ValueError):
         ode.integrate_batch(_osc_rows, [0.0], [start], 1.0, event, IntegratorConfig(fixed_step=0.1))
-    with pytest.raises(ValueError):
-        ode.integrate_batch(_osc_rows, [0.0], [start], 1.0, Event(lambda t, y: y[0], terminal=False))
+
+
+def test_field_turning_nan_mid_run_ends_in_step_underflow():
+    # from t = 1 on the field is NaN: every step that reaches past it is
+    # rejected and shrunk, so each run stops just short of t = 1 after a
+    # bounded number of rejections instead of spinning through max_steps
+    def nan_from_one(t, y):
+        return np.where(np.asarray(t) < 1.0, _osc(t, y), math.nan)
+
+    t0 = [0.0, 0.3, 0.9]
+    y0 = [[1.0, 0.0, 1.0, 0.0], [0.5, 0.0, 2.0, 0.0], [1.0, 0.0, 3.0, 0.0]]
+    event = Event(lambda t, y: y[0] - 2.0)
+    singles = [integrate(nan_from_one, a, b, 5.0, event=event) for a, b in zip(t0, y0)]
+    lanes = ode.integrate_batch(lambda t, y: nan_from_one(t, y.T).T, t0, y0, 5.0, event, history=True)
+    for single, lane in zip(singles, lanes):
+        assert single.termination == "step_underflow"
+        assert 0.0 < 1.0 - single.t[-1] < 1e-13
+        assert single.n_rejected <= 100
+        assert _trajectory_bytes(lane) == _trajectory_bytes(single)
 
 
 # ------------------------------------------------------------ crossing rule
@@ -360,14 +359,14 @@ def test_tiny_event_function_crosses_in_every_search():
 
     want = math.acos(0.3)
     ev = Event(g, -1)
-    traj = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 10.0, events=[ev])
+    traj = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 10.0, event=ev)
     assert traj.termination == "event"
     assert abs(traj.t_end - want) < 1e-9
     (lane,) = ode.integrate_batch(_osc_rows, [0.0], [[1.0, 0.0, 1.0, 0.0]], 10.0, ev)
     assert lane.termination == "event"
     assert abs(lane.t - want) < 1e-9
     stored = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 10.0)
-    assert abs(locate_event(stored, g, -1).t - want) < 1e-9
+    assert abs(locate_event(stored, g, -1) - want) < 1e-9
 
 
 def test_nan_event_function_never_crosses():
@@ -375,9 +374,8 @@ def test_nan_event_function_never_crosses():
         for ga, gb in ((math.nan, 1.0), (-1.0, math.nan), (1.0, math.nan), (math.nan, math.nan)):
             assert not ode._crossing(ga, gb, direction)
         assert not ode._crossing(np.array([math.nan, -1.0]), np.array([1.0, math.nan]), direction).any()
-    traj = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 5.0, events=[Event(lambda t, y: y[0] * math.nan)])
+    traj = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 5.0, event=Event(lambda t, y: y[0] * math.nan))
     assert traj.termination == "reached_end"
-    assert traj.event_hits == []
     assert locate_event(traj, lambda t, y: y[0] * math.nan) is None
 
 
@@ -446,20 +444,20 @@ def test_property_locate_event_repeats_the_per_segment_walk(omega, level, direct
         return y[0] - level
 
     stops = {
-        "located_event": [Event(g, direction)],
+        "located_event": Event(g, direction),
         # v = -omega sin(omega t) rises through omega / 2 at omega t = 7 pi / 6
-        "other_event": [Event(lambda t, y: y[1] - 0.5 * omega, +1)],
+        "other_event": Event(lambda t, y: y[1] - 0.5 * omega, +1),
     }
     start = [math.inf if end == "blowup" else 1.0, 0.0, omega, 0.0]
-    traj = integrate(_osc, 0.0, start, periods * 2 * math.pi / omega, events=stops.get(end, []))
+    traj = integrate(_osc, 0.0, start, periods * 2 * math.pi / omega, event=stops.get(end))
     assert (len(traj.t) == 1) == (end == "blowup")
     want = _locate_reference(traj, g, direction, which)
     got = locate_event(traj, g, direction, which)
     if want is None:
         assert got is None
     else:
-        assert type(got.t) is float and got.t.hex() == want.hex()
-        assert got.y.tobytes() == traj.eval(want).tobytes()
+        assert type(got) is float and got.hex() == want.hex()
+        assert traj.eval(got).tobytes() == traj.eval(want).tobytes()
 
 
 def _osc_with_riders(t, y):
@@ -480,9 +478,9 @@ def test_property_riders_outside_the_step_control_leave_the_state_bitwise(
     omega, amp, riders, level, t_end
 ):
     event = Event(lambda t, y: y[0] - level, name="level")
-    plain = integrate(_osc, 0.0, [amp, 0.0, omega, 0.0], t_end, events=[event])
+    plain = integrate(_osc, 0.0, [amp, 0.0, omega, 0.0], t_end, event=event)
     y0 = [amp, 0.0, omega, 0.0] + [1e3] * riders
-    aug = integrate(_osc_with_riders, 0.0, y0, t_end, events=[event], n_state=4)
+    aug = integrate(_osc_with_riders, 0.0, y0, t_end, event=event, n_state=4)
     assert aug.y.shape[1] == 4 + riders
     assert aug.t.tobytes() == plain.t.tobytes()
     assert aug.y[:, :4].tobytes() == plain.y.tobytes()
@@ -491,7 +489,7 @@ def test_property_riders_outside_the_step_control_leave_the_state_bitwise(
     assert (aug.termination, aug.n_rhs_evals, aug.n_rejected) == (
         plain.termination, plain.n_rhs_evals, plain.n_rejected
     )
-    assert [h.t for h in aug.event_hits] == [h.t for h in plain.event_hits]
+    assert aug.t[-1] == plain.t[-1]
 
 
 @pytest.mark.parametrize("n_state", [0, 9])

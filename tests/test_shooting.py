@@ -197,6 +197,21 @@ def test_horizon_guard_raises_event_not_reached():
         shoot_curve_point(ROUND_DELTAS[0], ShootConfig(horizon=0.5))
 
 
+@pytest.mark.parametrize("rule, side", sorted(shooting._STOP_TABLE))
+def test_round_shot_ends_on_every_stop_rule(rule, side):
+    # the last node is the refined crossing: y[k] sits on the level to within
+    # the slope times the refinement's time accuracy
+    k, level, _, _ = shooting._STOP_TABLE[rule, side]
+    if side == "s1":
+        _, traj = shoot_curve_point(ROUND_DELTAS[0], until=rule)
+    else:
+        _, traj = shoot_surface_point(*ROUND_DELTAS[1:], until=rule)
+    assert traj.termination == "event"
+    t, y = traj.t[-1], traj.y[-1]
+    slope = shooting._field(side, 1.0)(t, y)[k]
+    assert abs(y[k] - level) <= abs(slope) * (ode._XTOL + ode._RTOL * abs(t))
+
+
 @pytest.mark.parametrize("until", ["bogus", ("xi",)])
 def test_unknown_stop_rule_raises(until):
     with pytest.raises(ValueError, match="unknown stop rule"):
@@ -229,12 +244,13 @@ def test_meet_autonomy_invariance():
     # shifting the launch time leaves the meet state untouched
     y0 = np.array(s1_series_state(ROUND_DELTAS[0], 1e-4))
     cfg = ode.IntegratorConfig(rtol=1e-10, atol=1e-12)
-    ev = ode.Event(lambda t, y: y[0], direction=-1.0, terminal=True, name="meet")
+    ev = ode.Event(lambda t, y: y[0], direction=-1.0, name="meet")
     f = fields.as_field(fields.soliton_rhs)
-    tr1 = ode.integrate(f, 1e-4, y0, 1e6, cfg, [ev])
-    tr2 = ode.integrate(f, 5.0 + 1e-4, y0, 1e6, cfg, [ev])
-    assert np.max(np.abs(tr1.event_hits[0].y - tr2.event_hits[0].y)) < 1e-12
-    assert tr2.event_hits[0].t - tr1.event_hits[0].t == pytest.approx(5.0, abs=1e-10)
+    tr1 = ode.integrate(f, 1e-4, y0, 1e6, cfg, ev)
+    tr2 = ode.integrate(f, 5.0 + 1e-4, y0, 1e6, cfg, ev)
+    assert tr1.termination == tr2.termination == "event"
+    assert np.max(np.abs(tr1.y[-1] - tr2.y[-1])) < 1e-12
+    assert tr2.t[-1] - tr1.t[-1] == pytest.approx(5.0, abs=1e-10)
 
 
 def test_meet_parameter_derivatives_are_stable():
@@ -483,9 +499,8 @@ def _lane_status(reason):
 
 
 def _traj_bytes(traj):
-    hits = [(h.t, h.y.tobytes(), h.event_index, h.name) for h in traj.event_hits]
     arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (traj.t, traj.y, traj.dense_q, traj.dense_h)]
-    return arrays, traj.termination, traj.n_rhs_evals, traj.n_rejected, hits
+    return arrays, traj.termination, traj.n_rhs_evals, traj.n_rejected
 
 
 def _orders(n, rotate, n_alone):

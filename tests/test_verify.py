@@ -46,7 +46,6 @@ def gauss_exact():
         y0,
         15.0,
         ode.IntegratorConfig(rtol=1e-12, atol=1e-14),
-        [],
     )
 
 
