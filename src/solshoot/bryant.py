@@ -93,7 +93,7 @@ def _gap_slope(x, u):
 
 def bryant_unstable_curve(
     h: float = 1e-4,
-    cfg: Optional[ode.IntegratorConfig] = None,
+    rtol: float = 1e-10,
     verify_launch: bool = False,
 ) -> BryantCurve:
     """Trace the planar unstable-manifold curve from (1, 1/2) down to
@@ -105,12 +105,13 @@ def bryant_unstable_curve(
     does leaving the monotone-descent region (x' < 0, y' < 0) en route.
     With ``verify_launch`` the trace is repeated at h/2 and the two
     curves must agree to 1e-6 after interpolation to a common x-grid.
-    Only the tolerances of ``cfg`` are honored here; the stepping is
-    delegated to a stiff solver because of the slow-manifold tail.
+    ``rtol`` is the stiff solver's relative tolerance; its absolute
+    tolerance is fixed at 1e-24, because the gap u shrinks like x^2.  The
+    stepping is delegated to a stiff solver because of the slow-manifold
+    tail.
     """
     if not 0.0 < h <= 1e-3:
         raise LaunchTooFar(f"launch offset h={h:g} outside (0, 1e-3]")
-    cfg = cfg or ode.IntegratorConfig(rtol=1e-10, atol=1e-12)
     x0 = 1.0 - h
     u0 = (0.5 - h / 2.0 + _QUAD_COEF * h * h) - x0
     grid = np.geomspace(x0, _X_CUTOFF, _N_NODES)
@@ -120,7 +121,7 @@ def bryant_unstable_curve(
         [u0],
         method="LSODA",
         t_eval=grid,
-        rtol=cfg.rtol,
+        rtol=rtol,
         atol=1e-24,
     )
     if sol.status != 0:
@@ -132,7 +133,7 @@ def bryant_unstable_curve(
         raise LaunchTooFar(f"trace from h={h:g} left the monotone-descent region")
     curve = BryantCurve(grid, y, h, _EIG_DIRECTION)
     if verify_launch:
-        half = bryant_unstable_curve(h / 2.0, cfg, verify_launch=False)
+        half = bryant_unstable_curve(h / 2.0, rtol, verify_launch=False)
         probe = np.geomspace(1.0 - 2.0 * h, 1e-5, 400)
         gap = float(np.max(np.abs(curve.interp(probe) - half.interp(probe))))
         if gap > 1e-6:

@@ -14,7 +14,6 @@ configuration and never the clock.
 
 import argparse
 import math
-import os
 import sys
 from typing import NamedTuple
 
@@ -26,7 +25,6 @@ from .errors import (
     InadmissibleParameters,
     SolshootError,
 )
-from .ode import IntegratorConfig
 from .shooting import ShootConfig
 
 __all__ = ["main"]
@@ -118,13 +116,6 @@ def _config(args) -> ShootConfig:
     )
 
 
-def _workers(args) -> int:
-    """The ``--workers`` value the header echoes; sweeps do not use it."""
-    if args.workers is not None:
-        return max(1, args.workers)
-    return os.cpu_count() or 1
-
-
 def _safe(text) -> str:
     """Status strings must not break the CSV record grammar."""
     return str(text).replace(",", ";").replace("\n", " ")
@@ -152,7 +143,7 @@ def _meta(args, **params) -> dict:
         tol_abs=_tol_abs(args),
         t_eps=args.t_eps,
         exploratory=args.exploratory,
-        workers=_workers(args),
+        workers=max(1, args.workers),
         format=args.format,
         random_free=True,
     )
@@ -362,9 +353,7 @@ def _cmd_verify_bryant(args, cfg):
             "verify-bryant does not take --tol-abs: its trace fixes the absolute "
             "tolerance at 1e-24, because the gap it follows shrinks like x^2"
         )
-    curve = bryant.bryant_unstable_curve(
-        args.launch_offset, IntegratorConfig(rtol=args.tol_rel)
-    )
+    curve = bryant.bryant_unstable_curve(args.launch_offset, rtol=args.tol_rel)
     fb = bryant.verify_f_bounds(curve)
     ok = min(fb[:4]) >= -_MARGIN_TOL and fb.y_at_x03 > 0.21  # fb[:4]: the margins
     if args.curve_out is not None:
@@ -507,7 +496,7 @@ def _add_common(p):
     p.add_argument("--t-eps", type=float, default=1e-4, help="series handoff distance from the singular orbit")
     p.add_argument("--out", default=None, help="output path (default: stdout for reports, <subcommand>.<format> for sweeps)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=None, help="accepted and echoed in the header; no effect, sweeps run batched in one process")
+    p.add_argument("--workers", type=int, default=1, help="accepted and echoed in the header; no effect, sweeps run batched in one process")
     p.add_argument("--exploratory", action="store_true", help="allow parameters outside the admissible region")
 
 

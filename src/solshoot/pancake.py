@@ -6,7 +6,9 @@ f2 = 1, and f1 stays at the plateau L before descending linearly to a
 collapsing circle orbit at r = L+1 (f1 = L+1-r).  Polynomial blends make
 both transitions C^2.  The point of the construction is that every
 curvature eigenvalue stays non-negative and the scalar curvature range
-is independent of L.
+is independent of L.  The eigenvalues come from the closed-form first
+and second derivatives of these formulas, not from finite differences
+of the gridded values, so they are exact to roundoff at any grid size.
 """
 
 import math
@@ -31,12 +33,9 @@ __all__ = [
 _FEASIBILITY_TOL = 1e-12
 
 # one-sided 6-point stencils (exact through quintics): the first and second
-# derivative at an edge node and at its neighbour, from the 6 nodes starting
-# at the edge
+# derivative at an edge node from the 6 nodes starting at the edge
 _D1_EDGE = np.array([-137.0, 300.0, -300.0, 200.0, -75.0, 12.0]) / 60.0
-_D1_NEXT = np.array([-12.0, -65.0, 120.0, -60.0, 20.0, -3.0]) / 60.0
 _D2_EDGE = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-_D2_NEXT = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
 
 
 class BlendParams(NamedTuple):
@@ -65,7 +64,8 @@ class PancakeProfile(NamedTuple):
 
 class ProfileCurvature(NamedTuple):
     """Per-grid-point curvature eigenvalues (multiplicities 1, 2, 1, 2),
-    their scalar curvature, and the extrema used by the L-uniform bound.
+    their scalar curvature, and the extrema used by the L-uniform bound,
+    all from closed-form derivatives of the profile formulas.
 
     The reported extrema (min_eig, s_min, s_max) come from a dense
     fixed-resolution sweep of the blend windows combined with the exact
@@ -148,23 +148,38 @@ def _check_f2_blend(coefs: np.ndarray) -> None:
         )
 
 
-def _f2_values(r: np.ndarray, a: float, b: float, coefs: np.ndarray) -> np.ndarray:
-    """f2 everywhere: sin r, then sin a + int q, then 1."""
-    anti = np.polynomial.polynomial.polyint(coefs)
-    w = b - a
-    sig = np.clip((r - a) / w, 0.0, 1.0)
-    blend = math.sin(a) + w * np.polyval(anti[::-1], sig)
-    return np.where(r <= a, np.sin(np.minimum(r, a)), np.where(r >= b, 1.0, blend))
+def _jets(r, length, f2_window, f1_window, coefs):
+    """f1, f1', f1'', f2, f2', f2'' in closed form at the points r.
 
-
-def _f1_values(r: np.ndarray, length: float, c: float, d: float) -> np.ndarray:
-    """f1 everywhere: L, then L minus the integrated smoothstep, then L+1-r."""
-    v = d - c
-    sig = np.clip((r - c) / v, 0.0, 1.0)
-    drop = v * (sig**3 - 0.5 * sig**4)
-    return np.where(
-        r <= c, length, np.where(r >= d, length + 1.0 - r, length - drop)
-    )
+    f2 is sin r on the cap r <= a, sin a + w int q on the blend, where
+    f2' = q(sigma) and f2'' = q'(sigma)/w with sigma = (r-a)/w, w = b-a,
+    and 1 from b on.  f1 is the plateau L minus the integrated smoothstep
+    v (s^3 - s^4/2), s = (r-c)/v, v = d-c, and L+1-r from d on; with s
+    clipped to [0, 1], f1' = -(3s^2 - 2s^3) and f1'' = -6s(1-s)/v hold on
+    all three pieces.  Each f2 formula is evaluated on its own region
+    only, since trig and quartics over the whole grid cost more than the
+    masks.
+    """
+    a, b = f2_window
+    c, d = f1_window
+    v, w = d - c, b - a
+    s = np.clip((r - c) / v, 0.0, 1.0)
+    s3 = s**3
+    f1 = np.where(r >= d, length + 1.0 - r, length - v * (s3 - 0.5 * s**4))
+    df1 = -(3.0 * s * s - 2.0 * s3)
+    d2f1 = -6.0 * s * (1.0 - s) / v
+    f2, df2, d2f2 = np.ones(r.size), np.zeros(r.size), np.zeros(r.size)
+    cap = r <= a
+    f2[cap] = np.sin(r[cap])
+    df2[cap] = np.cos(r[cap])
+    d2f2[cap] = -f2[cap]
+    blend = (r > a) & (r < b)
+    sig = (r[blend] - a) / w
+    poly = np.polynomial.polynomial
+    f2[blend] = math.sin(a) + w * np.polyval(poly.polyint(coefs)[::-1], sig)
+    df2[blend] = np.polyval(coefs[::-1], sig)
+    d2f2[blend] = np.polyval(poly.polyder(coefs)[::-1], sig) / w
+    return f1, df1, d2f1, f2, df2, d2f2
 
 
 def build_profile(
@@ -201,10 +216,11 @@ def build_profile(
     coefs = _solve_f2_blend(a, b)
     _check_f2_blend(coefs)
     r = np.linspace(0.0, length + 1.0, grid_n + 1)
+    f1, _, _, f2, _, _ = _jets(r, length, (a, b), (c, d), coefs)
     return PancakeProfile(
         r=r,
-        f1=_f1_values(r, length, c, d),
-        f2=_f2_values(r, a, b, coefs),
+        f1=f1,
+        f2=f2,
         length=length,
         f2_window=(a, b),
         f1_window=(c, d),
@@ -212,69 +228,26 @@ def build_profile(
     )
 
 
-def _fd_derivatives(r: np.ndarray, f: np.ndarray, lo: int, hi: int):
-    """First and second derivatives of f on the index window [lo, hi)
-    using 5-point stencils confined to the window (one-sided at edges)."""
-    n = hi - lo
-    if n < 6:
-        raise GridTooCoarse(f"blend region holds {n} points; need >= 6")
-    h = r[1] - r[0]
-    seg = f[lo:hi]
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    # interior: centered 5-point (exact through quintics for d2)
-    d1[2:-2] = (seg[:-4] - 8 * seg[1:-3] + 8 * seg[3:-1] - seg[4:]) / (12 * h)
-    d2[2:-2] = (
-        -seg[:-4] + 16 * seg[1:-3] - 30 * seg[2:-2] + 16 * seg[3:-1] - seg[4:]
-    ) / (12 * h * h)
-    # edges: one-sided 6-point stencils
-    d1[0] = _D1_EDGE @ seg[:6] / h
-    d1[1] = _D1_NEXT @ seg[:6] / h
-    d1[-1] = -(_D1_EDGE @ seg[-1:-7:-1]) / h
-    d1[-2] = -(_D1_NEXT @ seg[-1:-7:-1]) / h
-    d2[0] = _D2_EDGE @ seg[:6] / (h * h)
-    d2[1] = _D2_NEXT @ seg[:6] / (h * h)
-    d2[-1] = _D2_EDGE @ seg[-1:-7:-1] / (h * h)
-    d2[-2] = _D2_NEXT @ seg[-1:-7:-1] / (h * h)
-    return d1, d2
-
-
-def _curvature_arrays(r, f1, f2, profile: PancakeProfile):
-    """Eigenvalue arrays and S on any uniform grid carrying the
-    profile's piecewise structure (closed-form derivatives off the blend
-    windows, confined finite differences inside them)."""
+def _curvature_arrays(r, profile: PancakeProfile):
+    """Eigenvalue arrays and S at the points r, from the profile's
+    closed-form derivatives."""
     a, b = profile.f2_window
     c, d = profile.f1_window
-    n = r.size
-    df1, d2f1 = np.zeros(n), np.zeros(n)
-    df2, d2f2 = np.zeros(n), np.zeros(n)
-    # closed-form derivative values
-    cap = r <= a
-    df2[cap] = np.cos(r[cap])
-    d2f2[cap] = -np.sin(r[cap])
-    far = r >= d
-    df1[far] = -1.0
-    # blend-region derivatives by confined finite differences
-    for f, d1_arr, d2_arr, lo_r, hi_r in (
-        (f2, df2, d2f2, a, b),
-        (f1, df1, d2f1, c, d),
-    ):
-        lo = int(np.searchsorted(r, lo_r, side="right"))
-        hi = int(np.searchsorted(r, hi_r, side="left"))
-        if hi > lo:
-            d1_arr[lo:hi], d2_arr[lo:hi] = _fd_derivatives(r, f, lo, hi)
-
+    f1, df1, d2f1, f2, df2, d2f2 = _jets(
+        r, profile.length, (a, b), (c, d), profile.f2_blend_coefs
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         k_t1 = -d2f1 / f1
         k_t2 = -d2f2 / f2
         k_s = (1.0 - df2 * df2) / (f2 * f2)
         k_m = -df1 * df2 / (f1 * f2)
-    # exact values on closed-form regions; these also settle the 0/0
-    # limits at the two collapsing orbits (r=0 sits left of both windows,
-    # r=L+1 right of both)
+    # exact constants off the blends; these also settle the 0/0 limits at
+    # the two collapsing orbits (r=0 sits left of both windows, r=L+1
+    # right of both) and keep -0.0 (from -0/f2) off the neck
     k_t1[(r <= c) | (r >= d)] = 0.0
-    k_t2[cap] = 1.0
-    k_s[cap] = 1.0
+    k_t2[r <= a] = 1.0
+    k_t2[r >= b] = 0.0
+    k_s[r <= a] = 1.0
     k_m[(r <= c) | (r >= b)] = 0.0
     scalar = 2.0 * (k_t1 + 2.0 * k_t2 + k_s + 2.0 * k_m)
     return k_t1, k_t2, k_s, k_m, scalar
@@ -294,9 +267,7 @@ def _reported_extrema(profile: PancakeProfile):
     c, d = profile.f1_window
     lo, hi = min(a, c), max(b, d)
     r = np.linspace(lo, hi, _DENSE_EXTREMA_N)
-    f1 = _f1_values(r, profile.length, c, d)
-    f2 = _f2_values(r, a, b, profile.f2_blend_coefs)
-    k_t1, k_t2, k_s, k_m, scalar = _curvature_arrays(r, f1, f2, profile)
+    k_t1, k_t2, k_s, k_m, scalar = _curvature_arrays(r, profile)
     min_eig = min(float(min(k.min() for k in (k_t1, k_t2, k_s, k_m))), 0.0)
     s_min = min(float(scalar.min()), 2.0)
     s_max = max(float(scalar.max()), 6.0)
@@ -308,14 +279,12 @@ def profile_curvature(profile: PancakeProfile) -> ProfileCurvature:
     """Curvature eigenvalues (-f1''/f1, -f2''/f2, (1-f2'^2)/f2^2,
     -f1'f2'/(f1 f2)) and S = 2(k_t1 + 2 k_t2 + k_s + 2 k_m).
 
-    Closed-form regions get their exact constant eigenvalues; blend
-    regions use finite differences of the gridded values with stencils
-    that never cross a region boundary.  The reported extrema are
-    resolved beyond the profile grid (see ProfileCurvature).
+    f1, f2 and their derivatives are evaluated in closed form at each
+    node (see _jets), and the cap and neck get their exact constant
+    eigenvalues.  The reported extrema are resolved beyond the profile
+    grid (see ProfileCurvature).
     """
-    k_t1, k_t2, k_s, k_m, scalar = _curvature_arrays(
-        profile.r, profile.f1, profile.f2, profile
-    )
+    k_t1, k_t2, k_s, k_m, scalar = _curvature_arrays(profile.r, profile)
     min_eig, s_min, s_max, c_bound = _reported_extrema(profile)
     return ProfileCurvature(
         r=profile.r,

@@ -1,7 +1,8 @@
 """Tests for the pancake profile builder and its curvature control.
 
 The profile is checked against its closed-form regions (exact eigenvalue
-constants on the spherical cap and the neck), the blend is checked for
+constants on the spherical cap and the neck), the blend eigenvalues
+against sympy's derivatives of the same formulas, the blend is checked for
 feasibility and C^2 smoothness, and the reported extrema are checked for
 grid independence and L-uniformity.
 """
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from solshoot import pancake
@@ -99,6 +102,69 @@ def test_neck_region_eigenvalues():
     assert np.all(curv.k_s[neck] == 1.0)
     assert np.all(curv.k_m[neck] == 0.0)
     assert np.all(curv.scalar[neck] == 2.0)
+
+
+def test_neck_eigenvalues_carry_no_negative_zero():
+    prof = pancake.build_profile(10.0)
+    curv = pancake.profile_curvature(prof)
+    neck = prof.r >= 1.5
+    for k in (curv.k_t1, curv.k_t2, curv.k_s, curv.k_m, curv.scalar):
+        assert not np.any(np.signbit(k[neck]))
+
+
+def _sympy_eigenvalues(prof, points):
+    """k_t1, k_t2, k_s, k_m at each point from sympy's derivatives of the
+    profile formulas, with the float inputs taken as exact rationals."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    exact = sp.Rational
+    length = exact(prof.length)
+    a, b = map(exact, prof.f2_window)
+    c, d = map(exact, prof.f1_window)
+    v, w = d - c, b - a
+    s, sig = (x - c) / v, (x - a) / w
+    f1_blend = length - v * (s**3 - s**4 / 2)
+    f2_blend = sp.sin(a) + w * sum(
+        exact(float(k)) * sig ** (i + 1) / (i + 1)
+        for i, k in enumerate(prof.f2_blend_coefs)
+    )
+    out = []
+    for r in points:
+        f1 = length if r <= c else (f1_blend if r < d else length + 1 - x)
+        f2 = sp.sin(x) if r <= a else (f2_blend if r < b else sp.Integer(1))
+        at = {x: exact(r)}
+        f1_0, f1_1, f1_2 = (sp.diff(f1, x, k).subs(at).evalf(30) for k in range(3))
+        f2_0, f2_1, f2_2 = (sp.diff(f2, x, k).subs(at).evalf(30) for k in range(3))
+        out.append(
+            [
+                float(-f1_2 / f1_0),
+                float(-f2_2 / f2_0),
+                float((1 - f2_1**2) / f2_0**2),
+                float(-f1_1 * f2_1 / (f1_0 * f2_0)),
+            ]
+        )
+    return np.array(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    length=st.floats(10.0, 60.0),
+    a=st.floats(0.1, 0.9),
+    b=st.floats(1.6, 1.85),
+    half=st.floats(0.01, 0.9),
+    u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_property_curvature_matches_sympy_derivatives(length, a, b, half, u):
+    blend = pancake.BlendParams(f2_window=(a, b), f1_window=(1.0 - half, 1.0 + half))
+    try:
+        prof = pancake.build_profile(length, blend=blend, grid_n=1000)
+    except BlendInfeasible:
+        assume(False)
+    c, d = prof.f1_window
+    u = np.array(u)
+    r = np.concatenate([a + u * (b - a), c + u * (d - c)])
+    got = np.array(pancake._curvature_arrays(r, prof)[:4]).T
+    assert np.max(np.abs(got - _sympy_eigenvalues(prof, r))) <= 1e-12
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -212,12 +278,15 @@ def test_short_length_rejected():
         pancake.build_profile(9.0)
 
 
-def test_narrow_f1_window_needs_enough_grid_points():
-    # centered and feasible, but only a few grid nodes fall inside
+def test_narrow_f1_window_curvature_is_closed_form():
+    # centered and feasible, with only a few grid nodes inside; at r = 1
+    # (node 100) s = 1/2, so f1'' = -1.5/v and f1 = L - 3v/32
     blend = pancake.BlendParams(f1_window=(0.98, 1.02))
-    prof = pancake.build_profile(10.0, blend=blend, grid_n=1000)
-    with pytest.raises(GridTooCoarse):
-        pancake.profile_curvature(prof)
+    prof = pancake.build_profile(10.0, blend=blend, grid_n=1100)
+    curv = pancake.profile_curvature(prof)
+    assert prof.r[100] == 1.0
+    v = 0.04
+    assert curv.k_t1[100] == pytest.approx(1.5 / (v * (10.0 - 3.0 * v / 32.0)), rel=1e-12)
 
 
 def test_nondefault_feasible_window():
