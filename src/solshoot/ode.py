@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 5(4) integration with dense output and event location.
+"""Adaptive Runge-Kutta integration with dense output and event location.
 
 The integrator is deliberately self-contained: the stepping loop, the blow-up
 guard, the termination bookkeeping and the dense interpolant all live here so
@@ -21,12 +21,25 @@ matching crossing ends the integration.  The trajectory then ends on the
 refined crossing, so ``(t[-1], y[-1])`` is the hit.  :func:`locate_event`
 finds a crossing time on a stored trajectory after the fact.
 
+Two step methods share :func:`integrate`'s one loop, and with it the event
+probes and refinement, the blow-up guard, the terminations and the
+:class:`Trajectory`:
+
+* Dormand-Prince 5(4), explicit, with a quartic dense interpolant;
+* Radau IIA of order 5, implicit and L-stable, taken when the caller passes
+  the Jacobian of the field.  Its constants are those of Hairer & Wanner's
+  RADAU5 code (*Solving Ordinary Differential Equations II*, 2nd ed.,
+  section IV.8), as scipy's ``scipy/integrate/_ivp/radau.py`` writes them,
+  and its step-size and Newton controller is that file's.  Its dense output
+  is the cubic collocation polynomial, stored as a quartic with q3 = 0.
+
 Two stepping loops, :func:`integrate` for one state and
-:func:`integrate_batch` for many lanes in lockstep, share every rule (step
-factor, error norm, blow-up test, crossing test and refinement).  They stay
-two loops because one batched lane costs about 2.5x a scalar step: 282
-against 115 us per step on the round circle-side shot, 290 against 111 us
-on the sphere side (2-core Xeon VM, best of 7 runs).
+:func:`integrate_batch` for many lanes in lockstep (DP5 only), share every
+rule (step factor, error norm, blow-up test, crossing test and
+refinement).  They stay two loops because one batched lane costs about
+2.5x a scalar step: 282 against 115 us per step on the round circle-side
+shot, 290 against 111 us on the sphere side (2-core Xeon VM, best of 7
+runs).
 """
 
 from __future__ import annotations
@@ -93,6 +106,43 @@ _XTOL = 1e-15
 _RTOL = 8.9e-16
 
 ORDER = 5  # propagating order of the pair
+
+# Radau IIA of order 5, 3 stages (Hairer & Wanner, *Solving ODEs II*, IV.8):
+# the constants of their RADAU5 code as scipy's ``radau.py`` writes them.
+# _RC are the nodes, _RE the embedded third-order error weights, _RT/_RTI
+# the transform that splits the collocation system into one real and one
+# complex d x d system with the eigenvalues _MU_REAL, _MU_COMPLEX of A^-1,
+# and _RP the cubic collocation polynomial through the stages.
+_S6 = math.sqrt(6)
+_RC = np.array([(4 - _S6) / 10, (4 + _S6) / 10, 1.0])
+_RE = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1.0]) / 3
+_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+_MU_COMPLEX = 3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3)) - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6))
+_RT = np.array([
+    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+    [1.0, 1.0, 0.0],
+])
+_RTI = np.array([
+    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492],
+])
+# MU_REAL and MU_COMPLEX = a + ib as the real 3 x 3 block of the transformed
+# Newton system: w0 goes with MU_REAL, (w1, w2) with a + ib in real form
+_LAMBDA = np.array([
+    [_MU_REAL, 0.0, 0.0],
+    [0.0, _MU_COMPLEX.real, -_MU_COMPLEX.imag],
+    [0.0, _MU_COMPLEX.imag, _MU_COMPLEX.real],
+])
+_RP = np.array([
+    [13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6],
+    [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6],
+    [1 / 3, -8 / 3, 10 / 3],
+])
+_POWERS = np.array([1, 2, 3])  # of theta in that polynomial
+_RADAU_ORDER = 4  # local order of the embedded estimate: factors go as err^(-1/4)
+_NEWTON_MAXITER = 6
 
 
 @dataclass(frozen=True)
@@ -235,9 +285,10 @@ def _interp(y0, q, h, dt):
     return y0 + (h * theta)[..., None] * acc
 
 
-def _hairer_initial_step(rhs, t0, y0, f0, rtol, atol, span, n_state=None):
+def _hairer_initial_step(rhs, t0, y0, f0, rtol, atol, span, n_state=None, order=ORDER):
     """Standard starting-step heuristic (Hairer, Norsett & Wanner II.4),
-    read on the first ``n_state`` components (default all)."""
+    read on the first ``n_state`` components (default all), for a method
+    whose error estimate has local order ``order``."""
     state = y0[:n_state]
     scale = atol + rtol * np.abs(state)
     d0 = _rms(state / scale)
@@ -248,7 +299,7 @@ def _hairer_initial_step(rhs, t0, y0, f0, rtol, atol, span, n_state=None):
     f1 = rhs(t0 + h0, y1)
     d2 = _rms((f1 - f0)[:n_state] / scale) / h0
     dmax = max(d1, d2)
-    h1 = (0.01 / dmax) ** (1 / ORDER) if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
+    h1 = (0.01 / dmax) ** (1 / order) if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1, span)
 
 
@@ -316,6 +367,141 @@ def _blown_up(y, cfg: IntegratorConfig):
     return ~(np.abs(y).max(axis=-1) < cfg.blowup_norm)
 
 
+class _Radau:
+    """The Radau IIA(5) step of :func:`integrate`, with the controller of
+    scipy's ``radau.py``: a simplified Newton iteration on the collocation
+    system, started from the last step's polynomial, with its
+    convergence-rate test; Jacobian reuse; Gustafsson's predictive step
+    factor; and halving after a Newton failure.
+
+    Newton works on the transformed stage increments W = _RTI Z, whose
+    system splits into a real one, (MU_REAL/h - J) dw0 = g0, and a complex
+    one, (MU_COMPLEX/h - J) (dw1 + i dw2) = g1 + i g2.  Both are kept in
+    real form as one 3d x 3d matrix, Lambda/h (x) I - I (x) J, and its
+    inverse, so each Newton iteration solves with one matrix-vector product
+    (a 4 x 4 ``lu_solve`` costs 10x that).  The inverse is formed again
+    when h or J changes.
+    """
+
+    def __init__(self, rhs, jac, cfg: IntegratorConfig, t, y):
+        self.rhs, self.jac, self.cfg = rhs, jac, cfg
+        self.d = y.size
+        self.lam_i = np.kron(_LAMBDA, np.eye(self.d))  # Lambda (x) I
+        self._take_jac(t, y)
+        self.retry = False  # this step was rejected by its error once already
+        self.h_old = self.err_old = None  # of the last accepted step
+        self.last = None  # (stage increments, dense q (d, 3), h) of that step
+        self.newton_tol = max(10 * np.finfo(float).eps / cfg.rtol, min(0.03, cfg.rtol**0.5))
+        self.n_evals = 0
+
+    def _take_jac(self, t, y):
+        i_j = np.zeros((3, self.d, 3, self.d))  # I (x) J: J on the diagonal blocks
+        i_j[[0, 1, 2], :, [0, 1, 2]] = np.asarray(self.jac(t, y), dtype=float)
+        self.i_j = i_j.reshape(3 * self.d, 3 * self.d)
+        self.fresh_jac = True  # J was taken at the current state
+        self.inv = None  # (h, inverse of Lambda/h (x) I - I (x) J)
+
+    def _inverse(self, h):
+        if self.inv is None or self.inv[0] != h:
+            try:
+                self.inv = (h, np.linalg.inv(self.lam_i / h - self.i_j))
+            except np.linalg.LinAlgError:  # singular: Newton fails and h shrinks
+                self.inv = (h, np.full_like(self.i_j, np.nan))
+        return self.inv[1]
+
+    def _newton(self, t, y, h, z, scale):
+        """(converged, iterations, stage increments Z (3, d), rate)."""
+        inv = self._inverse(h)
+        lam = _LAMBDA / h
+        w = _RTI @ z
+        F = np.empty_like(z)
+        ts = t + h * _RC
+        norm_old = rate = None
+        for k in range(_NEWTON_MAXITER):
+            stages = y + z
+            for i in range(3):
+                F[i] = self.rhs(ts[i], stages[i])
+            self.n_evals += 3
+            dw = (inv @ (_RTI @ F - lam @ w).ravel()).reshape(w.shape)
+            scaled = (dw / scale).ravel()
+            dw_norm = math.sqrt(scaled @ scaled / scaled.size)
+            if not dw_norm < math.inf:  # a stage left the field's domain
+                break
+            if norm_old is not None:
+                rate = dw_norm / norm_old
+                if rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dw_norm > self.newton_tol:
+                    break
+            w = w + dw
+            z = _RT @ w
+            if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < self.newton_tol:
+                return True, k + 1, z, rate
+            norm_old = dw_norm
+        return False, k + 1, z, rate
+
+    def _predict(self, h, err_norm):
+        """Gustafsson's predictive factor (Hairer & Wanner IV.8), before
+        the safety factor."""
+        err_norm = max(err_norm, 1e-10)  # NaN stays NaN
+        mult = 1.0 if self.err_old is None else h / self.h_old * (self.err_old / err_norm) ** (1 / _RADAU_ORDER)
+        return min(1.0, mult) * err_norm ** (-1 / _RADAU_ORDER)
+
+    def step(self, t, y, f, h):
+        """One try at the step from (t, y), f = rhs(t, y), to t + h: the new
+        state, its (d, 4) dense coefficients (q3 = 0) and rhs there, and the
+        next step factor, when accepted; else None and the factor to retry
+        with."""
+        cfg = self.cfg
+        if self.last is None:
+            z0 = np.zeros((3, self.d))
+        else:
+            # the last step's polynomial continued to this step's nodes
+            z_a, q_a, h_a = self.last
+            x = 1.0 + (h / h_a) * _RC
+            z0 = h_a * (x[:, None] ** _POWERS) @ q_a.T - z_a[-1]
+        scale = cfg.atol + cfg.rtol * np.abs(y)
+        while True:
+            converged, n_iter, z, rate = self._newton(t, y, h, z0, scale)
+            if converged or self.fresh_jac:
+                break
+            self._take_jac(t, y)
+        if not converged:
+            return None, 0.5
+
+        y_new = y + z[-1]
+        ze = (_RE @ z) / h
+        inv_real = self.inv[1][:self.d, :self.d]
+        err = inv_real @ (f + ze)
+        err_norm = float(_error_norm(err, y, y_new, cfg))
+        if self.retry and not err_norm <= 1.0:
+            # after a rejection, RADAU5 estimates again from rhs at y + err,
+            # which tames the estimate's overshoot on stiff components
+            err = inv_real @ (self.rhs(t, y + err) + ze)
+            self.n_evals += 1
+            err_norm = float(_error_norm(err, y, y_new, cfg))
+        safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+        if not err_norm <= 1.0:  # NaN rejects too
+            self.retry = True
+            return None, max(0.2, safety * self._predict(h, err_norm))
+
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = min(10.0, safety * self._predict(h, err_norm))
+        if not recompute_jac and factor < 1.2:
+            factor = 1.0  # keep h, and with it the inverse
+        f_new = self.rhs(t + h, y_new)
+        self.n_evals += 1
+        if recompute_jac:
+            self._take_jac(t + h, y_new)
+        else:
+            self.fresh_jac = False
+        # RADAU5's floor on the remembered error keeps a tiny one from
+        # collapsing the next predicted factor
+        self.h_old, self.err_old, self.retry = h, max(err_norm, 1e-2), False
+        q = np.zeros((self.d, 4))
+        q[:, :3] = (z.T @ _RP) / h
+        self.last = (z, q[:, :3], h)
+        return (y_new, q, f_new), factor
+
+
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -324,8 +510,20 @@ def integrate(
     config: Optional[IntegratorConfig] = None,
     event: Optional[Event] = None,
     n_state: Optional[int] = None,
+    jac: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to t_end (forward only).
+
+    Steps with Dormand-Prince 5(4), or, when the Jacobian ``jac(t, y)``
+    (d, d) of rhs is given, with Radau IIA(5) (RADAU5's constants and
+    scipy's controller, see the module docstring).  That implicit step is
+    L-stable, so on a stiff problem its step size follows the solution and
+    not the stiff eigenvalue; each step costs about 8 rhs calls against
+    DP5's 6.  Both steps feed one loop: the same event probes and
+    refinement, blow-up guard, terminations and :class:`Trajectory`.  A
+    Radau segment stores its cubic collocation polynomial in ``dense_q``
+    with q3 = 0.  ``n_rhs_evals`` counts every call of rhs, Newton's
+    included; the calls of jac are not counted.
 
     Stops early at the first matching crossing of ``event`` (the trajectory
     then ends on the refined crossing, termination ``"event"``), on the
@@ -338,7 +536,8 @@ def integrate(
     guard); the others ride along, as the tangent columns of a variational
     system do.  Their presence then leaves the steps, the event times and
     the first n_state components bitwise as they are without them, provided
-    both widths are multiples of 4 (see :func:`integrate_batch`).
+    both widths are multiples of 4 (see :func:`integrate_batch`).  The
+    Radau step takes neither ``n_state`` nor ``fixed_step``.
     """
     cfg = config or IntegratorConfig()
     y = np.array(y0, dtype=float)
@@ -346,6 +545,8 @@ def integrate(
         raise ValueError("y0 must be a 1-d state vector")
     if n_state is not None and not 0 < n_state <= y.size:
         raise ValueError(f"n_state {n_state!r} outside [1, {y.size}]")
+    if jac is not None and (n_state is not None or cfg.fixed_step is not None):
+        raise ValueError("the Radau step (jac given) takes neither n_state nor fixed_step")
     t0 = float(t0)
     t_end = float(t_end)
     if not t_end > t0:
@@ -355,10 +556,12 @@ def integrate(
 
     f = np.asarray(rhs(t0, y), dtype=float)
     n_evals = 1
+    radau = None if jac is None else _Radau(rhs, jac, cfg, t0, y)
     if cfg.fixed_step is not None:
         h = min(cfg.fixed_step, t_end - t0)
     else:
-        h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state)
+        order = ORDER if radau is None else _RADAU_ORDER
+        h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state, order)
         n_evals += 1
 
     ts = [t0]
@@ -384,26 +587,34 @@ def integrate(
             termination = "step_underflow"
             break
 
-        K[0] = f
-        for s in range(1, 6):
-            K[s] = rhs(t + _C[s] * h, y + h * (_A[s] @ K[:s]))
-        y_new = y + h * (_B @ K[:6])
         t_new = t + h
-        K[6] = rhs(t_new, y_new)
-        n_evals += 6
-        state_new = y_new[:n_state]
-
-        factor = 1.0
-        if cfg.fixed_step is None:
-            err = (h * (_E @ K))[:n_state]
-            err_norm = float(_error_norm(err, y[:n_state], state_new, cfg))
-            factor = _step_factor(err_norm)
-            if not err_norm <= 1.0:
+        if radau is not None:
+            accepted, factor = radau.step(t, y, f, h)
+            if accepted is None:
                 n_rejected += 1
                 h *= factor
                 continue
+            y_new, q, f_new = accepted
+        else:
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = rhs(t + _C[s] * h, y + h * (_A[s] @ K[:s]))
+            y_new = y + h * (_B @ K[:6])
+            K[6] = rhs(t_new, y_new)
+            n_evals += 6
 
-        q = K.T @ _P  # (d, 4) dense coefficients over this step
+            factor = 1.0
+            if cfg.fixed_step is None:
+                err = (h * (_E @ K))[:n_state]
+                err_norm = float(_error_norm(err, y[:n_state], y_new[:n_state], cfg))
+                factor = _step_factor(err_norm)
+                if not err_norm <= 1.0:
+                    n_rejected += 1
+                    h *= factor
+                    continue
+            q = K.T @ _P  # (d, 4) dense coefficients over this step
+            f_new = K[6].copy()  # FSAL
+        state_new = y_new[:n_state]
         node_t, node_y = t_new, y_new
         if event is not None:
             seg_eval = _segment(t, y, q, h)
@@ -427,7 +638,7 @@ def integrate(
         hs.append(h)
         if termination == "event":
             break
-        t, y, f = t_new, y_new, K[6].copy()  # FSAL
+        t, y, f = t_new, y_new, f_new
         h *= factor
 
         if _blown_up(state_new, cfg):
@@ -440,7 +651,7 @@ def integrate(
         dense_q=np.array(qs) if qs else np.zeros((0, y.size, 4)),
         dense_h=np.array(hs),
         termination=termination,
-        n_rhs_evals=n_evals,
+        n_rhs_evals=n_evals + (radau.n_evals if radau else 0),
         n_rejected=n_rejected,
     )
 

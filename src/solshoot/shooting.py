@@ -20,18 +20,40 @@ shot carries the derivatives of its state by its parameters (one tangent
 column on the circle side, two on the sphere side) next to the state,
 started from the derivatives of the series launch state.  The tangent
 columns stay out of the step control, so the state part of such a shot is
-bitwise the plain shot's.
+bitwise the plain shot's, as long as both take the DP5 step (see "Stiff
+regime" below).
 
 The sweeps (``sample_curve``, ``sample_surface``, ``scan_domain``) shoot all
 their nodes of one side together, in lockstep through
 ``ode.integrate_batch``, one process.  Every node's result is bit-identical
-to its single shot (``shoot_curve_point``/``shoot_surface_point``), so it
-does not depend on the sweep's size or order; the ``workers`` argument is
-accepted and has no effect.  Only ``sample_curve`` keeps each node's
-trajectory, for its curvature minima.
+to its single DP5 shot, so it does not depend on the sweep's size or order;
+that is ``shoot_curve_point``/``shoot_surface_point`` except for a circle-side
+node in the stiff regime below.  The ``workers`` argument is accepted and has
+no effect.  Only ``sample_curve`` keeps each node's trajectory, for its
+curvature minima.
 
 Failed shots inside sweeps are recorded, not raised: the large-delta1 regime
 legitimately stresses the integrator and the failure boundary is data.
+
+Stiff regime: on the circle side at large delta1, the L1 and L2 equations
+have the eigenvalue -xi while xi is large, and DP5's step is held to its
+stability limit there, so its step count grows linearly in delta1 (3.8k,
+15k and 72k steps to xi = 10 at delta1 = 1e2, 1e3, 1e4).  A plain
+circle-side shot with delta1 >= ``_STIFF_DELTA1`` = 200 therefore takes
+the Radau IIA(5) step of ``ode.integrate``, given the exact Jacobian
+``family_tangent(y, I)``: 3.0k to 4.3k steps to xi = 10 from delta1 = 200
+to 1e6.
+DP5 and Radau cost the same near delta1 = 150 (measured on shots to the
+meet and to xi = 10); 200 leaves a margin.  The route depends on delta1
+alone, never on a runtime test.  Only the plain scalar shot has the Radau
+step.  Newton's tangent-carrying shots, every sweep lane (``integrate_batch``
+is DP5 only), the sphere side and every delta1 below 200 take DP5.  So at
+delta1 >= 200, a ``sample_curve`` node and Newton's F agree with
+``shoot_curve_point`` and ``mismatch`` to within the integration tolerance,
+not bitwise.  Sweeps stay on DP5 because a lockstep DP5 batch amortises its
+per-step cost over the lanes: ``curve --range 200,2000 --n 100`` took
+12.5-15.2 s batched, against 74 s with each node a scalar Radau shot (2-core
+Xeon VM).
 """
 
 from __future__ import annotations
@@ -86,6 +108,10 @@ ROUND_DELTAS = (1 / 18, -7 / 9, 1 / math.sqrt(3))
 _COLLAPSE_L1 = -1e6  # "collapse" stop: L1 falls to this on the circle side,
 _COLLAPSE_R = 1e6  # R rises to this on the sphere side
 _NEWTON_TOL = 1e-7  # Newton converges when |F|_inf < this
+# plain circle-side shots from this delta1 on take ode.integrate's Radau IIA
+# step; see "Stiff regime" in the module docstring
+_STIFF_DELTA1 = 200.0
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -475,12 +501,16 @@ def _failure(side: str, event, t_end: float, last: LaneEnd) -> Optional[str]:
     return None
 
 
-def _shoot(y0, t0: float, side: str, until, cfg: ShootConfig, lam: float, k: int = 0):
+def _shoot(
+    y0, t0: float, side: str, until, cfg: ShootConfig, lam: float, k: int = 0, stiff: bool = False
+):
     """The trajectory of a shot from (t0, y0) under ``until``, with ``k``
-    tangent columns riding along; EventNotReached if it misses the rule."""
+    tangent columns riding along; ``stiff`` takes the Radau step (circle
+    side, no tangent columns).  EventNotReached if it misses the rule."""
     event, t_end = _stop_rule(until, side, cfg.horizon)
     field, n_state = _field(side, lam, k), (4 if k else None)
-    traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), event, n_state)
+    jac = (lambda t, y: family_tangent(y, _EYE4)) if stiff else None
+    traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), event, n_state, jac)
     reason = _failure(side, event, t_end, LaneEnd(traj.t_end, traj.y[-1, :4], traj.termination))
     if reason is not None:
         raise EventNotReached(reason)
@@ -507,7 +537,7 @@ def shoot_curve_point(
     cfg = cfg or ShootConfig()
     check_admissible(delta1=delta1, exploratory=cfg.exploratory)
     t0, y0 = _launch("s1", (delta1,), cfg, lam)
-    traj = _shoot(y0, t0, "s1", until, cfg, lam)
+    traj = _shoot(y0, t0, "s1", until, cfg, lam, stiff=delta1 >= _STIFF_DELTA1)
     return _meet_from(traj.y[-1]), traj
 
 
@@ -542,8 +572,8 @@ def mismatch(
 
 
 def _meet_with_slope(side: str, params: tuple, cfg: ShootConfig):
-    """(L1, L2, R) at the meet of a shot from ``params``, bitwise the plain
-    shot's, and its derivatives by the parameters, (3, len(params)).
+    """(L1, L2, R) at the meet of a DP5 shot from ``params``, bitwise the
+    plain DP5 shot's, and its derivatives by the parameters, (3, len(params)).
 
     The tangent columns Y are integrated with the state.  The meet moves
     with the parameters: xi(t*) = 0 gives dt*/dp = -Y[0] / xi'(y*), so
@@ -559,8 +589,10 @@ def _meet_with_slope(side: str, params: tuple, cfg: ShootConfig):
 
 
 def _mismatch_with_jacobian(p: np.ndarray, cfg: ShootConfig):
-    """F(p), bitwise ``mismatch(*p)``, and its exact Jacobian: one shot per
-    side with its tangent columns."""
+    """F(p) and its exact Jacobian: one DP5 shot per side with its tangent
+    columns.  F is bitwise ``mismatch(*p)`` for delta1 < ``_STIFF_DELTA1``;
+    above, ``mismatch`` shoots the circle side with Radau and the two agree
+    to within the integration tolerance."""
     try:
         m1, dm1 = _meet_with_slope("s1", (p[0],), cfg)
         m2, dm2 = _meet_with_slope("s2", (p[1], p[2]), cfg)
@@ -584,7 +616,9 @@ def find_root(
 
     Every point Newton evaluates costs two shots, one per side, which carry
     the variational equations along: they give F, bitwise ``mismatch`` at
-    that point, and its exact Jacobian (see ``_meet_with_slope``).  Each
+    that point for delta1 < ``_STIFF_DELTA1`` (within the integration
+    tolerance above it, see ``_mismatch_with_jacobian``), and its exact
+    Jacobian (see ``_meet_with_slope``).  Each
     Newton step is halved (up to 20 times) until the residual sup-norm
     decreases, so the residual falls strictly from iterate to iterate.
     Iterates are kept inside the admissible region unless the config is
@@ -657,10 +691,10 @@ def _eig_samples(traj: Trajectory) -> tuple:
 
 def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = False) -> list:
     """Meet shots of many parameter points, in lockstep through
-    ``integrate_batch``.
+    ``integrate_batch``, every one with the DP5 step.
 
     Per point, (meet, trajectory, reason): a failed shot has meet None and
-    the text its single shot would raise as reason; the trajectory is kept
+    the text its single DP5 shot would raise as reason; the trajectory is kept
     only with ``history``.
     """
     out = [None] * len(points)

@@ -73,6 +73,18 @@ def test_shoot_s1_reports_meet(capsys):
     assert l1 < 0.0 < r
 
 
+def test_shoot_s1_at_delta1_1e6_reaches_its_meet(capsys):
+    # the stiff regime: DP5 spun through its whole step budget here
+    start = time.perf_counter()
+    code, out = run(capsys, ["shoot-s1", "--delta1", "1e6"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    meet = [float(v) for v in rows[0][1:5]]
+    assert all(math.isfinite(v) for v in meet)
+    assert elapsed < 15.0
+
+
 def test_exploratory_admits_negative_delta1(capsys):
     code, out = run(capsys, ["shoot-s1", "--delta1", "-0.5", "--exploratory"])
     assert code == 0

@@ -496,3 +496,81 @@ def test_property_riders_outside_the_step_control_leave_the_state_bitwise(
 def test_n_state_outside_the_state_width_is_rejected(n_state):
     with pytest.raises(ValueError):
         integrate(_osc_with_riders, 0.0, [1.0, 0.0, 1.0, 0.0] + [0.0] * 4, 1.0, n_state=n_state)
+
+
+# ------------------------------------------------------- the Radau IIA step
+
+
+def _prothero_robinson(lam, omega=1.0):
+    """y' = -lam (y - cos(omega t)) - omega sin(omega t), whose solution from
+    y(0) = 1 is cos(omega t) for every lam; its Jacobian is the constant -lam."""
+    rhs = lambda t, y: -lam * (y - np.cos(omega * t)) - omega * np.sin(omega * t)
+    return rhs, lambda t, y: np.array([[-lam]])
+
+
+@pytest.mark.parametrize("cfg", [IntegratorConfig(), IntegratorConfig(rtol=1e-6, atol=1e-8)])
+def test_radau_prothero_robinson_matches_closed_form_at_every_stiffness(cfg):
+    steps = {}
+    for lam in (1e2, 1e3, 1e4, 1e5, 1e6):
+        rhs, jac = _prothero_robinson(lam)
+        traj = integrate(rhs, 0.0, [1.0], 10.0, cfg, jac=jac)
+        assert traj.termination == "reached_end"
+        steps[lam] = len(traj.t) - 1
+        # the controller holds the error estimate below atol + rtol |y|.
+        # Radau filters that estimate through (I - h J / MU_REAL)^-1, which
+        # divides the stiff mode by 1 + h lam / MU_REAL, so the error itself
+        # may be that much larger; the problem is contractive, so it does not
+        # accumulate from step to step
+        t, y = traj.t[1:], traj.y[1:, 0]
+        scale = cfg.atol + cfg.rtol * np.abs(np.cos(t))
+        bound = (1.0 + np.diff(traj.t) * lam / ode._MU_REAL) * scale
+        assert np.all(np.abs(y - np.cos(t)) <= bound)
+    # the step count does not grow with the stiffness, as DP5's does
+    assert max(steps.values()) <= 2 * steps[1e2]
+
+
+def test_radau_dense_output_is_cubic_and_node_exact():
+    rhs, jac = _prothero_robinson(1e4, omega=3.0)
+    traj = integrate(rhs, 0.0, [1.0], 5.0, jac=jac)
+    assert traj.dense_q.shape == (len(traj.t) - 1, 1, 4)
+    assert np.all(traj.dense_q[..., 3] == 0.0)
+    assert traj.eval(traj.t).tobytes() == traj.y.tobytes()
+    mid = 0.5 * (traj.t[:-1] + traj.t[1:])
+    assert np.max(np.abs(traj.eval(mid)[:, 0] - np.cos(3.0 * mid))) < 1e-6
+
+
+@pytest.mark.parametrize("direction", [-1, 0])
+def test_radau_event_ends_on_the_level_and_locate_event_finds_it(direction):
+    rhs, jac = _prothero_robinson(1e5, omega=2.0)
+    fn = lambda t, y: y[0] - 0.3
+    traj = integrate(rhs, 0.0, [1.0], 10.0, event=Event(fn, direction), jac=jac)
+    assert traj.termination == "event"
+    t, y = traj.t[-1], traj.y[-1]
+    slope = rhs(t, y)[0]
+    assert abs(y[0] - 0.3) <= abs(slope) * (ode._XTOL + ode._RTOL * abs(t))
+    assert abs(t - math.acos(0.3) / 2.0) < 1e-8
+    found = locate_event(traj, fn, direction)
+    assert abs(found - t) <= ode._XTOL + ode._RTOL * abs(t)
+
+
+def test_radau_takes_neither_riders_nor_fixed_steps():
+    rhs, jac = _prothero_robinson(10.0)
+    with pytest.raises(ValueError, match="Radau"):
+        integrate(rhs, 0.0, [1.0], 1.0, IntegratorConfig(fixed_step=0.1), jac=jac)
+    with pytest.raises(ValueError, match="Radau"):
+        integrate(rhs, 0.0, [1.0], 1.0, n_state=1, jac=jac)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    lam=st.floats(1.0, 1e6),
+    omega=st.floats(0.5, 4.0),
+    level=st.floats(-1.5, 0.9),
+    t_end=st.floats(0.5, 4.0),
+)
+def test_property_radau_reruns_are_bitwise_identical(lam, omega, level, t_end):
+    rhs, jac = _prothero_robinson(lam, omega)
+    event = Event(lambda t, y: y[0] - level, direction=-1)
+    first = integrate(rhs, 0.0, [1.0], t_end, event=event, jac=jac)
+    second = integrate(rhs, 0.0, [1.0], t_end, event=event, jac=jac)
+    assert _trajectory_bytes(first) == _trajectory_bytes(second)

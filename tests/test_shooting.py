@@ -704,3 +704,40 @@ def test_tangent_columns_leave_the_shot_bitwise_unchanged(side, params):
     assert aug.y[:, :4].tobytes() == plain.y.tobytes()
     assert aug.dense_q[:, :4].tobytes() == plain.dense_q.tobytes()
     assert (aug.n_rhs_evals, aug.n_rejected) == (plain.n_rhs_evals, plain.n_rejected)
+
+
+def test_curve_lanes_straddling_the_stiff_threshold_are_dp5_shots(monkeypatch):
+    # node 20 lies below _STIFF_DELTA1 and repeats its single shot bitwise;
+    # node 200's single shot takes Radau, its lane the batch's DP5, so the
+    # lane repeats the scalar DP5 shot bitwise and the single shot's meet to
+    # the integration tolerance.  The sweep's own lanes are recorded to
+    # compare their trajectories too
+    lanes = []
+    record = lambda *args, **kwargs: lanes.extend(_shoot_lanes(*args, **kwargs)) or lanes
+    monkeypatch.setattr(shooting, "_shoot_lanes", record)
+    cfg = ShootConfig()
+    samples = sample_curve((20.0, shooting._STIFF_DELTA1), 2, cfg)
+    assert samples[0].delta1 < shooting._STIFF_DELTA1 == samples[1].delta1
+    for sample, (meet, traj, reason) in zip(samples, lanes, strict=True):
+        w_meet, w_traj, w_status = _single_s1(sample.delta1, cfg)
+        assert sample.status == w_status == _lane_status(reason) == "ok"
+        assert sample.meet == meet
+        assert not np.all(traj.dense_q[..., 3] == 0.0)  # DP5's quartic
+        if sample.delta1 < shooting._STIFF_DELTA1:
+            assert meet == w_meet
+            assert _traj_bytes(traj) == _traj_bytes(w_traj)
+        else:
+            assert np.all(w_traj.dense_q[..., 3] == 0.0)  # Radau's cubic
+            t0, y0 = shooting._launch("s1", (sample.delta1,), cfg)
+            dp5 = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0)
+            assert _traj_bytes(traj) == _traj_bytes(dp5)
+            assert np.max(np.abs(np.subtract(meet, w_meet))) <= 1e-9
+
+
+def test_newton_residual_matches_the_radau_mismatch_in_the_stiff_regime():
+    # from _STIFF_DELTA1 on, mismatch's circle side takes Radau and Newton's
+    # tangent-carrying shot DP5: F agrees with it to the integration
+    # tolerance, not bitwise (7.5e-12 apart here)
+    p = np.array([shooting._STIFF_DELTA1, -0.8, 0.6])
+    F, _ = shooting._mismatch_with_jacobian(p, ShootConfig())
+    assert np.max(np.abs(F - np.array(mismatch(*p)))) <= 1e-9

@@ -282,3 +282,16 @@ def test_compare_reference_against_itself():
 def test_compare_requires_large_parameter():
     with pytest.raises(InadmissibleParameters):
         verify.rescaled_bryant_compare(50.0)
+
+
+def test_trace_trend_continues_to_delta1_1e6(traces):
+    # criterion 9's monotone trend and floors, past its three decades: the
+    # Radau step makes these shots cost about the same at every delta1
+    reps = [traces[d1] for d1 in (1e2, 1e3, 1e4)]
+    reps += [verify.large_delta1_trace(d1) for d1 in (1e5, 1e6)]
+    devs = [abs(1.0 / r.z - 1.0) + abs(r.x) / r.z for r in reps]
+    gaps = [abs(r.d_plus_1) for r in reps]
+    assert all(b < a for a, b in zip(devs, devs[1:]))
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    assert min(r.x_min for r in reps) >= -1e-8
+    assert min(r.e_min for r in reps) >= -1e-6
