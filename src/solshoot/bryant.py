@@ -9,15 +9,15 @@ closed-form envelope bounds this module measures margins against.
 The planar flow is stiff along its tail: the manifold attracts at unit
 rate while the drift along it decays like x^3, so an explicit stepper
 stalls at its stability boundary long before x reaches 1e-6.  The curve
-is therefore integrated in x as the independent variable, and in the gap
-variable u = y - x, whose equation has no cancellation where y hugs x.
+is therefore traced by ``ode.integrate``'s Radau step, in s = -log x so
+that time runs forward, on the scaled gap v = (y - x)/x^3: the gap shrinks
+like x^3 (y = x - 2x^3 near the origin), so v stays near -2.
 """
 
 import math
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import ode
 from .errors import LaunchTooFar
@@ -77,18 +77,19 @@ class SmalltimeReport(NamedTuple):
     x_end: float
 
 
-def _gap_slope(x, u):
-    """du/dx for u = y - x along the planar flow, in cancellation-free
-    polynomial form: numerator y'-x' and denominator x' grouped in (x, u)."""
-    num = (
-        -2.0 * x**3
-        + 2.0 * x**5
-        + u * (-1.0 - 3.0 * x * x + 6.0 * x**4)
-        + u * u * (6.0 * x**3 - x)
-        + 2.0 * x * x * u**3
-    )
-    den = x**3 + u * (1.0 + x * x)
-    return num / den
+def _scaled_gap_field(s, v, jac=False):
+    """dv/ds = 3v - N/(x^2 D), or with ``jac`` its 1 x 1 Jacobian; N/D is
+    the gap slope in (x, v), with no cancellation where y hugs x."""
+    x2 = math.exp(-2.0 * s)
+    x4 = x2 * x2
+    v = float(v[0])
+    a, b, c = 1.0 + 3.0 * x2 - 6.0 * x4, x4 * (6.0 * x2 - 1.0), 2.0 * x4 * x4
+    n = -2.0 + 2.0 * x2 + v * (-a + v * (b + c * v))
+    n_v = -a + v * (2.0 * b + 3.0 * c * v)
+    d = 1.0 + v * (1.0 + x2)
+    if jac:
+        return np.array([[3.0 - (n_v * d - n * (1.0 + x2)) / (x2 * d * d)]])
+    return np.array([3.0 * v - n / (x2 * d)])
 
 
 def bryant_unstable_curve(
@@ -101,35 +102,30 @@ def bryant_unstable_curve(
 
     The launch point sits a distance h along the local expansion
     y = 1/2 - (1-x)/2 + (2/5)(1-x)^2 of the manifold.  Offsets beyond
-    1e-3 leave the expansion's trust region and raise LaunchTooFar, as
-    does leaving the monotone-descent region (x' < 0, y' < 0) en route.
-    With ``verify_launch`` the trace is repeated at h/2 and the two
-    curves must agree to 1e-6 after interpolation to a common x-grid.
-    ``rtol`` is the stiff solver's relative tolerance; its absolute
-    tolerance is fixed at 1e-24, because the gap u shrinks like x^2.  The
-    stepping is delegated to a stiff solver because of the slow-manifold
-    tail.
+    1e-3 leave the expansion's trust region and raise LaunchTooFar, as do
+    a trace that stops short of x = 1e-6 and leaving the monotone-descent
+    region (x' < 0, y' < 0) en route.  With ``verify_launch`` the trace is
+    repeated at h/2 and the two curves must agree to 1e-6 after
+    interpolation to a common x-grid.  ``rtol`` is the Radau step's relative
+    tolerance; its absolute one, 1e-12 on v, is 1e-12 x^3 on y - x.
     """
     if not 0.0 < h <= 1e-3:
         raise LaunchTooFar(f"launch offset h={h:g} outside (0, 1e-3]")
     x0 = 1.0 - h
     u0 = (0.5 - h / 2.0 + _QUAD_COEF * h * h) - x0
     grid = np.geomspace(x0, _X_CUTOFF, _N_NODES)
-    sol = solve_ivp(
-        _gap_slope,
-        (x0, _X_CUTOFF),
-        [u0],
-        method="LSODA",
-        t_eval=grid,
-        rtol=rtol,
-        atol=1e-24,
+    s0, s1 = -math.log(x0), -math.log(_X_CUTOFF)
+    traj = ode.integrate(
+        _scaled_gap_field, s0, [u0 / x0**3], s1, ode.IntegratorConfig(rtol=rtol),
+        jac=lambda s, v: _scaled_gap_field(s, v, jac=True),
     )
-    if sol.status != 0:
-        raise LaunchTooFar(f"trace from h={h:g} failed: {sol.message}")
-    u = sol.y[0]
-    y = grid + u
-    den = grid**3 + u * (1.0 + grid * grid)
-    if np.any(den >= 0.0) or np.any(u >= 0.0) or np.any(np.diff(y) >= 0.0):
+    if traj.termination != "reached_end":
+        raise LaunchTooFar(f"trace from h={h:g} stopped by {traj.termination} at x={math.exp(-traj.t_end):g}")
+    # -log of the geomspace endpoints can round just outside [s0, s1]
+    v = traj.eval(np.clip(-np.log(grid), s0, s1))[:, 0]
+    y = grid + v * grid**3
+    # x' < 0 where D = 1 + v (1 + x^2) < 0, which also puts y below x
+    if np.any(1.0 + v * (1.0 + grid * grid) >= 0.0) or np.any(np.diff(y) >= 0.0):
         raise LaunchTooFar(f"trace from h={h:g} left the monotone-descent region")
     curve = BryantCurve(grid, y, h, _EIG_DIRECTION)
     if verify_launch:

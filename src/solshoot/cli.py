@@ -350,8 +350,8 @@ def _cmd_verify_delta3(args, cfg):
 def _cmd_verify_bryant(args, cfg):
     if args.tol_abs is not None:
         raise ValueError(
-            "verify-bryant does not take --tol-abs: its trace fixes the absolute "
-            "tolerance at 1e-24, because the gap it follows shrinks like x^2"
+            "verify-bryant does not take --tol-abs: its trace fixes it at 1e-12 on "
+            "the scaled gap (y - x)/x^3, because the gap y - x shrinks like x^3"
         )
     curve = bryant.bryant_unstable_curve(args.launch_offset, rtol=args.tol_rel)
     fb = bryant.verify_f_bounds(curve)

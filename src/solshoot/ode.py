@@ -1,9 +1,9 @@
 """Adaptive Runge-Kutta integration with dense output and event location.
 
-The integrator is deliberately self-contained: the stepping loop, the blow-up
-guard, the termination bookkeeping and the dense interpolant all live here so
-that a trajectory is a plain, reproducible value object.  Running the same
-integration twice produces bit-identical arrays.
+The integrator is self-contained: the stepping loop, the blow-up guard, the
+termination bookkeeping and the dense interpolant all live here, so that a
+trajectory is a plain, reproducible value object, bit-identical on a rerun.
+Every ODE of the package steps through it, ``bryant``'s trace included.
 
 Conventions
 -----------
@@ -32,6 +32,7 @@ probes and refinement, the blow-up guard, the terminations and the
   section IV.8), as scipy's ``scipy/integrate/_ivp/radau.py`` writes them,
   and its step-size and Newton controller is that file's.  Its dense output
   is the cubic collocation polynomial, stored as a quartic with q3 = 0.
+  The stiff circle-side shots and ``bryant``'s trace take it.
 
 Two stepping loops, :func:`integrate` for one state and
 :func:`integrate_batch` for many lanes in lockstep (DP5 only), share every
@@ -63,7 +64,7 @@ __all__ = [
 
 # Dormand & Prince (1980) 5(4) pair.  C/A/B are the classical tableau; E is
 # the difference between the 5th- and 4th-order weights; P gives the quartic
-# dense-output interpolant (Shampine's coefficients, the ode45/solve_ivp one).
+# dense-output interpolant (Shampine's coefficients, as in MATLAB's ode45).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _A = (
     np.array([]),
@@ -151,7 +152,8 @@ class IntegratorConfig:
 
     ``fixed_step`` disables adaptivity entirely (every step is accepted with
     the given size); it exists for convergence-order measurements and should
-    not be used in production runs.
+    not be used in production runs.  ``rtol`` is at least 100 eps, scipy's
+    floor; below it the Radau Newton tolerance 10 eps / rtol exceeds 0.1.
     """
 
     rtol: float = 1e-10
@@ -165,6 +167,8 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.rtol < 100 * np.finfo(float).eps:
+            raise ValueError(f"rtol must be at least 100 eps = 2.22e-14, got {self.rtol!r}")
 
 
 @dataclass(frozen=True)

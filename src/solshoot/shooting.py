@@ -28,9 +28,9 @@ their nodes of one side together, in lockstep through
 ``ode.integrate_batch``, one process.  Every node's result is bit-identical
 to its single DP5 shot, so it does not depend on the sweep's size or order;
 that is ``shoot_curve_point``/``shoot_surface_point`` except for a circle-side
-node in the stiff regime below.  The ``workers`` argument is accepted and has
-no effect.  Only ``sample_curve`` keeps each node's trajectory, for its
-curvature minima.
+node in the stiff regime below.  ``scan_domain`` still accepts a ``workers``
+argument, with no effect, because the benchmark's scan workload passes it.
+Only ``sample_curve`` keeps each node's trajectory, for its curvature minima.
 
 Failed shots inside sweeps are recorded, not raised: the large-delta1 regime
 legitimately stresses the integrator and the failure boundary is data.
@@ -734,13 +734,12 @@ def sample_curve(
     d1_range: Sequence[float],
     n: int,
     cfg: Optional[ShootConfig] = None,
-    workers: int = 1,
 ) -> list:
     """Log-uniform sweep of the circle-side meet map over ``d1_range``.
 
     Each record carries the MeetPoint and the per-eigenvalue trajectory
     minima; failed shots keep their slot with the failure reason in
-    ``status``.  ``workers`` has no effect (see the module docstring).
+    ``status``.
     """
     cfg = cfg or ShootConfig()
     lo, hi = float(d1_range[0]), float(d1_range[1])
@@ -764,10 +763,8 @@ def sample_surface(
     n2: int,
     n3: int,
     cfg: Optional[ShootConfig] = None,
-    workers: int = 1,
 ) -> list:
-    """Uniform n2 x n3 sweep of the sphere-side meet map.  ``workers`` has
-    no effect (see the module docstring)."""
+    """Uniform n2 x n3 sweep of the sphere-side meet map."""
     cfg = cfg or ShootConfig()
     if n2 < 2 or n3 < 2:
         raise ValueError("need at least a 2 x 2 grid")

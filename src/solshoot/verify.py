@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import bryant, fields, ode
@@ -225,6 +224,9 @@ def delta3_integral_check() -> Delta3Report:
     first term (a = 1/40); the oracle is adaptive quadrature.  The value
     exceeding 1 is what pins the parameter window.
     """
+    # imported here, so that ``import solshoot`` does not load scipy.integrate
+    from scipy.integrate import quad
+
     a = 1.0 / 40.0
 
     def first_anti(s):

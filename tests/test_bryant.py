@@ -1,6 +1,9 @@
 """Tests for the steady-soliton reference curves and bound checks."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +31,21 @@ def test_curve_spans_cutoff_with_unit_tail_ratio(curve):
     assert curve.interp(1e-4) / 1e-4 == pytest.approx(1.0, abs=1e-2)
     assert curve.interp(1e-4) / 1e-4 == pytest.approx(1.0 - 2e-8, abs=1e-12)
     assert curve.y[-1] / curve.x[-1] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_gap_converges_with_tolerance(curve):
+    # the gap y - x, of size 2x^3 on the tail, is traced to a relative
+    # accuracy that holds down to x = 1e-4, not to an absolute one
+    tight = bryant.bryant_unstable_curve(rtol=1e-12)
+    tail = curve.x >= 1e-4
+    gap, gap_tight = (curve.y - curve.x)[tail], (tight.y - tight.x)[tail]
+    assert np.max(np.abs(gap / gap_tight - 1.0)) < 1e-9
+
+
+def test_import_does_not_load_scipy_integrate():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bryant.__file__)))
+    code = "import sys, solshoot; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_halving_agreement(curve):

@@ -387,8 +387,17 @@ def test_inadmissible_parameter_exits_64(tmp_path, monkeypatch, capsys):
         ["shoot-s1", "--exploratory", "--delta1", "nan"],
         ["shoot-s2", "--delta2", "nan", "--delta3", "0.5"],
         ["shoot-s1", "--delta1", "1", "--tol-rel", "-1"],
+        ["shoot-s1", "--delta1", "1000", "--tol-rel", "1e-20"],
+        ["verify-bryant", "--tol-rel", "-1"],
     ],
-    ids=["delta1-nan", "exploratory-delta1-nan", "delta2-nan", "negative-tol-rel"],
+    ids=[
+        "delta1-nan",
+        "exploratory-delta1-nan",
+        "delta2-nan",
+        "negative-tol-rel",
+        "tol-rel-below-floor",
+        "bryant-negative-tol-rel",
+    ],
 )
 def test_bad_numbers_fail_fast_with_64(capsys, argv):
     start = time.perf_counter()
