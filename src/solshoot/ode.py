@@ -34,19 +34,18 @@ probes and refinement, the blow-up guard, the terminations and the
   is the cubic collocation polynomial, stored as a quartic with q3 = 0.
   The stiff circle-side shots and ``bryant``'s trace take it.
 
-Two stepping loops, :func:`integrate` for one state and
-:func:`integrate_batch` for many lanes in lockstep (DP5 only), share every
-rule (step factor, error norm, blow-up test, crossing test and
-refinement).  They stay two loops because one batched lane costs about
-2.5x a scalar step: 282 against 115 us per step on the round circle-side
-shot, 290 against 111 us on the sphere side (2-core Xeon VM, best of 7
-runs).
+:func:`integrate_batch` makes the DP5 tries of many lanes in lockstep,
+and only that: every lane ends in :func:`integrate`'s loop, which resumes
+from the lane's state (and the try just made from it).  So one loop
+decides why every trajectory stops, refines every crossing, counts the
+rhs calls and builds every :class:`Trajectory`.  The last lane of a batch
+goes on in that loop too, at the cost of a single shot's step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -506,6 +505,32 @@ class _Radau:
         return (y_new, q, f_new), factor
 
 
+def _dp5_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state=None):
+    """One try at the DP5 step from (t, y), f = rhs(t, y), to t + h, in the
+    form of :meth:`_Radau.step`: the new state, its (d, 4) dense
+    coefficients and rhs there, and the next step factor, when accepted;
+    else None and the factor to retry with.  Six calls of rhs."""
+    K = np.empty((7, y.size))
+    K[0] = f
+    for s in range(1, 6):
+        K[s] = rhs(t + _C[s] * h, y + h * (_A[s] @ K[:s]))
+    y_new = y + h * (_B @ K[:6])
+    K[6] = rhs(t + h, y_new)
+    factor = 1.0
+    if cfg.fixed_step is None:
+        err = (h * (_E @ K))[:n_state]
+        err_norm = float(_error_norm(err, y[:n_state], y_new[:n_state], cfg))
+        factor = _step_factor(err_norm)
+        if not err_norm <= 1.0:
+            return None, factor
+    return (y_new, K.T @ _P, K[6]), factor
+
+
+def _blown_start(t0, y) -> Trajectory:
+    """The trajectory of a start state that the blow-up guard stops at once."""
+    return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, 4)), np.zeros(0), "blowup")
+
+
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
@@ -556,29 +581,27 @@ def integrate(
     if not t_end > t0:
         raise ValueError("integration is forward only: t_end must exceed t0")
     if _blown_up(y[:n_state], cfg):  # stepping on would only spin through the step budget
-        return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, 4)), np.zeros(0), "blowup")
+        return _blown_start(t0, y)
 
     f = np.asarray(rhs(t0, y), dtype=float)
-    n_evals = 1
     radau = None if jac is None else _Radau(rhs, jac, cfg, t0, y)
     if cfg.fixed_step is not None:
-        h = min(cfg.fixed_step, t_end - t0)
+        h, n_evals = min(cfg.fixed_step, t_end - t0), 1
     else:
         order = ORDER if radau is None else _RADAU_ORDER
         h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state, order)
-        n_evals += 1
-
-    ts = [t0]
-    ys = [y.copy()]
-    qs: list[np.ndarray] = []
-    hs: list[float] = []
+        n_evals = 2
     g_prev = event.fn(t0, y) if event is not None else None
+    return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, n_evals)
 
-    t = t0
+
+def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, n_rejected, n_evals, step=None):
+    """:func:`integrate`'s loop, resumed at the node (t, y) with f = rhs(t, y),
+    the step size h to try next, the event function g_prev there, and the
+    tries, rejections and rhs calls so far; ``step``, a DP5 try already
+    made from there with h, is taken as the first.  The trajectory on."""
+    ts, ys, qs, hs = [t], [y.copy()], [], []
     termination = "reached_end"
-    n_rejected = 0
-    n_steps = 0
-    K = np.empty((7, y.size))
     tiny = 10 * np.finfo(float).eps
 
     while t < t_end:
@@ -591,33 +614,18 @@ def integrate(
             termination = "step_underflow"
             break
 
-        t_new = t + h
         if radau is not None:
             accepted, factor = radau.step(t, y, f, h)
-            if accepted is None:
-                n_rejected += 1
-                h *= factor
-                continue
-            y_new, q, f_new = accepted
         else:
-            K[0] = f
-            for s in range(1, 6):
-                K[s] = rhs(t + _C[s] * h, y + h * (_A[s] @ K[:s]))
-            y_new = y + h * (_B @ K[:6])
-            K[6] = rhs(t_new, y_new)
+            accepted, factor = _dp5_step(rhs, t, y, f, h, cfg, n_state) if step is None else step
+            step = None
             n_evals += 6
-
-            factor = 1.0
-            if cfg.fixed_step is None:
-                err = (h * (_E @ K))[:n_state]
-                err_norm = float(_error_norm(err, y[:n_state], y_new[:n_state], cfg))
-                factor = _step_factor(err_norm)
-                if not err_norm <= 1.0:
-                    n_rejected += 1
-                    h *= factor
-                    continue
-            q = K.T @ _P  # (d, 4) dense coefficients over this step
-            f_new = K[6].copy()  # FSAL
+        if accepted is None:
+            n_rejected += 1
+            h *= factor
+            continue
+        y_new, q, f_new = accepted
+        t_new = t + h
         state_new = y_new[:n_state]
         node_t, node_y = t_new, y_new
         if event is not None:
@@ -668,8 +676,6 @@ class LaneEnd(NamedTuple):
     termination: str
 
 
-# A loop of its own, not integrate's: one batched lane costs about 2.5x a
-# scalar step (module docstring), which single shots (Newton, traces) would pay.
 def integrate_batch(
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     t0,
@@ -683,10 +689,20 @@ def integrate_batch(
 
     Lane i starts at (t0[i], y0[i]) and runs to t_end or to the first
     crossing of ``event``, which all lanes share.  Each lane has its own
-    step size and accept/reject decision, and a lane that stops leaves the
-    batch.  ``rhs(t, y)`` takes t of shape (m,) and y of shape (m, d) and
-    returns the m derivative rows.  The event's ``fn`` is called once per
-    step on the probes of every lane, as :class:`Event` describes.
+    step size and accept/reject decision.  ``rhs(t, y)`` takes t of shape
+    (m,) and y of shape (m, d) and returns the m derivative rows; it also
+    takes one lane as :func:`integrate` passes it, a float t and y of shape
+    (d,).  The event's ``fn`` is called once per step on the probes of
+    every lane, as :class:`Event` describes.
+
+    The batch makes the DP5 tries of all lanes together, and every lane
+    ends in :func:`integrate`'s loop, which alone decides why it stops.  A
+    lane leaves the batch for that loop before a step that the loop would
+    not take (t_end, the step budget, a step underflow), after an accepted
+    step that crosses the event or blows up (the loop takes that step as
+    its first, so it is not made twice), or when it is the last lane left.
+    That last lane steps at a single shot's cost there (a lone delta1 =
+    300 circle-side lane: 1.02x, against 2.6x left in the batch).
 
     Every lane repeats the arithmetic of :func:`integrate` bit for bit, so
     its result does not depend on the batch size or on the other lanes.
@@ -711,10 +727,9 @@ def integrate_batch(
     if not np.all(t_end > t0):
         raise ValueError("integration is forward only: t_end must exceed every t0")
     n_lanes, d = y0.shape
-    # per lane (t, y, termination, rhs evaluations) of its final node
-    ends = [None] * n_lanes
+    tails = [None] * n_lanes  # per lane, its trajectory from integrate's loop
     n_rejected = np.zeros(n_lanes, dtype=int)
-    # per step, the accepted nodes: (lane ids, t, y, dense_q, dense_h)
+    # per step, the accepted steps by their left nodes: (lane ids, t, y, dense_q, dense_h)
     log = [(np.zeros(0, int), np.zeros(0), np.zeros((0, d)), np.zeros((0, d, 4)), np.zeros(0))]
     n_steps = 0  # steps tried by every lane still in the batch
     tiny = 10 * np.finfo(float).eps
@@ -722,42 +737,37 @@ def integrate_batch(
     # the blow-up guard on the initial state, as in ``integrate``
     blown = _blown_up(y0, cfg)
     for i in np.flatnonzero(blown).tolist():
-        ends[i] = (float(t0[i]), y0[i].copy(), "blowup", 0)
+        tails[i] = _blown_start(t0[i], y0[i])
     lane = np.flatnonzero(~blown)
     t, y = t0[lane], y0[lane]
     f = rhs(t, y)
-
-    def lane_rhs(tt, yy):
-        return rhs(np.array([tt]), yy[None])[0]
-
     h = np.array([
-        _hairer_initial_step(lane_rhs, t[i], y[i], f[i], cfg.rtol, cfg.atol, t_end - t[i])
+        _hairer_initial_step(rhs, t[i], y[i], f[i], cfg.rtol, cfg.atol, t_end - t[i])
         for i in range(lane.size)
     ])
     g_prev = event.fn(t, y.T)
 
-    def finish(mask, t, y, why):
-        for i in np.flatnonzero(mask).tolist():
-            reason = why if isinstance(why, str) else str(why[i])
-            ends[lane[i]] = (float(t[i]), y[i].copy(), reason, 2 + 6 * n_steps)
-
-    def drop(mask):
+    def hand_off(mask, step=None):
+        # from the state before the step, with the step's accepted try if made
         nonlocal lane, t, y, f, h, g_prev
+        for i in np.flatnonzero(mask).tolist():
+            tried = None if step is None else ((step[0][i], step[1][i], step[2][i]), float(step[3][i]))
+            tails[lane[i]] = _steps(
+                rhs, t_end, cfg, event, None, None, float(t[i]), y[i], f[i], float(h[i]),
+                float(g_prev[i]), n_steps, int(n_rejected[lane[i]]), 2 + 6 * n_steps, tried,
+            )
         keep = ~mask
         lane, t, y, f, h, g_prev = lane[keep], t[keep], y[keep], f[keep], h[keep], g_prev[keep]
 
     while lane.size:
-        # the checks before a step, in ``integrate``'s order
         h = np.minimum(h, t_end - t)
-        ended = ~(t < t_end)
-        spent = n_steps >= cfg.max_steps
-        stop = ended | spent | (h < tiny * np.maximum(np.abs(t), 1.0))
-        if stop.any():
-            late = "max_steps" if spent else "step_underflow"
-            finish(stop, t, y, np.where(ended, "reached_end", late))
-            drop(stop)
+        # before a step that integrate's loop would not take, and the last
+        # lane left, which steps as cheaply there as a single shot
+        leave = ~(t < t_end) | (n_steps >= cfg.max_steps) | (lane.size == 1)
+        leave |= h < tiny * np.maximum(np.abs(t), 1.0)
+        if leave.any():
+            hand_off(leave)
             continue
-        n_steps += 1
 
         # the stages of all lanes side by side: each stage sum is one
         # vector-matrix product, bitwise the per-lane ``_A[s] @ K[:s]``
@@ -769,8 +779,7 @@ def integrate_batch(
         for s in range(1, 6):
             K3[s] = rhs(t + _C[s] * h, y + hc * (_A[s] @ K[:s]).reshape(n, d))
         y_new = y + hc * (_B @ K[:6]).reshape(n, d)
-        t_new = t + h
-        K3[6] = rhs(t_new, y_new)
+        K3[6] = rhs(t + h, y_new)
 
         err_norm = _error_norm(hc * (_E @ K).reshape(n, d), y, y_new, cfg)
         ok = err_norm <= 1.0
@@ -783,56 +792,35 @@ def integrate_batch(
         probe_y = _interp(y[:, None], q[:, None], hc, probe_t - t[:, None])
         probe_y[:, -1] = y_new  # the last probe is t_new
         g = event.fn(probe_t.ravel(), probe_y.reshape(-1, d).T).reshape(n, 4)
-        walk_t, walk_g = np.column_stack((t, probe_t)), np.column_stack((g_prev, g))
-        g_prev = np.where(ok, walk_g[:, -1], g_prev)
-        first = np.where(ok, _crossing_index(walk_g, event.direction), -1)
-
-        hit = first >= 0
-        node_t, node_y = t_new.copy(), y_new.copy()
-        for i in np.flatnonzero(hit).tolist():
-            seg_eval = _segment(t[i], y[i], q[i], h[i])
-            node_t[i] = _refine_crossing(seg_eval, event.fn, walk_t[i], walk_g[i], first[i])
-            if node_t[i] != t_new[i]:
-                node_y[i] = seg_eval(node_t[i])
+        walk_g = np.column_stack((g_prev, g))
+        end = ok & (_crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1) | _blown_up(y_new, cfg))
+        go = ok & ~end
         if history:
-            log.append((lane[ok], node_t[ok], node_y[ok], q[ok], h[ok]))
-        finish(hit, node_t, node_y, "event")
-
-        go = ok & ~hit
-        t = np.where(go, t_new, t)
+            log.append((lane[go], t[go], y[go], q[go], h[go]))
+        t = np.where(go, t + h, t)
         y = np.where(go[:, None], y_new, y)
         f = np.where(go[:, None], K3[6], f)
-        h = h * factor
-        blow = go & _blown_up(y, cfg)
-        finish(blow, t, y, "blowup")
-        if (hit | blow).any():
-            drop(hit | blow)
+        g_prev = np.where(go, g[:, -1], g_prev)
+        h = np.where(end, h, h * factor)
+        hand_off(end, (y_new, q, K3[6], factor))
+        n_steps += 1
 
     if not history:
-        return [LaneEnd(t_i, y_i, why) for t_i, y_i, why, _ in ends]
-    return _assemble(t0, y0, ends, log, n_rejected)
+        return [LaneEnd(tail.t_end, tail.y[-1], tail.termination) for tail in tails]
+    return _assemble(tails, log)
 
 
-def _assemble(t0, y0, ends, log, n_rejected) -> list:
-    """Per-lane trajectories from the accepted nodes logged by the batch."""
-    ids, ts, ys, qs, hs = (np.concatenate(parts) for parts in zip(*log))
+def _assemble(tails, log) -> list:
+    """Per lane, the steps it took in the batch, logged by their left
+    nodes, followed by its tail from integrate's loop."""
+    ids, *logged = (np.concatenate(parts) for parts in zip(*log))
     order = np.argsort(ids, kind="stable")
-    bounds = np.searchsorted(ids[order], np.arange(len(ends) + 1))
-    out = []
-    for i, (_, _, why, n_evals) in enumerate(ends):
-        rows = order[bounds[i]:bounds[i + 1]]
-        out.append(
-            Trajectory(
-                t=np.concatenate(([t0[i]], ts[rows])),
-                y=np.concatenate((y0[i][None], ys[rows])),
-                dense_q=qs[rows],
-                dense_h=hs[rows],
-                termination=why,
-                n_rhs_evals=n_evals,
-                n_rejected=int(n_rejected[i]),
-            )
-        )
-    return out
+    bounds = np.searchsorted(ids[order], np.arange(len(tails) + 1))
+    names = ("t", "y", "dense_q", "dense_h")
+    return [
+        replace(tail, **{k: np.concatenate((v[order[a:b]], getattr(tail, k))) for k, v in zip(names, logged)})
+        for tail, a, b in zip(tails, bounds[:-1], bounds[1:])
+    ]
 
 
 def locate_event(

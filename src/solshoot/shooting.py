@@ -25,7 +25,8 @@ regime" below).
 
 The sweeps (``sample_curve``, ``sample_surface``, ``scan_domain``) shoot all
 their nodes of one side together, in lockstep through
-``ode.integrate_batch``, one process.  Every node's result is bit-identical
+``ode.integrate_batch``, one process; the last node left goes on alone in
+``ode.integrate``'s loop.  Every node's result is bit-identical
 to its single DP5 shot, so it does not depend on the sweep's size or order;
 that is ``shoot_curve_point``/``shoot_surface_point`` except for a circle-side
 node in the stiff regime below.  ``scan_domain`` still accepts a ``workers``
@@ -53,7 +54,7 @@ delta1 >= 200, a ``sample_curve`` node and Newton's F agree with
 not bitwise.  Sweeps stay on DP5 because a lockstep DP5 batch amortises its
 per-step cost over the lanes: ``curve --range 200,2000 --n 100`` took
 12.5-15.2 s batched, against 74 s with each node a scalar Radau shot (2-core
-Xeon VM).
+Xeon VM).  The last lane, which leaves the batch, stays on DP5 too.
 """
 
 from __future__ import annotations
@@ -713,7 +714,8 @@ def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = Fals
         return out
     event, t_end = _stop_rule("meet", side, cfg.horizon)
     field = _field(side, 1.0)
-    # the batch passes states as rows; the field reads them as columns
+    # the batch passes states as rows, or one state as a single shot does;
+    # the field reads them as columns
     ends = integrate_batch(
         lambda t, y: field(t, y.T).T, t0s, y0s, t_end, event, cfg.integrator(), history
     )
@@ -806,7 +808,8 @@ def scan_domain(
     from a zero at this resolution, one above it is a certified non-zero at
     the visited nodes.  Failed shots enter as +inf and are excluded from
     minima and from the bound; ``failures`` lists them, with their reasons,
-    over the requested box only.  Every box bound must be finite.
+    over the requested box only.  Every box bound must be finite, with
+    lo < hi on each axis, as ``region_contains`` reads the axes ascending.
     ``workers`` has no effect (see the module docstring).
     """
     cfg = cfg or ShootConfig()
@@ -817,6 +820,8 @@ def scan_domain(
         raise ValueError("resolution must be >= 2 per axis")
     _check_finite_bounds(*box)
     (a1, b1), (a2, b2), (a3, b3) = box
+    if not (a1 < b1 and a2 < b2 and a3 < b3):
+        raise ValueError(f"every box axis needs lo < hi, got {box!r}")
     d1s = np.linspace(a1, b1, n1)
     d2s = np.linspace(a2, b2, n2)
     d3s = np.linspace(a3, b3, n3)

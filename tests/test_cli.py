@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -5,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solshoot import cli
 from solshoot.errors import EventNotReached
@@ -414,6 +418,7 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         (["root", "--guess", "nan,-0.8,0.6"], 64),
         (["root", "--guess=-0.1,-0.8,0.6"], 64),
         (["scan", "--box", "0,1,-1,0,0,nan", "--resolution", "3"], 64),
+        (["scan", "--box", "10,0,0,-1,40,0", "--resolution", "8"], 64),
         (["curve", "--range", "1,inf", "--n", "2"], 64),
         (["surface", "--d2-range=-1,nan", "--n2", "2", "--n3", "2"], 64),
         (["shoot-s1", "--delta1", "1e160"], 2),
@@ -423,6 +428,7 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         "root-nan-guess",
         "root-negative-guess",
         "scan-nan-bound",
+        "scan-reversed-box",
         "curve-inf-bound",
         "surface-nan-bound",
         "s1-huge-delta1",
@@ -444,6 +450,60 @@ def test_bad_input_fails_fast_with_error_record(tmp_path, monkeypatch, capsys, a
     assert columns == ("error", "message")
     assert "Traceback" not in captured.err
     assert "np.float64" not in rows[0][1]
+
+
+# the cheap subcommands, each with its own flags at valid values; common
+# flags are drawn on top.  Values are passed as --flag=value, so "-1" stays
+# a value
+_FUZZ_COMMANDS = {
+    "shoot-s1": {"--delta1": "0.1"},
+    "shoot-s2": {"--delta2": "-0.5", "--delta3": "0.7"},
+    "mismatch": {"--delta1": "0.1", "--delta2": "-0.5", "--delta3": "0.7"},
+    "verify-delta3": {},
+    "pancake-build": {"--grid-n": "1000", "--length": "3", "--f2-window": "0.5,1.5", "--f1-window": "0.5,1.5"},
+}
+_FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "-1e300", "abc", "", "1,2", "0.5", "1"]
+# the slowest call seen takes 0.1 s (a valid mismatch)
+_FUZZ_CALL_S = 5.0
+
+
+def _assert_documented_exit(argv, out):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, f"--out={out}"])
+    assert code in (0, 1, 2, 64), argv
+    assert time.perf_counter() - start < _FUZZ_CALL_S, argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+@st.composite
+def _fuzz_argv(draw):
+    sub = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    common = st.sampled_from(["--tol-rel", "--tol-abs", "--t-eps", "--workers", "--format"])
+    flags = dict(_FUZZ_COMMANDS[sub])
+    value = st.sampled_from(_FUZZ_VALUES)
+    for flag in [*flags, *draw(st.lists(common, unique=True, max_size=2))]:
+        if flag != "--grid-n":
+            flags[flag] = draw(value) + (f",{draw(value)}" if flag.endswith("-window") else "")
+    argv = [sub, *(f"{flag}={v}" for flag, v in flags.items())]
+    return argv + ["--exploratory"] if draw(st.booleans()) else argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_fuzz_argv())
+def test_property_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, argv):
+    _assert_documented_exit(argv, tmp_path_factory.getbasetemp() / "fuzz.csv")
+
+
+def test_cli_fuzz_each_flag_value_alone(tmp_path):
+    # every fuzz value in each flag of its own, the others valid: random
+    # draws alone hit a given (flag, value) pair only now and then
+    for sub, flags in _FUZZ_COMMANDS.items():
+        for flag in [*flags, "--tol-rel", "--t-eps"]:
+            for v in _FUZZ_VALUES:
+                argv = [sub, *(f"{f}={x}" for f, x in {**flags, flag: v}.items())]
+                _assert_documented_exit(argv, tmp_path / "fuzz.csv")
 
 
 @pytest.mark.parametrize("subcommand", ["pancake-build", "pancake-curvature"])

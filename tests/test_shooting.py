@@ -1,6 +1,7 @@
 """Tests for the two-sided shooting map, its root finder, and parameter sweeps."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -240,6 +241,32 @@ def test_meet_insensitive_to_series_handoff_depth():
         assert np.max(np.abs(meet_array(a) - meet_array(b))) < bound
 
 
+# The series carry their t^3 terms and omit t^5 (all four functions are odd
+# in t; on the sphere side R is even and omits s^6).  A launch error of
+# order c t0^5 lies along a parameter direction that vanishes like t (the
+# start tangents), so it moves the parameter, and the meet, by about c t0^4:
+# 1e-12 c at t0 = 1e-3, at most 1e-9 over this box, where the coefficients
+# grow like delta1^3 <= 1e3.  The launch's rounding adds a floor the same
+# way: components of size 2/t0 round by 2u/t0, seen as 2u/t0^2 = 9e-10 at
+# t0 = 5e-4.  The worst of 80 random points was 3.2e-9; the bound is 1e-8,
+# the 10 t_eps^3 of the fixed points above.  The order-1 series, which
+# omits t^3, moved the meet by up to 3.4e-8 (circle) and 1.1e-6 (sphere).
+_HALVING_BOUND = 1e-8
+
+
+@settings(max_examples=5, deadline=None)
+@given(d1=st.floats(0.0, 10.0), d2=st.floats(-1.0, 0.0), d3=st.floats(0.0, 2.0))
+def test_property_meet_converges_as_the_series_handoff_halves(d1, d2, d3):
+    def meets(shoot, *params):
+        return [
+            meet_array(shoot(*params, ShootConfig(t_eps=eps, rtol=1e-12))[0])
+            for eps in (1e-3, 5e-4)
+        ]
+
+    for a, b in (meets(shoot_curve_point, d1), meets(shoot_surface_point, d2, d3)):
+        assert np.max(np.abs(a - b)) < _HALVING_BOUND
+
+
 def test_meet_autonomy_invariance():
     # shifting the launch time leaves the meet state untouched
     y0 = np.array(s1_series_state(ROUND_DELTAS[0], 1e-4))
@@ -397,6 +424,20 @@ def test_scan_coarse_default_box_contains_root():
     assert g.value == min(m.value for m in res.minima)
     assert res.region_contains(g, *ROUND_DELTAS)
     assert g.value < res.grid_bound
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("reverse", [True, False], ids=["reversed", "empty"])
+def test_scan_rejects_a_box_axis_without_lo_below_hi(axis, reverse):
+    # on the reversed box ((10, 0), (0, -1), (40, 0)) at resolution 8 the
+    # reported minimum's region missed ROUND_DELTAS, although the forward
+    # box's holds it; the box is now refused before any shot
+    box = [list(lo_hi) for lo_hi in DEFAULT_SCAN_BOX]
+    box[axis] = box[axis][::-1] if reverse else [box[axis][0]] * 2
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="lo < hi"):
+        scan_domain(box, 3)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_scan_box_without_root_reports_no_minima():
