@@ -273,28 +273,17 @@ def _cmd_scan(args, cfg):
 
 
 def _max_principle_record(name, traj, check):
-    mp = verify.max_principle_report(traj)
+    # the first two minima are k_t1's and k_s's, as max_principle_report
+    # finds them on the same samples
     sp = verify.sign_profile(traj)
+    (min_k_t1, min_k_s), (t_k_t1, t_k_s) = sp.min_values[:2], sp.min_times[:2]
     n_changes = sum(len(c) for c in sp.sign_changes)
     if check:
-        ok = (
-            mp.min_k_t1 >= -_SIGN_TOL
-            and mp.min_k_s >= -_SIGN_TOL
-            and n_changes == 0
-        )
+        ok = min_k_t1 >= -_SIGN_TOL and min_k_s >= -_SIGN_TOL and n_changes == 0
         status = _status(ok)
     else:
         ok, status = True, "report"
-    rec = (
-        name,
-        mp.min_k_t1,
-        mp.t_at_min_k_t1,
-        mp.min_k_s,
-        mp.t_at_min_k_s,
-        n_changes,
-        status,
-    )
-    return rec, ok
+    return (name, min_k_t1, t_k_t1, min_k_s, t_k_s, n_changes, status), ok
 
 
 def _cmd_verify_maxprinciple(args, cfg):
@@ -449,12 +438,14 @@ def _pancake_profile(args):
 
 def _cmd_pancake_build(args, cfg):
     prof, params = _pancake_profile(args)
+    # first, so that a grid too coarse is refused before profile_report overflows on it
+    residual = max(pancake.smoothness_residuals(prof))
     rep = pancake.profile_report(prof)
     params.update(
         volume=rep.volume,
         diameter_low=rep.diameter_low,
         diameter_high=rep.diameter_high,
-        max_smoothness_residual=max(pancake.smoothness_residuals(prof)),
+        max_smoothness_residual=residual,
     )
     return _Report(params, ("r", "f1", "f2"), list(zip(prof.r, prof.f1, prof.f2)))
 

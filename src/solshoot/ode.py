@@ -34,12 +34,13 @@ probes and refinement, the blow-up guard, the terminations and the
   is the cubic collocation polynomial, stored as a quartic with q3 = 0.
   The stiff circle-side shots and ``bryant``'s trace take it.
 
-:func:`integrate_batch` makes the DP5 tries of many lanes in lockstep,
-and only that: every lane ends in :func:`integrate`'s loop, which resumes
-from the lane's state (and the try just made from it).  So one loop
-decides why every trajectory stops, refines every crossing, counts the
-rhs calls and builds every :class:`Trajectory`.  The last lane of a batch
-goes on in that loop too, at the cost of a single shot's step.
+There is one DP5 step, :func:`_dp5`, and one event probe, :func:`_probe`,
+each over one state or a lockstep block of states: :func:`integrate`'s
+loop calls them on its lane, :func:`integrate_batch` on its block of
+lanes.  Every lane of a batch ends in that loop, which resumes from the
+lane's state (and the try just made from it), so one loop decides why
+every trajectory stops, refines every crossing, counts the rhs calls and
+builds every :class:`Trajectory`.
 """
 
 from __future__ import annotations
@@ -147,25 +148,24 @@ _NEWTON_MAXITER = 6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and guards for :func:`integrate`.
+    """Tolerances and guards for :func:`integrate`; every step is adaptive.
 
-    ``fixed_step`` disables adaptivity entirely (every step is accepted with
-    the given size); it exists for convergence-order measurements and should
-    not be used in production runs.  ``rtol`` is at least 100 eps, scipy's
-    floor; below it the Radau Newton tolerance 10 eps / rtol exceeds 0.1.
+    ``rtol`` and ``atol`` lie below 1, where the error norm still measures
+    an error: at rtol = 1e300 a shot steps past its whole domain and its
+    error scale overflows.  ``rtol`` is at least 100 eps, scipy's floor;
+    below it the Radau Newton tolerance 10 eps / rtol exceeds 0.1.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 500_000
     blowup_norm: float = 1e12
-    fixed_step: Optional[float] = None
 
     def __post_init__(self):
         for name in ("rtol", "atol"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            if not 0.0 < value < 1.0:  # NaN fails too
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
         if self.rtol < 100 * np.finfo(float).eps:
             raise ValueError(f"rtol must be at least 100 eps = 2.22e-14, got {self.rtol!r}")
 
@@ -505,25 +505,44 @@ class _Radau:
         return (y_new, q, f_new), factor
 
 
+def _dp5(rhs, t, y, f, h, hc):
+    """The DP5 stages from (t, y), f = rhs(t, y), over the step h: the new
+    state, the error estimate, the (d, 4) dense coefficients and rhs at the
+    new state; six calls of rhs.  Of one state y (d,) with hc = h, or of a
+    lockstep block: the lanes' states end to end in y (n * d,), t and h (n,),
+    hc each lane's h repeated d times, and an rhs on such blocks.  Each of
+    its stage sums is one product over all lanes (see integrate_batch)."""
+    K = np.empty((7, y.size))
+    K[0] = f
+    for s in range(1, 6):
+        K[s] = rhs(t + _C[s] * h, y + hc * (_A[s] @ K[:s]))
+    y_new = y + hc * (_B @ K[:6])
+    K[6] = rhs(t + h, y_new)
+    return y_new, hc * (_E @ K), K.T @ _P, K[6]
+
+
+def _probe(fn, t, y, y_new, q, h):
+    """The event probe times of a step from (t, y) to y_new over h with
+    dense coefficients q, and the values of g = fn there from one call.  Of
+    one state, or of a lockstep block with t, h, y, q each given a new axis
+    1 (the probes'); the times then have shape (n, 4)."""
+    probe_t = t + _PROBE_FRACS * h
+    probe_y = _interp(y, q, h, probe_t - t)
+    probe_y[..., -1, :] = y_new  # the last probe is t + h
+    return probe_t, fn(probe_t.ravel(), probe_y.reshape(-1, y.shape[-1]).T)
+
+
 def _dp5_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state=None):
     """One try at the DP5 step from (t, y), f = rhs(t, y), to t + h, in the
     form of :meth:`_Radau.step`: the new state, its (d, 4) dense
     coefficients and rhs there, and the next step factor, when accepted;
-    else None and the factor to retry with.  Six calls of rhs."""
-    K = np.empty((7, y.size))
-    K[0] = f
-    for s in range(1, 6):
-        K[s] = rhs(t + _C[s] * h, y + h * (_A[s] @ K[:s]))
-    y_new = y + h * (_B @ K[:6])
-    K[6] = rhs(t + h, y_new)
-    factor = 1.0
-    if cfg.fixed_step is None:
-        err = (h * (_E @ K))[:n_state]
-        err_norm = float(_error_norm(err, y[:n_state], y_new[:n_state], cfg))
-        factor = _step_factor(err_norm)
-        if not err_norm <= 1.0:
-            return None, factor
-    return (y_new, K.T @ _P, K[6]), factor
+    else None and the factor to retry with."""
+    y_new, err, q, f_new = _dp5(rhs, t, y, f, h, h)
+    err_norm = float(_error_norm(err[:n_state], y[:n_state], y_new[:n_state], cfg))
+    factor = _step_factor(err_norm)
+    if not err_norm <= 1.0:
+        return None, factor
+    return (y_new, q, f_new), factor
 
 
 def _blown_start(t0, y) -> Trajectory:
@@ -566,7 +585,7 @@ def integrate(
     system do.  Their presence then leaves the steps, the event times and
     the first n_state components bitwise as they are without them, provided
     both widths are multiples of 4 (see :func:`integrate_batch`).  The
-    Radau step takes neither ``n_state`` nor ``fixed_step``.
+    Radau step does not take ``n_state``.
     """
     cfg = config or IntegratorConfig()
     y = np.array(y0, dtype=float)
@@ -574,8 +593,8 @@ def integrate(
         raise ValueError("y0 must be a 1-d state vector")
     if n_state is not None and not 0 < n_state <= y.size:
         raise ValueError(f"n_state {n_state!r} outside [1, {y.size}]")
-    if jac is not None and (n_state is not None or cfg.fixed_step is not None):
-        raise ValueError("the Radau step (jac given) takes neither n_state nor fixed_step")
+    if jac is not None and n_state is not None:
+        raise ValueError("the Radau step (jac given) does not take n_state")
     t0 = float(t0)
     t_end = float(t_end)
     if not t_end > t0:
@@ -585,14 +604,10 @@ def integrate(
 
     f = np.asarray(rhs(t0, y), dtype=float)
     radau = None if jac is None else _Radau(rhs, jac, cfg, t0, y)
-    if cfg.fixed_step is not None:
-        h, n_evals = min(cfg.fixed_step, t_end - t0), 1
-    else:
-        order = ORDER if radau is None else _RADAU_ORDER
-        h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state, order)
-        n_evals = 2
+    order = ORDER if radau is None else _RADAU_ORDER
+    h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state, order)
     g_prev = event.fn(t0, y) if event is not None else None
-    return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, n_evals)
+    return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, 2)
 
 
 def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, n_rejected, n_evals, step=None):
@@ -629,17 +644,15 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
         state_new = y_new[:n_state]
         node_t, node_y = t_new, y_new
         if event is not None:
-            seg_eval = _segment(t, y, q, h)
-            probe_t = t + _PROBE_FRACS * h
-            probe_y = seg_eval(probe_t)
-            probe_y[-1] = y_new  # the last probe is t_new
-            # one call of g on the probes; the last becomes the next g_prev
+            probe_t, g = _probe(event.fn, t, y, y_new, q, h)
+            # the last probe's g becomes the next g_prev
             walk_t = [t, *probe_t.tolist()]
-            walk_g = [g_prev, *event.fn(probe_t, probe_y.T).tolist()]
+            walk_g = [g_prev, *g.tolist()]
             g_prev = walk_g[-1]
             p = next((p for p in range(4) if _crossing(*walk_g[p:p + 2], event.direction)), None)
             if p is not None:
                 termination = "event"
+                seg_eval = _segment(t, y, q, h)
                 node_t = _refine_crossing(seg_eval, event.fn, walk_t, walk_g, p)
                 if node_t != t_new:
                     node_y = seg_eval(node_t)
@@ -695,14 +708,15 @@ def integrate_batch(
     (d,).  The event's ``fn`` is called once per step on the probes of
     every lane, as :class:`Event` describes.
 
-    The batch makes the DP5 tries of all lanes together, and every lane
-    ends in :func:`integrate`'s loop, which alone decides why it stops.  A
-    lane leaves the batch for that loop before a step that the loop would
-    not take (t_end, the step budget, a step underflow), after an accepted
-    step that crosses the event or blows up (the loop takes that step as
-    its first, so it is not made twice), or when it is the last lane left.
-    That last lane steps at a single shot's cost there (a lone delta1 =
-    300 circle-side lane: 1.02x, against 2.6x left in the batch).
+    The batch takes the DP5 step and event probe of :func:`integrate`'s
+    loop on all lanes together, keeping only its per-lane accept and step
+    factor, and every lane ends in that loop, which alone decides why it
+    stops.  A lane leaves the batch for the loop before a step that the
+    loop would not take (t_end, the step budget, a step underflow), after
+    an accepted step that crosses the event or blows up (the loop takes
+    that step as its first, so it is not made twice), or when it is the
+    last lane left.  That last lane steps at a single shot's cost there (a
+    lone delta1 = 300 circle-side lane: 1.02x, against 2.6x in the batch).
 
     Every lane repeats the arithmetic of :func:`integrate` bit for bit, so
     its result does not depend on the batch size or on the other lanes.
@@ -715,8 +729,6 @@ def integrate_batch(
     set, else a :class:`LaneEnd` with the final node and the termination.
     """
     cfg = config or IntegratorConfig()
-    if cfg.fixed_step is not None:
-        raise ValueError("integrate_batch steps adaptively only")
     t0 = np.array(t0, dtype=float)
     y0 = np.array(y0, dtype=float)
     if y0.ndim != 2 or t0.shape != y0.shape[:1]:
@@ -746,6 +758,7 @@ def integrate_batch(
         for i in range(lane.size)
     ])
     g_prev = event.fn(t, y.T)
+    flat_rhs = lambda t, y: rhs(t, y.reshape(t.size, d)).ravel()  # on blocks laid end to end
 
     def hand_off(mask, step=None):
         # from the state before the step, with the step's accepted try if made
@@ -769,29 +782,14 @@ def integrate_batch(
             hand_off(leave)
             continue
 
-        # the stages of all lanes side by side: each stage sum is one
-        # vector-matrix product, bitwise the per-lane ``_A[s] @ K[:s]``
-        n = lane.size
-        K = np.empty((7, n * d))
-        K3 = K.reshape(7, n, d)
-        K3[0] = f
-        hc = h[:, None]
-        for s in range(1, 6):
-            K3[s] = rhs(t + _C[s] * h, y + hc * (_A[s] @ K[:s]).reshape(n, d))
-        y_new = y + hc * (_B @ K[:6]).reshape(n, d)
-        K3[6] = rhs(t + h, y_new)
-
-        err_norm = _error_norm(hc * (_E @ K).reshape(n, d), y, y_new, cfg)
+        y_new, err, q, f_new = _dp5(flat_rhs, t, y.ravel(), f.ravel(), h, np.repeat(h, d))
+        y_new, err, q, f_new = y_new.reshape(-1, d), err.reshape(-1, d), q.reshape(-1, d, 4), f_new.reshape(-1, d)
+        err_norm = _error_norm(err, y, y_new, cfg)
         ok = err_norm <= 1.0
         n_rejected[lane[~ok]] += 1
         factor = np.array([_step_factor(e) for e in err_norm.tolist()])
-        # one product for all lanes' dense coefficients, bitwise K.T @ _P
-        q = (K.T @ _P).reshape(n, d, 4)
-
-        probe_t = t[:, None] + _PROBE_FRACS * hc
-        probe_y = _interp(y[:, None], q[:, None], hc, probe_t - t[:, None])
-        probe_y[:, -1] = y_new  # the last probe is t_new
-        g = event.fn(probe_t.ravel(), probe_y.reshape(-1, d).T).reshape(n, 4)
+        _, g = _probe(event.fn, t[:, None], y[:, None], y_new, q[:, None], h[:, None])
+        g = g.reshape(-1, 4)
         walk_g = np.column_stack((g_prev, g))
         end = ok & (_crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1) | _blown_up(y_new, cfg))
         go = ok & ~end
@@ -799,10 +797,10 @@ def integrate_batch(
             log.append((lane[go], t[go], y[go], q[go], h[go]))
         t = np.where(go, t + h, t)
         y = np.where(go[:, None], y_new, y)
-        f = np.where(go[:, None], K3[6], f)
+        f = np.where(go[:, None], f_new, f)
         g_prev = np.where(go, g[:, -1], g_prev)
         h = np.where(end, h, h * factor)
-        hand_off(end, (y_new, q, K3[6], factor))
+        hand_off(end, (y_new, q, f_new, factor))
         n_steps += 1
 
     if not history:

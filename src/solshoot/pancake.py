@@ -334,6 +334,10 @@ def smoothness_residuals(profile: PancakeProfile) -> SmoothnessReport:
     linear or constant past the blends so a wider H costs no truncation.
     At the origin the sampled values themselves shrink with the step, so
     plain adjacent-node stencils stay quiet there.
+
+    Raises GridTooCoarse when a six-node stencil reaches into a blend:
+    5h > min(a, c) at the sphere orbit, 5 stride h > L+1 - max(b, d) at
+    the circle orbit.
     """
     r, f1, f2 = profile.r, profile.f1, profile.f2
     h = r[1] - r[0]
@@ -341,6 +345,8 @@ def smoothness_residuals(profile: PancakeProfile) -> SmoothnessReport:
     span = profile.length + 1.0 - far_start
     stride = max(1, int(min(0.1, 0.16 * span) / h))
     hs = stride * h
+    if not (5 * h <= min(profile.f2_window[0], profile.f1_window[0]) and 5 * hs <= span):
+        raise GridTooCoarse(f"grid step {h:.3g} too coarse for the orbit stencils; raise grid_n")
     tail1 = f1[-1 : -6 * stride - 1 : -stride]
     tail2 = f2[-1 : -6 * stride - 1 : -stride]
     return SmoothnessReport(

@@ -393,6 +393,9 @@ def test_inadmissible_parameter_exits_64(tmp_path, monkeypatch, capsys):
         ["shoot-s1", "--delta1", "1", "--tol-rel", "-1"],
         ["shoot-s1", "--delta1", "1000", "--tol-rel", "1e-20"],
         ["verify-bryant", "--tol-rel", "-1"],
+        ["shoot-s1", "--delta1", "1", "--tol-rel", "1e300"],
+        ["shoot-s1", "--delta1", "1", "--tol-rel", "1"],
+        ["shoot-s1", "--delta1", "1", "--tol-abs", "1"],
     ],
     ids=[
         "delta1-nan",
@@ -401,6 +404,9 @@ def test_inadmissible_parameter_exits_64(tmp_path, monkeypatch, capsys):
         "negative-tol-rel",
         "tol-rel-below-floor",
         "bryant-negative-tol-rel",
+        "tol-rel-huge",
+        "tol-rel-one",
+        "tol-abs-one",
     ],
 )
 def test_bad_numbers_fail_fast_with_64(capsys, argv):
@@ -423,6 +429,8 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         (["surface", "--d2-range=-1,nan", "--n2", "2", "--n3", "2"], 64),
         (["shoot-s1", "--delta1", "1e160"], 2),
         (["shoot-s2", "--delta2", "1e200", "--delta3", "0.5"], 2),
+        (["pancake-build", "--length", "1000"], 64),
+        (["pancake-build", "--length", "1e300", "--grid-n", "1000"], 64),
     ],
     ids=[
         "root-nan-guess",
@@ -433,6 +441,8 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         "surface-nan-bound",
         "s1-huge-delta1",
         "s2-huge-delta2",
+        "pancake-coarse-grid",
+        "pancake-huge-length",
     ],
 )
 def test_bad_input_fails_fast_with_error_record(tmp_path, monkeypatch, capsys, argv, expected):

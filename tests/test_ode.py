@@ -36,13 +36,16 @@ def test_eval_rejects_out_of_domain():
 
 
 def test_fixed_step_convergence_order_is_five():
-    # global error on y' = -y over [0, 2] should scale like h^5
+    # global error of the DP5 step at fixed h on y' = -y over [0, 2]
+    # should scale like h^5
     errs = []
     steps = [0.2, 0.1, 0.05]
     for h in steps:
-        cfg = IntegratorConfig(fixed_step=h)
-        traj = integrate(lambda t, y: -y, 0.0, [1.0], 2.0, cfg)
-        errs.append(abs(traj.y[-1, 0] - math.exp(-2.0)))
+        t, y, f = 0.0, np.array([1.0]), np.array([-1.0])
+        for _ in range(round(2.0 / h)):
+            y, _, _, f = ode._dp5(lambda t, y: -y, t, y, f, h, h)
+            t += h
+        errs.append(abs(y[0] - math.exp(-2.0)))
     rate = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert abs(rate - 5.0) < 0.5
 
@@ -140,8 +143,9 @@ def test_forward_only_contract():
 
 
 def test_max_steps_guard():
-    cfg = IntegratorConfig(fixed_step=1e-3, max_steps=10)
-    traj = integrate(lambda t, y: -y, 0.0, [1.0], 1.0, cfg)
+    # an oscillator over many periods needs far more than 10 steps
+    cfg = IntegratorConfig(max_steps=10)
+    traj = integrate(lambda t, y: np.array([y[1], -y[0]]), 0.0, [1.0, 0.0], 100.0, cfg)
     assert traj.termination == "max_steps"
     assert len(traj.t) == 11
 
@@ -325,8 +329,6 @@ def test_integrate_batch_rejects_inputs_it_cannot_repeat():
         ode.integrate_batch(_osc_rows, [0.0, 2.0], [start] * 2, 1.0, event)
     with pytest.raises(ValueError):  # a state width that is not a multiple of 4
         ode.integrate_batch(lambda t, y: -y, [0.0], [[1.0, 0.0, 1.0]], 1.0, event)
-    with pytest.raises(ValueError):
-        ode.integrate_batch(_osc_rows, [0.0], [start], 1.0, event, IntegratorConfig(fixed_step=0.1))
 
 
 def test_field_turning_nan_mid_run_ends_in_step_underflow():
@@ -555,8 +557,6 @@ def test_radau_event_ends_on_the_level_and_locate_event_finds_it(direction):
 
 def test_radau_takes_neither_riders_nor_fixed_steps():
     rhs, jac = _prothero_robinson(10.0)
-    with pytest.raises(ValueError, match="Radau"):
-        integrate(rhs, 0.0, [1.0], 1.0, IntegratorConfig(fixed_step=0.1), jac=jac)
     with pytest.raises(ValueError, match="Radau"):
         integrate(rhs, 0.0, [1.0], 1.0, n_state=1, jac=jac)
 

@@ -273,6 +273,19 @@ def test_coarse_grid_rejected():
         pancake.build_profile(10.0, grid_n=500)
 
 
+@pytest.mark.parametrize(
+    "length, grid_n, f2_window",
+    [(1000.0, 2048, (0.5, 1.5)), (1e300, 1000, (0.5, 1.5)), (10.0, 1000, (0.5, 10.99))],
+    ids=["sphere-orbit", "huge-length", "circle-orbit"],
+)
+def test_smoothness_residuals_refuse_a_grid_too_coarse_for_the_stencils(length, grid_n, f2_window):
+    # build_profile refuses an f2 blend as wide as (0.5, 10.99), so the
+    # circle-orbit case sets that window on a built profile
+    prof = pancake.build_profile(length, grid_n=grid_n)._replace(f2_window=f2_window)
+    with pytest.raises(GridTooCoarse):
+        pancake.smoothness_residuals(prof)
+
+
 def test_short_length_rejected():
     with pytest.raises(ValueError):
         pancake.build_profile(9.0)
