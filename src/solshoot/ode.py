@@ -107,6 +107,8 @@ _XTOL = 1e-15
 _RTOL = 8.9e-16
 
 ORDER = 5  # propagating order of the pair
+_MAX_STEPS = 500_000  # step tries before "max_steps", a safety valve
+_BLOWUP_NORM = 1e12  # the blow-up guard trips at max|y| >= this
 
 # Radau IIA of order 5, 3 stages (Hairer & Wanner, *Solving ODEs II*, IV.8):
 # the constants of their RADAU5 code as scipy's ``radau.py`` writes them.
@@ -148,7 +150,7 @@ _NEWTON_MAXITER = 6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and guards for :func:`integrate`; every step is adaptive.
+    """Tolerances for :func:`integrate`; every step is adaptive.
 
     ``rtol`` and ``atol`` lie below 1, where the error norm still measures
     an error: at rtol = 1e300 a shot steps past its whole domain and its
@@ -158,8 +160,6 @@ class IntegratorConfig:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 500_000
-    blowup_norm: float = 1e12
 
     def __post_init__(self):
         for name in ("rtol", "atol"):
@@ -364,10 +364,10 @@ def _step_factor(err_norm: float) -> float:
     return min(max(0.2, 0.9 * err_norm ** (-1 / ORDER)), 1.0)
 
 
-def _blown_up(y, cfg: IntegratorConfig):
-    """max|y| >= blowup_norm or a non-finite component, per state (last axis)."""
+def _blown_up(y):
+    """max|y| >= _BLOWUP_NORM or a non-finite component, per state (last axis)."""
     # NaN propagates through max and fails the comparison, as does inf
-    return ~(np.abs(y).max(axis=-1) < cfg.blowup_norm)
+    return ~(np.abs(y).max(axis=-1) < _BLOWUP_NORM)
 
 
 class _Radau:
@@ -575,7 +575,7 @@ def integrate(
 
     Stops early at the first matching crossing of ``event`` (the trajectory
     then ends on the refined crossing, termination ``"event"``), on the
-    blow-up guard (max|y| >= blowup_norm or a non-finite component, checked
+    blow-up guard (max|y| >= _BLOWUP_NORM or a non-finite component, checked
     on the initial state too), or on step-size underflow; the partial
     trajectory with its termination reason is returned in every case.
 
@@ -599,7 +599,7 @@ def integrate(
     t_end = float(t_end)
     if not t_end > t0:
         raise ValueError("integration is forward only: t_end must exceed t0")
-    if _blown_up(y[:n_state], cfg):  # stepping on would only spin through the step budget
+    if _blown_up(y[:n_state]):  # stepping on would only spin through the step budget
         return _blown_start(t0, y)
 
     f = np.asarray(rhs(t0, y), dtype=float)
@@ -621,7 +621,7 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
 
     while t < t_end:
         n_steps += 1
-        if n_steps > cfg.max_steps:
+        if n_steps > _MAX_STEPS:
             termination = "max_steps"
             break
         h = min(h, t_end - t)
@@ -666,7 +666,7 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
         t, y, f = t_new, y_new, f_new
         h *= factor
 
-        if _blown_up(state_new, cfg):
+        if _blown_up(state_new):
             termination = "blowup"
             break
 
@@ -747,7 +747,7 @@ def integrate_batch(
     tiny = 10 * np.finfo(float).eps
 
     # the blow-up guard on the initial state, as in ``integrate``
-    blown = _blown_up(y0, cfg)
+    blown = _blown_up(y0)
     for i in np.flatnonzero(blown).tolist():
         tails[i] = _blown_start(t0[i], y0[i])
     lane = np.flatnonzero(~blown)
@@ -776,7 +776,7 @@ def integrate_batch(
         h = np.minimum(h, t_end - t)
         # before a step that integrate's loop would not take, and the last
         # lane left, which steps as cheaply there as a single shot
-        leave = ~(t < t_end) | (n_steps >= cfg.max_steps) | (lane.size == 1)
+        leave = ~(t < t_end) | (n_steps >= _MAX_STEPS) | (lane.size == 1)
         leave |= h < tiny * np.maximum(np.abs(t), 1.0)
         if leave.any():
             hand_off(leave)
@@ -791,7 +791,7 @@ def integrate_batch(
         _, g = _probe(event.fn, t[:, None], y[:, None], y_new, q[:, None], h[:, None])
         g = g.reshape(-1, 4)
         walk_g = np.column_stack((g_prev, g))
-        end = ok & (_crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1) | _blown_up(y_new, cfg))
+        end = ok & (_crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1) | _blown_up(y_new))
         go = ok & ~end
         if history:
             log.append((lane[go], t[go], y[go], q[go], h[go]))

@@ -43,7 +43,7 @@ stability limit there, so its step count grows linearly in delta1 (3.8k,
 circle-side shot with delta1 >= ``_STIFF_DELTA1`` = 200 therefore takes
 the Radau IIA(5) step of ``ode.integrate``, given the exact Jacobian
 ``family_tangent(y, I)``: 3.0k to 4.3k steps to xi = 10 from delta1 = 200
-to 1e6.
+to 1e6.  Uncapped in t, a shot meets near t = 6 sqrt(delta1) to delta1 ~ 2e19.
 DP5 and Radau cost the same near delta1 = 150 (measured on shots to the
 meet and to xi = 10); 200 leaves a margin.  The route depends on delta1
 alone, never on a runtime test.  Only the plain scalar shot has the Radau
@@ -120,15 +120,13 @@ class ShootConfig:
     """Knobs shared by every shooting operation.
 
     ``t_eps`` is the series handoff distance on both sides (auto-shrunk for
-    large parameters, never enlarged).  ``horizon`` caps the independent
-    variable when waiting for an event.  ``exploratory`` lifts the
+    large parameters, never enlarged).  ``exploratory`` lifts the
     admissibility preconditions delta1 >= 0, delta2 >= -1, delta3 >= 0.
     """
 
     t_eps: float = 1e-4
     rtol: float = 1e-10
     atol: float = 1e-12
-    horizon: float = 1e6
     exploratory: bool = False
 
     def integrator(self) -> IntegratorConfig:
@@ -417,11 +415,14 @@ _STOP_TABLE = {
 }
 
 
-def _stop_rule(until, side: str, horizon: float):
+def _stop_rule(until, side: str):
     """(event or None, t_end) of a shot under the stop rule ``until``.
 
     ("xi", v) stops at xi = v in either direction; ("time", T) has no event
-    and ends at T instead of the horizon.
+    and ends at T.  An event rule has t_end = inf: at lam > 0, xi' = -L1^2 -
+    2 L2^2 - lam <= -lam on the circle side and dxi/ds >= lam on the sphere
+    side, so a level v ahead of the launch xi0 is reached by t0 + |xi0 - v| /
+    lam, and past it xi runs off until a collapse or blow-up ends the shot.
     """
     if isinstance(until, tuple) and len(until) == 2 and until[0] == "time":
         return None, float(until[1])
@@ -432,7 +433,7 @@ def _stop_rule(until, side: str, horizon: float):
         k, level, direction, name = _STOP_TABLE[until, side]
     else:
         raise ValueError(f"unknown stop rule {until!r}")
-    return Event(fn=lambda t, y: y[k] - level, direction=direction, name=name), horizon
+    return Event(fn=lambda t, y: y[k] - level, direction=direction, name=name), math.inf
 
 
 _PARAM_NAMES = {"s1": ("delta1",), "s2": ("delta2", "delta3")}
@@ -508,7 +509,9 @@ def _shoot(
     """The trajectory of a shot from (t0, y0) under ``until``, with ``k``
     tangent columns riding along; ``stiff`` takes the Radau step (circle
     side, no tangent columns).  EventNotReached if it misses the rule."""
-    event, t_end = _stop_rule(until, side, cfg.horizon)
+    event, t_end = _stop_rule(until, side)
+    if event is not None and not lam > 0:
+        raise ValueError(f"an event stop rule needs lam > 0, got lam = {lam!r}")
     field, n_state = _field(side, lam, k), (4 if k else None)
     jac = (lambda t, y: family_tangent(y, _EYE4)) if stiff else None
     traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), event, n_state, jac)
@@ -530,10 +533,10 @@ def shoot_curve_point(
 ):
     """Integrate the circle-side IVP; returns (MeetPoint, Trajectory).
 
-    By default stops at the xi = 0 crossing (which exists for every shrinking
-    shot since xi' <= -1).  Other stop rules: "collapse" (L1 reaches the
-    configured floor, i.e. the far orbit), ("xi", v), ("time", T).  The
-    MeetPoint is simply the final state's (L1, L2, R) under any rule.
+    By default stops at the xi = 0 crossing.  Other stop rules: "collapse"
+    (L1 falls to ``_COLLAPSE_L1``, the far orbit), ("xi", v), ("time", T);
+    an event rule at lam <= 0 raises ValueError (see ``_stop_rule``).  The
+    MeetPoint is the final state's (L1, L2, R) under any rule.
     """
     cfg = cfg or ShootConfig()
     check_admissible(delta1=delta1, exploratory=cfg.exploratory)
@@ -712,7 +715,7 @@ def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = Fals
         y0s.append(y0)
     if not lanes:
         return out
-    event, t_end = _stop_rule("meet", side, cfg.horizon)
+    event, t_end = _stop_rule("meet", side)
     field = _field(side, 1.0)
     # the batch passes states as rows, or one state as a single shot does;
     # the field reads them as columns

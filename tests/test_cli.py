@@ -77,15 +77,18 @@ def test_shoot_s1_reports_meet(capsys):
     assert l1 < 0.0 < r
 
 
-def test_shoot_s1_at_delta1_1e6_reaches_its_meet(capsys):
-    # the stiff regime: DP5 spun through its whole step budget here
+@pytest.mark.parametrize("delta1", ["1e6", "1e14", "1e19"])
+def test_shoot_s1_at_large_delta1_reaches_its_meet(capsys, delta1):
+    # the stiff regime, where the Radau step reaches the meet near
+    # t = 6 sqrt(delta1) in seconds, however far out it lies
     start = time.perf_counter()
-    code, out = run(capsys, ["shoot-s1", "--delta1", "1e6"])
+    code, out = run(capsys, ["shoot-s1", "--delta1", delta1])
     elapsed = time.perf_counter() - start
     assert code == 0
     _, _, rows = parse_csv(out)
     meet = [float(v) for v in rows[0][1:5]]
     assert all(math.isfinite(v) for v in meet)
+    assert abs(meet[3] / (6.0 * math.sqrt(float(delta1))) - 1.0) < 0.01
     assert elapsed < 15.0
 
 
@@ -428,6 +431,7 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         (["curve", "--range", "1,inf", "--n", "2"], 64),
         (["surface", "--d2-range=-1,nan", "--n2", "2", "--n3", "2"], 64),
         (["shoot-s1", "--delta1", "1e160"], 2),
+        (["shoot-s1", "--delta1", "3e19"], 2),
         (["shoot-s2", "--delta2", "1e200", "--delta3", "0.5"], 2),
         (["pancake-build", "--length", "1000"], 64),
         (["pancake-build", "--length", "1e300", "--grid-n", "1000"], 64),
@@ -440,6 +444,7 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         "curve-inf-bound",
         "surface-nan-bound",
         "s1-huge-delta1",
+        "s1-launch-past-blowup-guard",
         "s2-huge-delta2",
         "pancake-coarse-grid",
         "pancake-huge-length",
@@ -557,7 +562,7 @@ def test_infeasible_blend_exits_64(tmp_path, monkeypatch, capsys):
 
 def test_numerical_failure_exits_2(monkeypatch, capsys):
     def explode(*args, **kwargs):
-        raise EventNotReached("meet not reached before horizon, norm grew")
+        raise EventNotReached("s1 shot never reached xi=0: stopped by blowup, norm grew")
 
     monkeypatch.setattr(cli.shooting, "shoot_curve_point", explode)
     code, out = run(capsys, ["shoot-s1", "--delta1", "0.1"])

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -52,11 +53,10 @@ def test_fixed_step_convergence_order_is_five():
 
 def test_blowup_guard_stops_riccati():
     # y' = y^2 from y(0)=1 blows up at t=1; the guard must stop us cleanly
-    cfg = IntegratorConfig(blowup_norm=1e10)
-    traj = integrate(lambda t, y: y**2, 0.0, [1.0], 2.0, cfg)
+    traj = integrate(lambda t, y: y**2, 0.0, [1.0], 2.0)
     assert traj.termination == "blowup"
     assert traj.t_end < 1.0
-    assert np.max(np.abs(traj.y[-1])) >= 1e10
+    assert np.max(np.abs(traj.y[-1])) >= 1e12
 
 
 def test_terminal_event_harmonic_oscillator():
@@ -142,10 +142,10 @@ def test_forward_only_contract():
         integrate(lambda t, y: -y, 1.0, [1.0], 0.0)
 
 
-def test_max_steps_guard():
+def test_max_steps_guard(monkeypatch):
     # an oscillator over many periods needs far more than 10 steps
-    cfg = IntegratorConfig(max_steps=10)
-    traj = integrate(lambda t, y: np.array([y[1], -y[0]]), 0.0, [1.0, 0.0], 100.0, cfg)
+    monkeypatch.setattr(ode, "_MAX_STEPS", 10)
+    traj = integrate(lambda t, y: np.array([y[1], -y[0]]), 0.0, [1.0, 0.0], 100.0)
     assert traj.termination == "max_steps"
     assert len(traj.t) == 11
 
@@ -296,20 +296,21 @@ def test_property_integrate_batch_repeats_integrate_per_lane(
     lanes, level, direction, t_end, max_steps
 ):
     # a level below -amplitude is never crossed: those lanes reach t_end
-    cfg = IntegratorConfig(max_steps=max_steps)
     event = Event(lambda t, y: y[0] - level, direction, name="level")
     t0 = [start for _, start, _ in lanes]
     y0 = [[amp, 0.0, omega, 0.0] for omega, _, amp in lanes]
     # a lane that starts non-finite stops at once, as in ``integrate``
     t0.append(0.1)
     y0.append([math.inf, 0.0, 1.0, 0.0])
-    singles = [integrate(_osc, a, b, t_end, cfg, event=event) for a, b in zip(t0, y0)]
     order = list(range(len(t0)))[::-1]
-    batch = ode.integrate_batch(_osc_rows, t0, y0, t_end, event, cfg, history=True)
-    reverse = ode.integrate_batch(
-        _osc_rows, [t0[i] for i in order], [y0[i] for i in order], t_end, event, cfg, history=True
-    )
-    ends = ode.integrate_batch(_osc_rows, t0, y0, t_end, event, cfg)
+    # hypothesis rejects function-scoped fixtures such as monkeypatch
+    with patch.object(ode, "_MAX_STEPS", max_steps):
+        singles = [integrate(_osc, a, b, t_end, event=event) for a, b in zip(t0, y0)]
+        batch = ode.integrate_batch(_osc_rows, t0, y0, t_end, event, history=True)
+        reverse = ode.integrate_batch(
+            _osc_rows, [t0[i] for i in order], [y0[i] for i in order], t_end, event, history=True
+        )
+        ends = ode.integrate_batch(_osc_rows, t0, y0, t_end, event)
     for i, single in enumerate(singles):
         want = _trajectory_bytes(single)
         assert _trajectory_bytes(batch[i]) == want

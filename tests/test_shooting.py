@@ -193,9 +193,48 @@ def test_gaussian_state_at_fixed_time():
     assert np.allclose(traj.y[-1], [1.5, -0.5, 0.0, 1.0], atol=1e-6)
 
 
-def test_horizon_guard_raises_event_not_reached():
-    with pytest.raises(EventNotReached):
-        shoot_curve_point(ROUND_DELTAS[0], ShootConfig(horizon=0.5))
+@pytest.mark.parametrize("side, level", [("s1", 1e9), ("s2", -1e9)])
+def test_unreachable_xi_level_fails_fast_by_blowup(side, level):
+    # xi runs away from a level behind its launch: no time cap ends the
+    # shot, the blow-up guard does
+    start = time.perf_counter()
+    with pytest.raises(EventNotReached, match="stopped by blowup"):
+        if side == "s1":
+            shoot_curve_point(ROUND_DELTAS[0], until=("xi", level))
+        else:
+            shoot_surface_point(*ROUND_DELTAS[1:], until=("xi", level))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("until", ["meet", "collapse", ("xi", 3.0)])
+def test_event_rule_at_nonpositive_lam_raises_at_once(until, lam):
+    # at lam <= 0 the bound of ``_stop_rule`` fails and nothing ends the
+    # shot but the step budget, so it is refused before it starts
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="lam > 0"):
+        shoot_curve_point(1.0, until=until, lam=lam)
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rule=st.sampled_from(sorted(shooting._STOP_TABLE)),
+    log_delta1=st.floats(-3.0, 4.0),
+    delta2=st.floats(-1.0, 2.0),
+    delta3=st.floats(0.0, 40.0),
+)
+def test_property_every_event_shot_ends_by_its_event_or_blowup(rule, log_delta1, delta2, delta3):
+    until, side = rule
+    try:
+        if side == "s1":
+            _, traj = shoot_curve_point(10.0**log_delta1, until=until)
+        else:
+            _, traj = shoot_surface_point(delta2, delta3, until=until)
+    except EventNotReached as exc:
+        assert "stopped by blowup" in str(exc)
+    else:
+        assert traj.termination == "event"
 
 
 @pytest.mark.parametrize("rule, side", sorted(shooting._STOP_TABLE))
