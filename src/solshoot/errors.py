@@ -34,7 +34,11 @@ class UndefinedGauge(SolshootError):
 
 
 class LaunchTooFar(SolshootError):
-    """Unstable-manifold launch offset too large; halved-offset curves disagree."""
+    """Unstable-manifold trace failed: it stopped short or left the descent region."""
+
+
+class LaunchOutOfRange(LaunchTooFar, ValueError):
+    """Unstable-manifold launch offset outside (0, 1e-3]: a bad argument."""
 
 
 class BlendInfeasible(SolshootError):

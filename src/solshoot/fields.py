@@ -9,10 +9,9 @@ The working variables are
 
 collected as ``SolitonState``.  The shrinking system (soliton constant 1) is
 ``soliton_rhs``; ``family_rhs`` carries the one-parameter family that also
-contains the rescaled systems (constant lam) and, at lam = 0 with L1 = 0, the
-steady Bryant field, which nonetheless gets its own explicit functions
-(``bryant_rhs``, ``bryant_xy_rhs``) to keep the two regimes from being mixed
-up by a flag value.
+contains the rescaled systems (constant lam) and, at lam = 0, the steady
+limit.  The planar steady Bryant system in x = L2/R, y = R/xi gets its own
+function, ``bryant_xy_rhs``.
 
 ``ScaledState`` holds the compactified variables (w, x, y, z) =
 (L1, L2/R, R/xi, 1/R) used for the large-parameter analysis, together with the
@@ -38,11 +37,9 @@ __all__ = [
     "CurvatureEigenvalues",
     "ScaledState",
     "GaugeQuantities",
-    "EIG_MULTIPLICITIES",
     "soliton_rhs",
     "family_rhs",
     "family_tangent",
-    "bryant_rhs",
     "bryant_xy_rhs",
     "scaled_rhs",
     "curvature_eigs",
@@ -82,9 +79,6 @@ class GaugeQuantities(NamedTuple):
     c_gauge: float
     d_gauge: float
     e_gauge: float
-
-
-EIG_MULTIPLICITIES = (1, 1, 2, 2)
 
 
 def as_field(rhs):
@@ -128,13 +122,6 @@ def family_tangent(s, v) -> np.ndarray:
 def soliton_rhs(s) -> np.ndarray:
     """Shrinking-soliton field: (xi', L1', L2', R') at soliton constant 1."""
     return family_rhs(s, 1.0)
-
-
-def bryant_rhs(s) -> np.ndarray:
-    """Steady field on (xi, L2, R): the shrinking system with L1 = 0 and the
-    constant terms dropped."""
-    xi, l2, r = s
-    return np.array([-2.0 * l2 * l2, -xi * l2 + r * r, -l2 * r])
 
 
 def bryant_xy_rhs(s) -> np.ndarray:

@@ -19,7 +19,7 @@ Termination reasons: ``"reached_end"``, ``"event"``, ``"blowup"``,
 Events: an integration takes at most one :class:`Event`, and its first
 matching crossing ends the integration.  The trajectory then ends on the
 refined crossing, so ``(t[-1], y[-1])`` is the hit.  :func:`locate_event`
-finds a crossing time on a stored trajectory after the fact.
+finds the first crossing time on a stored trajectory after the fact.
 
 Two step methods share :func:`integrate`'s one loop, and with it the event
 probes and refinement, the blow-up guard, the terminations and the
@@ -825,15 +825,14 @@ def locate_event(
     traj: Trajectory,
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     direction: int = 0,
-    which: str = "first",
 ) -> Optional[float]:
-    """Time of a crossing of g(t, y(t)) = 0 on a stored trajectory.
+    """Time of the first crossing of g(t, y(t)) = 0 on a stored trajectory.
 
     ``fn`` is called as :class:`Event` describes: once on the probes of
     every segment (t of shape (m,), y of shape (d, m)), then at scalar t
-    while the chosen crossing is refined.  Each segment is probed at 8
+    while the first crossing is refined.  Each segment is probed at 8
     dense points, so crossings that reverse within one step are still
-    caught.  Returns the time of the first or last matching crossing, or
+    caught.  Returns the time of the first crossing in ``direction``, or
     None; ``traj.eval`` gives the state there.
 
     A trajectory stopped by an event ends at the refined root, where g
@@ -842,8 +841,6 @@ def locate_event(
     step's interpolant to the step's original end, and a crossing that
     refines onto t[-1] within the refinement accuracy is reported at t[-1].
     """
-    if which not in ("first", "last"):
-        raise ValueError("which must be 'first' or 'last'")
     n_seg = len(traj.t) - 1
     if n_seg == 0:
         return None
@@ -874,12 +871,9 @@ def locate_event(
         return _refine_crossing(seg_eval, fn, walk_t[r], walk_g[r], first[r])
 
     rows = np.flatnonzero(first[:n_seg] >= 0)
-    t_end = float(traj.t[-1])
-    if (
-        extended and first[-2] < 0 and first[-1] >= 0 and (which == "last" or not rows.size)
-        and refine(n_seg) - t_end <= _XTOL + _RTOL * abs(t_end)
-    ):
-        return t_end
     if rows.size:
-        return refine(rows[0] if which == "first" else rows[-1])
+        return refine(rows[0])
+    t_end = float(traj.t[-1])
+    if extended and first[-1] >= 0 and refine(n_seg) - t_end <= _XTOL + _RTOL * abs(t_end):
+        return t_end
     return None

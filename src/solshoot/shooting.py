@@ -109,6 +109,7 @@ ROUND_DELTAS = (1 / 18, -7 / 9, 1 / math.sqrt(3))
 _COLLAPSE_L1 = -1e6  # "collapse" stop: L1 falls to this on the circle side,
 _COLLAPSE_R = 1e6  # R rises to this on the sphere side
 _NEWTON_TOL = 1e-7  # Newton converges when |F|_inf < this
+_MAX_ITER = 25  # Newton iterations before MaxIterations
 # plain circle-side shots from this delta1 on take ode.integrate's Radau IIA
 # step; see "Stiff regime" in the module docstring
 _STIFF_DELTA1 = 200.0
@@ -239,18 +240,17 @@ def _check_eps(eps: float) -> None:
         )
 
 
-def s1_series_state(delta1: float, t_eps: float, lam: float = 1.0) -> SolitonState:
+def s1_series_state(delta1: float, t_eps: float) -> SolitonState:
     """Order-1 series state at distance t_eps from the circle orbit.
 
-    xi = 2/t + (8 d1 - lam) t,  L1 = -(lam/3) t,
-    L2 = 1/t - 2 d1 t,          R = 1/t + d1 t.
+    xi = 2/t + (8 d1 - 1) t,  L1 = -t/3,
+    L2 = 1/t - 2 d1 t,        R = 1/t + d1 t.
 
     All four reduced functions are odd in t, so the truncation error is
-    O(t_eps^3).  ``lam`` selects the family member (1 = shrinking, 0 =
-    steady, p^2 = rescaled).
+    O(t_eps^3).
     """
     _check_eps(t_eps)
-    return SolitonState(*_s1_series(delta1, t_eps, lam, cubic=False))
+    return SolitonState(*_s1_series(delta1, t_eps, 1.0, cubic=False))
 
 
 def s2_series_state(delta2: float, delta3: float, s_eps: float) -> SolitonState:
@@ -267,15 +267,23 @@ def s2_series_state(delta2: float, delta3: float, s_eps: float) -> SolitonState:
     return SolitonState(*_s2_series(delta2, delta3, s_eps, cubic=False))
 
 
-# The series are plain arithmetic, so they run on floats and on sympy
-# symbols alike; the tests differentiate them symbolically to check the
-# hand-written derivatives in _s1_start_tangent and _s2_start_tangent.
+# The series are plain arithmetic, so they run on floats, on complex numbers
+# (``_launch`` differentiates them by a complex step) and on sympy symbols
+# (the tests differentiate them symbolically) alike.
 
 
 def _s1_series(delta1, t, lam, cubic: bool = True) -> tuple:
     """(xi, L1, L2, R) of the circle-side series at t: the order-1 terms of
-    ``s1_series_state`` and, with ``cubic``, the order-3 terms of
-    ``_s1_start``."""
+    ``s1_series_state`` at soliton constant ``lam`` and, with ``cubic``,
+    the order-3 terms that every shot launches from.
+
+    The extra odd terms cost nothing and matter: the order-1 handoff error,
+    projected on the delta1 direction (which vanishes like t at the orbit),
+    shifts the meet by ~1e-8 at t = 1e-3.  Coefficients were obtained by
+    matching powers of t in the family field and cross-checked against the
+    closed-form round trajectory (they reduce to the cot/tan/csc Taylor
+    coefficients at delta1 = 1/18, lam = 1).
+    """
     base = (
         2.0 / t + (8.0 * delta1 - lam) * t,
         -(lam / 3.0) * t,
@@ -292,7 +300,8 @@ def _s1_series(delta1, t, lam, cubic: bool = True) -> tuple:
 
 
 def _s2_series(delta2, delta3, s, cubic: bool = True) -> tuple:
-    """(xi, L1, L2, R) of the sphere-side series at s, as ``_s1_series``."""
+    """(xi, L1, L2, R) of the sphere-side series at s, as ``_s1_series``:
+    with ``cubic``, the next-order terms too, for the same reason."""
     base = (
         -(1.0 / s + delta2 * s),
         -(1.0 / s - 0.5 * (delta2 + 1.0) * s),
@@ -308,65 +317,6 @@ def _s2_series(delta2, delta3, s, cubic: bool = True) -> tuple:
     c3 = -nu * (delta2 + delta3 * delta3) / 4.0
     r4 = delta3 * (c3 + 0.5 * nu * nu) / 4.0
     return tuple(b + c * s**3 for b, c in zip(base, (a3, b3, c3, r4 * s)))
-
-
-def _s1_start(delta1: float, t: float, lam: float) -> np.ndarray:
-    """Internal order-3 refinement of ``s1_series_state``.
-
-    The extra odd terms cost nothing and matter: the order-1 handoff error,
-    projected on the delta1 direction (which vanishes like t at the orbit),
-    shifts the meet by ~1e-8 at t = 1e-3.  Coefficients were obtained by
-    matching powers of t in the family field and cross-checked against the
-    closed-form round trajectory (they reduce to the cot/tan/csc Taylor
-    coefficients at delta1 = 1/18, lam = 1).
-    """
-    _check_eps(t)
-    return np.array(_s1_series(delta1, t, lam))
-
-
-def _s2_start(delta2: float, delta3: float, s: float) -> np.ndarray:
-    """Internal next-order refinement of ``s2_series_state`` (same reason)."""
-    _check_eps(s)
-    return np.array(_s2_series(delta2, delta3, s))
-
-
-def _s1_start_tangent(delta1: float, t: float, lam: float) -> np.ndarray:
-    """d(_s1_start)/d(delta1) at fixed t, as a (1, 4) row."""
-    dc3 = (248 / 25) * delta1 - (12 / 25) * lam
-    da3 = -(16 / 3) * delta1 - (4 / 3) * dc3
-    db3 = 8 * lam / 15
-    dd3 = delta1 - 0.25 * dc3
-    t3 = t**3
-    return np.array([[8.0 * t + da3 * t3, db3 * t3, -2.0 * t + dc3 * t3, t + dd3 * t3]])
-
-
-def _s2_start_tangent(delta2: float, delta3: float, s: float) -> np.ndarray:
-    """d(_s2_start)/d(delta2) and d/d(delta3) at fixed s, as (2, 4) rows."""
-    mu = 0.5 * (delta2 + 1.0)
-    nu = 0.5 * (1.0 - delta3 * delta3)
-    c3 = -nu * (delta2 + delta3 * delta3) / 4.0
-    # d/d(delta2): mu' = 1/2, nu' = 0
-    a3_2 = (3.0 * mu + 0.5 * delta2) / 5.0
-    b3_2 = (-mu - 0.5 * delta2 - a3_2) / 4.0
-    c3_2 = -nu / 4.0
-    r4_2 = delta3 * c3_2 / 4.0
-    # d/d(delta3): mu' = 0, nu' = -delta3
-    a3_3 = -8.0 * nu * delta3 / 5.0
-    b3_3 = -a3_3 / 4.0
-    c3_3 = delta3 * (delta2 + delta3 * delta3 - 2.0 * nu) / 4.0
-    r4_3 = (c3 + 0.5 * nu * nu + delta3 * (c3_3 - nu * delta3)) / 4.0
-    s3 = s**3
-    return np.array(
-        [
-            [-s + a3_2 * s3, 0.5 * s + b3_2 * s3, c3_2 * s3, r4_2 * s * s3],
-            [
-                a3_3 * s3,
-                b3_3 * s3,
-                -delta3 * s + c3_3 * s3,
-                1.0 - 0.25 * (3.0 * delta3 * delta3 - 1.0) * s * s + r4_3 * s * s3,
-            ],
-        ]
-    )
 
 
 def check_admissible(
@@ -437,6 +387,9 @@ def _stop_rule(until, side: str):
 
 
 _PARAM_NAMES = {"s1": ("delta1",), "s2": ("delta2", "delta3")}
+# the complex step of the launch tangents: its square (1e-300), which enters
+# the real parts, lies below the rounding of every series term
+_CSTEP = 1e-150
 
 
 def _launch(side: str, params: tuple, cfg: ShootConfig, lam: float = 1.0, tangent: bool = False):
@@ -444,20 +397,26 @@ def _launch(side: str, params: tuple, cfg: ShootConfig, lam: float = 1.0, tangen
     (delta1,) on the circle side, (delta2, delta3) on the sphere side.
 
     With ``tangent`` the start state is followed by the derivatives of the
-    series by each parameter, 4 entries each (see ``_field``).  They hold
-    the handoff distance fixed although ``_effective_eps`` moves it for
-    large parameters: a series that solved the field exactly would give the
-    same trajectory from any handoff, so that term is of the order of the
-    series truncation and is left out.
+    series by each parameter, 4 entries each (see ``_field``).  The series
+    is a polynomial in each parameter, so a complex step gives them to
+    rounding, with no cancellation: d/dp = Im series(p + i h) / h.
+    They hold the handoff distance fixed although ``_effective_eps`` moves
+    it for large parameters: a series that solved the field exactly would
+    give the same trajectory from any handoff, so that term is of the order
+    of the series truncation and is left out.
     """
     t0 = _effective_eps(cfg.t_eps, *params)
-    if side == "s2":
-        start, slope, args = _s2_start, _s2_start_tangent, (*params, t0)
-    else:
-        start, slope, args = _s1_start, _s1_start_tangent, (*params, t0, lam)
+    _check_eps(t0)
+
+    def series(*p):
+        return _s2_series(*p, t0) if side == "s2" else _s1_series(*p, t0, lam)
+
     try:
-        y0 = start(*args)
-        return t0, np.concatenate((y0, slope(*args).ravel())) if tangent else y0
+        rows = [series(*params)]
+        for j in range(len(params) if tangent else 0):
+            bumped = series(*params[:j], params[j] + _CSTEP * 1j, *params[j + 1:])
+            rows.append([v.imag / _CSTEP for v in bumped])
+        return t0, np.array(rows).ravel()
     except OverflowError:
         # delta1**2 overflows above ~1.3e154; an infinite launch state is
         # stopped by the integrator's blow-up guard before the first step
@@ -611,11 +570,7 @@ def _clip_admissible(p: np.ndarray) -> np.ndarray:
     return np.maximum(p, [0.0, -1.0, 0.0])
 
 
-def find_root(
-    guess: Sequence[float],
-    cfg: Optional[ShootConfig] = None,
-    max_iter: int = 25,
-) -> RootResult:
+def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> RootResult:
     """Damped Newton iteration on the mismatch map.
 
     Every point Newton evaluates costs two shots, one per side, which carry
@@ -644,7 +599,7 @@ def find_root(
     F, J = _mismatch_with_jacobian(p, cfg)
     res = float(np.max(np.abs(F)))
     history = []
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         if res < _NEWTON_TOL:
             return RootResult(tuple(p), res, it, tuple(history))
         try:
@@ -679,10 +634,10 @@ def find_root(
         p, F, J, res = trial, F_new, J_new, res_new
 
     if res < _NEWTON_TOL:
-        return RootResult(tuple(p), res, max_iter, tuple(history))
+        return RootResult(tuple(p), res, _MAX_ITER, tuple(history))
     raise MaxIterations(
-        f"residual {res:.3e} still above tol {_NEWTON_TOL:g} after {max_iter} iterations",
-        result=RootResult(tuple(p), res, max_iter, tuple(history)),
+        f"residual {res:.3e} still above tol {_NEWTON_TOL:g} after {_MAX_ITER} iterations",
+        result=RootResult(tuple(p), res, _MAX_ITER, tuple(history)),
     )
 
 
@@ -790,14 +745,15 @@ DEFAULT_SCAN_BOX = ((0.0, 10.0), (-1.0, 0.0), (0.0, 40.0))
 
 def scan_domain(
     box=DEFAULT_SCAN_BOX,
-    resolution=20,
+    resolution: int = 20,
     cfg: Optional[ShootConfig] = None,
     workers: int = 1,
 ) -> ScanResult:
     """Grid scan of |F|_inf over a parameter box, reporting grid-local minima.
 
-    The mismatch separates into a curve part (delta1 only) and a surface part
-    (delta2, delta3), so an n^3 grid needs only n + n^2 shots.  A node is a
+    The grid has n = ``resolution`` nodes on each axis, an integer n >= 2.
+    The mismatch separates into a curve part (delta1 only) and a surface
+    part (delta2, delta3), so the n^3 grid needs only n + n^2 shots.  A node is a
     reported minimum when its value does not exceed any of its 26 neighbors
     in a grid extended by one ghost node beyond each face: a computable
     ghost vetoes a face node that merely continues a descent out of the box,
@@ -816,28 +772,24 @@ def scan_domain(
     ``workers`` has no effect (see the module docstring).
     """
     cfg = cfg or ShootConfig()
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * 3
-    n1, n2, n3 = (int(r) for r in resolution)
-    if min(n1, n2, n3) < 2:
-        raise ValueError("resolution must be >= 2 per axis")
+    if not (float(resolution).is_integer() and resolution >= 2):
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    n = int(resolution)
     _check_finite_bounds(*box)
     (a1, b1), (a2, b2), (a3, b3) = box
     if not (a1 < b1 and a2 < b2 and a3 < b3):
         raise ValueError(f"every box axis needs lo < hi, got {box!r}")
-    d1s = np.linspace(a1, b1, n1)
-    d2s = np.linspace(a2, b2, n2)
-    d3s = np.linspace(a3, b3, n3)
+    d1s = np.linspace(a1, b1, n)
+    d2s = np.linspace(a2, b2, n)
+    d3s = np.linspace(a3, b3, n)
 
-    def extend(nodes, lo, hi, n):
+    def extend(nodes, lo, hi):
         h = (hi - lo) / (n - 1)
         return np.concatenate(([lo - h], nodes, [hi + h]))
 
-    curve_points = [(float(d1),) for d1 in extend(d1s, a1, b1, n1)]
+    curve_points = [(float(d1),) for d1 in extend(d1s, a1, b1)]
     surf_points = [
-        (float(d2), float(d3))
-        for d2 in extend(d2s, a2, b2, n2)
-        for d3 in extend(d3s, a3, b3, n3)
+        (float(d2), float(d3)) for d2 in extend(d2s, a2, b2) for d3 in extend(d3s, a3, b3)
     ]
     curve = _shoot_lanes("s1", curve_points, cfg)
     surf = _shoot_lanes("s2", surf_points, cfg)
@@ -847,7 +799,7 @@ def scan_domain(
         for p, (_, _, reason) in zip(curve_points[1:-1], curve[1:-1])
         if reason
     ]
-    in_box = np.pad(np.ones((n2, n3), bool), 1).ravel()
+    in_box = np.pad(np.ones((n, n), bool), 1).ravel()
     failures += [
         ("s2", p, reason)
         for p, (_, _, reason), inside in zip(surf_points, surf, in_box)
@@ -856,7 +808,7 @@ def scan_domain(
     # a failed shot has meet None and enters as a NaN row
     failed = (math.nan,) * 3
     curve_meets = np.array([meet or failed for meet, _, _ in curve])
-    surf_meets = np.array([meet or failed for meet, _, _ in surf]).reshape(n2 + 2, n3 + 2, 3)
+    surf_meets = np.array([meet or failed for meet, _, _ in surf]).reshape(n + 2, n + 2, 3)
 
     diff = curve_meets[:, None, None, :] - surf_meets[None, :, :, :]
     values_ext = np.max(np.abs(diff), axis=-1)

@@ -10,7 +10,7 @@ variables together with the matching steady-reference comparison.
 """
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -44,6 +44,10 @@ EIG_NAMES = ("k_t1", "k_s", "k_m", "k_t2")
 # |value| below this everywhere classifies an eigenvalue as identically
 # zero rather than sign-changing (degenerate cases like the Gaussian k_m)
 _ZERO_BAND = 1e-9
+_K_SAMPLES = 2001  # uniform grid points of k_monitor
+# distances from the sphere orbit where delta2_monitors samples: a halving
+# triple (s, s/2, s/4)
+_DELTA2_SAMPLES = (0.2, 0.1, 0.05)
 
 
 class MaxPrincipleReport(NamedTuple):
@@ -190,8 +194,9 @@ def gaussian_closeness_at_xi10(traj: ode.Trajectory) -> GaussianCloseness:
     )
 
 
-def k_monitor(traj: ode.Trajectory, side: str = "s2", n: int = 2001) -> KMonitor:
-    """Check the two-sided differential inequality for K on a uniform grid.
+def k_monitor(traj: ode.Trajectory, side: str = "s2") -> KMonitor:
+    """Check the two-sided differential inequality for K on a uniform grid
+    of ``_K_SAMPLES`` points.
 
     ``side`` fixes the physical-time orientation of the stored parameter:
     on the sphere side ("s2") the parameter runs opposite to physical
@@ -202,7 +207,7 @@ def k_monitor(traj: ode.Trajectory, side: str = "s2", n: int = 2001) -> KMonitor
     if side not in ("s1", "s2"):
         raise ValueError(f"side must be 's1' or 's2', got {side!r}")
     sgn = 1.0 if side == "s1" else -1.0
-    ts = np.linspace(traj.t0, traj.t_end, n)
+    ts = np.linspace(traj.t0, traj.t_end, _K_SAMPLES)
     states = traj.eval(ts)
     xi, l2, r = states[:, 0], states[:, 2], states[:, 3]
     k = np.hypot(l2, r - 1.0)
@@ -244,25 +249,19 @@ def delta3_integral_check() -> Delta3Report:
     return Delta3Report(closed_form=closed, quadrature=val, first_term=first)
 
 
-def delta2_monitors(
-    traj: ode.Trajectory, s_samples: Sequence[float] = (0.2, 0.1, 0.05)
-) -> Delta2Report:
-    """Sample X = xi - L1 and Y = xi L1 + 1 - L1^2 on a sphere-side shot
-    and extrapolate Y to the orbit.
+def delta2_monitors(traj: ode.Trajectory) -> Delta2Report:
+    """Sample X = xi - L1 and Y = xi L1 + 1 - L1^2 on a sphere-side shot at
+    the distances ``_DELTA2_SAMPLES`` and extrapolate Y to the orbit.
 
     Both fields are odd in the distance s to the orbit, so Y is even and
     two Richardson levels on the halving triple (s, s/2, s/4) remove the
     s^2 and s^4 corrections.  Orbit value: Y -> (3/2)(delta2 + 1).
     """
-    s0, s1, s2 = s_samples
-    if not (s1 == s0 / 2.0 and s2 == s0 / 4.0):
-        raise ExtrapolationUnstable("samples must form a halving triple")
-    lo, hi = min(s_samples), max(s_samples)
-    if not (traj.t0 <= lo and traj.t_end >= hi):
+    if not (traj.t0 <= min(_DELTA2_SAMPLES) and traj.t_end >= max(_DELTA2_SAMPLES)):
         raise ExtrapolationUnstable(
             f"trajectory [{traj.t0:g}, {traj.t_end:g}] does not span samples"
         )
-    xi, l1 = traj.eval(np.asarray(s_samples, dtype=float))[:, :2].T
+    xi, l1 = traj.eval(np.array(_DELTA2_SAMPLES))[:, :2].T
     xs = [float(v) for v in xi - l1]
     ys = [float(v) for v in xi * l1 + 1.0 - l1 * l1]
     a1 = (4.0 * ys[1] - ys[0]) / 3.0
@@ -272,7 +271,7 @@ def delta2_monitors(
             f"Richardson levels disagree by {abs(a2 - a1):.3g}"
         )
     return Delta2Report(
-        s_samples=tuple(float(s) for s in s_samples),
+        s_samples=_DELTA2_SAMPLES,
         x_samples=tuple(xs),
         y_samples=tuple(ys),
         y_at_orbit=(16.0 * a2 - a1) / 15.0,

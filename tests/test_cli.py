@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solshoot import cli
+from solshoot import bryant, cli
 from solshoot.errors import EventNotReached
 from solshoot.shooting import ROUND_DELTAS, shoot_surface_point
 
@@ -399,6 +399,10 @@ def test_inadmissible_parameter_exits_64(tmp_path, monkeypatch, capsys):
         ["shoot-s1", "--delta1", "1", "--tol-rel", "1e300"],
         ["shoot-s1", "--delta1", "1", "--tol-rel", "1"],
         ["shoot-s1", "--delta1", "1", "--tol-abs", "1"],
+        ["verify-bryant", "--launch-offset", "0.5"],
+        ["verify-bryant", "--launch-offset", "0"],
+        ["verify-bryant", "--launch-offset=-1e-4"],
+        ["verify-bryant", "--launch-offset", "nan"],
     ],
     ids=[
         "delta1-nan",
@@ -410,6 +414,10 @@ def test_inadmissible_parameter_exits_64(tmp_path, monkeypatch, capsys):
         "tol-rel-huge",
         "tol-rel-one",
         "tol-abs-one",
+        "launch-offset-large",
+        "launch-offset-zero",
+        "launch-offset-negative",
+        "launch-offset-nan",
     ],
 )
 def test_bad_numbers_fail_fast_with_64(capsys, argv):
@@ -618,3 +626,19 @@ def test_verify_bryant_refuses_tol_abs(capsys):
     code, out = run(capsys, ["verify-bryant"])
     assert code == 0
     assert float(parse_csv(out)[0]["tol_abs"]) == 1e-12
+
+
+def test_verify_bryant_trace_failure_in_range_exits_2(capsys, monkeypatch):
+    # an offset outside (0, 1e-3] is a bad argument (64, see
+    # test_bad_numbers_fail_fast_with_64); a trace that fails from an offset
+    # inside it is a numerical failure.  Here the field turns NaN at
+    # s = -log x = 1, and the trace stops by step underflow
+    field = bryant._scaled_gap_field
+    nan_past_1 = lambda s, v, jac=False: field(s, v, jac) * (1.0 if s < 1.0 else math.nan)
+    monkeypatch.setattr(bryant, "_scaled_gap_field", nan_past_1)
+    code, out = run(capsys, ["verify-bryant", "--launch-offset", "1e-4"])
+    assert code == 2
+    _, columns, rows = parse_csv(out)
+    assert columns == ("error", "message")
+    assert rows[0][0] == "LaunchTooFar"
+    assert "step_underflow" in rows[0][1]

@@ -8,7 +8,6 @@ from solshoot.fields import (
     CurvatureEigenvalues,
     ScaledState,
     SolitonState,
-    bryant_rhs,
     bryant_xy_rhs,
     curvature_eigs,
     curvature_eigs_grid,
@@ -58,18 +57,6 @@ def test_curvature_eigs_grid_matches_scalar():
     grid = curvature_eigs_grid(states)
     for row, s in zip(grid, states):
         assert np.allclose(row, tuple(curvature_eigs(s)))
-
-
-def test_bryant_rhs_values_and_consistency():
-    assert np.allclose(bryant_rhs((0, 0, 1)), [0, 1, 0])
-    assert np.allclose(bryant_rhs((1, 1, 1)), [-2, 0, -1])
-    # steady field = lam=0 family at L1=0, with the L1 row dropped
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        xi, l2, r = rng.normal(size=3)
-        full = family_rhs((xi, 0.0, l2, r), 0.0)
-        assert np.allclose(bryant_rhs((xi, l2, r)), full[[0, 2, 3]])
-        assert full[1] == 0.0
 
 
 def test_bryant_xy_rhs_fixed_points_and_sample():
@@ -217,9 +204,6 @@ def test_scaled_field_is_pushforward_of_soliton_field():
 
 
 def test_eig_multiplicities_sum_to_six():
-    from solshoot.fields import EIG_MULTIPLICITIES
-
-    assert sum(EIG_MULTIPLICITIES) == 6
     assert len(CurvatureEigenvalues._fields) == 4
 
 

@@ -89,11 +89,11 @@ def test_locate_event_first_and_last():
         return np.array([y[1], -y[0]])
 
     traj = integrate(rhs, 0.0, [1.0, 0.0], 10.0)
-    first = locate_event(traj, lambda t, y: y[0], which="first")
-    last = locate_event(traj, lambda t, y: y[0], which="last")
-    assert first is not None and last is not None
+    first = locate_event(traj, lambda t, y: y[0])
+    rising = locate_event(traj, lambda t, y: y[0], +1)
+    assert first is not None and rising is not None
     assert abs(first - math.pi / 2) < 1e-9
-    assert abs(last - 5 * math.pi / 2) < 1e-9
+    assert abs(rising - 3 * math.pi / 2) < 1e-9
     none = locate_event(traj, lambda t, y: y[0] - 5.0)
     assert none is None
 
@@ -111,11 +111,10 @@ def test_locate_event_finds_the_crossing_that_stopped_the_trajectory():
 
         traj = integrate(rhs, 0.0, [1.0, 0.0], 20.0, event=Event(g, direction=-1))
         assert traj.termination == "event"
-        for which in ("first", "last"):
-            hit = locate_event(traj, g, -1, which)
-            assert hit is not None, omega
-            assert hit == traj.t[-1]
-            assert traj.eval(hit).tobytes() == traj.y[-1].tobytes()
+        hit = locate_event(traj, g, -1)
+        assert hit is not None, omega
+        assert hit == traj.t[-1]
+        assert traj.eval(hit).tobytes() == traj.y[-1].tobytes()
         # a rising crossing does not end this trajectory
         assert locate_event(traj, g, +1) is None
 
@@ -382,7 +381,7 @@ def test_nan_event_function_never_crosses():
     assert locate_event(traj, lambda t, y: y[0] * math.nan) is None
 
 
-def _locate_reference(traj, fn, direction, which):
+def _locate_reference(traj, fn, direction):
     """``locate_event`` as a walk over the segments one at a time, calling
     fn at one point at a time: the reference for the array search."""
 
@@ -412,7 +411,6 @@ def _locate_reference(traj, fn, direction, which):
 
     fracs = np.linspace(0.0, 1.0, 9)[1:]
     n_seg = len(traj.t) - 1
-    found = None
     for i in range(n_seg):
         t_left, t_right = float(traj.t[i]), float(traj.t[i + 1])
         probes = np.minimum(t_left + fracs * (t_right - t_left), t_right)
@@ -424,24 +422,21 @@ def _locate_reference(traj, fn, direction, which):
             if t_past is not None and t_past - t_right <= 1e-15 + 8.9e-16 * abs(t_right):
                 t_star = t_right
         if t_star is not None:
-            found = t_star
-            if which == "first":
-                break
-    return found
+            return t_star
+    return None
 
 
 @settings(max_examples=150, deadline=None)
-@example(omega=1.0, level=0.2, direction=0, which="last", end="t_end", periods=3.0)
-@example(omega=2.0, level=0.3, direction=-1, which="first", end="located_event", periods=2.0)
+@example(omega=1.0, level=0.2, direction=0, end="t_end", periods=3.0)
+@example(omega=2.0, level=0.3, direction=-1, end="located_event", periods=2.0)
 @given(
     omega=st.floats(0.3, 6.0),
     level=st.one_of(st.floats(-0.95, 0.95), st.just(1.5)),
     direction=st.sampled_from([-1, 0, 1]),
-    which=st.sampled_from(["first", "last"]),
     end=st.sampled_from(["t_end", "located_event", "other_event", "blowup"]),
     periods=st.floats(0.1, 3.0),
 )
-def test_property_locate_event_repeats_the_per_segment_walk(omega, level, direction, which, end, periods):
+def test_property_locate_event_repeats_the_per_segment_walk(omega, level, direction, end, periods):
     # y = cos(omega t) crosses each level in (-1, 1) twice a period, never 1.5
     def g(t, y):
         return y[0] - level
@@ -454,8 +449,8 @@ def test_property_locate_event_repeats_the_per_segment_walk(omega, level, direct
     start = [math.inf if end == "blowup" else 1.0, 0.0, omega, 0.0]
     traj = integrate(_osc, 0.0, start, periods * 2 * math.pi / omega, event=stops.get(end))
     assert (len(traj.t) == 1) == (end == "blowup")
-    want = _locate_reference(traj, g, direction, which)
-    got = locate_event(traj, g, direction, which)
+    want = _locate_reference(traj, g, direction)
+    got = locate_event(traj, g, direction)
     if want is None:
         assert got is None
     else:

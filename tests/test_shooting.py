@@ -384,12 +384,13 @@ def test_find_root_rejects_inadmissible_guess():
         find_root((0.05, -1.5, 0.6))
 
 
-def test_find_root_extreme_guess_records_outcome():
+def test_find_root_extreme_guess_records_outcome(monkeypatch):
     """A guess far out along the curve either converges or raises
     MaxIterations carrying the best iterate; it must never fail silently."""
     cfg = ShootConfig(rtol=1e-8, atol=1e-10)
+    monkeypatch.setattr(shooting, "_MAX_ITER", 2)
     try:
-        res = find_root((500.0, -0.999, 0.999), cfg, max_iter=2)
+        res = find_root((500.0, -0.999, 0.999), cfg)
     except NonConvergence as exc:
         assert isinstance(exc, MaxIterations)
         assert exc.result is not None
@@ -477,6 +478,19 @@ def test_scan_rejects_a_box_axis_without_lo_below_hi(axis, reverse):
     with pytest.raises(ValueError, match="lo < hi"):
         scan_domain(box, 3)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("resolution", [2.9, 3.5, math.nan])
+def test_scan_rejects_a_non_integral_resolution(resolution):
+    # 2.9 used to scan at 2: int() truncated it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="integer"):
+        scan_domain(resolution=resolution)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_scan_accepts_a_numpy_integer_resolution():
+    assert scan_domain(resolution=np.int64(2)).values.tobytes() == scan_domain(resolution=2).values.tobytes()
 
 
 def test_scan_box_without_root_reports_no_minima():
@@ -665,20 +679,29 @@ def test_scan_failure_inventory_lists_every_failed_shot_in_the_box():
 
 
 def test_start_tangents_match_symbolic_derivatives_of_the_series():
+    # the launch tangents are the series' complex-step derivatives; here they
+    # meet the series' symbolic ones, from the launch's own handoff distance
     sp = pytest.importorskip("sympy")
     d1, d2, d3, t, lam = sp.symbols("d1 d2 d3 t lam")
     s1 = [sp.diff(e, d1) for e in shooting._s1_series(d1, t, lam)]
     s2 = [[sp.diff(e, v) for e in shooting._s2_series(d2, d3, t)] for v in (d2, d3)]
     rng = np.random.default_rng(3)
-    for _ in range(12):
-        a, b, c = rng.uniform(0.0, 30.0), rng.uniform(-1.0, 2.0), rng.uniform(0.0, 30.0)
-        tv, lv = 10.0 ** rng.uniform(-5, -3), rng.choice([0.0, 1.0, 2.5])
-        want1 = np.array([[float(e.subs({d1: a, t: tv, lam: lv})) for e in s1]])
-        want2 = np.array([[float(e.subs({d2: b, d3: c, t: tv})) for e in row] for row in s2])
-        got1 = shooting._s1_start_tangent(a, tv, lv)
-        got2 = shooting._s2_start_tangent(b, c, tv)
-        np.testing.assert_allclose(got1, want1, rtol=1e-12, atol=1e-14 * tv)
-        np.testing.assert_allclose(got2, want2, rtol=1e-12, atol=1e-14 * tv)
+    for i in range(60):
+        # Python floats as the CLI passes them, numpy scalars as find_root does
+        num = float if i % 2 else np.float64
+        a = num(rng.choice([0.0, rng.uniform(0.0, 30.0), 10.0 ** rng.uniform(-3.0, 150.0)]))
+        b = num(rng.choice([-1.0, rng.uniform(-1.0, 2.0)]))
+        c = num(rng.choice([0.0, 1.0, rng.uniform(0.0, 30.0)]))
+        cfg = ShootConfig(t_eps=10.0 ** rng.uniform(-5, -3))
+        lv = rng.choice([0.0, 1e-4, 1.0, 2.5])
+        t1, y1 = shooting._launch("s1", (a,), cfg, lv, tangent=True)
+        t2, y2 = shooting._launch("s2", (b, c), cfg, tangent=True)
+        assert y1[:4].tolist() == list(shooting._s1_series(a, t1, lv))
+        assert y2[:4].tolist() == list(shooting._s2_series(b, c, t2))
+        want1 = [float(e.subs({d1: a, t: t1, lam: lv})) for e in s1]
+        want2 = [float(e.subs({d2: b, d3: c, t: t2})) for row in s2 for e in row]
+        np.testing.assert_allclose(y1[4:], want1, rtol=1e-12, atol=1e-14 * t1)
+        np.testing.assert_allclose(y2[4:], want2, rtol=1e-12, atol=1e-14 * t2)
 
 
 def _central_jacobian(p, h):
@@ -743,9 +766,10 @@ def test_non_convergence_carries_the_history(monkeypatch):
     calls = []
     inner = shooting.integrate
     monkeypatch.setattr(shooting, "integrate", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    monkeypatch.setattr(shooting, "_MAX_ITER", 2)
     # far out along the curve the first step is damped
     with pytest.raises(MaxIterations) as info:
-        find_root((500.0, -0.999, 0.999), ShootConfig(rtol=1e-8, atol=1e-10), max_iter=2)
+        find_root((500.0, -0.999, 0.999), ShootConfig(rtol=1e-8, atol=1e-10))
     partial = info.value.result
     assert len(partial.history) == partial.iterations == 2
     assert partial.history[-1].residual == partial.residual
