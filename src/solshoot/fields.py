@@ -10,8 +10,10 @@ The working variables are
 collected as ``SolitonState``.  The shrinking system (soliton constant 1) is
 ``soliton_rhs``; ``family_rhs`` carries the one-parameter family that also
 contains the rescaled systems (constant lam) and, at lam = 0, the steady
-limit.  The planar steady Bryant system in x = L2/R, y = R/xi gets its own
-function, ``bryant_xy_rhs``.
+limit, and the variational equations: on 4 + 4k entries, the state and k
+tangent columns, it returns the state's derivative, then J(state) v for each
+column v (``family_tangent`` alone).  The planar steady Bryant system in
+x = L2/R, y = R/xi gets its own function, ``bryant_xy_rhs``.
 
 ``ScaledState`` holds the compactified variables (w, x, y, z) =
 (L1, L2/R, R/xi, 1/R) used for the large-parameter analysis, together with the
@@ -90,33 +92,37 @@ def family_rhs(s, lam: float) -> np.ndarray:
     """One-parameter family of first-order soliton fields.
 
     lam = 1 is the shrinking system, lam = p^2 the system satisfied by a
-    p-rescaled shrinking trajectory, lam = 0 the steady limit.
+    p-rescaled shrinking trajectory, lam = 0 the steady limit.  The state
+    (xi, L1, L2, R) may be followed by k >= 0 tangent columns: on those
+    4 + 4k entries the field is the state's derivative, then J(state) v for
+    each column v.  Entries may be arrays of equal shape, the rows of a
+    (4 + 4k, m) block say.
     """
-    xi, l1, l2, r = s
-    return np.array(
-        [
-            -l1 * l1 - 2.0 * l2 * l2 - lam,
-            -xi * l1 - lam,
-            -xi * l2 + r * r - lam,
-            -l2 * r,
-        ]
-    )
+    xi, l1, l2, r = s[:4]
+    out = [-l1 * l1 - 2.0 * l2 * l2 - lam, -xi * l1 - lam, -xi * l2 + r * r - lam, -l2 * r]
+    for j in range(4, len(s), 4):
+        out += _tangent(xi, l1, l2, r, s[j:j + 4])
+    return np.array(out)
+
+
+def _tangent(xi, l1, l2, r, v) -> list:
+    """The four components of J(xi, L1, L2, R) v; lam is a constant term of
+    ``family_rhs``, so it drops out."""
+    v0, v1, v2, v3 = v
+    return [
+        -2.0 * l1 * v1 - 4.0 * l2 * v2,
+        -l1 * v0 - xi * v1,
+        -l2 * v0 - xi * v2 + 2.0 * r * v3,
+        -r * v2 - l2 * v3,
+    ]
 
 
 def family_tangent(s, v) -> np.ndarray:
     """J(s) v: the Jacobian of ``family_rhs`` at the state s applied to a
-    tangent vector v (xi, L1, L2, R components).  lam is a constant term, so
-    it drops out.  v may also be a (4, k) stack of k tangent columns."""
+    tangent vector v (xi, L1, L2, R components).  v may also be a (4, k)
+    stack of k tangent columns."""
     xi, l1, l2, r = s
-    v0, v1, v2, v3 = v
-    return np.array(
-        [
-            -2.0 * l1 * v1 - 4.0 * l2 * v2,
-            -l1 * v0 - xi * v1,
-            -l2 * v0 - xi * v2 + 2.0 * r * v3,
-            -r * v2 - l2 * v3,
-        ]
-    )
+    return np.array(_tangent(xi, l1, l2, r, v))
 
 
 def soliton_rhs(s) -> np.ndarray:

@@ -625,7 +625,7 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
             termination = "max_steps"
             break
         h = min(h, t_end - t)
-        if h < tiny * max(abs(t), 1.0):
+        if not h >= tiny * max(abs(t), 1.0):  # a NaN step too
             termination = "step_underflow"
             break
 
@@ -777,7 +777,7 @@ def integrate_batch(
         # before a step that integrate's loop would not take, and the last
         # lane left, which steps as cheaply there as a single shot
         leave = ~(t < t_end) | (n_steps >= _MAX_STEPS) | (lane.size == 1)
-        leave |= h < tiny * np.maximum(np.abs(t), 1.0)
+        leave |= ~(h >= tiny * np.maximum(np.abs(t), 1.0))
         if leave.any():
             hand_off(leave)
             continue

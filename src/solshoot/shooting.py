@@ -397,7 +397,7 @@ def _launch(side: str, params: tuple, cfg: ShootConfig, lam: float = 1.0, tangen
     (delta1,) on the circle side, (delta2, delta3) on the sphere side.
 
     With ``tangent`` the start state is followed by the derivatives of the
-    series by each parameter, 4 entries each (see ``_field``).  The series
+    series by each parameter, 4 entries each (see ``family_rhs``).  The series
     is a polynomial in each parameter, so a complex step gives them to
     rounding, with no cancellation: d/dp = Im series(p + i h) / h.
     They hold the handoff distance fixed although ``_effective_eps`` moves
@@ -423,27 +423,18 @@ def _launch(side: str, params: tuple, cfg: ShootConfig, lam: float = 1.0, tangen
         return t0, np.full(4 * (1 + tangent * len(params)), math.inf)
 
 
-def _field(side: str, lam: float, k: int = 0):
-    """The field of a shot: of the state alone, or with ``k`` tangent
-    columns, of the state (4 entries) followed by each column (4 entries)
-    under the variational equations Y' = J(y) Y."""
-    if k == 0:
-        if side == "s1":
-            return lambda t, y: family_rhs(y, lam)
-        # the sphere side runs in s = (orbit time) - t, so the field reverses
-        return lambda t, y: -family_rhs(y, lam)
-
-    def augmented(t, y):
-        # on Python floats, which cost less than numpy scalars; the state
-        # part is bitwise family_rhs(y)
-        z = y.tolist()
-        state = z[:4]
-        cols = [family_tangent(state, z[4 * j + 4:4 * j + 8]) for j in range(k)]
-        return np.concatenate([family_rhs(state, lam), *cols])
+def _field(side: str, lam: float):
+    """The field of a shot: one ``family_rhs`` call on the state and any
+    tangent columns after it (bench/tracing.py counts these calls).  A single
+    state goes in as Python floats, which cost less than numpy scalars; a
+    (4, m) block of lanes stays an array."""
+    def field(t, y):
+        return family_rhs(y.tolist() if y.ndim == 1 else y, lam)
 
     if side == "s1":
-        return augmented
-    return lambda t, y: -augmented(t, y)
+        return field
+    # the sphere side runs in s = (orbit time) - t, so the field reverses
+    return lambda t, y: -field(t, y)
 
 
 def _failure(side: str, event, t_end: float, last: LaneEnd) -> Optional[str]:
@@ -471,7 +462,7 @@ def _shoot(
     event, t_end = _stop_rule(until, side)
     if event is not None and not lam > 0:
         raise ValueError(f"an event stop rule needs lam > 0, got lam = {lam!r}")
-    field, n_state = _field(side, lam, k), (4 if k else None)
+    field, n_state = _field(side, lam), (4 if k else None)
     jac = (lambda t, y: family_tangent(y, _EYE4)) if stiff else None
     traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), event, n_state, jac)
     reason = _failure(side, event, t_end, LaneEnd(traj.t_end, traj.y[-1, :4], traj.termination))

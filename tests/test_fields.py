@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from solshoot import shooting
 from solshoot.errors import DegenerateXi, DegenerateZ, UndefinedGauge
 from solshoot.fields import (
     CurvatureEigenvalues,
@@ -219,3 +222,34 @@ def test_family_tangent_is_the_jacobian_of_family_rhs():
         np.testing.assert_allclose(family_tangent(s, v), jac @ v, rtol=1e-8, atol=1e-8)
         for j in range(3):
             assert family_tangent(s, v[:, j]).tolist() == family_tangent(s, v)[:, j].tolist()
+
+
+@st.composite
+def _augmented_states(draw):
+    # m states of one width 4 + 4k: (xi, L1, L2, R) and k tangent columns
+    k, m = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    entries = st.lists(st.floats(-1e3, 1e3), min_size=4 + 4 * k, max_size=4 + 4 * k)
+    return [draw(entries) for _ in range(m)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(ys=_augmented_states(), lam=st.floats(0.0, 2.0))
+def test_property_family_rhs_carries_tangent_columns_bitwise(ys, lam):
+    # the state's field, then J(state) v for each column v, whatever holds
+    # the entries: Python floats, a 1-d array, or a (4 + 4k, m) block
+    def want(y):
+        cols = [family_tangent(y[:4], y[j:j + 4]) for j in range(4, len(y), 4)]
+        return np.concatenate([family_rhs(y[:4], lam), *cols])
+
+    wants = [want(y) for y in ys]
+    for y, w in zip(ys, wants):
+        assert family_rhs(y, lam).tobytes() == w.tobytes()
+        assert family_rhs(np.array(y), lam).tobytes() == w.tobytes()
+    block, w_block = np.array(ys).T, np.column_stack(wants)
+    assert family_rhs(block, lam).tobytes() == w_block.tobytes()
+    # a shot's field is the same call, negated on the sphere side
+    for side, sign in (("s1", 1.0), ("s2", -1.0)):
+        field = shooting._field(side, lam)
+        for y, w in zip(ys, wants):
+            assert field(0.0, np.array(y)).tobytes() == (sign * w).tobytes()
+        assert field(0.0, block).tobytes() == (sign * w_block).tobytes()

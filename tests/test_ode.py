@@ -350,6 +350,35 @@ def test_field_turning_nan_mid_run_ends_in_step_underflow():
         assert _trajectory_bytes(lane) == _trajectory_bytes(single)
 
 
+def test_field_nan_from_the_start_ends_in_step_underflow():
+    # a field that is NaN at the start gives the initial-step heuristic a
+    # NaN step: the underflow guard stops the run there, before any try,
+    # instead of rejecting NaN tries through the whole step budget
+    dp5 = integrate(lambda t, y: np.array([math.nan]), 0.0, [1.0], 10.0)
+    radau = integrate(
+        lambda t, y: np.array([math.nan]), 0.0, [1.0], 10.0, jac=lambda t, y: np.array([[math.nan]])
+    )
+    for traj in (dp5, radau):
+        assert traj.termination == "step_underflow"
+        assert traj.t.size == 1 and traj.dense_h.size == 0
+        assert traj.n_rejected == 0
+
+    # the lane with omega = 3 is NaN from its start and leaves the batch
+    # before its first step; the other two step on together
+    def nan_above_two(t, y):
+        return np.where(y[2] > 2.0, math.nan, _osc(t, y))
+
+    t0 = [0.0, 0.0, 0.2]
+    y0 = [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 3.0, 0.0], [0.5, 0.0, 1.5, 0.0]]
+    event = Event(lambda t, y: y[0] - 2.0)
+    singles = [integrate(nan_above_two, a, b, 5.0, event=event) for a, b in zip(t0, y0)]
+    lanes = ode.integrate_batch(lambda t, y: nan_above_two(t, y.T).T, t0, y0, 5.0, event, history=True)
+    assert [s.termination for s in singles] == ["reached_end", "step_underflow", "reached_end"]
+    assert singles[1].t.size == 1
+    for single, lane in zip(singles, lanes):
+        assert _trajectory_bytes(lane) == _trajectory_bytes(single)
+
+
 # ------------------------------------------------------------ crossing rule
 
 

@@ -810,6 +810,34 @@ def test_tangent_columns_leave_the_shot_bitwise_unchanged(side, params):
     assert (aug.n_rhs_evals, aug.n_rejected) == (plain.n_rhs_evals, plain.n_rejected)
 
 
+def test_every_field_evaluation_is_one_family_rhs_call(monkeypatch):
+    # the benchmark tracer counts field evaluations as calls of
+    # shooting.family_rhs: a shot's count equals its trajectory's rhs calls,
+    # for the DP5 and Radau steps and with tangent columns, on both sides
+    calls = []
+    monkeypatch.setattr(shooting, "family_rhs", lambda *a: calls.append(1) or fields.family_rhs(*a))
+
+    def counted(run):
+        calls.clear()
+        out = run()
+        return len(calls), out
+
+    cfg = ShootConfig()
+    for delta1 in (0.3, 300.0):
+        n, (_, traj) = counted(lambda: shoot_curve_point(delta1, cfg))
+        assert n == traj.n_rhs_evals
+    assert np.all(traj.dense_q[..., 3] == 0.0)  # delta1 = 300 took Radau's step
+    n, (_, traj) = counted(lambda: shoot_surface_point(-0.5, 0.7, cfg))
+    assert n == traj.n_rhs_evals
+    for side, params in (("s1", (0.3,)), ("s2", (-0.5, 0.7))):
+        t0, y0 = shooting._launch(side, params, cfg, tangent=True)
+        n, traj = counted(lambda: shooting._shoot(y0, t0, side, "meet", cfg, 1.0, len(params)))
+        assert n == traj.n_rhs_evals
+        # and one more call, for the meet's slope
+        n, _ = counted(lambda: shooting._meet_with_slope(side, params, cfg))
+        assert n == traj.n_rhs_evals + 1
+
+
 def test_curve_lanes_straddling_the_stiff_threshold_are_dp5_shots(monkeypatch):
     # node 20 lies below _STIFF_DELTA1 and repeats its single shot bitwise;
     # node 200's single shot takes Radau, its lane the batch's DP5, so the
