@@ -25,7 +25,10 @@ Two step methods share :func:`integrate`'s one loop, and with it the event
 probes and refinement, the blow-up guard, the terminations and the
 :class:`Trajectory`:
 
-* Dormand-Prince 5(4), explicit, with a quartic dense interpolant;
+* DOP853, the explicit 8(5,3) pair of Dormand & Prince in Hairer, Norsett
+  & Wanner's code (*Solving Ordinary Differential Equations I*, 2nd ed.,
+  section II.10), with scipy's constants and error norm: 12 rhs calls a
+  try, 3 more for the degree-7 dense interpolant of an accepted step;
 * Radau IIA of order 5, implicit and L-stable, taken when the caller passes
   the Jacobian of the field.  Its constants are those of Hairer & Wanner's
   RADAU5 code (*Solving Ordinary Differential Equations II*, 2nd ed.,
@@ -34,8 +37,9 @@ probes and refinement, the blow-up guard, the terminations and the
   is the cubic collocation polynomial, stored as a quartic with q3 = 0.
   The stiff circle-side shots and ``bryant``'s trace take it.
 
-There is one DP5 step, :func:`_dp5`, and one event probe, :func:`_probe`,
-each over one state or a lockstep block of states: :func:`integrate`'s
+There is one explicit step, :func:`_dop853` with its dense output
+:func:`_dense`, and one event probe, :func:`_probe`, each over one state or
+a lockstep block of states: :func:`integrate`'s
 loop calls them on its lane, :func:`integrate_batch` on its block of
 lanes.  Every lane of a batch ends in that loop, which resumes from the
 lane's state (and the try just made from it), so one loop decides why
@@ -62,38 +66,167 @@ __all__ = [
     "locate_event",
 ]
 
-# Dormand & Prince (1980) 5(4) pair.  C/A/B are the classical tableau; E is
-# the difference between the 5th- and 4th-order weights; P gives the quartic
-# dense-output interpolant (Shampine's coefficients, as in MATLAB's ode45).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+# Dormand & Prince's 8(5,3) pair, DOP853 (Hairer, Norsett & Wanner, *Solving
+# ODEs I*, 2nd ed., II.10), with the constants of scipy's
+# ``scipy/integrate/_ivp/dop853_coefficients.py``.  Stages 0-11 make the step,
+# stage 12 is rhs at the new state (first same as last), and stages 13-15
+# serve the dense output only.  _A[s, :s] are the weights of stage s, _A[12]
+# the step's weights _B; _E5 and _E3 are the differences from the embedded
+# 5th- and 3rd-order weights, whose two estimates _error_norm combines.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+    0.1, 0.2, 0.777777777777777777777777777778,
+])
+_A = np.zeros((16, 16))
+_A[1, 0] = 5.26001519587677318785587544488e-2
+_A[2, [0, 1]] = (
+    1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2,
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+_A[3, [0, 2]] = (
+    2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2,
 )
-_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
+_A[4, [0, 2, 3]] = (
+    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1,
+)
+_A[5, [0, 3, 4]] = (
+    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1,
+)
+_A[6, [0, 3, 4, 5]] = (
+    3.7109375e-2, 1.70252211019544039314978060272e-1,
+    6.02165389804559606850219397283e-2, -1.7578125e-2,
+)
+_A[7, [0, 3, 4, 5, 6]] = (
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3,
+)
+_A[8, [0, 3, 4, 5, 6, 7]] = (
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+)
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = (
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2,
+)
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = (
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022,
+)
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = (
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1,
+)
+_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = (
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = (
+    5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
+    -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+    1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+    7.56789766054569976138603589584e-3, -8.298e-3,
+)
+_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = (
+    3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
+    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
+    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1,
+)
+_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = (
+    -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
+    7.68342119606259904184240953878, 4.06898981839711007970213554331,
+    3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
+    2.9475147891527723389556272149, -9.15095847217987001081870187138,
+)
+_B = _A[12, :12]
+_E5 = np.zeros(12)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+)
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= (
+    0.244094488188976377952755905512, 0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1,
 )
 
-# Gauss-Legendre 3-point rule on [0, 1]; exact for polynomials of degree <= 5,
-# hence exact on the quartic dense interpolant.
-_GL3_NODES = np.array([0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10])
-_GL3_WEIGHTS = np.array([5 / 18, 8 / 18, 5 / 18])
+
+# The dense output, as scipy's ``Dop853DenseOutput`` writes it:
+#   y + h th (F0 + (1 - th) (F1 + th (F2 + (1 - th) (F3 + th (F4 + (1 - th) (F5 + th F6))))))
+# with F0 = (y_new - y) / h, F1 = f - F0, F2 = 2 F0 - f - f_new and F3..F6 =
+# _D K over all 16 stages.  F_j multiplies th^(j//2 + 1) (1 - th)^((j + 1)//2),
+# whose coefficients of th^1 .. th^7 are row j of _T (see _dense).
+_D = np.zeros((4, 16))
+_D[0, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    -0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+    -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+    0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+    0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+    -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+    -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1,
+)
+_D[1, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+    0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+    -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+    -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+    0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+    -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2,
+)
+_D[2, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+    -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+    -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+    -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+    -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+    0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2,
+)
+_D[3, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    -0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+    -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+    0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+    0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+    -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+    -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3,
+)
+_T = np.array([
+    [1, 0, 0, 0, 0, 0, 0],
+    [1, -1, 0, 0, 0, 0, 0],
+    [0, 1, -1, 0, 0, 0, 0],
+    [0, 1, -2, 1, 0, 0, 0],
+    [0, 0, 1, -2, 1, 0, 0],
+    [0, 0, 1, -3, 3, -1, 0],
+    [0, 0, 0, 1, -3, 3, -1],
+], dtype=float)
+
+# Gauss-Legendre 4-point rule on [0, 1]; exact for polynomials of degree <= 7,
+# hence exact on the degree-7 dense output times a linear function of y.
+_GL4_NODES = 0.5 + 0.5 * np.array([
+    -math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5)),
+    -math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5)),
+    math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5)),
+    math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5)),
+])
+_GL4_WEIGHTS = np.array([
+    18 - math.sqrt(30), 18 + math.sqrt(30), 18 + math.sqrt(30), 18 - math.sqrt(30)
+]) / 72
 
 # dense points probed for event sign changes on every step, so tight double
 # crossings inside one step are still seen; t + 1.0 * h is exactly t + h,
@@ -106,7 +239,7 @@ _LOCATE_FRACS = np.linspace(0.0, 1.0, 9)[1:]
 _XTOL = 1e-15
 _RTOL = 8.9e-16
 
-ORDER = 5  # propagating order of the pair
+ORDER = 8  # of the pair: DOP853's step factor goes as err^(-1/8)
 _MAX_STEPS = 500_000  # step tries before "max_steps", a safety valve
 _BLOWUP_NORM = 1e12  # the blow-up guard trips at max|y| >= this
 
@@ -192,9 +325,11 @@ class Trajectory:
     """Accepted samples plus the per-step dense interpolant.
 
     ``t``/``y`` are the accepted nodes (shape (n,), (n, d)).  Segment i covers
-    [t[i], t[i+1]] and carries coefficients ``dense_q[i]`` (d, 4) built over
-    the original step ``dense_h[i]``; the two differ only on a final segment
-    truncated by the event.  When ``termination`` is ``"event"`` the last
+    [t[i], t[i+1]] and carries the power-basis coefficients ``dense_q[i]``
+    built over the original step ``dense_h[i]``; the two differ only on a
+    final segment truncated by the event.  ``dense_q[i]`` is (d, 7), the
+    degree-7 DOP853 interpolant, or (d, 4) with q3 = 0 on a Radau step.
+    When ``termination`` is ``"event"`` the last
     node ``(t[-1], y[-1])`` is the refined crossing.
     """
 
@@ -244,21 +379,22 @@ class Trajectory:
 
         ``g`` is called on arrays: ``t`` of shape (m,) and ``y`` of shape
         (d, m), so ``y[k]`` is component k at every point; it returns the m
-        values.  Gauss-Legendre 3 per segment integrates the dense
-        interpolant exactly.  Returns (node_values, eval_fn): node_values[i]
-        is the integral from t[0] to t[i], and eval_fn gives it at scalar or
-        array t inside the domain (node times return node_values bitwise).
+        values.  Gauss-Legendre 4 per segment integrates g exactly when it
+        is linear in y, as the dense interpolant has degree 7 at most.
+        Returns (node_values, eval_fn): node_values[i] is the integral from
+        t[0] to t[i], and eval_fn gives it at scalar or array t inside the
+        domain (node times return node_values bitwise).
         """
 
         def partial(i, b):
             # integral over [t[i], b[k]] inside segment i[k], for each k
             a = self.t[i]
-            ts = a[:, None] + (b - a)[:, None] * _GL3_NODES
+            ts = a[:, None] + (b - a)[:, None] * _GL4_NODES
             ys = _interp(self.y[i, None], self.dense_q[i, None], self.dense_h[i, None], ts - a[:, None])
             vals = np.asarray(g(ts.ravel(), ys.reshape(-1, ys.shape[-1]).T)).reshape(ts.shape)
             # np.vecdot runs np.dot's kernel row by row, so a segment's value does
             # not depend on how many segments are summed together
-            return (b - a) * np.vecdot(vals, _GL3_WEIGHTS)
+            return (b - a) * np.vecdot(vals, _GL4_WEIGHTS)
 
         node_vals = np.concatenate(([0.0], np.cumsum(partial(np.arange(len(self.t) - 1), self.t[1:]))))
 
@@ -273,17 +409,17 @@ class Trajectory:
 
 
 def _interp(y0, q, h, dt):
-    """Quartic dense output y0 + h * (q0 th + q1 th^2 + q2 th^3 + q3 th^4) at
-    th = dt / h, in Horner form.
+    """Dense output y0 + h * (q0 th + q1 th^2 + ... + q_k th^(k+1)) at
+    th = dt / h, in Horner form over q's last axis, k + 1 = 7 or 4 terms.
 
-    One segment (y0 (d,), q (d, 4), scalar h) at scalar or (m,) dt, or any
-    broadcast stack of segments (y0 (..., d), q (..., d, 4), h (...)) with dt
-    of the stack's shape; the result has dt's shape plus a trailing d.
+    One segment (y0 (d,), q (d, k + 1), scalar h) at scalar or (m,) dt, or
+    any broadcast stack of segments (y0 (..., d), q (..., d, k + 1), h (...))
+    with dt of the stack's shape; the result has dt's shape plus a trailing d.
     """
     theta = np.asarray(dt / h)
     th = theta[..., None]
-    acc = q[..., 3]
-    for j in (2, 1, 0):
+    acc = q[..., -1]
+    for j in range(q.shape[-1] - 2, -1, -1):
         acc = acc * th + q[..., j]
     return y0 + (h * theta)[..., None] * acc
 
@@ -343,14 +479,21 @@ def _crossing_index(g, direction):
     return np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
 
-def _error_norm(err, y, y_new, cfg: IntegratorConfig):
-    """RMS of the error estimate scaled by atol + rtol max(|y|, |y_new|)
-    over the last axis (Hairer, Norsett & Wanner I, II.4); NaN or inf where
-    the step overflowed."""
+def _error_norm(err, y, y_new, cfg: IntegratorConfig, err3=None):
+    """RMS over the last axis of the error estimate scaled by atol + rtol
+    max(|y|, |y_new|) (Hairer, Norsett & Wanner I, II.4); NaN or inf where
+    the step overflowed.  With ``err3``, DOP853's norm of its two estimates
+    (scipy's ``DOP853._estimate_error_norm``): with S5, S3 the sums of
+    squares of err and err3 so scaled, S5 / sqrt((S5 + 0.01 S3) d)."""
     scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        # the mean as np.mean forms it: sum, then / d
-        return np.sqrt(np.add.reduce(np.square(err / scale), axis=-1) / err.shape[-1])
+        s5 = np.add.reduce(np.square(err / scale), axis=-1)
+        if err3 is None:
+            # the mean as np.mean forms it: sum, then / d
+            return np.sqrt(s5 / err.shape[-1])
+        denom = s5 + 0.01 * np.add.reduce(np.square(err3 / scale), axis=-1)
+        # both estimates 0: the step is exact; NaN and inf stay NaN
+        return np.where(denom == 0.0, 0.0, s5 / np.sqrt(denom * err.shape[-1]))
 
 
 def _step_factor(err_norm: float) -> float:
@@ -505,20 +648,45 @@ class _Radau:
         return (y_new, q, f_new), factor
 
 
-def _dp5(rhs, t, y, f, h, hc):
-    """The DP5 stages from (t, y), f = rhs(t, y), over the step h: the new
-    state, the error estimate, the (d, 4) dense coefficients and rhs at the
-    new state; six calls of rhs.  Of one state y (d,) with hc = h, or of a
-    lockstep block: the lanes' states end to end in y (n * d,), t and h (n,),
-    hc each lane's h repeated d times, and an rhs on such blocks.  Each of
-    its stage sums is one product over all lanes (see integrate_batch)."""
-    K = np.empty((7, y.size))
+def _dop853(rhs, t, y, f, h, hc):
+    """The DOP853 stages from (t, y), f = rhs(t, y), over the step h: the new
+    state, the 5th- and 3rd-order error estimates, and the stages K (16, d)
+    with rhs at the new state in K[12]; twelve calls of rhs.  Of one state
+    y (d,) with hc = h, or of a lockstep block: the lanes' states end to end
+    in y (n * d,), t and h (n,), hc each lane's h repeated d times, and an
+    rhs on such blocks.  Each of its stage sums is one product over all
+    lanes (see integrate_batch)."""
+    K = np.empty((16, y.size))
     K[0] = f
-    for s in range(1, 6):
-        K[s] = rhs(t + _C[s] * h, y + hc * (_A[s] @ K[:s]))
-    y_new = y + hc * (_B @ K[:6])
-    K[6] = rhs(t + h, y_new)
-    return y_new, hc * (_E @ K), K.T @ _P, K[6]
+    for s in range(1, 12):
+        K[s] = rhs(t + _C[s] * h, y + hc * (_A[s, :s] @ K[:s]))
+    y_new = y + hc * (_B @ K[:12])
+    K[12] = rhs(t + h, y_new)
+    return y_new, hc * (_E5 @ K[:12]), hc * (_E3 @ K[:12]), K
+
+
+def _dense(rhs, t, y, y_new, h, hc, K):
+    """The (d, 7) power-basis coefficients of DOP853's interpolant over an
+    accepted :func:`_dop853` step to y_new, of one state or of a lockstep
+    block as there; three more calls of rhs, for the stages K[13:16].
+
+    The F_j are formed first and then converted by _T, so the rounding of
+    _D K stays damped by the F_j's factors, at most 1/4 for j >= 1.  One
+    matrix folding _D and _T onto the stages gives coefficients that cancel
+    terms up to 545 times the stages: between the nodes of the round shot,
+    whose r and l2 are near 1e4 at the launch, the curvature eigenvalues
+    (k_s = r^2 - l2^2 among them) then stray up to 2.8e-6 from 1/3, against
+    5.5e-8, a few ulps of r^2, this way.  _D's rows sum to zero, so _D acts
+    on the stage differences K - K[0], which are smaller than K."""
+    for s in range(13, 16):
+        K[s] = rhs(t + _C[s] * h, y + hc * (_A[s, :s] @ K[:s]))
+    F = np.empty((y.size, 7))
+    F[:, 0] = (y_new - y) / hc
+    F[:, 1] = K[0] - F[:, 0]
+    F[:, 2] = 2.0 * F[:, 0] - K[0] - K[12]
+    F[:, 3:] = (K - K[0]).T @ _D.T
+    # a sum over j in a fixed order, so a lane's q does not depend on the block
+    return np.add.reduce(F[:, :, None] * _T, axis=1)
 
 
 def _probe(fn, t, y, y_new, q, h):
@@ -532,22 +700,23 @@ def _probe(fn, t, y, y_new, q, h):
     return probe_t, fn(probe_t.ravel(), probe_y.reshape(-1, y.shape[-1]).T)
 
 
-def _dp5_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state=None):
-    """One try at the DP5 step from (t, y), f = rhs(t, y), to t + h, in the
-    form of :meth:`_Radau.step`: the new state, its (d, 4) dense
+def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state=None):
+    """One try at the DOP853 step from (t, y), f = rhs(t, y), to t + h, in
+    the form of :meth:`_Radau.step`: the new state, its (d, 7) dense
     coefficients and rhs there, and the next step factor, when accepted;
-    else None and the factor to retry with."""
-    y_new, err, q, f_new = _dp5(rhs, t, y, f, h, h)
-    err_norm = float(_error_norm(err[:n_state], y[:n_state], y_new[:n_state], cfg))
+    else None and the factor to retry with.  Its calls of rhs: 12 a try,
+    and 3 more for the dense output of an accepted one."""
+    y_new, err5, err3, K = _dop853(rhs, t, y, f, h, h)
+    err_norm = float(_error_norm(err5[:n_state], y[:n_state], y_new[:n_state], cfg, err3[:n_state]))
     factor = _step_factor(err_norm)
     if not err_norm <= 1.0:
         return None, factor
-    return (y_new, q, f_new), factor
+    return (y_new, _dense(rhs, t, y, y_new, h, h, K), K[12]), factor
 
 
 def _blown_start(t0, y) -> Trajectory:
     """The trajectory of a start state that the blow-up guard stops at once."""
-    return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, 4)), np.zeros(0), "blowup")
+    return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, 7)), np.zeros(0), "blowup")
 
 
 def integrate(
@@ -562,16 +731,17 @@ def integrate(
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to t_end (forward only).
 
-    Steps with Dormand-Prince 5(4), or, when the Jacobian ``jac(t, y)``
-    (d, d) of rhs is given, with Radau IIA(5) (RADAU5's constants and
-    scipy's controller, see the module docstring).  That implicit step is
-    L-stable, so on a stiff problem its step size follows the solution and
-    not the stiff eigenvalue; each step costs about 8 rhs calls against
-    DP5's 6.  Both steps feed one loop: the same event probes and
-    refinement, blow-up guard, terminations and :class:`Trajectory`.  A
-    Radau segment stores its cubic collocation polynomial in ``dense_q``
-    with q3 = 0.  ``n_rhs_evals`` counts every call of rhs, Newton's
-    included; the calls of jac are not counted.
+    Steps with DOP853, or, when the Jacobian ``jac(t, y)`` (d, d) of rhs
+    is given, with Radau IIA(5) (RADAU5's constants and scipy's
+    controller, see the module docstring).  That implicit step is L-stable,
+    so on a stiff problem its step size follows the solution and not the
+    stiff eigenvalue; each step costs about 8 rhs calls against DOP853's
+    15.  Both steps feed one loop: the same event probes and refinement,
+    blow-up guard, terminations and :class:`Trajectory`.  A DOP853 segment
+    stores its degree-7 interpolant in ``dense_q`` (d, 7), a Radau segment
+    its cubic collocation polynomial (d, 4) with q3 = 0.  ``n_rhs_evals``
+    counts every call of rhs, the dense output's and Newton's included;
+    the calls of jac are not counted.
 
     Stops early at the first matching crossing of ``event`` (the trajectory
     then ends on the refined crossing, termination ``"event"``), on the
@@ -613,8 +783,9 @@ def integrate(
 def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, n_rejected, n_evals, step=None):
     """:func:`integrate`'s loop, resumed at the node (t, y) with f = rhs(t, y),
     the step size h to try next, the event function g_prev there, and the
-    tries, rejections and rhs calls so far; ``step``, a DP5 try already
-    made from there with h, is taken as the first.  The trajectory on."""
+    tries, rejections and rhs calls so far; ``step``, an accepted DOP853
+    try already made from there with h, is taken as the first.  The
+    trajectory on."""
     ts, ys, qs, hs = [t], [y.copy()], [], []
     termination = "reached_end"
     tiny = 10 * np.finfo(float).eps
@@ -632,9 +803,9 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
         if radau is not None:
             accepted, factor = radau.step(t, y, f, h)
         else:
-            accepted, factor = _dp5_step(rhs, t, y, f, h, cfg, n_state) if step is None else step
+            accepted, factor = _explicit_step(rhs, t, y, f, h, cfg, n_state) if step is None else step
             step = None
-            n_evals += 6
+            n_evals += 12 if accepted is None else 15
         if accepted is None:
             n_rejected += 1
             h *= factor
@@ -673,7 +844,7 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
     return Trajectory(
         t=np.array(ts),
         y=np.array(ys),
-        dense_q=np.array(qs) if qs else np.zeros((0, y.size, 4)),
+        dense_q=np.array(qs) if qs else np.zeros((0, y.size, 4 if radau else 7)),
         dense_h=np.array(hs),
         termination=termination,
         n_rhs_evals=n_evals + (radau.n_evals if radau else 0),
@@ -708,22 +879,23 @@ def integrate_batch(
     (d,).  The event's ``fn`` is called once per step on the probes of
     every lane, as :class:`Event` describes.
 
-    The batch takes the DP5 step and event probe of :func:`integrate`'s
+    The batch takes the DOP853 step and event probe of :func:`integrate`'s
     loop on all lanes together, keeping only its per-lane accept and step
     factor, and every lane ends in that loop, which alone decides why it
     stops.  A lane leaves the batch for the loop before a step that the
     loop would not take (t_end, the step budget, a step underflow), after
     an accepted step that crosses the event or blows up (the loop takes
     that step as its first, so it is not made twice), or when it is the
-    last lane left.  That last lane steps at a single shot's cost there (a
-    lone delta1 = 300 circle-side lane: 1.02x, against 2.6x in the batch).
+    last lane left.  That last lane steps near a single shot's cost there
+    (a lone delta1 = 300 circle-side lane: 1.14-1.19x, against 2.3x and
+    more in the batch).
 
     Every lane repeats the arithmetic of :func:`integrate` bit for bit, so
     its result does not depend on the batch size or on the other lanes.
-    That needs a state width d that is a multiple of 4: the stage sums and
-    the dense coefficients of all lanes are each one BLAS product, and only
-    then does each lane's block of d entries take the same kernel path as a
-    single lane's.  Pad a narrower state with a constant component.
+    That needs a state width d that is a multiple of 4: the stage sums, the
+    error estimates and the dense output's _D product of all lanes are each
+    one BLAS product, and only then does each lane's block of d entries
+    take the same kernel path as a single lane's.  Pad a narrower state with a constant component.
 
     Returns one entry per lane: its :class:`Trajectory` when ``history`` is
     set, else a :class:`LaneEnd` with the final node and the termination.
@@ -742,7 +914,7 @@ def integrate_batch(
     tails = [None] * n_lanes  # per lane, its trajectory from integrate's loop
     n_rejected = np.zeros(n_lanes, dtype=int)
     # per step, the accepted steps by their left nodes: (lane ids, t, y, dense_q, dense_h)
-    log = [(np.zeros(0, int), np.zeros(0), np.zeros((0, d)), np.zeros((0, d, 4)), np.zeros(0))]
+    log = [(np.zeros(0, int), np.zeros(0), np.zeros((0, d)), np.zeros((0, d, 7)), np.zeros(0))]
     n_steps = 0  # steps tried by every lane still in the batch
     tiny = 10 * np.finfo(float).eps
 
@@ -765,9 +937,11 @@ def integrate_batch(
         nonlocal lane, t, y, f, h, g_prev
         for i in np.flatnonzero(mask).tolist():
             tried = None if step is None else ((step[0][i], step[1][i], step[2][i]), float(step[3][i]))
+            rejected = int(n_rejected[lane[i]])
+            # a single shot's calls: 2 to start, 12 a try and 3 an accepted step
             tails[lane[i]] = _steps(
                 rhs, t_end, cfg, event, None, None, float(t[i]), y[i], f[i], float(h[i]),
-                float(g_prev[i]), n_steps, int(n_rejected[lane[i]]), 2 + 6 * n_steps, tried,
+                float(g_prev[i]), n_steps, rejected, 2 + 15 * n_steps - 3 * rejected, tried,
             )
         keep = ~mask
         lane, t, y, f, h, g_prev = lane[keep], t[keep], y[keep], f[keep], h[keep], g_prev[keep]
@@ -782,9 +956,12 @@ def integrate_batch(
             hand_off(leave)
             continue
 
-        y_new, err, q, f_new = _dp5(flat_rhs, t, y.ravel(), f.ravel(), h, np.repeat(h, d))
-        y_new, err, q, f_new = y_new.reshape(-1, d), err.reshape(-1, d), q.reshape(-1, d, 4), f_new.reshape(-1, d)
-        err_norm = _error_norm(err, y, y_new, cfg)
+        hc = np.repeat(h, d)
+        y_new, err5, err3, K = _dop853(flat_rhs, t, y.ravel(), f.ravel(), h, hc)
+        # the dense stages of every lane in one block; a rejected lane's go unused
+        q = _dense(flat_rhs, t, y.ravel(), y_new, h, hc, K).reshape(-1, d, 7)
+        y_new, err5, err3, f_new = (a.reshape(-1, d) for a in (y_new, err5, err3, K[12]))
+        err_norm = _error_norm(err5, y, y_new, cfg, err3)
         ok = err_norm <= 1.0
         n_rejected[lane[~ok]] += 1
         factor = np.array([_step_factor(e) for e in err_norm.tolist()])

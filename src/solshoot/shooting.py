@@ -20,14 +20,14 @@ shot carries the derivatives of its state by its parameters (one tangent
 column on the circle side, two on the sphere side) next to the state,
 started from the derivatives of the series launch state.  The tangent
 columns stay out of the step control, so the state part of such a shot is
-bitwise the plain shot's, as long as both take the DP5 step (see "Stiff
-regime" below).
+bitwise the plain shot's, as long as both take the explicit DOP853 step (see
+"Stiff regime" below).
 
 The sweeps (``sample_curve``, ``sample_surface``, ``scan_domain``) shoot all
 their nodes of one side together, in lockstep through
 ``ode.integrate_batch``, one process; the last node left goes on alone in
 ``ode.integrate``'s loop.  Every node's result is bit-identical
-to its single DP5 shot, so it does not depend on the sweep's size or order;
+to its single DOP853 shot, so it does not depend on the sweep's size or order;
 that is ``shoot_curve_point``/``shoot_surface_point`` except for a circle-side
 node in the stiff regime below.  ``scan_domain`` still accepts a ``workers``
 argument, with no effect, because the benchmark's scan workload passes it.
@@ -37,24 +37,25 @@ Failed shots inside sweeps are recorded, not raised: the large-delta1 regime
 legitimately stresses the integrator and the failure boundary is data.
 
 Stiff regime: on the circle side at large delta1, the L1 and L2 equations
-have the eigenvalue -xi while xi is large, and DP5's step is held to its
-stability limit there, so its step count grows linearly in delta1 (3.8k,
-15k and 72k steps to xi = 10 at delta1 = 1e2, 1e3, 1e4).  A plain
-circle-side shot with delta1 >= ``_STIFF_DELTA1`` = 200 therefore takes
-the Radau IIA(5) step of ``ode.integrate``, given the exact Jacobian
+have the eigenvalue -xi while xi is large, and the explicit step is held to
+its stability limit there, so its step count grows linearly in delta1
+(DOP853: 1.5k, 5.9k and 32k steps to xi = 10 at delta1 = 1e2, 1e3, 1e4).
+A plain circle-side shot with delta1 >= ``_STIFF_DELTA1`` = 200 therefore
+takes the Radau IIA(5) step of ``ode.integrate``, given the exact Jacobian
 ``family_tangent(y, I)``: 3.0k to 4.3k steps to xi = 10 from delta1 = 200
 to 1e6.  Uncapped in t, a shot meets near t = 6 sqrt(delta1) to delta1 ~ 2e19.
-DP5 and Radau cost the same near delta1 = 150 (measured on shots to the
-meet and to xi = 10); 200 leaves a margin.  The route depends on delta1
-alone, never on a runtime test.  Only the plain scalar shot has the Radau
-step.  Newton's tangent-carrying shots, every sweep lane (``integrate_batch``
-is DP5 only), the sphere side and every delta1 below 200 take DP5.  So at
+DOP853 and Radau cost the same near delta1 = 150-175 (wall time of shots
+to the meet and to xi = 10; DOP853 makes more rhs calls from delta1 = 125
+on); 200 leaves a margin.  The route depends on delta1 alone, never on a
+runtime test.  Only the plain scalar shot has the Radau step.  Newton's
+tangent-carrying shots, every sweep lane (``integrate_batch`` is explicit
+only), the sphere side and every delta1 below 200 take DOP853.  So at
 delta1 >= 200, a ``sample_curve`` node and Newton's F agree with
 ``shoot_curve_point`` and ``mismatch`` to within the integration tolerance,
-not bitwise.  Sweeps stay on DP5 because a lockstep DP5 batch amortises its
+not bitwise.  Sweeps stay explicit because a lockstep batch amortises its
 per-step cost over the lanes: ``curve --range 200,2000 --n 100`` took
-12.5-15.2 s batched, against 74 s with each node a scalar Radau shot (2-core
-Xeon VM).  The last lane, which leaves the batch, stays on DP5 too.
+10.2-11.5 s batched, against 74 s with each node a scalar Radau shot (2-core
+Xeon VM).  The last lane, which leaves the batch, stays explicit too.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ _MAX_ITER = 25  # Newton iterations before MaxIterations
 # step; see "Stiff regime" in the module docstring
 _STIFF_DELTA1 = 200.0
 _EYE4 = np.eye(4)
+# points a step at which sampled minima are read (``_sample_times``).  A
+# DOP853 shot takes 2.4-4.8x fewer steps than DP5 did, so 16 a step give it
+# 1.7-3.3x the samples of DP5's nodes and midpoints; a Radau step keeps the
+# 16 that put large_delta1_trace's distance to the critical line within
+# 1.4e-8 relative of its minimum over 8 points a DP5 step at delta1 = 1e3, 1e4
+_SAMPLES_PER_STEP = 16
 
 
 @dataclass(frozen=True)
@@ -526,8 +533,8 @@ def mismatch(
 
 
 def _meet_with_slope(side: str, params: tuple, cfg: ShootConfig):
-    """(L1, L2, R) at the meet of a DP5 shot from ``params``, bitwise the
-    plain DP5 shot's, and its derivatives by the parameters, (3, len(params)).
+    """(L1, L2, R) at the meet of a DOP853 shot from ``params``, bitwise the
+    plain DOP853 shot's, and its derivatives by the parameters, (3, len(params)).
 
     The tangent columns Y are integrated with the state.  The meet moves
     with the parameters: xi(t*) = 0 gives dt*/dp = -Y[0] / xi'(y*), so
@@ -543,7 +550,7 @@ def _meet_with_slope(side: str, params: tuple, cfg: ShootConfig):
 
 
 def _mismatch_with_jacobian(p: np.ndarray, cfg: ShootConfig):
-    """F(p) and its exact Jacobian: one DP5 shot per side with its tangent
+    """F(p) and its exact Jacobian: one DOP853 shot per side with its tangent
     columns.  F is bitwise ``mismatch(*p)`` for delta1 < ``_STIFF_DELTA1``;
     above, ``mismatch`` shoots the circle side with Radau and the two agree
     to within the integration tolerance."""
@@ -632,19 +639,27 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
     )
 
 
+def _sample_times(traj: Trajectory) -> np.ndarray:
+    """The times at which sampled minima along a trajectory are read, in
+    ascending order: every node, and ``_SAMPLES_PER_STEP`` - 1 evenly spaced
+    points of each step's dense output."""
+    frac = np.arange(_SAMPLES_PER_STEP) / _SAMPLES_PER_STEP
+    inner = traj.t[:-1, None] + np.diff(traj.t)[:, None] * frac  # frac 0 is the node
+    return np.append(inner.ravel(), traj.t[-1])
+
+
 def _eig_samples(traj: Trajectory) -> tuple:
-    """(times, curvature eigenvalue rows) at a trajectory's nodes and step
-    midpoints, in ascending time."""
-    ts = np.sort(np.concatenate((traj.t, 0.5 * (traj.t[:-1] + traj.t[1:]))))
+    """(times, curvature eigenvalue rows) at ``_sample_times``."""
+    ts = _sample_times(traj)
     return ts, curvature_eigs_grid(traj.eval(ts))
 
 
 def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = False) -> list:
     """Meet shots of many parameter points, in lockstep through
-    ``integrate_batch``, every one with the DP5 step.
+    ``integrate_batch``, every one with the DOP853 step.
 
     Per point, (meet, trajectory, reason): a failed shot has meet None and
-    the text its single DP5 shot would raise as reason; the trajectory is kept
+    the text its single DOP853 shot would raise as reason; the trajectory is kept
     only with ``history``.
     """
     out = [None] * len(points)

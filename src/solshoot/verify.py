@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from . import bryant, fields, ode
 from .errors import EventNotReached, ExtrapolationUnstable, InadmissibleParameters
-from .shooting import _STIFF_DELTA1, ShootConfig, _eig_samples, shoot_curve_point
+from .shooting import ShootConfig, _eig_samples, _sample_times, shoot_curve_point
 
 __all__ = [
     "MaxPrincipleReport",
@@ -44,6 +44,11 @@ EIG_NAMES = ("k_t1", "k_s", "k_m", "k_t2")
 # |value| below this everywhere classifies an eigenvalue as identically
 # zero rather than sign-changing (degenerate cases like the Gaussian k_m)
 _ZERO_BAND = 1e-9
+# every eigenvalue is a quadratic in the state, so it carries a rounding
+# error of a few eps |y|^2; a sample below _SIGN_ULPS eps max|y|^2 has no
+# sign either.  On the Gaussian's launch k_t1 = 0 is computed from terms
+# near 1e8 and reads between -7e-9 and 3e-8
+_SIGN_ULPS = 8
 _K_SAMPLES = 2001  # uniform grid points of k_monitor
 # distances from the sphere orbit where delta2_monitors samples: a halving
 # triple (s, s/2, s/4)
@@ -134,7 +139,7 @@ class BryantCompareReport(NamedTuple):
 
 
 def max_principle_report(traj: ode.Trajectory) -> MaxPrincipleReport:
-    """Minima of k_t1 and k_s over nodes and midpoints of a trajectory."""
+    """Minima of k_t1 and k_s over a trajectory's ``shooting._sample_times``."""
     ts, eigs = _eig_samples(traj)
     i1 = int(np.argmin(eigs[:, 0]))
     i2 = int(np.argmin(eigs[:, 1]))
@@ -152,9 +157,14 @@ def sign_profile(traj: ode.Trajectory) -> SignReport:
     An eigenvalue staying within 1e-9 of zero everywhere is
     flagged identically zero and contributes no sign changes.  Otherwise
     interior crossings between samples of definite opposite sign are
-    refined with a bracketed root solve on the dense output.
+    refined with a bracketed root solve on the dense output.  A sample is
+    definite when it lies outside 1e-9 and outside its own rounding error,
+    ``_SIGN_ULPS`` eps max|y|^2 at its state y.
     """
-    ts, eigs = _eig_samples(traj)
+    ts = _sample_times(traj)
+    states = traj.eval(ts)
+    eigs = fields.curvature_eigs_grid(states)
+    band = np.maximum(_ZERO_BAND, _SIGN_ULPS * np.finfo(float).eps * np.max(states * states, axis=1))
     mins, tmins, changes, flat = [], [], [], []
     for j in range(4):
         v = eigs[:, j]
@@ -172,7 +182,7 @@ def sign_profile(traj: ode.Trajectory) -> SignReport:
 
         # brackets between consecutive definite samples of opposite sign (a
         # NaN sample counts as definite and negative)
-        k = np.flatnonzero(~(np.abs(v) < _ZERO_BAND))
+        k = np.flatnonzero(~(np.abs(v) < band))
         flip = (v[k[1:]] > 0) != (v[k[:-1]] > 0)
         brackets = zip(ts[k[:-1][flip]], ts[k[1:][flip]])
         changes.append(tuple(float(brentq(eig_j, a, b, xtol=1e-13)) for a, b in brackets))
@@ -278,12 +288,6 @@ def delta2_monitors(traj: ode.Trajectory) -> Delta2Report:
     )
 
 
-# samples a Radau step in large_delta1_trace's minima: at 16, the
-# distance to the critical line at delta1 = 1e3 and 1e4 lies within 1.4e-8
-# relative of its minimum over 8 points a DP5 step (2.1e-6 over the nodes)
-_TRACE_SAMPLES = 16
-
-
 def large_delta1_trace(
     d1: float, cfg: Optional[ShootConfig] = None
 ) -> PancakeTraceReport:
@@ -292,21 +296,15 @@ def large_delta1_trace(
 
     Along the way the minima of x and of the gauge E are tracked, as is
     the distance to the critical line (0, 0, 0, z) with z clipped to
-    [0, 1].  They are minima over samples: the nodes of a DP5 shot, and
-    the dense output at ``_TRACE_SAMPLES`` points a step of a Radau shot
-    (delta1 >= ``_STIFF_DELTA1``), whose steps are 5-20x longer.
-    EventNotReached propagates if the shot never reaches xi=10.
+    [0, 1].  They are minima over the dense output at the shot's
+    ``shooting._sample_times``.  EventNotReached propagates if the shot
+    never reaches xi=10.
     """
     if not d1 > 0.0:
         raise InadmissibleParameters(f"d1 must be positive, got {d1:g}")
     _, traj = shoot_curve_point(d1, cfg, until=("xi", 10.0))
-    states = traj.y
-    if d1 >= _STIFF_DELTA1:
-        frac = np.arange(1, _TRACE_SAMPLES) / _TRACE_SAMPLES
-        inner = traj.t[:-1, None] + np.diff(traj.t)[:, None] * frac
-        # the last sample is the last node, which eval returns bitwise
-        states = traj.eval(np.sort(np.concatenate((traj.t, inner.ravel()))))
-    scaled = fields.to_scaled(states.T)
+    # the last sample is the last node, which eval returns bitwise
+    scaled = fields.to_scaled(traj.eval(_sample_times(traj)).T)
     w, x, y, z = scaled
     dist = np.sqrt(w * w + x * x + y * y + (z - np.clip(z, 0.0, 1.0)) ** 2)
     gauges = fields.gauge_quantities(scaled)

@@ -184,7 +184,7 @@ def test_shot_header_reports_handoff_and_counters(capsys, fmt):
     assert meta["t_eps"] == "0.0001"
     assert meta["handoff_eps"] == "7.071067811865475e-05" == repr(traj.t0)
     counters = (int(meta["rhs_evals"]), int(meta["rejected_steps"]))
-    assert counters == (traj.n_rhs_evals, traj.n_rejected) == (68, 3)
+    assert counters == (traj.n_rhs_evals, traj.n_rejected) == (29, 1)
 
 
 def test_reruns_are_byte_identical(capsys):

@@ -36,27 +36,59 @@ def test_eval_rejects_out_of_domain():
         traj.eval(-0.1)
 
 
-def test_fixed_step_convergence_order_is_five():
-    # global error of the DP5 step at fixed h on y' = -y over [0, 2]
-    # should scale like h^5
+def test_fixed_step_convergence_order_is_eight():
+    # global error of the DOP853 step at fixed h on y' = -y over [0, 2]
+    # should scale like h^8; at these h it runs from 2e-8 to 3e-13, well
+    # above rounding
     errs = []
-    steps = [0.2, 0.1, 0.05]
+    steps = [1.0, 0.5, 0.25]
     for h in steps:
         t, y, f = 0.0, np.array([1.0]), np.array([-1.0])
         for _ in range(round(2.0 / h)):
-            y, _, _, f = ode._dp5(lambda t, y: -y, t, y, f, h, h)
-            t += h
+            y, _, _, K = ode._dop853(lambda t, y: -y, t, y, f, h, h)
+            t, f = t + h, K[12]
         errs.append(abs(y[0] - math.exp(-2.0)))
     rate = np.polyfit(np.log(steps), np.log(errs), 1)[0]
-    assert abs(rate - 5.0) < 0.5
+    assert abs(rate - 8.0) < 0.5
+
+
+def test_dop853_constants_are_scipys():
+    # the tableau is written out in ode (importing solshoot must not load
+    # scipy.integrate); it must equal scipy's, and the power-basis dense
+    # output must be scipy's interpolant
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert ode._C.tobytes() == ref.C.tobytes()
+    assert ode._A[:12, :12].tobytes() == ref.A[:12, :12].tobytes()
+    assert ode._A[13:].tobytes() == ref.A[13:].tobytes()
+    assert ode._B.tobytes() == ref.B.tobytes()
+    assert ode._E5.tobytes() == ref.E5[:12].tobytes() and ref.E5[12] == 0.0
+    assert ode._E3.tobytes() == ref.E3[:12].tobytes() and ref.E3[12] == 0.0
+    assert ode._D.tobytes() == ref.D.tobytes()
+    rng = np.random.default_rng(3)
+    m, y, h = rng.normal(size=(5, 5)), rng.normal(size=5), 0.3
+    rhs = lambda t, y: m @ y + np.sin(t)
+    y_new, _, _, K = ode._dop853(rhs, 0.0, y, rhs(0.0, y), h, h)
+    q = ode._dense(rhs, 0.0, y, y_new, h, h, K)
+    F = [y_new - y, h * K[0] - (y_new - y), 2 * (y_new - y) - h * (K[0] + K[12]), *(h * ref.D @ K)]
+    for th in np.linspace(0.0, 1.0, 11):
+        want = np.zeros(5)
+        for i, Fi in enumerate(reversed(F)):  # scipy's Dop853DenseOutput
+            want = (want + Fi) * (th if i % 2 == 0 else 1 - th)
+        assert np.max(np.abs(ode._interp(y, q, h, th * h) - (y + want))) < 1e-14
 
 
 def test_blowup_guard_stops_riccati():
-    # y' = y^2 from y(0)=1 blows up at t=1; the guard must stop us cleanly
-    traj = integrate(lambda t, y: y**2, 0.0, [1.0], 2.0)
-    assert traj.termination == "blowup"
+    # y' = y^2 from y(0)=1 blows up at t=1; the guard must stop us cleanly.
+    # It trips at y = 1e12, 1e-12 before t = 1, so that t_end < 1 needs a
+    # blow-up time accurate to better than 1e-12: at the default rtol the
+    # numerical one lags by 8e-12, as scipy's DOP853 does, within tolerance
+    for cfg in (IntegratorConfig(), IntegratorConfig(rtol=1e-12, atol=1e-14)):
+        traj = integrate(lambda t, y: y**2, 0.0, [1.0], 2.0, cfg)
+        assert traj.termination == "blowup"
+        assert np.max(np.abs(traj.y[-1])) >= 1e12
+        assert abs(traj.t_end - 1.0) < cfg.rtol
     assert traj.t_end < 1.0
-    assert np.max(np.abs(traj.y[-1])) >= 1e12
 
 
 def test_terminal_event_harmonic_oscillator():
@@ -120,12 +152,22 @@ def test_locate_event_finds_the_crossing_that_stopped_the_trajectory():
 
 
 def test_antiderivative_exact_on_polynomial():
-    # y' = 1 gives y = t; integrate g = y^3 exactly (GL3 handles quartics,
+    # y' = 1 gives y = t; integrate g = y^3 exactly (GL4 handles degree 7,
     # and the dense interpolant reproduces linear solutions exactly)
     traj = integrate(lambda t, y: np.array([1.0]), 0.0, [0.0], 2.0)
     node_vals, F = traj.antiderivative(lambda t, y: y[0] ** 3)
     assert abs(node_vals[-1] - 2.0**4 / 4) < 1e-12
     assert abs(F(1.3) - 1.3**4 / 4) < 1e-12
+
+
+def test_antiderivative_exact_on_the_degree_seven_interpolant():
+    # y' = 7 t^6 gives y = t^7, which the step and its dense output
+    # reproduce; the integral of y, t^8 / 8, needs a rule exact for degree 7
+    traj = integrate(lambda t, y: np.array([7.0 * t**6]), 0.0, [0.0], 1.5)
+    assert len(traj.t) > 2
+    node_vals, F = traj.antiderivative(lambda t, y: y[0])
+    assert abs(node_vals[-1] - 1.5**8 / 8) < 1e-12
+    assert abs(F(1.3) - 1.3**8 / 8) < 1e-12
 
 
 def test_antiderivative_on_transcendental_field():
@@ -184,8 +226,8 @@ def _eval_reference(traj, t):
         return traj.y[i + 1]
     theta = (t - traj.t[i]) / traj.dense_h[i]
     q = traj.dense_q[i]
-    acc = q[:, 3]
-    for j in (2, 1, 0):
+    acc = q[:, -1]
+    for j in range(q.shape[1] - 2, -1, -1):
         acc = acc * theta + q[:, j]
     return traj.y[i] + traj.dense_h[i] * theta * acc
 
@@ -421,8 +463,8 @@ def _locate_reference(traj, fn, direction):
     def dense(i, t):
         theta = (t - float(traj.t[i])) / traj.dense_h[i]
         q = traj.dense_q[i]
-        acc = q[:, 3]
-        for j in (2, 1, 0):
+        acc = q[:, -1]
+        for j in range(q.shape[1] - 2, -1, -1):
             acc = acc * theta + q[:, j]
         return traj.y[i] + traj.dense_h[i] * theta * acc
 

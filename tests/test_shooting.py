@@ -810,6 +810,18 @@ def test_tangent_columns_leave_the_shot_bitwise_unchanged(side, params):
     assert (aug.n_rhs_evals, aug.n_rejected) == (plain.n_rhs_evals, plain.n_rejected)
 
 
+@pytest.mark.parametrize("side, params", [("s1", ROUND_DELTAS[:1]), ("s2", ROUND_DELTAS[1:])])
+@pytest.mark.parametrize("tangent", [False, True])
+def test_round_meet_shots_take_at_most_120_steps(side, params, tangent):
+    # the eighth-order step meets in 99 (s1) and 92 (s2) accepted steps, with
+    # or without the tangent columns; DP5 took 456 and 398
+    cfg = ShootConfig()
+    t0, y0 = shooting._launch(side, params, cfg, tangent=tangent)
+    traj = shooting._shoot(y0, t0, side, "meet", cfg, 1.0, len(params) if tangent else 0)
+    assert traj.termination == "event"
+    assert len(traj.t) - 1 <= 120
+
+
 def test_every_field_evaluation_is_one_family_rhs_call(monkeypatch):
     # the benchmark tracer counts field evaluations as calls of
     # shooting.family_rhs: a shot's count equals its trajectory's rhs calls,

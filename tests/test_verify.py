@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from solshoot import fields, ode, verify
+from solshoot import fields, ode, shooting, verify
 from solshoot.errors import (
     EventNotReached,
     ExtrapolationUnstable,
@@ -97,8 +97,9 @@ def test_gaussian_sign_profile(gauss_s2):
 
 def _sign_profile_reference(traj):
     """``sign_profile`` by a walk over the sorted samples, one at a time."""
-    ts = np.sort(np.concatenate([traj.t, 0.5 * (traj.t[:-1] + traj.t[1:])]))
-    eigs = fields.curvature_eigs_grid(traj.eval(ts))
+    ts = np.sort(shooting._sample_times(traj))
+    states = traj.eval(ts)
+    eigs = fields.curvature_eigs_grid(states)
     mins, tmins, changes = [], [], []
     for j in range(4):
         v = eigs[:, j]
@@ -109,8 +110,9 @@ def _sign_profile_reference(traj):
             return float(fields.curvature_eigs(traj.eval(t))[j])
 
         found, last_sign, last_t = [], 0, ts[0]
-        for tv, vv in zip(ts, v):
-            s = 0 if abs(vv) < 1e-9 else (1 if vv > 0 else -1)
+        for tv, vv, y in zip(ts, v, states):
+            band = max(1e-9, 8 * np.finfo(float).eps * max(y * y))
+            s = 0 if abs(vv) < band else (1 if vv > 0 else -1)
             if s != 0:
                 if last_sign != 0 and s != last_sign:
                     found.append(float(brentq(eig_j, last_t, tv, xtol=1e-13)))
