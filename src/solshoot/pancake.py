@@ -303,7 +303,7 @@ def profile_curvature(profile: PancakeProfile) -> ProfileCurvature:
 def profile_report(profile: PancakeProfile) -> ProfileReport:
     """Volume 8 pi^2 int f1 f2^2 dr, the diameter interval
     [L+1, L+1 + pi max f2 + pi max f1], and the curvature extrema."""
-    curv = profile_curvature(profile)
+    min_eig, s_min, s_max, _ = _reported_extrema(profile)
     vol = 8.0 * math.pi**2 * float(
         np.trapezoid(profile.f1 * profile.f2**2, profile.r)
     )
@@ -315,9 +315,9 @@ def profile_report(profile: PancakeProfile) -> ProfileReport:
         volume=vol,
         diameter_low=lo,
         diameter_high=hi,
-        min_eig=curv.min_eig,
-        s_min=curv.s_min,
-        s_max=curv.s_max,
+        min_eig=min_eig,
+        s_min=s_min,
+        s_max=s_max,
     )
 
 

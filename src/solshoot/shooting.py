@@ -80,7 +80,7 @@ from .fields import (
     family_rhs,
     family_tangent,
 )
-from .ode import Event, IntegratorConfig, LaneEnd, Trajectory, integrate, integrate_batch
+from .ode import Event, IntegratorConfig, LaneEnd, integrate, integrate_batch
 
 __all__ = [
     "ROUND_DELTAS",
@@ -115,12 +115,6 @@ _MAX_ITER = 25  # Newton iterations before MaxIterations
 # step; see "Stiff regime" in the module docstring
 _STIFF_DELTA1 = 200.0
 _EYE4 = np.eye(4)
-# points a step at which sampled minima are read (``_sample_times``).  A
-# DOP853 shot takes 2.4-4.8x fewer steps than DP5 did, so 16 a step give it
-# 1.7-3.3x the samples of DP5's nodes and midpoints; a Radau step keeps the
-# 16 that put large_delta1_trace's distance to the critical line within
-# 1.4e-8 relative of its minimum over 8 points a DP5 step at delta1 = 1e3, 1e4
-_SAMPLES_PER_STEP = 16
 
 
 @dataclass(frozen=True)
@@ -639,21 +633,6 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
     )
 
 
-def _sample_times(traj: Trajectory) -> np.ndarray:
-    """The times at which sampled minima along a trajectory are read, in
-    ascending order: every node, and ``_SAMPLES_PER_STEP`` - 1 evenly spaced
-    points of each step's dense output."""
-    frac = np.arange(_SAMPLES_PER_STEP) / _SAMPLES_PER_STEP
-    inner = traj.t[:-1, None] + np.diff(traj.t)[:, None] * frac  # frac 0 is the node
-    return np.append(inner.ravel(), traj.t[-1])
-
-
-def _eig_samples(traj: Trajectory) -> tuple:
-    """(times, curvature eigenvalue rows) at ``_sample_times``."""
-    ts = _sample_times(traj)
-    return ts, curvature_eigs_grid(traj.eval(ts))
-
-
 def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = False) -> list:
     """Meet shots of many parameter points, in lockstep through
     ``integrate_batch``, every one with the DOP853 step.
@@ -716,7 +695,7 @@ def sample_curve(
     d1s = [float(d1) for d1 in np.geomspace(lo, hi, n)]
     shots = _shoot_lanes("s1", [(d1,) for d1 in d1s], cfg, history=True)
     return [
-        CurveSample(d1, meet, tuple(_eig_samples(traj)[1].min(axis=0).tolist()), "ok")
+        CurveSample(d1, meet, tuple(curvature_eigs_grid(traj.sample()[1]).min(axis=0).tolist()), "ok")
         if reason is None
         else CurveSample(d1, None, None, f"failed: {reason}")
         for d1, (meet, traj, reason) in zip(d1s, shots)

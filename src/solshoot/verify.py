@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from . import bryant, fields, ode
 from .errors import EventNotReached, ExtrapolationUnstable, InadmissibleParameters
-from .shooting import ShootConfig, _eig_samples, _sample_times, shoot_curve_point
+from .shooting import ShootConfig, shoot_curve_point
 
 __all__ = [
     "MaxPrincipleReport",
@@ -139,8 +139,9 @@ class BryantCompareReport(NamedTuple):
 
 
 def max_principle_report(traj: ode.Trajectory) -> MaxPrincipleReport:
-    """Minima of k_t1 and k_s over a trajectory's ``shooting._sample_times``."""
-    ts, eigs = _eig_samples(traj)
+    """Minima of k_t1 and k_s over the points of ``Trajectory.sample``."""
+    ts, states = traj.sample()
+    eigs = fields.curvature_eigs_grid(states)
     i1 = int(np.argmin(eigs[:, 0]))
     i2 = int(np.argmin(eigs[:, 1]))
     return MaxPrincipleReport(
@@ -161,8 +162,7 @@ def sign_profile(traj: ode.Trajectory) -> SignReport:
     definite when it lies outside 1e-9 and outside its own rounding error,
     ``_SIGN_ULPS`` eps max|y|^2 at its state y.
     """
-    ts = _sample_times(traj)
-    states = traj.eval(ts)
+    ts, states = traj.sample()
     eigs = fields.curvature_eigs_grid(states)
     band = np.maximum(_ZERO_BAND, _SIGN_ULPS * np.finfo(float).eps * np.max(states * states, axis=1))
     mins, tmins, changes, flat = [], [], [], []
@@ -296,15 +296,15 @@ def large_delta1_trace(
 
     Along the way the minima of x and of the gauge E are tracked, as is
     the distance to the critical line (0, 0, 0, z) with z clipped to
-    [0, 1].  They are minima over the dense output at the shot's
-    ``shooting._sample_times``.  EventNotReached propagates if the shot
+    [0, 1].  They are minima over the dense output at the points of
+    ``Trajectory.sample``.  EventNotReached propagates if the shot
     never reaches xi=10.
     """
     if not d1 > 0.0:
         raise InadmissibleParameters(f"d1 must be positive, got {d1:g}")
     _, traj = shoot_curve_point(d1, cfg, until=("xi", 10.0))
-    # the last sample is the last node, which eval returns bitwise
-    scaled = fields.to_scaled(traj.eval(_sample_times(traj)).T)
+    # the last sample is the last node, bitwise
+    scaled = fields.to_scaled(traj.sample()[1].T)
     w, x, y, z = scaled
     dist = np.sqrt(w * w + x * x + y * y + (z - np.clip(z, 0.0, 1.0)) ** 2)
     gauges = fields.gauge_quantities(scaled)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -527,6 +528,44 @@ def test_property_locate_event_repeats_the_per_segment_walk(omega, level, direct
     else:
         assert type(got) is float and got.hex() == want.hex()
         assert traj.eval(got).tobytes() == traj.eval(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@example(step="dop853", omega=1.0, level=0.3, end="event")
+@example(step="radau", omega=2.0, level=0.3, end="event")
+@example(step="dop853", omega=1.0, level=0.3, end="blowup")
+@given(
+    step=st.sampled_from(["dop853", "radau"]),
+    omega=st.floats(0.5, 4.0),
+    level=st.floats(-0.9, 0.9),
+    end=st.sampled_from(["t_end", "event", "blowup"]),
+)
+def test_property_sample_is_eval_at_its_times(step, omega, level, end):
+    event = Event(lambda t, y: y[0] - level, -1) if end == "event" else None
+    x0 = math.inf if end == "blowup" else 1.0
+    if step == "radau":
+        rhs, jac = _prothero_robinson(1e4, omega)
+        traj = integrate(rhs, 0.0, [x0], 8.0, event=event, jac=jac)
+    else:
+        traj = integrate(_osc, 0.0, [x0, 0.0, omega, 0.0], 8.0, event=event)
+    assert traj.termination == {"event": "event", "blowup": "blowup"}.get(end, "reached_end")
+    times, states = traj.sample()
+    assert times.shape == (ode._SAMPLES_PER_STEP * (len(traj.t) - 1) + 1,)
+    assert np.all(np.diff(times) >= 0.0) and np.all(np.isin(traj.t, times))
+    assert states.tobytes() == traj.eval(times).tobytes()
+
+
+def test_sample_peaks_below_six_times_its_states():
+    # a dense_q block per sample, (d, 7) against the sample's (d,), took 12x
+    traj = integrate(_osc, 0.0, [1.0, 0.0, 1.0, 0.0], 300.0)
+    assert 800 < len(traj.t) < 1000
+    tracemalloc.start()
+    try:
+        _, states = traj.sample()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * states.nbytes
 
 
 def _osc_with_riders(t, y):

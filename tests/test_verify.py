@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from solshoot import fields, ode, shooting, verify
+from solshoot import fields, ode, verify
 from solshoot.errors import (
     EventNotReached,
     ExtrapolationUnstable,
@@ -97,7 +97,7 @@ def test_gaussian_sign_profile(gauss_s2):
 
 def _sign_profile_reference(traj):
     """``sign_profile`` by a walk over the sorted samples, one at a time."""
-    ts = np.sort(shooting._sample_times(traj))
+    ts = np.sort(traj.sample()[0])
     states = traj.eval(ts)
     eigs = fields.curvature_eigs_grid(states)
     mins, tmins, changes = [], [], []
