@@ -15,6 +15,7 @@ like x^3 (y = x - 2x^3 near the origin), so v stays near -2.
 """
 
 import math
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "SmalltimeReport",
     "bryant_unstable_curve",
     "verify_f_bounds",
+    "smalltime_config",
     "steady_reference",
     "bryant_smalltime",
 ]
@@ -40,6 +42,10 @@ _QUAD_COEF = 2.0 / 5.0
 _X_CUTOFF = 1e-6
 _N_NODES = 40_001
 _SMALLTIME_SAMPLES = 500  # grid points of bryant_smalltime's margins
+# the small-time checks launch at most this far out: their envelopes are
+# tangent to the trajectory at t = 0, so they are read from near the orbit,
+# not from the shots' default handoff
+_SMALLTIME_EPS = 1e-4
 
 
 class BryantCurve(NamedTuple):
@@ -148,10 +154,17 @@ def verify_f_bounds(curve: BryantCurve) -> FBoundsReport:
     )
 
 
+def smalltime_config(cfg: Optional[ShootConfig] = None) -> ShootConfig:
+    """``cfg`` with its handoff capped at 1e-4, for the small-time checks."""
+    cfg = cfg or ShootConfig()
+    return replace(cfg, t_eps=min(cfg.t_eps, _SMALLTIME_EPS))
+
+
 def steady_reference(cfg: Optional[ShootConfig] = None) -> ode.Trajectory:
     """Reference steady shot: the four-field system at lam = 0 launched
-    from the circle orbit with unit series parameter, integrated to t = 1/9."""
-    _, traj = shoot_curve_point(1.0, cfg, until=("time", 1.0 / 9.0), lam=0.0)
+    from the circle orbit with unit series parameter, at the handoff of
+    ``smalltime_config``, integrated to t = 1/9."""
+    _, traj = shoot_curve_point(1.0, smalltime_config(cfg), until=("time", 1.0 / 9.0), lam=0.0)
     return traj
 
 

@@ -58,7 +58,7 @@ class GridTooCoarse(SolshootError):
 
 
 class EpsilonTooLarge(SolshootError):
-    """Series handoff distance outside (0, 1e-3]: truncation error unbounded."""
+    """Series handoff distance outside (0, 1e-2], where the launch series is not trusted."""
 
 
 class SingularJacobian(NonConvergence):

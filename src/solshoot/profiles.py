@@ -14,6 +14,7 @@ import numpy as np
 
 from . import ode
 from .errors import GridTooCoarse, NonPrincipal, ProfileGaugeError
+from .fields import curvature_eigs
 
 __all__ = [
     "MetricProfile",
@@ -21,9 +22,9 @@ __all__ = [
     "second_order_residual",
 ]
 
-# f1 is anchored to -1/L1 at the sample nearest the collapsing orbit; the
-# relative gauge error of that identification is O(f1^2), so the anchor
-# sample must be close enough for the error to sit below integration noise.
+# f1 is anchored at the sample nearest the collapsing orbit, where
+# f1 = -(1 - k_t1 / (2 L1^2)) / L1 up to a relative O(f1^4); the anchor sample
+# must be close enough for that error to sit below integration noise.
 _ANCHOR_L1_MAX = -10.0
 
 
@@ -54,9 +55,12 @@ def reconstruct_profile(
     ``side`` says which singular orbit the shot was launched from: "s1"
     trajectories run with physical time, "s2" trajectories run against it
     (their stored states are the physical fields at t = T - s).  f2 = 1/R
-    pointwise; f1 = exp(int L1) with the constant fixed by matching -1/L1
-    at the sample nearest the collapsing orbit, which is where the
-    smoothness condition f1' = -1 pins it; u integrates L1 + 2 L2 - xi and
+    pointwise; f1 = exp(int L1) with the constant fixed at the sample
+    nearest the collapsing orbit, where the smoothness condition f1' = -1
+    pins it.  A smooth orbit at distance r has f1 = r - k r^3/6 + O(r^5),
+    with k the curvature eigenvalue k_t1 there, so L1 = -(1 - k r^2/3)/r
+    and f1 = -(1 - k_t1/(2 L1^2))/L1 up to a relative O(r^4), with k_t1
+    read at the sample itself; u integrates L1 + 2 L2 - xi and
     vanishes on the xi = 0 orbit when the trajectory crosses it (otherwise
     u is zeroed at the left endpoint and the gauge tag says so).
 
@@ -94,7 +98,8 @@ def reconstruct_profile(
             f"(L1 = {l1_anchor:.3g} at the anchor sample, need <= {_ANCHOR_L1_MAX:g}); "
             "integrate with until='collapse'"
         )
-    f1_anchor = -1.0 / l1_anchor
+    k_t1 = curvature_eigs(states[anchor]).k_t1
+    f1_anchor = -(1.0 - k_t1 / (2.0 * l1_anchor * l1_anchor)) / l1_anchor
     f1 = f1_anchor * np.exp(lnf1 - lnf1[anchor])
 
     # potential: u' = L1 + 2 L2 - xi in physical time, flipped with the grid

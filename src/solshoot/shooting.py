@@ -115,21 +115,27 @@ _MAX_ITER = 25  # Newton iterations before MaxIterations
 # step; see "Stiff regime" in the module docstring
 _STIFF_DELTA1 = 200.0
 _EYE4 = np.eye(4)
+_MAX_EPS = 1e-2  # the deepest series handoff ShootConfig.t_eps may ask for
 
 
 @dataclass(frozen=True)
 class ShootConfig:
     """Knobs shared by every shooting operation.
 
-    ``t_eps`` is the series handoff distance on both sides (auto-shrunk for
-    large parameters, never enlarged).  ``exploratory`` lifts the
-    admissibility preconditions delta1 >= 0, delta2 >= -1, delta3 >= 0.
+    ``t_eps`` is the series handoff distance on both sides, in (0, 1e-2]
+    (shrunk for large parameters by ``_effective_eps``, never enlarged);
+    outside that range the config raises EpsilonTooLarge.  ``exploratory``
+    lifts the admissibility preconditions delta1 >= 0, delta2 >= -1,
+    delta3 >= 0.
     """
 
-    t_eps: float = 1e-4
+    t_eps: float = _MAX_EPS
     rtol: float = 1e-10
     atol: float = 1e-12
     exploratory: bool = False
+
+    def __post_init__(self):
+        _check_eps(self.t_eps)
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(rtol=self.rtol, atol=self.atol)
@@ -234,10 +240,10 @@ class ScanResult:
 
 
 def _check_eps(eps: float) -> None:
-    if not (0.0 < eps <= 1e-3):
+    if not (0.0 < eps <= _MAX_EPS):
         raise EpsilonTooLarge(
-            f"series handoff {eps!r} outside (0, 1e-3]; truncation is O(eps^3) "
-            "only on that range"
+            f"series handoff {eps!r} outside (0, {_MAX_EPS:g}]; the launch series "
+            "is trusted only on that range"
         )
 
 
@@ -248,10 +254,10 @@ def s1_series_state(delta1: float, t_eps: float) -> SolitonState:
     L2 = 1/t - 2 d1 t,        R = 1/t + d1 t.
 
     All four reduced functions are odd in t, so the truncation error is
-    O(t_eps^3).
+    O(t_eps^3).  Shots launch from the order-5 series (``_s1_series``).
     """
     _check_eps(t_eps)
-    return SolitonState(*_s1_series(delta1, t_eps, 1.0, cubic=False))
+    return SolitonState(*_s1_series(delta1, t_eps, 1.0, order=1))
 
 
 def s2_series_state(delta2: float, delta3: float, s_eps: float) -> SolitonState:
@@ -262,28 +268,36 @@ def s2_series_state(delta2: float, delta3: float, s_eps: float) -> SolitonState:
 
     with truncation O(s_eps^3).  The formulas stay regular at d3 = 1 (the
     slope of L2 simply vanishes there) and reproduce the exact Gaussian at
-    (d2, d3) = (-1, 1).
+    (d2, d3) = (-1, 1).  Shots launch from the order-5 series
+    (``_s2_series``).
     """
     _check_eps(s_eps)
-    return SolitonState(*_s2_series(delta2, delta3, s_eps, cubic=False))
+    return SolitonState(*_s2_series(delta2, delta3, s_eps, order=1))
 
 
 # The series are plain arithmetic, so they run on floats, on complex numbers
 # (``_launch`` differentiates them by a complex step) and on sympy symbols
-# (the tests differentiate them symbolically) alike.
+# (the tests differentiate them symbolically) alike.  Past order 1 each term
+# is a polynomial in dimensionless products of the parameters and the
+# distance, divided by the distance: those products stay small at the
+# launch's handoff (``_effective_eps``), so no term overflows, however large
+# the parameters.
 
 
-def _s1_series(delta1, t, lam, cubic: bool = True) -> tuple:
-    """(xi, L1, L2, R) of the circle-side series at t: the order-1 terms of
-    ``s1_series_state`` at soliton constant ``lam`` and, with ``cubic``,
-    the order-3 terms that every shot launches from.
+def _s1_series(delta1, t, lam, order: int = 5) -> tuple:
+    """(xi, L1, L2, R) of the circle-side series at t and soliton constant
+    ``lam``: the order-1 terms of ``s1_series_state`` and, at ``order`` 5,
+    the t^3 and t^5 terms that every shot launches from.
 
-    The extra odd terms cost nothing and matter: the order-1 handoff error,
-    projected on the delta1 direction (which vanishes like t at the orbit),
-    shifts the meet by ~1e-8 at t = 1e-3.  Coefficients were obtained by
-    matching powers of t in the family field and cross-checked against the
-    closed-form round trajectory (they reduce to the cot/tan/csc Taylor
-    coefficients at delta1 = 1/18, lam = 1).
+    The field is unchanged by t -> t/p, delta1 -> p^2 delta1, lam -> p^2 lam,
+    so the t^(2k-1) coefficient is a degree-k form in (delta1, lam): with
+    u = delta1 t^2 and v = lam t^2, its term is that form at (u, v), over t.
+    From t = 1e-2, with the t^3 terms alone the round meets lie 4.3e-11
+    (circle) and 8.0e-11 (sphere) off the closed form at rtol = 1e-13; with
+    the t^5 terms, 1.1e-12 and 2.2e-12.  Coefficients were obtained by
+    matching powers of t in the family field (the tests repeat that with
+    sympy) and reduce to the cot/tan/csc Taylor coefficients of the closed-form
+    round trajectory at delta1 = 1/18, lam = 1.
     """
     base = (
         2.0 / t + (8.0 * delta1 - lam) * t,
@@ -291,33 +305,55 @@ def _s1_series(delta1, t, lam, cubic: bool = True) -> tuple:
         1.0 / t - 2.0 * delta1 * t,
         1.0 / t + delta1 * t,
     )
-    if not cubic:
+    if order == 1:
         return base
-    c3 = (124 / 25) * delta1**2 - (12 / 25) * lam * delta1 + (2 / 225) * lam**2
-    d3 = 0.5 * delta1**2 - 0.25 * c3
-    a3 = -(lam**2) / 27 - (8 / 3) * delta1**2 - (4 / 3) * c3
-    b3 = lam * (8 * delta1 - lam) / 15
-    return tuple(b + c * t**3 for b, c in zip(base, (a3, b3, c3, d3)))
+    u, v = delta1 * t * t, lam * t * t
+    c3 = (124 / 25) * u * u - (12 / 25) * u * v + (2 / 225) * v * v
+    d3 = 0.5 * u * u - 0.25 * c3
+    a3 = -v * v / 27 - (8 / 3) * u * u - (4 / 3) * c3
+    b3 = v * (8 * u - v) / 15
+    a5 = (2 / 11025) * (((90864 * u - 11880 * v) * u + 972 * v * v) * u - 61 * v**3)
+    b5 = (-8 / 4725) * v * ((621 * u - 108 * v) * u + 7 * v * v)
+    c5 = (-2 / 3675) * (((19632 * u - 3186 * v) * u + 209 * v * v) * u - 5 * v**3)
+    d5 = (1 / 22050) * (((15597 * u - 3726 * v) * u + 369 * v * v) * u - 10 * v**3)
+    return tuple(b + (p3 + p5) / t for b, p3, p5 in zip(base, (a3, b3, c3, d3), (a5, b5, c5, d5)))
 
 
-def _s2_series(delta2, delta3, s, cubic: bool = True) -> tuple:
+def _s2_series(delta2, delta3, s, order: int = 5) -> tuple:
     """(xi, L1, L2, R) of the sphere-side series at s, as ``_s1_series``:
-    with ``cubic``, the next-order terms too, for the same reason."""
+    at ``order`` 5 the s^3 and s^5 terms too, and R's s^4 and s^6.
+
+    In m = mu s^2, n = nu s^2 and q = s^2, with mu = (d2 + 1)/2 and
+    nu = (1 - d3^2)/2, the higher terms of xi, L1 and L2 are forms in
+    (m, n, q) over s, and R is d3 times a polynomial in them.  At the
+    Gaussian (-1, 1) m and n are exactly 0, so the series is the exact
+    trajectory there.
+    """
+    q = s * s
+    n = 0.5 * (q - (delta3 * s) * (delta3 * s))
     base = (
         -(1.0 / s + delta2 * s),
         -(1.0 / s - 0.5 * (delta2 + 1.0) * s),
-        -0.5 * (delta3 * delta3 - 1.0) * s,
-        delta3 - 0.25 * delta3 * (delta3 * delta3 - 1.0) * s * s,
+        n / s,
+        delta3 * (1.0 + 0.5 * n),
     )
-    if not cubic:
+    if order == 1:
         return base
-    mu = 0.5 * (delta2 + 1.0)
-    nu = 0.5 * (1.0 - delta3 * delta3)
-    a3 = (2 * mu * mu + 4 * nu * nu + delta2 * mu) / 5.0
-    b3 = (-delta2 * mu - a3) / 4.0
-    c3 = -nu * (delta2 + delta3 * delta3) / 4.0
-    r4 = delta3 * (c3 + 0.5 * nu * nu) / 4.0
-    return tuple(b + c * s**3 for b, c in zip(base, (a3, b3, c3, r4 * s)))
+    m = 0.5 * (delta2 + 1.0) * q
+    xi = (4 * m * m - m * q + 4 * n * n) / 5 - (
+        ((64 * m - 33 * q) * m + 84 * n * n + 3 * q * q) * m - (60 * n + 2 * q) * n * n
+    ) / 140
+    l1 = -(7 * m * m - 3 * m * q + 2 * n * n) / 10 + (
+        ((124 * m - 81 * q) * m + 84 * n * n + 15 * q * q) * m - (20 * n + 10 * q) * n * n
+    ) / 280
+    l2 = n * (n - m) / 2 + n * ((36 * m - 30 * n - 9 * q) * m + (46 * n - 5 * q) * n) / 120
+    r = n * (2 * n - m) / 8 + n * ((36 * m - 75 * n - 9 * q) * m + (106 * n - 5 * q) * n) / 720
+    return (
+        base[0] + xi / s,
+        base[1] + l1 / s,
+        base[2] + l2 / s,
+        base[3] + delta3 * r,
+    )
 
 
 def check_admissible(
@@ -346,14 +382,18 @@ def check_admissible(
         )
 
 
-def _effective_eps(eps: float, *coeffs: float) -> float:
-    """Shrink the handoff so the series correction stays ~1e-4 relative.
-
-    The order-1 terms carry coefficients growing with the parameters, so the
-    expansion is trustworthy only while max|coeff| * eps^2 is small.
+def _effective_eps(side: str, eps: float, params: tuple) -> float:
+    """The handoff of a shot from ``params``: ``eps``, shrunk so that the
+    series' small products (``_s1_series``, ``_s2_series``) stay below
+    about 1e-4: d1 t^2 on the circle side, d3 s and d2 s^2 on the sphere
+    side.
     """
-    big = max(1.0, *(abs(c) for c in coeffs))
-    return min(eps, 1e-2 / math.sqrt(big))
+    if side == "s1":
+        scale = math.sqrt(max(1.0, abs(params[0])))
+    else:
+        delta2, delta3 = params
+        scale = max(1.0, abs(delta3), math.sqrt(abs(delta2)))
+    return min(eps, _MAX_EPS / scale)
 
 
 # named stop rules per side: (state component k, level, direction, name); the
@@ -406,22 +446,24 @@ def _launch(side: str, params: tuple, cfg: ShootConfig, lam: float = 1.0, tangen
     give the same trajectory from any handoff, so that term is of the order
     of the series truncation and is left out.
     """
-    t0 = _effective_eps(cfg.t_eps, *params)
-    _check_eps(t0)
+    # numpy scalars would warn where Python floats overflow quietly to inf
+    params = tuple(float(p) for p in params)
+    t0 = _effective_eps(side, cfg.t_eps, params)
 
     def series(*p):
         return _s2_series(*p, t0) if side == "s2" else _s1_series(*p, t0, lam)
 
-    try:
-        rows = [series(*params)]
-        for j in range(len(params) if tangent else 0):
-            bumped = series(*params[:j], params[j] + _CSTEP * 1j, *params[j + 1:])
-            rows.append([v.imag / _CSTEP for v in bumped])
-        return t0, np.array(rows).ravel()
-    except OverflowError:
-        # delta1**2 overflows above ~1.3e154; an infinite launch state is
-        # stopped by the integrator's blow-up guard before the first step
-        return t0, np.full(4 * (1 + tangent * len(params)), math.inf)
+    rows = [series(*params)]
+    for j in range(len(params) if tangent else 0):
+        bumped = series(*params[:j], params[j] + _CSTEP * 1j, *params[j + 1:])
+        rows.append([v.imag / _CSTEP for v in bumped])
+    y0 = np.array(rows).ravel()
+    if not np.all(np.isfinite(y0)):
+        # 1/s overflows for delta3 near the top of the float range; an
+        # infinite launch state is stopped by the integrator's blow-up guard
+        # before the first step
+        y0[:] = math.inf
+    return t0, y0
 
 
 def _field(side: str, lam: float):
@@ -573,9 +615,9 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
     Newton step is halved (up to 20 times) until the residual sup-norm
     decreases, so the residual falls strictly from iterate to iterate.
     Iterates are kept inside the admissible region unless the config is
-    exploratory.  Convergence means |F|_inf < 1e-7, which sits above the
-    ~1e-8 floor that the two integrations impose on the mismatch at default
-    tolerances (Newton typically lands near 1e-8 anyway on its final step).
+    exploratory.  Convergence means |F|_inf < 1e-7, well above the ~1e-11
+    floor that the two integrations impose on the mismatch at default
+    tolerances (Newton typically lands near that floor on its final step).
 
     The result's ``history`` has one :class:`NewtonStep` per iteration; the
     integrations of a run are 2 for the guess plus those of every step.  A

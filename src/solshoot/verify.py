@@ -325,13 +325,14 @@ def rescaled_bryant_compare(d1: float, cfg: Optional[ShootConfig] = None) -> Bry
 
     Rescaling by p = 1/sqrt(d1) turns the delta1 = d1 shot into the unit
     shot of the lam = p^2 family; its deviation from the lam = 0 steady
-    reference on 200 points of [cfg.t_eps, 1/9] is reported as
-    c_obs = sup |deviation|_inf / (p^2 t).  At d1 = inf the two
+    reference on 200 points of [t_eps, 1/9] is reported as
+    c_obs = sup |deviation|_inf / (p^2 t).  Both shots launch at the
+    handoff t_eps of ``bryant.smalltime_config``.  At d1 = inf the two
     integrations coincide and c_obs = 0 by convention.
     """
     if not d1 >= 100.0:
         raise InadmissibleParameters(f"d1 must be >= 100, got {d1:g}")
-    cfg = cfg or ShootConfig()
+    cfg = bryant.smalltime_config(cfg)
     p2 = 0.0 if math.isinf(d1) else 1.0 / d1
     _, shot = shoot_curve_point(1.0, cfg, until=("time", 1.0 / 9.0), lam=p2)
     ref = bryant.steady_reference(cfg=cfg)

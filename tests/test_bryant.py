@@ -119,6 +119,15 @@ def test_steady_shot_keeps_flat_direction():
     assert np.abs(l1).max() < 1e-14
 
 
+def test_smalltime_checks_launch_at_most_1e_4_from_the_orbit():
+    # the shots' default handoff is 1e-2; the small-time envelopes are read
+    # from 1e-4 on, or from a deeper t_eps
+    assert ShootConfig().t_eps == 1e-2
+    assert bryant.steady_reference().t0 == 1e-4
+    assert bryant.steady_reference(ShootConfig(t_eps=5e-5)).t0 == 5e-5
+    assert bryant.smalltime_config(ShootConfig(rtol=1e-9)) == ShootConfig(t_eps=1e-4, rtol=1e-9)
+
+
 def test_smalltime_margins_nonnegative(smalltime):
     assert smalltime.z_lower_margin >= -1e-9
     assert smalltime.z_upper_margin >= -1e-9

@@ -57,7 +57,7 @@ def test_s1_series_zero_delta1_values():
 
 def test_s1_series_epsilon_guard():
     with pytest.raises(EpsilonTooLarge):
-        s1_series_state(1.0, 2e-3)
+        s1_series_state(1.0, 2e-2)
     with pytest.raises(EpsilonTooLarge):
         s1_series_state(1.0, 0.0)
 
@@ -82,9 +82,16 @@ def test_s2_series_gaussian_is_exact():
     assert -st.xi == pytest.approx(1.0 / 5e-4 - 5e-4, rel=1e-14)
 
 
+@pytest.mark.parametrize("t_eps", [2e-2, math.inf, math.nan, 0.0, -1e-3])
+def test_config_rejects_a_handoff_outside_the_series_range(t_eps):
+    assert ShootConfig(t_eps=1e-2).t_eps == 1e-2
+    with pytest.raises(EpsilonTooLarge):
+        ShootConfig(t_eps=t_eps)
+
+
 def test_s2_series_epsilon_guard():
     with pytest.raises(EpsilonTooLarge):
-        s2_series_state(-0.5, 1.0, 2e-3)
+        s2_series_state(-0.5, 1.0, 2e-2)
 
 
 def test_s1_series_coefficients_against_integration():
@@ -280,16 +287,12 @@ def test_meet_insensitive_to_series_handoff_depth():
         assert np.max(np.abs(meet_array(a) - meet_array(b))) < bound
 
 
-# The series carry their t^3 terms and omit t^5 (all four functions are odd
-# in t; on the sphere side R is even and omits s^6).  A launch error of
-# order c t0^5 lies along a parameter direction that vanishes like t (the
-# start tangents), so it moves the parameter, and the meet, by about c t0^4:
-# 1e-12 c at t0 = 1e-3, at most 1e-9 over this box, where the coefficients
-# grow like delta1^3 <= 1e3.  The launch's rounding adds a floor the same
-# way: components of size 2/t0 round by 2u/t0, seen as 2u/t0^2 = 9e-10 at
-# t0 = 5e-4.  The worst of 80 random points was 3.2e-9; the bound is 1e-8,
-# the 10 t_eps^3 of the fixed points above.  The order-1 series, which
-# omits t^3, moved the meet by up to 3.4e-8 (circle) and 1.1e-6 (sphere).
+# These deep handoffs (1e-3 and 5e-4) measure the launch's rounding more
+# than the series truncation: components of size 2/t0 round by 2u/t0, seen
+# as 2u/t0^2 = 9e-10 at t0 = 5e-4.  When the series stopped at t^3, the
+# worst of 80 random points was 3.2e-9; the bound is 1e-8, the 10 t_eps^3
+# of the fixed points above.  The order-1 series, which omits t^3, moved
+# the meet by up to 3.4e-8 (circle) and 1.1e-6 (sphere).
 _HALVING_BOUND = 1e-8
 
 
@@ -304,6 +307,127 @@ def test_property_meet_converges_as_the_series_handoff_halves(d1, d2, d3):
 
     for a, b in (meets(shoot_curve_point, d1), meets(shoot_surface_point, d2, d3)):
         assert np.max(np.abs(a - b)) < _HALVING_BOUND
+
+
+def test_order5_series_leave_residuals_of_the_next_order():
+    # each launch series solves its field up to O(t^6); R on the sphere side,
+    # even in s, up to O(s^7)
+    sp = pytest.importorskip("sympy")
+    d1, d2, d3, t, lam = sp.symbols("d1 d2 d3 t lam")
+    state = shooting._s1_series(d1, t, lam)
+    field = fields.family_rhs(list(state), lam)
+    orders = [_lowest_order(sp, sp.diff(y, t) - f, t, (d1, lam)) for y, f in zip(state, field)]
+    assert orders == [6, 6, 6, 6]
+    state = shooting._s2_series(d2, d3, t)
+    field = fields.family_rhs(list(state), 1.0)
+    orders = [_lowest_order(sp, sp.diff(y, t) + f, t, (d2, d3)) for y, f in zip(state, field)]
+    assert orders == [6, 6, 6, 7]
+
+
+def _lowest_order(sp, residual, t, params):
+    """Lowest power of t in a Laurent polynomial whose coefficient is not
+    rounding: the series' float coefficients leave ~1e-16 where a term
+    cancels."""
+    poly = sp.Poly(sp.expand(residual * t**3), t, *params)
+    return min(m[0] - 3 for m, c in poly.terms() if abs(float(c)) > 1e-12)
+
+
+# Halving the launch's own handoff moves the meet by the series truncation
+# plus the launch's rounding, carried to the meet.  Over this box the worst
+# of a grid was 3.5e-10 at d3 = 20, where the meet is of size 16 and deeper
+# handoffs move it as much: rounding, not truncation.  So the bound is
+# relative to the meet's size.
+_DEFAULT_HALVING_BOUND = 1e-10
+
+
+@settings(max_examples=5, deadline=None)
+@given(d1=st.floats(0.0, 10.0), d2=st.floats(-1.0, 0.0), d3=st.floats(0.0, 40.0))
+def test_property_halving_the_default_handoff_leaves_the_meet(d1, d2, d3):
+    for shoot, side, params in (
+        (shoot_curve_point, "s1", (d1,)),
+        (shoot_surface_point, "s2", (d2, d3)),
+    ):
+        eps = shooting._effective_eps(side, ShootConfig().t_eps, params)
+        a, b = (
+            meet_array(shoot(*params, ShootConfig(t_eps=t_eps, rtol=1e-12))[0])
+            for t_eps in (eps, eps / 2)
+        )
+        size = max(1.0, np.max(np.abs(a)))
+        assert np.max(np.abs(a - b)) < _DEFAULT_HALVING_BOUND * size
+
+
+def test_sphere_meet_settles_as_rtol_tightens():
+    # launched from states of size 1/s0 = 1e4 (s0 = 1e-4), this meet spread
+    # 2.5e-8 over these tolerances; from 1e-2 it settles to 4e-12
+    l1 = [
+        shoot_surface_point(0.0, 0.1, ShootConfig(rtol=rtol, atol=1e-15))[0].l1
+        for rtol in (1e-10, 1e-12, 1e-13)
+    ]
+    assert max(l1) - min(l1) < 1e-10
+
+
+@pytest.mark.parametrize("delta3", [2e3, 2e4])
+def test_sphere_handoff_scales_with_delta3(delta3):
+    # the sphere series runs in delta3 s, so the handoff shrinks like 1/delta3;
+    # under 1/sqrt(delta3), delta3 = 2e4 launched at delta3 s = 1.4 and met
+    # 6% off.  A 10x deeper handoff agrees to truncation and transport noise
+    cfg = ShootConfig(rtol=1e-12)
+    assert shooting._launch("s2", (-0.5, delta3), cfg)[0] == 1e-2 / delta3
+    a, _ = shoot_surface_point(-0.5, delta3, cfg)
+    b, _ = shoot_surface_point(-0.5, delta3, ShootConfig(t_eps=1e-3 / delta3, rtol=1e-12))
+    assert np.max(np.abs(meet_array(a) - meet_array(b)) / np.abs(meet_array(b))) < 1e-7
+
+
+@pytest.mark.parametrize("side", ["s1", "s2"])
+def test_round_meets_from_the_default_handoff(side):
+    # the t^5 terms make a 1e-2 handoff safe: half the steps of a 1e-4 launch
+    # (99 and 92), and the meet within 1e-10 of the closed form (1.2e-9 and
+    # 9.1e-9 from 1e-4)
+    cfg = ShootConfig()
+    params = ROUND_DELTAS[:1] if side == "s1" else ROUND_DELTAS[1:]
+    for tangent in (False, True):
+        t0, y0 = shooting._launch(side, params, cfg, tangent=tangent)
+        traj = shooting._shoot(y0, t0, side, "meet", cfg, 1.0, len(params) if tangent else 0)
+        assert t0 == 1e-2
+        assert len(traj.t) - 1 <= 60
+        assert np.max(np.abs(traj.y[-1, 1:4] - np.array(ROUND_MEET))) < 1e-10
+
+
+def test_root_from_a_nearby_guess_lands_on_the_round_deltas():
+    res = find_root((0.05, -0.8, 0.6))
+    assert res.iterations == 3
+    assert np.max(np.abs(np.subtract(res.root, ROUND_DELTAS))) < 1e-10
+    assert mismatch(*ROUND_DELTAS).inf_norm < 1e-10
+
+
+@pytest.mark.parametrize(
+    "side, params",
+    [("s1", (1e200,)), ("s1", (-1e300,)), ("s2", (1e200, 0.5)), ("s2", (-1.0, 1e300))],
+)
+def test_launch_of_huge_parameters_is_finite_and_type_blind(side, params):
+    # past order 1 every series term is a small product over the distance,
+    # so no term overflows; numpy scalars launch like Python floats, without
+    # a RuntimeWarning
+    cfg = ShootConfig(exploratory=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0, y0 = shooting._launch(side, params, cfg, tangent=True)
+        t1, y1 = shooting._launch(side, tuple(map(np.float64, params)), cfg, tangent=True)
+    assert t0 == t1 and y0.tobytes() == y1.tobytes()
+    assert np.all(np.isfinite(y0))
+
+
+def test_launch_that_overflows_is_infinite_and_stops_by_blowup():
+    # 1/s overflows at delta3 = 1e307 (s = 1e-309); both input types give the
+    # all-inf state, which the blow-up guard stops before the first step
+    cfg = ShootConfig()
+    for d3 in (1e307, np.float64(1e307)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t0, y0 = shooting._launch("s2", (0.0, d3), cfg, tangent=True)
+        assert np.all(y0 == math.inf) and y0.size == 12
+    with pytest.raises(EventNotReached, match="stopped by blowup"):
+        shoot_surface_point(0.0, 1e307)
 
 
 def test_meet_autonomy_invariance():
@@ -635,7 +759,7 @@ def test_property_curve_lanes_repeat_single_shots(d1s, rotate):
 )
 def test_property_surface_lanes_repeat_single_shots(points, rotate):
     cfg = ShootConfig()
-    # a shrunk handoff (eps = 1e-2 / sqrt(d3) < t_eps), an inadmissible
+    # a shrunk handoff (eps = 1e-2 / d3 < t_eps), an inadmissible
     # lane and a lane that blows up at launch
     n_drawn = len(points)
     points = points + [(-0.5, 2e4), (-1.5, 0.5), (0.0, 1e13)]
@@ -643,7 +767,7 @@ def test_property_surface_lanes_repeat_single_shots(points, rotate):
     assert want[-3][1] == "ok"
     assert want[-2][1].startswith("failed: delta2 = -1.5 < -1")
     assert want[-1][1].startswith(
-        "failed: s2 shot never reached xi=0: stopped by blowup at t=3.16228e-09"
+        "failed: s2 shot never reached xi=0: stopped by blowup at t=1e-15"
     )
     for order in _orders(len(points), rotate, n_drawn):
         lanes = _shoot_lanes("s2", [points[i] for i in order], cfg)
