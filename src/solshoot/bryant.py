@@ -99,7 +99,7 @@ def _scaled_gap_field(s, v, jac=False):
     return np.array([3.0 * v - n / (x2 * d)])
 
 
-def bryant_unstable_curve(h: float = 1e-4, rtol: float = 1e-10) -> BryantCurve:
+def bryant_unstable_curve(h: float = 1e-4, rtol: float = ode.IntegratorConfig.rtol) -> BryantCurve:
     """Trace the planar unstable-manifold curve from (1, 1/2) down to
     x = 1e-6.
 

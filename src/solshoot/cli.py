@@ -100,7 +100,7 @@ def _joined(values) -> str:
 
 
 # --tol-abs defaults to None so that a handler can tell whether it was given
-_TOL_ABS = 1e-12
+_TOL_ABS = ShootConfig().atol
 
 
 def _tol_abs(args) -> float:
@@ -339,7 +339,7 @@ def _cmd_verify_delta3(args, cfg):
 def _cmd_verify_bryant(args, cfg):
     if args.tol_abs is not None:
         raise ValueError(
-            "verify-bryant does not take --tol-abs: its trace fixes it at 1e-12 on "
+            f"verify-bryant does not take --tol-abs: its trace fixes it at {_TOL_ABS:g} on "
             "the scaled gap (y - x)/x^3, because the gap y - x shrinks like x^3"
         )
     curve = bryant.bryant_unstable_curve(args.launch_offset, rtol=args.tol_rel)
@@ -482,7 +482,7 @@ def _cmd_pancake_curvature(args, cfg):
 
 
 def _add_common(p):
-    p.add_argument("--tol-rel", type=float, default=1e-10, help="integrator relative tolerance")
+    p.add_argument("--tol-rel", type=float, default=ShootConfig().rtol, help="integrator relative tolerance")
     p.add_argument("--tol-abs", type=float, default=None, help=f"integrator absolute tolerance (default {_TOL_ABS:g}; not taken by verify-bryant)")
     p.add_argument("--t-eps", type=float, default=ShootConfig().t_eps, help="series handoff distance from the singular orbit, in (0, 1e-2]")
     p.add_argument("--out", default=None, help="output path (default: stdout for reports, <subcommand>.<format> for sweeps)")

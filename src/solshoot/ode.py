@@ -33,9 +33,18 @@ probes and refinement, the blow-up guard, the terminations and the
   the Jacobian of the field.  Its constants are those of Hairer & Wanner's
   RADAU5 code (*Solving Ordinary Differential Equations II*, 2nd ed.,
   section IV.8), as scipy's ``scipy/integrate/_ivp/radau.py`` writes them,
-  and its step-size and Newton controller is that file's.  Its dense output
-  is the cubic collocation polynomial, stored as a quartic with q3 = 0.
-  The stiff circle-side shots and ``bryant``'s trace take it.
+  and its Newton controller is that file's.  Its dense output is the cubic
+  collocation polynomial, stored as a quartic with q3 = 0.  The stiff
+  circle-side shots and ``bryant``'s trace take it.
+
+One step-size controller serves both: :func:`_step_factor`, Gustafsson's
+predictive rule as RADAU5 applies it (Hairer & Wanner IV.8), with the
+error norm's order, 8 or 4, as exponent.  It remembers the last accepted
+step and its norm, so a step that must shrink from one node to the next is
+shrunk before it is tried; the elementary rule, which forgets, accepted and
+rejected in turn there (the Riccati y' = y^2 to its blow-up: 234 rejected
+of 236 steps, against 1 now).  The loop keeps that memory, and
+:func:`integrate_batch` keeps it per lane.
 
 There is one explicit step, :func:`_dop853` with its dense output
 :func:`_dense`, and one event probe, :func:`_probe`, each over one state or
@@ -244,6 +253,7 @@ _XTOL = 1e-15
 _RTOL = 8.9e-16
 
 ORDER = 8  # of the pair: DOP853's step factor goes as err^(-1/8)
+_ERR_FLOOR = 1e-2  # RADAU5's floor on the remembered error norm, see _step_factor
 _MAX_STEPS = 500_000  # step tries before "max_steps", a safety valve
 _BLOWUP_NORM = 1e12  # the blow-up guard trips at max|y| >= this
 
@@ -514,15 +524,18 @@ def _error_norm(err, y, y_new, cfg: IntegratorConfig, err3=None):
         return np.where(denom == 0.0, 0.0, s5 / np.sqrt(denom * err.shape[-1]))
 
 
-def _step_factor(err_norm: float) -> float:
-    """Next step size over this one: at most 10 after an accepted step
-    (norm <= 1), 0.2 to 1 after a rejected one.  A Python float, as numpy's
-    array power differs from ``float ** float`` in the last bit at times."""
-    if err_norm <= 1.0:
-        return min(10.0, 0.9 * max(err_norm, 1e-10) ** (-1 / ORDER))
-    if not err_norm < math.inf:  # inf or NaN
-        return 0.2
-    return min(max(0.2, 0.9 * err_norm ** (-1 / ORDER)), 1.0)
+def _step_factor(h, err_norm, h_old, err_old, order, safety=0.9):
+    """Next step size over h, the one just tried, for both steps:
+    Gustafsson's predictive factor (Hairer & Wanner IV.8, eq. 8.25) for a
+    norm going as h^order, times ``safety``; at most 10 after an accepted
+    try (norm <= 1), at least 0.2 after a rejected one.  h_old, err_old:
+    the last accepted step and its norm floored at _ERR_FLOOR, so a tiny
+    one does not collapse the next factor; NaN before the first.  Python
+    floats, as numpy's array power differs from ``float ** float`` at times."""
+    err = max(err_norm, 1e-10)  # NaN stays NaN
+    mult = h / h_old * (err_old / err) ** (1 / order)  # NaN: no memory, or no norm
+    factor = safety * ((mult if mult < 1.0 else 1.0) * err ** (-1 / order))
+    return min(10.0, factor) if err_norm <= 1.0 else max(0.2, factor)
 
 
 def _blown_up(y):
@@ -535,8 +548,8 @@ class _Radau:
     """The Radau IIA(5) step of :func:`integrate`, with the controller of
     scipy's ``radau.py``: a simplified Newton iteration on the collocation
     system, started from the last step's polynomial, with its
-    convergence-rate test; Jacobian reuse; Gustafsson's predictive step
-    factor; and halving after a Newton failure.
+    convergence-rate test; Jacobian reuse; :func:`_step_factor` with
+    Newton's safety factor; and halving after a Newton failure.
 
     Newton works on the transformed stage increments W = _RTI Z, whose
     system splits into a real one, (MU_REAL/h - J) dw0 = g0, and a complex
@@ -553,7 +566,6 @@ class _Radau:
         self.lam_i = np.kron(_LAMBDA, np.eye(self.d))  # Lambda (x) I
         self._take_jac(t, y)
         self.retry = False  # this step was rejected by its error once already
-        self.h_old = self.err_old = None  # of the last accepted step
         self.last = None  # (stage increments, dense q (d, 3), h) of that step
         self.newton_tol = max(10 * np.finfo(float).eps / cfg.rtol, min(0.03, cfg.rtol**0.5))
         self.n_evals = 0
@@ -602,18 +614,11 @@ class _Radau:
             norm_old = dw_norm
         return False, k + 1, z, rate
 
-    def _predict(self, h, err_norm):
-        """Gustafsson's predictive factor (Hairer & Wanner IV.8), before
-        the safety factor."""
-        err_norm = max(err_norm, 1e-10)  # NaN stays NaN
-        mult = 1.0 if self.err_old is None else h / self.h_old * (self.err_old / err_norm) ** (1 / _RADAU_ORDER)
-        return min(1.0, mult) * err_norm ** (-1 / _RADAU_ORDER)
-
-    def step(self, t, y, f, h):
-        """One try at the step from (t, y), f = rhs(t, y), to t + h: the new
-        state, its (d, 4) dense coefficients (q3 = 0) and rhs there, and the
-        next step factor, when accepted; else None and the factor to retry
-        with."""
+    def step(self, t, y, f, h, h_old, err_old):
+        """One try at the step from (t, y), f = rhs(t, y), to t + h, after
+        the accepted step h_old with norm err_old: the new state, its (d, 4)
+        dense coefficients (q3 = 0) and rhs there, when accepted, else None;
+        the factor to step on or retry with; and the error norm."""
         cfg = self.cfg
         if self.last is None:
             z0 = np.zeros((3, self.d))
@@ -629,7 +634,7 @@ class _Radau:
                 break
             self._take_jac(t, y)
         if not converged:
-            return None, 0.5
+            return None, 0.5, math.nan
 
         y_new = y + z[-1]
         ze = (_RE @ z) / h
@@ -643,12 +648,12 @@ class _Radau:
             self.n_evals += 1
             err_norm = float(_error_norm(err, y, y_new, cfg))
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+        factor = _step_factor(h, err_norm, h_old, err_old, _RADAU_ORDER, safety)
         if not err_norm <= 1.0:  # NaN rejects too
             self.retry = True
-            return None, max(0.2, safety * self._predict(h, err_norm))
+            return None, factor, err_norm
 
         recompute_jac = n_iter > 2 and rate > 1e-3
-        factor = min(10.0, safety * self._predict(h, err_norm))
         if not recompute_jac and factor < 1.2:
             factor = 1.0  # keep h, and with it the inverse
         f_new = self.rhs(t + h, y_new)
@@ -657,13 +662,11 @@ class _Radau:
             self._take_jac(t + h, y_new)
         else:
             self.fresh_jac = False
-        # RADAU5's floor on the remembered error keeps a tiny one from
-        # collapsing the next predicted factor
-        self.h_old, self.err_old, self.retry = h, max(err_norm, 1e-2), False
+        self.retry = False
         q = np.zeros((self.d, 4))
         q[:, :3] = (z.T @ _RP) / h
         self.last = (z, q[:, :3], h)
-        return (y_new, q, f_new), factor
+        return (y_new, q, f_new), factor, err_norm
 
 
 def _dop853(rhs, t, y, f, h, hc):
@@ -702,9 +705,11 @@ def _dense(rhs, t, y, y_new, h, hc, K):
     F[:, 0] = (y_new - y) / hc
     F[:, 1] = K[0] - F[:, 0]
     F[:, 2] = 2.0 * F[:, 0] - K[0] - K[12]
-    F[:, 3:] = (K - K[0]).T @ _D.T
-    # a sum over j in a fixed order, so a lane's q does not depend on the block
-    return np.add.reduce(F[:, :, None] * _T, axis=1)
+    # an overflowed stage gives non-finite coefficients, which end the shot
+    with np.errstate(invalid="ignore", over="ignore"):
+        F[:, 3:] = (K - K[0]).T @ _D.T
+        # a sum over j in a fixed order, so a lane's q does not depend on the block
+        return np.add.reduce(F[:, :, None] * _T, axis=1)
 
 
 def _probe(fn, t, y, y_new, q, h):
@@ -718,18 +723,18 @@ def _probe(fn, t, y, y_new, q, h):
     return probe_t, fn(probe_t.ravel(), probe_y.reshape(-1, y.shape[-1]).T)
 
 
-def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state=None):
+def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state, h_old, err_old):
     """One try at the DOP853 step from (t, y), f = rhs(t, y), to t + h, in
     the form of :meth:`_Radau.step`: the new state, its (d, 7) dense
-    coefficients and rhs there, and the next step factor, when accepted;
-    else None and the factor to retry with.  Its calls of rhs: 12 a try,
-    and 3 more for the dense output of an accepted one."""
+    coefficients and rhs there when accepted, else None; the factor; the
+    error norm.  Its calls of rhs: 12 a try, and 3 more for the dense
+    output of an accepted one."""
     y_new, err5, err3, K = _dop853(rhs, t, y, f, h, h)
     err_norm = float(_error_norm(err5[:n_state], y[:n_state], y_new[:n_state], cfg, err3[:n_state]))
-    factor = _step_factor(err_norm)
+    factor = _step_factor(h, err_norm, h_old, err_old, ORDER)
     if not err_norm <= 1.0:
-        return None, factor
-    return (y_new, _dense(rhs, t, y, y_new, h, h, K), K[12]), factor
+        return None, factor, err_norm
+    return (y_new, _dense(rhs, t, y, y_new, h, h, K), K[12]), factor, err_norm
 
 
 def _blown_start(t0, y) -> Trajectory:
@@ -764,8 +769,11 @@ def integrate(
     Stops early at the first matching crossing of ``event`` (the trajectory
     then ends on the refined crossing, termination ``"event"``), on the
     blow-up guard (max|y| >= _BLOWUP_NORM or a non-finite component, checked
-    on the initial state too), or on step-size underflow; the partial
-    trajectory with its termination reason is returned in every case.
+    on the initial state and on a refined crossing too, whose termination
+    is then ``"blowup"``; so is that of an accepted step whose dense output
+    is not finite, which ends the trajectory before it), or on step-size
+    underflow; the partial trajectory with its termination reason is
+    returned in every case.
 
     With ``n_state`` set, only the first n_state components of y enter the
     step control (the error norm, the initial-step heuristic and the blow-up
@@ -798,12 +806,13 @@ def integrate(
     return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, 2)
 
 
-def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, n_rejected, n_evals, step=None):
+def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, n_rejected, n_evals,
+           step=None, h_old=math.nan, err_old=math.nan):
     """:func:`integrate`'s loop, resumed at the node (t, y) with f = rhs(t, y),
-    the step size h to try next, the event function g_prev there, and the
-    tries, rejections and rhs calls so far; ``step``, an accepted DOP853
-    try already made from there with h, is taken as the first.  The
-    trajectory on."""
+    the step size h to try next, the event function g_prev there, the
+    tries, rejections and rhs calls so far, and the controller's memory
+    (see :func:`_step_factor`); ``step``, an accepted DOP853 try already
+    made from there with h, is taken as the first.  The trajectory on."""
     ts, ys, qs, hs = [t], [y.copy()], [], []
     termination = "reached_end"
     tiny = 10 * np.finfo(float).eps
@@ -819,18 +828,21 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
             break
 
         if radau is not None:
-            accepted, factor = radau.step(t, y, f, h)
+            accepted, factor, err_norm = radau.step(t, y, f, h, h_old, err_old)
         else:
-            accepted, factor = _explicit_step(rhs, t, y, f, h, cfg, n_state) if step is None else step
+            accepted, factor, err_norm = _explicit_step(rhs, t, y, f, h, cfg, n_state, h_old, err_old) if step is None else step
             step = None
             n_evals += 12 if accepted is None else 15
         if accepted is None:
             n_rejected += 1
             h *= factor
             continue
+        h_old, err_old = h, max(err_norm, _ERR_FLOOR)
         y_new, q, f_new = accepted
+        if not np.isfinite(q).all():  # a dense stage overflowed: no segment to store
+            termination = "blowup"
+            break
         t_new = t + h
-        state_new = y_new[:n_state]
         node_t, node_y = t_new, y_new
         if event is not None:
             probe_t, g = _probe(event.fn, t, y, y_new, q, h)
@@ -850,14 +862,12 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
         ys.append(node_y)
         qs.append(q)
         hs.append(h)
-        if termination == "event":
+        if _blown_up(node_y[:n_state]):  # the new node, or the refined crossing
+            termination = "blowup"
+        if termination != "reached_end":
             break
         t, y, f = t_new, y_new, f_new
         h *= factor
-
-        if _blown_up(state_new):
-            termination = "blowup"
-            break
 
     return Trajectory(
         t=np.array(ts),
@@ -878,6 +888,9 @@ class LaneEnd(NamedTuple):
     termination: str
 
 
+# a lane's overflow is the error norm's or the blow-up guard's to stop,
+# silently, as a single shot's Python floats overflow
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_batch(
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     t0,
@@ -898,15 +911,15 @@ def integrate_batch(
     every lane, as :class:`Event` describes.
 
     The batch takes the DOP853 step and event probe of :func:`integrate`'s
-    loop on all lanes together, keeping only its per-lane accept and step
-    factor, and every lane ends in that loop, which alone decides why it
-    stops.  A lane leaves the batch for the loop before a step that the
-    loop would not take (t_end, the step budget, a step underflow), after
-    an accepted step that crosses the event or blows up (the loop takes
-    that step as its first, so it is not made twice), or when it is the
-    last lane left.  That last lane steps near a single shot's cost there
-    (a lone delta1 = 300 circle-side lane: 1.14-1.19x, against 2.3x and
-    more in the batch).
+    loop on all lanes together, keeping only its per-lane accept, step
+    factor and controller memory, and every lane ends in that loop, which
+    alone decides why it stops.  A lane leaves the batch for the loop before
+    a step that the loop would not take (t_end, the step budget, a step
+    underflow), after an accepted step that crosses the event, blows up or
+    has no finite dense output (the loop takes that step as its first, so
+    it is not made twice), or when it is the last lane left.  That last
+    lane steps near a single shot's cost there (a lone delta1 = 300
+    circle-side lane: 1.14-1.19x, against 2.3x and more in the batch).
 
     Every lane repeats the arithmetic of :func:`integrate` bit for bit, so
     its result does not depend on the batch size or on the other lanes.
@@ -948,21 +961,22 @@ def integrate_batch(
         for i in range(lane.size)
     ])
     g_prev = event.fn(t, y.T)
+    h_old = err_old = np.full(lane.size, math.nan)  # the controller's memory, per lane
     flat_rhs = lambda t, y: rhs(t, y.reshape(t.size, d)).ravel()  # on blocks laid end to end
 
     def hand_off(mask, step=None):
         # from the state before the step, with the step's accepted try if made
-        nonlocal lane, t, y, f, h, g_prev
+        nonlocal lane, t, y, f, h, g_prev, h_old, err_old
         for i in np.flatnonzero(mask).tolist():
-            tried = None if step is None else ((step[0][i], step[1][i], step[2][i]), float(step[3][i]))
+            tried = None if step is None else ((step[0][i], step[1][i], step[2][i]), float(step[3][i]), float(step[4][i]))
             rejected = int(n_rejected[lane[i]])
             # a single shot's calls: 2 to start, 12 a try and 3 an accepted step
             tails[lane[i]] = _steps(
                 rhs, t_end, cfg, event, None, None, float(t[i]), y[i], f[i], float(h[i]),
                 float(g_prev[i]), n_steps, rejected, 2 + 15 * n_steps - 3 * rejected, tried,
+                float(h_old[i]), float(err_old[i]),
             )
-        keep = ~mask
-        lane, t, y, f, h, g_prev = lane[keep], t[keep], y[keep], f[keep], h[keep], g_prev[keep]
+        lane, t, y, f, h, g_prev, h_old, err_old = (a[~mask] for a in (lane, t, y, f, h, g_prev, h_old, err_old))
 
     while lane.size:
         h = np.minimum(h, t_end - t)
@@ -982,11 +996,13 @@ def integrate_batch(
         err_norm = _error_norm(err5, y, y_new, cfg, err3)
         ok = err_norm <= 1.0
         n_rejected[lane[~ok]] += 1
-        factor = np.array([_step_factor(e) for e in err_norm.tolist()])
+        tries = zip(h.tolist(), err_norm.tolist(), h_old.tolist(), err_old.tolist())
+        factor = np.array([_step_factor(*a, ORDER) for a in tries])
         _, g = _probe(event.fn, t[:, None], y[:, None], y_new, q[:, None], h[:, None])
         g = g.reshape(-1, 4)
         walk_g = np.column_stack((g_prev, g))
-        end = ok & (_crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1) | _blown_up(y_new))
+        crossed = _crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1)
+        end = ok & (crossed | _blown_up(y_new) | ~np.isfinite(q).all(axis=(1, 2)))
         go = ok & ~end
         if history:
             log.append((lane[go], t[go], y[go], q[go], h[go]))
@@ -994,8 +1010,10 @@ def integrate_batch(
         y = np.where(go[:, None], y_new, y)
         f = np.where(go[:, None], f_new, f)
         g_prev = np.where(go, g[:, -1], g_prev)
+        h_old = np.where(go, h, h_old)
+        err_old = np.where(go, np.maximum(err_norm, _ERR_FLOOR), err_old)
         h = np.where(end, h, h * factor)
-        hand_off(end, (y_new, q, f_new, factor))
+        hand_off(end, (y_new, q, f_new, factor, err_norm))
         n_steps += 1
 
     if not history:

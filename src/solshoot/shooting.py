@@ -130,8 +130,8 @@ class ShootConfig:
     """
 
     t_eps: float = _MAX_EPS
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = IntegratorConfig.rtol
+    atol: float = IntegratorConfig.atol
     exploratory: bool = False
 
     def __post_init__(self):

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solshoot import bryant, cli
@@ -272,8 +272,9 @@ def test_pancake_build_writes_profile(tmp_path, monkeypatch, capsys):
     [
         ["curve", "--range", "0.05,0.5", "--n", "3"],
         ["scan", "--resolution", "3", "--box", "0,0.2,-1,-0.5,0.4,0.8"],
+        ["scan", "--resolution", "4"],
     ],
-    ids=["curve", "scan"],
+    ids=["curve", "scan", "scan-default-box"],
 )
 def test_sweep_records_do_not_depend_on_worker_count(tmp_path, capsys, argv):
     texts = []
@@ -453,6 +454,8 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         (["shoot-s1", "--delta1", "1e160"], 2),
         (["shoot-s1", "--delta1", "3e19"], 2),
         (["shoot-s2", "--delta2", "1e200", "--delta3", "0.5"], 2),
+        (["shoot-s1", "--delta1", "0.5", "--tol-rel", "0.5", "--tol-abs", "0.5"], 2),
+        (["shoot-s1", "--delta1", "1", "--tol-rel", "0.5"], 2),
         (["pancake-build", "--length", "1000"], 64),
         (["pancake-build", "--length", "1e300", "--grid-n", "1000"], 64),
     ],
@@ -466,6 +469,8 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         "s1-huge-delta1",
         "s1-launch-past-blowup-guard",
         "s2-huge-delta2",
+        "s1-crude-tol-dense-overflow",
+        "s1-crude-tol-event-past-guard",
         "pancake-coarse-grid",
         "pancake-huge-length",
     ],
@@ -527,6 +532,11 @@ def _fuzz_argv(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(argv=_fuzz_argv())
+# crude tolerances: a dense stage that overflows (inf times 0 in the
+# interpolant's coefficients) and an event refined past the blow-up guard
+# (L1 = -3.2e178) both end the shot as a blow-up, exit 2
+@example(argv=["shoot-s1", "--delta1=0.5", "--tol-rel=0.5", "--tol-abs=0.5"])
+@example(argv=["shoot-s1", "--delta1=1", "--tol-rel=0.5"])
 def test_property_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, argv):
     _assert_documented_exit(argv, tmp_path_factory.getbasetemp() / "fuzz.csv")
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -90,6 +91,31 @@ def test_blowup_guard_stops_riccati():
         assert np.max(np.abs(traj.y[-1])) >= 1e12
         assert abs(traj.t_end - 1.0) < cfg.rtol
     assert traj.t_end < 1.0
+
+
+def test_step_controller_shrinks_ahead_of_a_blowup():
+    # a solution whose step must shrink at every node: a memoryless factor
+    # accepts and rejects in turn (234 rejected tries of 236 steps), the
+    # predictive one shrinks the step before it is tried
+    traj = integrate(lambda t, y: y**2, 0.0, [1.0], 2.0)
+    assert traj.termination == "blowup"
+    assert traj.n_rejected <= 10
+
+
+def test_step_factor_is_gustafssons_predictive_rule():
+    # no memory (NaN): the elementary factor 0.9 err^(-1/order), clamped
+    assert ode._step_factor(1.0, 0.5, math.nan, math.nan, 8) == 0.9 * 0.5 ** (-1 / 8)
+    assert ode._step_factor(1.0, 1e-30, math.nan, math.nan, 8) == 10.0
+    for bad in (2.0**40, math.inf, math.nan):
+        assert ode._step_factor(1.0, bad, math.nan, math.nan, 8) == 0.2
+    # with memory: the factor times the predicted h / h_old (err_old / err)^(1/order)
+    # when that is below 1, i.e. a step that shrank, or a norm that grew
+    shrank = ode._step_factor(1.0, 0.5, 2.0, 0.5, 4, safety=0.8)
+    assert shrank == 0.8 * (0.5 * 0.5 ** (-1 / 4))
+    grew = ode._step_factor(1.0, 0.5, 1.0, 0.25, 4)
+    assert grew == 0.9 * ((0.25 / 0.5) ** (1 / 4) * 0.5 ** (-1 / 4))
+    # and never enlarges it
+    assert ode._step_factor(1.0, 0.5, 0.5, 0.9, 4) == 0.9 * 0.5 ** (-1 / 4)
 
 
 def test_terminal_event_harmonic_oscillator():
@@ -361,6 +387,29 @@ def test_property_integrate_batch_repeats_integrate_per_lane(
         assert ends[i].y.tobytes() == single.y[-1].tobytes()
         assert ends[i].termination == single.termination
     assert singles[-1].termination == "blowup"
+
+
+def _inf_at_one_dense_stage(t, y):
+    # y' = 0, but inf on 0.9e-7 < t < 1.1e-7.  On a zero field the starting
+    # heuristic gives h = 1e-6, so of the first step only the dense output's
+    # stage at t + 0.1 h lands there: the step is accepted with a finite new
+    # state and coefficients that are not finite.  Rows of states in a batch
+    hit = (0.9e-7 < np.asarray(t)) & (np.asarray(t) < 1.1e-7)
+    return np.where(np.expand_dims(hit, -1) if np.ndim(t) else hit, np.inf, np.zeros_like(y))
+
+
+def test_overflowing_dense_stage_ends_a_shot_and_its_lanes_as_blowup():
+    event = Event(lambda t, y: y[0] - 5.0)  # never crossed
+    start = [1.0, 0.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        single = integrate(_inf_at_one_dense_stage, 0.0, start, 1.0, event=event)
+        lanes = ode.integrate_batch(_inf_at_one_dense_stage, [0.0] * 2, [start] * 2, 1.0, event, history=True)
+    # no segment without a dense output is stored: the shot ends at its start
+    assert single.termination == "blowup"
+    assert single.t.tolist() == [0.0] and single.n_rhs_evals == 2 + 15
+    for lane in lanes:
+        assert _trajectory_bytes(lane) == _trajectory_bytes(single)
 
 
 def test_integrate_batch_rejects_inputs_it_cannot_repeat():

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solshoot import fields, ode, shooting
+from solshoot import cli, fields, ode, shooting
 from solshoot.errors import (
     EpsilonTooLarge,
     EventNotReached,
     InadmissibleParameters,
     MaxIterations,
     NonConvergence,
+    ShootFailure,
+    SingularJacobian,
 )
 from solshoot.shooting import (
     DEFAULT_SCAN_BOX,
@@ -211,6 +213,15 @@ def test_unreachable_xi_level_fails_fast_by_blowup(side, level):
         else:
             shoot_surface_point(*ROUND_DELTAS[1:], until=("xi", level))
     assert time.perf_counter() - start < 1.0
+
+
+def test_collapse_shot_is_not_a_string_of_rejections():
+    # past the meet the needed step shrinks from node to node down to the
+    # collapse: the memoryless factor took 114 rejected tries and 3845 rhs
+    # calls here, the predictive one 3 and 2528
+    _, traj = shoot_curve_point(1 / 18, until="collapse")
+    assert traj.termination == "event"
+    assert traj.n_rejected <= 10 and traj.n_rhs_evals <= 2700
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
@@ -617,6 +628,14 @@ def test_scan_accepts_a_numpy_integer_resolution():
     assert scan_domain(resolution=np.int64(2)).values.tobytes() == scan_domain(resolution=2).values.tobytes()
 
 
+def test_scan_does_not_depend_on_worker_count():
+    one, two = (scan_domain(DEFAULT_SCAN_BOX, 4, workers=w) for w in (1, 2))
+    assert [a.tobytes() for a in one.axes] == [a.tobytes() for a in two.axes]
+    assert one.values.tobytes() == two.values.tobytes()
+    assert one.minima and one.minima == two.minima
+    assert (one.grid_bound, one.n_failed, one.failures) == (two.grid_bound, two.n_failed, two.failures)
+
+
 def test_scan_box_without_root_reports_no_minima():
     res = scan_domain(box=((1.0, 10.0), (-1.0, 0.0), (5.0, 40.0)), resolution=4)
     # every sampled descent direction drains out through a face of this
@@ -776,6 +795,31 @@ def test_property_surface_lanes_repeat_single_shots(points, rotate):
             assert (meet, _lane_status(reason)) == want[i]
 
 
+def test_crude_tolerance_shots_end_as_blowups_in_lanes_too():
+    # at rtol = atol = 0.5 a dense stage overflows, so the interpolant's
+    # coefficients are not finite; at rtol = 0.5 alone the meet is refined
+    # past the blow-up guard (L1 = -3.2e178).  Either ends the shot as a
+    # blow-up, without a RuntimeWarning, and a lane repeats the single shot
+    event, t_end = shooting._stop_rule("meet", "s1")
+    field = shooting._field("s1", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for d1, cfg, past_guard in [(0.5, ShootConfig(rtol=0.5, atol=0.5), False), (1.0, ShootConfig(rtol=0.5), True)]:
+            with pytest.raises(EventNotReached, match="stopped by blowup"):
+                shoot_curve_point(d1, cfg)
+            t0, y0 = shooting._launch("s1", (d1,), cfg)
+            single = ode.integrate(field, t0, y0, t_end, cfg.integrator(), event)
+            assert single.termination == "blowup"
+            assert np.isfinite(single.dense_q).all()
+            assert (np.abs(single.y[-1]).max() >= 1e12) == past_guard
+            # twin lanes end together, so the batch itself ends them
+            for order in ([d1, d1, 0.1], [0.1, d1, d1]):
+                lanes = _shoot_lanes("s1", [(x,) for x in order], cfg, history=True)
+                for meet, traj, reason in (lanes[i] for i, x in enumerate(order) if x == d1):
+                    assert meet is None and "stopped by blowup" in reason
+                    assert _traj_bytes(traj) == _traj_bytes(single)
+
+
 def test_sweep_samples_carry_the_single_shot_status():
     cfg = ShootConfig()
     samples = sample_surface((-1.5, 0.0), (0.0, 1e13), 2, 2, cfg)
@@ -899,6 +943,83 @@ def test_non_convergence_carries_the_history(monkeypatch):
     assert partial.history[-1].residual == partial.residual
     assert partial.history[0].damping < 1.0
     assert len(calls) == 2 + sum(h.integrations for h in partial.history)
+
+
+def _scripted_newton(monkeypatch, script):
+    """Replace Newton's map by a script of (|F| in every component, J) pairs
+    in call order, its last pair repeated."""
+    calls = []
+
+    def scripted(p, cfg):
+        calls.append(tuple(p))
+        residual, J = script[min(len(calls), len(script)) - 1]
+        return np.full(3, residual), J
+
+    monkeypatch.setattr(shooting, "_mismatch_with_jacobian", scripted)
+    return calls
+
+
+def _failing_shots(monkeypatch):
+    """Let the shots of the guess run, then fail every later one."""
+    calls = []
+    inner = shooting._meet_with_slope
+
+    def flaky(side, params, cfg):
+        calls.append((side, params))
+        if len(calls) > 2:
+            raise EventNotReached("s1 shot never reached xi=0: stopped by blowup")
+        return inner(side, params, cfg)
+
+    monkeypatch.setattr(shooting, "_meet_with_slope", flaky)
+    return calls
+
+
+def _root_cli_fails_with(capsys, name):
+    code = cli.main(["root", "--guess", "0.05,-0.8,0.6"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.splitlines()[-2:-1] == ["# columns: error,message"]
+    assert out.splitlines()[-1].startswith(f"{name},")
+
+
+def test_newton_shot_failure_carries_the_trial_point(monkeypatch, capsys):
+    calls = _failing_shots(monkeypatch)
+    with pytest.raises(ShootFailure) as info:
+        find_root((0.05, -0.8, 0.6))
+    # the failed shot is the first trial's, after the guess's two
+    assert len(calls) == 3 and calls[2][0] == "s1"
+    trial = info.value.params
+    assert len(trial) == 3 and trial[0] == calls[2][1][0] and trial != (0.05, -0.8, 0.6)
+    _root_cli_fails_with(capsys, "ShootFailure")
+
+
+def test_singular_jacobian_stops_newton_with_its_history(monkeypatch, capsys):
+    # one full step, then a singular J at the new iterate
+    calls = _scripted_newton(monkeypatch, [(1.0, np.eye(3)), (0.5, np.zeros((3, 3)))])
+    with pytest.raises(SingularJacobian) as info:
+        find_root((0.05, -0.8, 0.6))
+    partial = info.value.result
+    assert partial.iterations == len(partial.history) == 1
+    assert partial.history[0].damping == 1.0 and partial.residual == 0.5
+    assert partial.root == calls[-1]
+    _root_cli_fails_with(capsys, "SingularJacobian")
+
+
+def test_twenty_halvings_without_decrease_stop_newton(monkeypatch, capsys):
+    # one full step, then no trial decreases the residual
+    calls = _scripted_newton(monkeypatch, [(1.0, np.eye(3)), (0.5, np.eye(3))])
+    with pytest.raises(MaxIterations) as info:
+        find_root((0.05, -0.8, 0.6))
+    partial = info.value.result
+    assert partial.iterations == len(partial.history) == 2
+    assert partial.history[0].damping == 1.0
+    last = partial.history[-1]
+    assert (last.residual, last.damping, last.integrations) == (0.5, 0.0, 42)
+    # the guess, the full step and 21 trials, 2 integrations each
+    assert 2 * len(calls) == 2 + sum(h.integrations for h in partial.history) == 46
+    # no step was taken: the result is the last accepted iterate
+    assert partial.root == calls[1] and partial.residual == 0.5
+    _root_cli_fails_with(capsys, "MaxIterations")
 
 
 @settings(max_examples=6, deadline=None)
