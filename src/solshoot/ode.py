@@ -20,6 +20,9 @@ Events: an integration takes at most one :class:`Event`, and its first
 matching crossing ends the integration.  The trajectory then ends on the
 refined crossing, so ``(t[-1], y[-1])`` is the hit.  :func:`locate_event`
 finds the first crossing time on a stored trajectory after the fact.
+Crossings are refined on the dense output by :func:`brentq`, Brent's
+method ported step for step from scipy's C ``brentq``; the package needs
+only numpy for every shot.
 
 Two step methods share :func:`integrate`'s one loop, and with it the event
 probes and refinement, the blow-up guard, the terminations and the
@@ -63,7 +66,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "IntegratorConfig",
@@ -73,6 +75,7 @@ __all__ = [
     "integrate_batch",
     "LaneEnd",
     "locate_event",
+    "brentq",
 ]
 
 # Dormand & Prince's 8(5,3) pair, DOP853 (Hairer, Norsett & Wanner, *Solving
@@ -479,13 +482,75 @@ def _segment(t0, y0, q, h):
     return lambda tt: _interp(y0, q, h, tt - t0)
 
 
+def brentq(f, a, b, xtol, rtol, maxiter):
+    """Root of f in [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), step for step as scipy's
+    C ``brentq`` takes it, so that both return the same float.
+
+    |x - root| <= xtol + rtol |x| on return.  Raises ValueError on a NaN
+    value of f or on ends of one sign, RuntimeError after ``maxiter``
+    iterations.  It computes on Python floats, f's values included, so an
+    overflow is inf without a numpy warning; where C divides by zero into
+    inf or NaN, the step bisects, as C's failed comparison does.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless a short step is taken below
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _refine_crossing(seg_eval, gfn, walk_t, walk_g, p):
     """Root of g in [walk_t[p], walk_t[p + 1]], where g crosses from
     walk_g[p] (never 0) to walk_g[p + 1]; brentq on the dense output."""
     ta, tb = float(walk_t[p]), float(walk_t[p + 1])
     if walk_g[p + 1] == 0.0:
         return tb
-    return float(brentq(lambda t: gfn(t, seg_eval(t)), ta, tb, xtol=_XTOL, rtol=_RTOL, maxiter=200))
+    return brentq(lambda t: gfn(t, seg_eval(t)), ta, tb, xtol=_XTOL, rtol=_RTOL, maxiter=200)
 
 
 def _crossing(ga, gb, direction):

@@ -851,32 +851,34 @@ def scan_domain(
     )
 
 
+# offsets of a node's 3x3x3 neighbourhood, (0, 0, 0) among them
+_NEIGHBOURS = [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
+
+
 def _grid_minima(values_ext: np.ndarray, axes: tuple) -> tuple:
     """Minima sorted by value, and grid_bound, of a ghost-extended grid of
     |F|_inf (+inf where a shot failed), by the rules of ``scan_domain``."""
-    # imported here: scipy.ndimage adds tens of ms to ``import solshoot``
-    from scipy import ndimage
-
     values = values_ext[1:-1, 1:-1, 1:-1]
-    lowest = ndimage.minimum_filter(values_ext, size=3)[1:-1, 1:-1, 1:-1]
+    n1, n2, n3 = values.shape
+    # the lowest value of each interior node's 3x3x3 neighbourhood, itself
+    # included; np.min would spread a NaN, but scan_domain maps NaN to +inf
+    shifted = [
+        values_ext[1 + i : 1 + i + n1, 1 + j : 1 + j + n2, 1 + k : 1 + k + n3]
+        for i, j, k in _NEIGHBOURS
+    ]
+    lowest = np.min(shifted, axis=0)
     is_min = np.isfinite(values) & (values <= lowest)
-    labels, _ = ndimage.label(is_min, structure=np.ones((3, 3, 3)))
-    flat = labels.ravel()
-    in_min = np.flatnonzero(flat)
-    # labels are 1..n; np.unique gives each one's first flat index in C order
-    _, first = np.unique(flat[in_min], return_index=True)
-    reps = np.column_stack(np.unravel_index(in_min[first], values.shape)).tolist()
     minima = [
         ScanMinimum(
-            indices=tuple(rep),
+            indices=rep,
             delta1=float(axes[0][rep[0]]),
             delta2=float(axes[1][rep[1]]),
             delta3=float(axes[2][rep[2]]),
-            value=float(values[tuple(rep)]),
-            n_nodes=int(count),
-            index_span=tuple((sl.start, sl.stop - 1) for sl in span),
+            value=float(values[rep]),
+            n_nodes=count,
+            index_span=span,
         )
-        for rep, count, span in zip(reps, np.bincount(flat)[1:], ndimage.find_objects(labels))
+        for rep, count, span in _components(is_min)
     ]
     minima.sort(key=lambda m: (m.value, m.indices))
 
@@ -887,3 +889,28 @@ def _grid_minima(values_ext: np.ndarray, axes: tuple) -> tuple:
         if np.any(np.isfinite(step)):
             grid_bound = max(grid_bound, float(np.nanmax(step)))
     return minima, grid_bound
+
+
+def _components(mask: np.ndarray) -> list:
+    """The 26-connected components of a 3-d boolean grid: for each, its
+    first node in C order, its number of nodes and its (lo, hi) index span
+    along each axis."""
+    nodes = [tuple(node) for node in np.argwhere(mask).tolist()]  # C order
+    todo = set(nodes)
+    components = []
+    for first in nodes:
+        if first not in todo:
+            continue
+        todo.remove(first)
+        stack, members = [first], []
+        while stack:
+            a, b, c = stack.pop()
+            members.append((a, b, c))
+            for i, j, k in _NEIGHBOURS:
+                nb = (a + i, b + j, c + k)
+                if nb in todo:
+                    todo.remove(nb)
+                    stack.append(nb)
+        span = tuple((min(axis), max(axis)) for axis in zip(*members))
+        components.append((first, len(members), span))
+    return components

@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bryant, fields, ode
 from .errors import EventNotReached, ExtrapolationUnstable, InadmissibleParameters
@@ -185,7 +184,9 @@ def sign_profile(traj: ode.Trajectory) -> SignReport:
         k = np.flatnonzero(~(np.abs(v) < band))
         flip = (v[k[1:]] > 0) != (v[k[:-1]] > 0)
         brackets = zip(ts[k[:-1][flip]], ts[k[1:][flip]])
-        changes.append(tuple(float(brentq(eig_j, a, b, xtol=1e-13)) for a, b in brackets))
+        # rtol 4 eps and 100 iterations, scipy's brentq defaults
+        rtol = 4 * np.finfo(float).eps
+        changes.append(tuple(ode.brentq(eig_j, a, b, 1e-13, rtol, 100) for a, b in brackets))
     return SignReport(tuple(mins), tuple(tmins), tuple(changes), tuple(flat))
 
 

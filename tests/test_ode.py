@@ -80,6 +80,66 @@ def test_dop853_constants_are_scipys():
         assert np.max(np.abs(ode._interp(y, q, h, th * h) - (y + want))) < 1e-14
 
 
+# the functions ode.brentq must solve as scipy's brentq does: a root at c,
+# slope sign s; tanh(50 x) saturates, so that two values equal to the last
+# bit zero the secant's denominator; 1e-170 makes products of two values
+# underflow and 1e170 overflow; numpy scalars too, whose overflow warns
+_BRENT_FAMILIES = {
+    "linear": lambda c, s: lambda x: s * (x - c),
+    "cubic": lambda c, s: lambda x: s * ((x - c) ** 3 + 0.01 * (x - c)),
+    "exp": lambda c, s: lambda x: math.exp(s * x) - math.exp(s * c),
+    "tanh": lambda c, s: lambda x: math.tanh(50.0 * s * (x - c)),
+    "tiny": lambda c, s: lambda x: 1e-170 * s * (x - c) ** 3,
+    "numpy-huge": lambda c, s: lambda x: np.float64(1e170) * np.tanh(np.float64(s * (x - c))),
+}
+# (xtol, rtol, maxiter) of ode's event refinement and of verify.sign_profile
+_BRENT_TOLERANCES = [(1e-15, 8.9e-16, 200), (1e-13, 4 * np.finfo(float).eps, 100)]
+
+
+def _outcome(solver, f, a, b, tol):
+    """The root as its hex form, or the name of the error raised."""
+    xtol, rtol, maxiter = tol
+    try:
+        return float.hex(solver(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter))
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__
+
+
+@settings(max_examples=400, deadline=None)
+@example(family="tanh", c=0.25, s=1.0, da=2.0, db=3.0, flip=False, tol=_BRENT_TOLERANCES[0])
+@example(family="tiny", c=0.0, s=-1.0, da=1.0, db=0.5, flip=True, tol=_BRENT_TOLERANCES[1])
+@given(
+    family=st.sampled_from(sorted(_BRENT_FAMILIES)),
+    c=st.floats(-2.0, 2.0),
+    s=st.sampled_from([-1.0, 1.0]) | st.floats(-20.0, 20.0).filter(lambda s: abs(s) > 1e-3),
+    da=st.floats(1e-9, 4.0),
+    db=st.floats(1e-9, 4.0),
+    flip=st.booleans(),
+    tol=st.sampled_from(_BRENT_TOLERANCES),
+)
+def test_property_brentq_is_scipys_bitwise(family, c, s, da, db, flip, tol):
+    f = _BRENT_FAMILIES[family](c, s)
+    a, b = (c + db, c - da) if flip else (c - da, c + db)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _outcome(ode.brentq, f, a, b, tol) == _outcome(brentq, f, a, b, tol)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, maxiter, error",
+    [
+        (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 100, ValueError),
+        (lambda x: x - 3.0, 0.0, 1.0, 100, ValueError),
+        (lambda x: math.exp(x) - 2.0, 0.0, 1.0, 2, RuntimeError),
+    ],
+    ids=["nan-value", "same-sign-ends", "maxiter"],
+)
+def test_brentq_raises_what_scipy_raises(f, a, b, maxiter, error):
+    for solver in (ode.brentq, brentq):
+        with pytest.raises(error):
+            solver(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=maxiter)
+
+
 def test_blowup_guard_stops_riccati():
     # y' = y^2 from y(0)=1 blows up at t=1; the guard must stop us cleanly.
     # It trips at y = 1e12, 1e-12 before t = 1, so that t_end < 1 needs a

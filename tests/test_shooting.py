@@ -24,6 +24,7 @@ from solshoot.shooting import (
     ROUND_DELTAS,
     MeetPoint,
     MismatchVector,
+    ScanMinimum,
     ShootConfig,
     check_admissible,
     find_root,
@@ -703,6 +704,64 @@ def test_grid_minima_ties_keep_index_order():
         ((4, 0, 0), 1.0),
         ((6, 0, 0), 1.0),
     ]
+
+
+def _grid_minima_ndimage(values_ext, axes):
+    """``_grid_minima`` as scipy.ndimage computes it: its minimum filter and
+    its 26-connected labelling.  The oracle for the numpy version."""
+    from scipy import ndimage
+
+    values = values_ext[1:-1, 1:-1, 1:-1]
+    lowest = ndimage.minimum_filter(values_ext, size=3)[1:-1, 1:-1, 1:-1]
+    is_min = np.isfinite(values) & (values <= lowest)
+    labels, _ = ndimage.label(is_min, structure=np.ones((3, 3, 3)))
+    flat = labels.ravel()
+    in_min = np.flatnonzero(flat)
+    _, first = np.unique(flat[in_min], return_index=True)
+    reps = np.column_stack(np.unravel_index(in_min[first], values.shape)).tolist()
+    minima = [
+        ScanMinimum(
+            indices=tuple(rep),
+            delta1=float(axes[0][rep[0]]),
+            delta2=float(axes[1][rep[1]]),
+            delta3=float(axes[2][rep[2]]),
+            value=float(values[tuple(rep)]),
+            n_nodes=int(count),
+            index_span=tuple((sl.start, sl.stop - 1) for sl in span),
+        )
+        for rep, count, span in zip(reps, np.bincount(flat)[1:], ndimage.find_objects(labels))
+    ]
+    minima.sort(key=lambda m: (m.value, m.indices))
+    finite = np.where(np.isfinite(values), values, np.nan)
+    grid_bound = 0.0
+    for axis in range(3):
+        step = np.abs(np.diff(finite, axis=axis))
+        if np.any(np.isfinite(step)):
+            grid_bound = max(grid_bound, float(np.nanmax(step)))
+    return minima, grid_bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(3, 10)] * 3),
+    kind=st.sampled_from(["random", "plateaus", "walls"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_grid_minima_equals_the_ndimage_version(shape, kind, seed):
+    # random values; integer levels, whose ties make plateaus and merge
+    # minima; integer levels behind +inf walls of failed shots
+    rng = np.random.default_rng(seed)
+    ext_shape = tuple(n + 2 for n in shape)
+    if kind == "random":
+        ext = rng.random(ext_shape)
+    else:
+        ext = rng.integers(0, 4, ext_shape).astype(float)
+        if kind == "walls":
+            ext[rng.random(ext_shape) < 0.3] = math.inf
+    axes = tuple(np.linspace(-1.0, 1.0, n) for n in shape)
+    got, want = _grid_minima(ext, axes), _grid_minima_ndimage(ext, axes)
+    assert repr(got) == repr(want)
+    assert got == want
 
 
 def test_meet_point_and_mismatch_tuple_behavior():

@@ -1,6 +1,9 @@
 """Tests for the estimate monitors."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +60,28 @@ def big_shot():
 @pytest.fixture(scope="module")
 def traces():
     return {d: verify.large_delta1_trace(d) for d in (1e2, 1e3, 1e4)}
+
+
+def test_shots_sweeps_and_monitors_load_no_scipy():
+    # only verify-delta3's quadrature oracle imports scipy; the import, the
+    # benchmark's setup probe, a Newton root, a scan, the monitors on a round
+    # shot and a pancake trace run on numpy alone
+    code = """
+import sys
+import solshoot
+from solshoot import shooting, verify
+solshoot.shoot_curve_point(1.0 / 18.0)
+shooting.find_root((0.05, -0.8, 0.6))
+shooting.scan_domain(resolution=4)
+traj = shooting.shoot_curve_point(shooting.ROUND_DELTAS[0])[1]
+verify.sign_profile(traj)
+verify.max_principle_report(traj)
+verify.large_delta1_trace(300.0)
+sys.exit(sorted(m for m in sys.modules if m.split(".")[0] == "scipy") or None)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verify.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_round_max_principle(round_s1):
