@@ -484,7 +484,7 @@ def _cmd_pancake_curvature(args, cfg):
 def _add_common(p):
     p.add_argument("--tol-rel", type=float, default=ShootConfig().rtol, help="integrator relative tolerance")
     p.add_argument("--tol-abs", type=float, default=None, help=f"integrator absolute tolerance (default {_TOL_ABS:g}; not taken by verify-bryant)")
-    p.add_argument("--t-eps", type=float, default=ShootConfig().t_eps, help="series handoff distance from the singular orbit, in (0, 1e-2]")
+    p.add_argument("--t-eps", type=float, default=ShootConfig().t_eps, help="series handoff distance from the singular orbit, in (0, 1e-1]")
     p.add_argument("--out", default=None, help="output path (default: stdout for reports, <subcommand>.<format> for sweeps)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=1, help="accepted and echoed in the header; no effect, sweeps run batched in one process")

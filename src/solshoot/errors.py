@@ -58,7 +58,7 @@ class GridTooCoarse(SolshootError):
 
 
 class EpsilonTooLarge(SolshootError):
-    """Series handoff distance outside (0, 1e-2], where the launch series is not trusted."""
+    """Series handoff distance outside (0, 1e-1], where the launch series is not trusted."""
 
 
 class SingularJacobian(NonConvergence):

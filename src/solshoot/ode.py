@@ -614,7 +614,10 @@ class _Radau:
     scipy's ``radau.py``: a simplified Newton iteration on the collocation
     system, started from the last step's polynomial, with its
     convergence-rate test; Jacobian reuse; :func:`_step_factor` with
-    Newton's safety factor; and halving after a Newton failure.
+    Newton's safety factor; and halving after a Newton failure.  As in
+    RADAU5, a rejected try, by its error or by a Newton failure, makes the
+    next try estimate its error again and, when accepted, keep h from
+    growing.
 
     Newton works on the transformed stage increments W = _RTI Z, whose
     system splits into a real one, (MU_REAL/h - J) dw0 = g0, and a complex
@@ -630,7 +633,7 @@ class _Radau:
         self.d = y.size
         self.lam_i = np.kron(_LAMBDA, np.eye(self.d))  # Lambda (x) I
         self._take_jac(t, y)
-        self.retry = False  # this step was rejected by its error once already
+        self.retry = False  # the last try was rejected, by its error or by Newton
         self.last = None  # (stage increments, dense q (d, 3), h) of that step
         self.newton_tol = max(10 * np.finfo(float).eps / cfg.rtol, min(0.03, cfg.rtol**0.5))
         self.n_evals = 0
@@ -699,6 +702,7 @@ class _Radau:
                 break
             self._take_jac(t, y)
         if not converged:
+            self.retry = True
             return None, 0.5, math.nan
 
         y_new = y + z[-1]
@@ -707,7 +711,7 @@ class _Radau:
         err = inv_real @ (f + ze)
         err_norm = float(_error_norm(err, y, y_new, cfg))
         if self.retry and not err_norm <= 1.0:
-            # after a rejection, RADAU5 estimates again from rhs at y + err,
+            # after a rejected try, RADAU5 estimates again from rhs at y + err,
             # which tames the estimate's overshoot on stiff components
             err = inv_real @ (self.rhs(t, y + err) + ze)
             self.n_evals += 1
@@ -718,6 +722,11 @@ class _Radau:
             self.retry = True
             return None, factor, err_norm
 
+        if self.retry:
+            # RADAU5's REJECT rule: the try accepted right after a rejected
+            # one does not grow h, so h does not climb back to the size that
+            # just failed
+            factor = min(factor, 1.0)
         recompute_jac = n_iter > 2 and rate > 1e-3
         if not recompute_jac and factor < 1.2:
             factor = 1.0  # keep h, and with it the inverse
@@ -764,14 +773,14 @@ def _dense(rhs, t, y, y_new, h, hc, K):
     (k_s = r^2 - l2^2 among them) then stray up to 2.8e-6 from 1/3, against
     5.5e-8, a few ulps of r^2, this way.  _D's rows sum to zero, so _D acts
     on the stage differences K - K[0], which are smaller than K."""
-    for s in range(13, 16):
-        K[s] = rhs(t + _C[s] * h, y + hc * (_A[s, :s] @ K[:s]))
     F = np.empty((y.size, 7))
     F[:, 0] = (y_new - y) / hc
     F[:, 1] = K[0] - F[:, 0]
     F[:, 2] = 2.0 * F[:, 0] - K[0] - K[12]
     # an overflowed stage gives non-finite coefficients, which end the shot
     with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(13, 16):
+            K[s] = rhs(t + _C[s] * h, y + hc * (_A[s, :s] @ K[:s]))
         F[:, 3:] = (K - K[0]).T @ _D.T
         # a sum over j in a fixed order, so a lane's q does not depend on the block
         return np.add.reduce(F[:, :, None] * _T, axis=1)

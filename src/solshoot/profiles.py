@@ -15,6 +15,7 @@ import numpy as np
 from . import ode
 from .errors import GridTooCoarse, NonPrincipal, ProfileGaugeError
 from .fields import curvature_eigs
+from .shooting import _s2_launch_params, _s2_series_f1
 
 __all__ = [
     "MetricProfile",
@@ -22,7 +23,7 @@ __all__ = [
     "second_order_residual",
 ]
 
-# f1 is anchored at the sample nearest the collapsing orbit, where
+# a circle-side shot's f1 is anchored at its last sample, where
 # f1 = -(1 - k_t1 / (2 L1^2)) / L1 up to a relative O(f1^4); the anchor sample
 # must be close enough for that error to sit below integration noise.
 _ANCHOR_L1_MAX = -10.0
@@ -57,16 +58,20 @@ def reconstruct_profile(
     (their stored states are the physical fields at t = T - s).  f2 = 1/R
     pointwise; f1 = exp(int L1) with the constant fixed at the sample
     nearest the collapsing orbit, where the smoothness condition f1' = -1
-    pins it.  A smooth orbit at distance r has f1 = r - k r^3/6 + O(r^5),
-    with k the curvature eigenvalue k_t1 there, so L1 = -(1 - k r^2/3)/r
-    and f1 = -(1 - k_t1/(2 L1^2))/L1 up to a relative O(r^4), with k_t1
-    read at the sample itself; u integrates L1 + 2 L2 - xi and
-    vanishes on the xi = 0 orbit when the trajectory crosses it (otherwise
-    u is zeroed at the left endpoint and the gauge tag says so).
+    pins it.  A sphere-side shot starts there, on the launch series, which
+    gives f1 at its first sample (``shooting._s2_series_f1``).  A
+    circle-side shot ends there: a smooth orbit at distance r has
+    f1 = r - k r^3/6 + O(r^5), with k the curvature eigenvalue k_t1 there,
+    so L1 = -(1 - k r^2/3)/r and f1 = -(1 - k_t1/(2 L1^2))/L1 up to a
+    relative O(r^4), with k_t1 read at the last sample itself; u integrates
+    L1 + 2 L2 - xi and vanishes on the xi = 0 orbit when the trajectory
+    crosses it (otherwise u is zeroed at the left endpoint and the gauge tag
+    says so).
 
-    The shot must actually approach the collapsing orbit (integrate with
-    until="collapse" on the circle side), otherwise the f1 anchor is not
-    trustworthy and ProfileGaugeError is raised.
+    A circle-side shot must actually approach the collapsing orbit
+    (integrate with until="collapse"), and a sphere-side one must start on
+    the launch series; otherwise the f1 anchor is not trustworthy and
+    ProfileGaugeError is raised.
     """
     if side not in ("s1", "s2"):
         raise ValueError(f"side must be 's1' or 's2', got {side!r}")
@@ -90,16 +95,24 @@ def reconstruct_profile(
     # collapsing-orbit end (last sample for s1 shots, first for s2 shots)
     _, lnf1_eval = traj.antiderivative(lambda t, y: sgn * y[1])
     lnf1 = lnf1_eval(grid)
-    anchor = -1 if side == "s1" else 0
-    l1_anchor = l1[anchor]
-    if not l1_anchor <= _ANCHOR_L1_MAX:
-        raise ProfileGaugeError(
-            "trajectory does not reach the collapsing orbit "
-            f"(L1 = {l1_anchor:.3g} at the anchor sample, need <= {_ANCHOR_L1_MAX:g}); "
-            "integrate with until='collapse'"
-        )
-    k_t1 = curvature_eigs(states[anchor]).k_t1
-    f1_anchor = -(1.0 - k_t1 / (2.0 * l1_anchor * l1_anchor)) / l1_anchor
+    if side == "s2":
+        params = _s2_launch_params(traj.t0, traj.y[0])
+        if params is None:
+            raise ProfileGaugeError(
+                "trajectory does not start on the sphere-side launch series, "
+                "so its f1 has no anchor; shoot it with shoot_surface_point"
+            )
+        anchor, f1_anchor = 0, _s2_series_f1(*params, traj.t0)
+    else:
+        anchor, l1_anchor = -1, l1[-1]
+        if not l1_anchor <= _ANCHOR_L1_MAX:
+            raise ProfileGaugeError(
+                "trajectory does not reach the collapsing orbit "
+                f"(L1 = {l1_anchor:.3g} at the anchor sample, need <= {_ANCHOR_L1_MAX:g}); "
+                "integrate with until='collapse'"
+            )
+        k_t1 = curvature_eigs(states[-1]).k_t1
+        f1_anchor = -(1.0 - k_t1 / (2.0 * l1_anchor * l1_anchor)) / l1_anchor
     f1 = f1_anchor * np.exp(lnf1 - lnf1[anchor])
 
     # potential: u' = L1 + 2 L2 - xi in physical time, flipped with the grid

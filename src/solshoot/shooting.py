@@ -39,11 +39,11 @@ legitimately stresses the integrator and the failure boundary is data.
 Stiff regime: on the circle side at large delta1, the L1 and L2 equations
 have the eigenvalue -xi while xi is large, and the explicit step is held to
 its stability limit there, so its step count grows linearly in delta1
-(DOP853: 1.5k, 5.9k and 32k steps to xi = 10 at delta1 = 1e2, 1e3, 1e4).
+(DOP853: 1.5k, 5.9k and 38k steps to xi = 10 at delta1 = 1e2, 1e3, 1e4).
 A plain circle-side shot with delta1 >= ``_STIFF_DELTA1`` = 200 therefore
 takes the Radau IIA(5) step of ``ode.integrate``, given the exact Jacobian
-``family_tangent(y, I)``: 3.0k to 4.3k steps to xi = 10 from delta1 = 200
-to 1e6.  Uncapped in t, a shot meets near t = 6 sqrt(delta1) to delta1 ~ 2e19.
+``family_tangent(y, I)``: 2.1k to 3.8k steps to xi = 10 from delta1 = 200
+to 1e6.  Uncapped in t, a shot meets near t = 6 sqrt(delta1) to delta1 ~ 2.3e21.
 DOP853 and Radau cost the same near delta1 = 150-175 (wall time of shots
 to the meet and to xi = 10; DOP853 makes more rhs calls from delta1 = 125
 on); 200 leaves a margin.  The route depends on delta1 alone, never on a
@@ -115,14 +115,18 @@ _MAX_ITER = 25  # Newton iterations before MaxIterations
 # step; see "Stiff regime" in the module docstring
 _STIFF_DELTA1 = 200.0
 _EYE4 = np.eye(4)
-_MAX_EPS = 1e-2  # the deepest series handoff ShootConfig.t_eps may ask for
+_MAX_EPS = 1e-1  # the deepest series handoff ShootConfig.t_eps may ask for
+# levels of the launch series, whose last term is of order t^(2L - 1): the
+# smallest L whose last level stays below 1e-17 of the leading one wherever
+# the handoff puts the series' products, at most 1e-2 (``_effective_eps``)
+_SERIES_LEVELS = 10
 
 
 @dataclass(frozen=True)
 class ShootConfig:
     """Knobs shared by every shooting operation.
 
-    ``t_eps`` is the series handoff distance on both sides, in (0, 1e-2]
+    ``t_eps`` is the series handoff distance on both sides, in (0, 1e-1]
     (shrunk for large parameters by ``_effective_eps``, never enlarged);
     outside that range the config raises EpsilonTooLarge.  ``exploratory``
     lifts the admissibility preconditions delta1 >= 0, delta2 >= -1,
@@ -254,10 +258,10 @@ def s1_series_state(delta1: float, t_eps: float) -> SolitonState:
     L2 = 1/t - 2 d1 t,        R = 1/t + d1 t.
 
     All four reduced functions are odd in t, so the truncation error is
-    O(t_eps^3).  Shots launch from the order-5 series (``_s1_series``).
+    O(t_eps^3).  Shots launch from the series to t^19 (``_s1_series``).
     """
     _check_eps(t_eps)
-    return SolitonState(*_s1_series(delta1, t_eps, 1.0, order=1))
+    return SolitonState(*_s1_series(delta1, t_eps, 1.0, levels=1))
 
 
 def s2_series_state(delta2: float, delta3: float, s_eps: float) -> SolitonState:
@@ -268,92 +272,140 @@ def s2_series_state(delta2: float, delta3: float, s_eps: float) -> SolitonState:
 
     with truncation O(s_eps^3).  The formulas stay regular at d3 = 1 (the
     slope of L2 simply vanishes there) and reproduce the exact Gaussian at
-    (d2, d3) = (-1, 1).  Shots launch from the order-5 series
-    (``_s2_series``).
+    (d2, d3) = (-1, 1).  Shots launch from the series to s^19, and R's
+    s^20 (``_s2_series``).
     """
     _check_eps(s_eps)
-    return SolitonState(*_s2_series(delta2, delta3, s_eps, order=1))
+    return SolitonState(*_s2_series(delta2, delta3, s_eps, levels=1))
 
 
 # The series are plain arithmetic, so they run on floats, on complex numbers
-# (``_launch`` differentiates them by a complex step) and on sympy symbols
-# (the tests differentiate them symbolically) alike.  Past order 1 each term
-# is a polynomial in dimensionless products of the parameters and the
-# distance, divided by the distance: those products stay small at the
-# launch's handoff (``_effective_eps``), so no term overflows, however large
-# the parameters.
+# (``_launch`` differentiates them by a complex step) and on sympy's rational
+# functions (the tests check and differentiate them exactly) alike;
+# ``_launch`` hands them Python floats, never numpy scalars.  Each level of a
+# series is a polynomial in dimensionless products of the parameters and the
+# distance: those products stay at most 1e-2 at the launch's handoff
+# (``_effective_eps``), so no level overflows, however large the parameters.
 
 
-def _s1_series(delta1, t, lam, order: int = 5) -> tuple:
-    """(xi, L1, L2, R) of the circle-side series at t and soliton constant
-    ``lam``: the order-1 terms of ``s1_series_state`` and, at ``order`` 5,
-    the t^3 and t^5 terms that every shot launches from.
+def _s1_levels(delta1, t, lam, levels: int = _SERIES_LEVELS) -> list:
+    """The levels Y_0, ..., Y_levels of the circle-side series at t and
+    soliton constant ``lam``, each an (xi, L1, L2, R) tuple; the state is
+    their sum over t.
 
     The field is unchanged by t -> t/p, delta1 -> p^2 delta1, lam -> p^2 lam,
-    so the t^(2k-1) coefficient is a degree-k form in (delta1, lam): with
-    u = delta1 t^2 and v = lam t^2, its term is that form at (u, v), over t.
-    From t = 1e-2, with the t^3 terms alone the round meets lie 4.3e-11
-    (circle) and 8.0e-11 (sphere) off the closed form at rtol = 1e-13; with
-    the t^5 terms, 1.1e-12 and 2.2e-12.  Coefficients were obtained by
-    matching powers of t in the family field (the tests repeat that with
-    sympy) and reduce to the cot/tan/csc Taylor coefficients of the closed-form
-    round trajectory at delta1 = 1/18, lam = 1.
+    so the t^(2k-1) coefficient X_k is a degree-k form in (delta1, lam), and
+    Y_k = X_k t^(2k) is that form at u = delta1 t^2 and v = lam t^2.  Y_0 and
+    Y_1 are the terms of ``s1_series_state``.  Matching powers of t in the
+    field (Frobenius' method; Hairer, Norsett & Wanner, *Solving ODEs I*,
+    I.5) gives, for k >= 2,
+
+        ((2k - 1) I - M) Y_k = sum over 0 < i < k of B(Y_i, Y_(k-i)),
+
+    with B the symmetric bilinear form of the field's quadratic part and
+    M = 2 B(Y_0, .).  M's eigenvalues are 1, -2, -2, -2, so only k = 1, the
+    free delta1, is resonant.
     """
-    base = (
-        2.0 / t + (8.0 * delta1 - lam) * t,
-        -(lam / 3.0) * t,
-        1.0 / t - 2.0 * delta1 * t,
-        1.0 / t + delta1 * t,
-    )
-    if order == 1:
-        return base
     u, v = delta1 * t * t, lam * t * t
-    c3 = (124 / 25) * u * u - (12 / 25) * u * v + (2 / 225) * v * v
-    d3 = 0.5 * u * u - 0.25 * c3
-    a3 = -v * v / 27 - (8 / 3) * u * u - (4 / 3) * c3
-    b3 = v * (8 * u - v) / 15
-    a5 = (2 / 11025) * (((90864 * u - 11880 * v) * u + 972 * v * v) * u - 61 * v**3)
-    b5 = (-8 / 4725) * v * ((621 * u - 108 * v) * u + 7 * v * v)
-    c5 = (-2 / 3675) * (((19632 * u - 3186 * v) * u + 209 * v * v) * u - 5 * v**3)
-    d5 = (1 / 22050) * (((15597 * u - 3726 * v) * u + 369 * v * v) * u - 10 * v**3)
-    return tuple(b + (p3 + p5) / t for b, p3, p5 in zip(base, (a3, b3, c3, d3), (a5, b5, c5, d5)))
+    ys = [(2.0, 0.0, 1.0, 1.0), (8.0 * u - v, -v / 3.0, -2.0 * u, u)]
+    for k in range(2, levels + 1):
+        b0 = b1 = b2 = b3 = 0.0
+        for (x0, x1, x2, x3), (y0, y1, y2, y3) in zip(ys[1:k], ys[k - 1:0:-1]):
+            b0 -= x1 * y1 + 2.0 * x2 * y2
+            b1 -= x0 * y1
+            b2 += x3 * y3 - x0 * y2
+            b3 -= x2 * y3
+        # L1 stands alone; elimination on (xi, L2, R) leaves the determinant
+        # (a - 1)(a + 2)^2 with a = 2k - 1
+        a = 2 * k - 1
+        l2 = (a * (a + 1) * b2 - (a + 1) * b0 + 2 * a * b3) / ((a - 1) * (a + 2) ** 2)
+        ys.append(((b0 - 4.0 * l2) / a, b1 / (a + 2), l2, (b3 - l2) / (a + 1)))
+    return ys
 
 
-def _s2_series(delta2, delta3, s, order: int = 5) -> tuple:
-    """(xi, L1, L2, R) of the sphere-side series at s, as ``_s1_series``:
-    at ``order`` 5 the s^3 and s^5 terms too, and R's s^4 and s^6.
+def _s2_levels(delta2, delta3, s, levels: int = _SERIES_LEVELS) -> list:
+    """The levels of the sphere-side series at s, each an (xi, L1, L2, rho)
+    tuple: (xi, L1, L2) is their sum over s, and R is delta3 times the sum of
+    the rho.
 
-    In m = mu s^2, n = nu s^2 and q = s^2, with mu = (d2 + 1)/2 and
-    nu = (1 - d3^2)/2, the higher terms of xi, L1 and L2 are forms in
-    (m, n, q) over s, and R is d3 times a polynomial in them.  At the
-    Gaussian (-1, 1) m and n are exactly 0, so the series is the exact
-    trajectory there.
+    As in ``_s1_levels``, level j is a form in m = mu s^2, n = nu s^2 and
+    q = s^2, with mu = (d2 + 1)/2 and nu = (1 - d3^2)/2; (d3 s)^2 = q - 2n.
+    Level 0 is (-1, -1, 0, 1) and level 1 is the order-1 series.  Each later
+    level is explicit: L2_j from the lower levels, then rho_j from
+    2j rho_j = sum over i >= 1 of L2_i rho_(j-i), then (xi_j, L1_j) from a
+    2 x 2 system of determinant 2 (2j + 1)(j - 1), singular only at j = 1,
+    the free delta2.  At the Gaussian (-1, 1) m and n are exactly 0, so every
+    level past 1 vanishes and the series is the exact trajectory there.
     """
     q = s * s
-    n = 0.5 * (q - (delta3 * s) * (delta3 * s))
-    base = (
-        -(1.0 / s + delta2 * s),
-        -(1.0 / s - 0.5 * (delta2 + 1.0) * s),
-        n / s,
-        delta3 * (1.0 + 0.5 * n),
-    )
-    if order == 1:
-        return base
     m = 0.5 * (delta2 + 1.0) * q
-    xi = (4 * m * m - m * q + 4 * n * n) / 5 - (
-        ((64 * m - 33 * q) * m + 84 * n * n + 3 * q * q) * m - (60 * n + 2 * q) * n * n
-    ) / 140
-    l1 = -(7 * m * m - 3 * m * q + 2 * n * n) / 10 + (
-        ((124 * m - 81 * q) * m + 84 * n * n + 15 * q * q) * m - (20 * n + 10 * q) * n * n
-    ) / 280
-    l2 = n * (n - m) / 2 + n * ((36 * m - 30 * n - 9 * q) * m + (46 * n - 5 * q) * n) / 120
-    r = n * (2 * n - m) / 8 + n * ((36 * m - 75 * n - 9 * q) * m + (106 * n - 5 * q) * n) / 720
-    return (
-        base[0] + xi / s,
-        base[1] + l1 / s,
-        base[2] + l2 / s,
-        base[3] + delta3 * r,
-    )
+    n = 0.5 * (q - (delta3 * s) * (delta3 * s))
+    w = q - 2.0 * n
+    ys = [(-1.0, -1.0, 0.0, 1.0), (q - 2.0 * m, m, n, 0.5 * n)]
+    for j in range(2, levels + 1):
+        # the sums over 0 < i < j of products of levels i and j - i (xi L2,
+        # L2 rho, the xi equation's L1^2 + 2 L2^2, xi L1), and rr, the sum
+        # over i + i' = j - 1 of rho_i rho_i'
+        xl = lr = a = c = 0.0
+        rr = ys[j - 1][3]
+        for (x0, x1, x2, x3), (y0, y1, y2, y3), z in zip(ys[1:j], ys[j - 1:0:-1], ys[j - 2::-1]):
+            xl += x0 * y2
+            lr += x2 * y3
+            a += x1 * y1 + 2.0 * x2 * y2
+            c += x0 * y1
+            rr += x3 * z[3]
+        l2 = (xl - w * rr) / (2 * j)
+        det = (2 * j + 1) * (j - 1)
+        ys.append(((j * a - c) / det, ((2 * j - 1) * c - a) / (2 * det), l2, (lr + l2) / (2 * j)))
+    return ys
+
+
+def _s1_series(delta1, t, lam, levels: int = _SERIES_LEVELS) -> tuple:
+    """(xi, L1, L2, R) of the circle-side series at t: the sum of
+    ``_s1_levels`` over t, smallest level first.  Every shot launches from
+    ``_SERIES_LEVELS`` levels; ``levels`` = 1 is ``s1_series_state``.
+
+    From t = 1e-1 at rtol = 1e-13, the round meets lie 5.0e-10 (circle) and
+    1.1e-9 (sphere) off the closed form with 3 levels (the t^5 terms),
+    4.0e-14 and 1.0e-14 with 5, and 1.1e-14 and 9.9e-15 with 7 to 11; the
+    level count is set by the largest products, not by the round point.
+    """
+    return tuple(sum(c) / t for c in zip(*reversed(_s1_levels(delta1, t, lam, levels))))
+
+
+def _s2_series(delta2, delta3, s, levels: int = _SERIES_LEVELS) -> tuple:
+    """(xi, L1, L2, R) of the sphere-side series at s, from ``_s2_levels``
+    as ``_s1_series``."""
+    xi, l1, l2, rho = (sum(c) for c in zip(*reversed(_s2_levels(delta2, delta3, s, levels))))
+    return xi / s, l1 / s, l2 / s, delta3 * rho
+
+
+def _s2_launch_params(s, state) -> Optional[tuple]:
+    """(delta2, delta3) of the sphere-side series whose state at distance s
+    from the orbit is ``state``, as at a shot's launch; None when no such
+    series has that state.
+
+    s L1 + 1 is m plus the higher levels and R is delta3 times the sum of
+    the rho, so each pass of the fixed-point iteration below gains a factor
+    of the products' size, at most 1e-2: eight passes reach rounding.
+    """
+    q = s * s
+    if not q > 0.0:  # past the blow-up guard: s < 1e-161 starts at |xi| > 1e161
+        return None
+    m, delta3 = s * state[1] + 1.0, state[3]
+    for _ in range(8):
+        delta2 = 2.0 * m / q - 1.0
+        ys = _s2_levels(delta2, delta3, s)
+        m = s * state[1] + 1.0 - sum(y[1] for y in ys[2:])
+        delta3 = state[3] / sum(y[3] for y in reversed(ys))
+    gap = max(abs(a - b) for a, b in zip(_s2_series(delta2, delta3, s), state))
+    return (delta2, delta3) if gap <= 1e-12 * max(abs(v) for v in state) else None
+
+
+def _s2_series_f1(delta2, delta3, s) -> float:
+    """f1 on the sphere-side series at s: s exp(-sum over j >= 1 of
+    L1_j / 2j), the smooth f1 ~ s whose log-derivative is the series' -L1."""
+    return s * math.exp(-sum(y[1] / (2 * j) for j, y in enumerate(_s2_levels(delta2, delta3, s)) if j))
 
 
 def check_admissible(
@@ -383,10 +435,11 @@ def check_admissible(
 
 
 def _effective_eps(side: str, eps: float, params: tuple) -> float:
-    """The handoff of a shot from ``params``: ``eps``, shrunk so that the
-    series' small products (``_s1_series``, ``_s2_series``) stay below
-    about 1e-4: d1 t^2 on the circle side, d3 s and d2 s^2 on the sphere
-    side.
+    """The handoff of a shot from ``params``: ``eps``, shrunk to
+    min(eps, 1e-1 / scale) so that the series' products (``_s1_levels``,
+    ``_s2_levels``) stay at most 1e-2: scale = sqrt(max(1, |d1|)) keeps
+    d1 t^2 there on the circle side, and scale = max(1, |d3|, sqrt|d2|)
+    keeps (d3 s)^2 and d2 s^2 there on the sphere side.
     """
     if side == "s1":
         scale = math.sqrt(max(1.0, abs(params[0])))
@@ -447,7 +500,7 @@ def _launch(side: str, params: tuple, cfg: ShootConfig, lam: float = 1.0, tangen
     of the series truncation and is left out.
     """
     # numpy scalars would warn where Python floats overflow quietly to inf
-    params = tuple(float(p) for p in params)
+    params, lam = tuple(float(p) for p in params), float(lam)
     t0 = _effective_eps(side, cfg.t_eps, params)
 
     def series(*p):

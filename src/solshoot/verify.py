@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bryant, fields, ode
 from .errors import EventNotReached, ExtrapolationUnstable, InadmissibleParameters
-from .shooting import ShootConfig, shoot_curve_point
+from .shooting import ShootConfig, _s2_launch_params, _s2_series, shoot_curve_point
 
 __all__ = [
     "MaxPrincipleReport",
@@ -266,13 +266,19 @@ def delta2_monitors(traj: ode.Trajectory) -> Delta2Report:
 
     Both fields are odd in the distance s to the orbit, so Y is even and
     two Richardson levels on the halving triple (s, s/2, s/4) remove the
-    s^2 and s^4 corrections.  Orbit value: Y -> (3/2)(delta2 + 1).
+    s^2 and s^4 corrections.  Orbit value: Y -> (3/2)(delta2 + 1).  A
+    sample below the shot's handoff is read off the launch series that the
+    shot starts on.
     """
-    if not (traj.t0 <= min(_DELTA2_SAMPLES) and traj.t_end >= max(_DELTA2_SAMPLES)):
+    below = min(_DELTA2_SAMPLES) < traj.t0
+    params = _s2_launch_params(traj.t0, traj.y[0]) if below else ()
+    if params is None or not traj.t_end >= max(_DELTA2_SAMPLES):
         raise ExtrapolationUnstable(
             f"trajectory [{traj.t0:g}, {traj.t_end:g}] does not span samples"
         )
-    xi, l1 = traj.eval(np.array(_DELTA2_SAMPLES))[:, :2].T
+    xi, l1 = np.array(
+        [_s2_series(*params, s) if s < traj.t0 else traj.eval(s) for s in _DELTA2_SAMPLES]
+    )[:, :2].T
     xs = [float(v) for v in xi - l1]
     ys = [float(v) for v in xi * l1 + 1.0 - l1 * l1]
     a1 = (4.0 * ys[1] - ys[0]) / 3.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solshoot import bryant, cli
+from solshoot import bryant, cli, shooting
 from solshoot.errors import EventNotReached
 from solshoot.shooting import ROUND_DELTAS, shoot_surface_point
 
@@ -181,10 +181,10 @@ def test_shot_header_reports_handoff_and_counters(capsys, fmt):
     else:
         meta = {key: str(value) for key, value in json.loads(out)["meta"].items()}
     _, traj = shoot_surface_point(-0.5, 2e4)
-    assert meta["t_eps"] == "0.01"
-    assert meta["handoff_eps"] == "5e-07" == repr(traj.t0)
+    assert meta["t_eps"] == repr(shooting._MAX_EPS) == "0.1"
+    assert meta["handoff_eps"] == "5e-06" == repr(traj.t0)
     counters = (int(meta["rhs_evals"]), int(meta["rejected_steps"]))
-    assert counters == (traj.n_rhs_evals, traj.n_rejected) == (791, 2)
+    assert counters == (traj.n_rhs_evals, traj.n_rejected) == (473, 3)
 
 
 def test_reruns_are_byte_identical(capsys):
@@ -388,10 +388,10 @@ def test_inadmissible_parameter_exits_64(tmp_path, monkeypatch, capsys):
     assert rows[0][0] == "InadmissibleParameters"
 
 
-@pytest.mark.parametrize("t_eps", ["0.02", "inf", "nan", "0"])
+@pytest.mark.parametrize("t_eps", [repr(2 * shooting._MAX_EPS), "inf", "nan", "0"])
 @pytest.mark.parametrize("subcommand", [["shoot-s1", "--delta1", "0.1"], ["verify-smalltime"]])
 def test_handoff_outside_the_series_range_exits_64(capsys, subcommand, t_eps):
-    # a handoff above 1e-2 is refused, not clamped to the largest one a shot
+    # a handoff above _MAX_EPS is refused, not clamped to the largest one a shot
     # takes; the small-time checks, which launch at min(t_eps, 1e-4), too
     code, out = run(capsys, [*subcommand, "--t-eps", t_eps])
     assert code == 64
@@ -452,7 +452,7 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
         (["curve", "--range", "1,inf", "--n", "2"], 64),
         (["surface", "--d2-range=-1,nan", "--n2", "2", "--n3", "2"], 64),
         (["shoot-s1", "--delta1", "1e160"], 2),
-        (["shoot-s1", "--delta1", "3e19"], 2),
+        (["shoot-s1", "--delta1", "3e21"], 2),
         (["shoot-s2", "--delta2", "1e200", "--delta3", "0.5"], 2),
         (["shoot-s1", "--delta1", "0.5", "--tol-rel", "0.5", "--tol-abs", "0.5"], 2),
         (["shoot-s1", "--delta1", "1", "--tol-rel", "0.5"], 2),
@@ -576,7 +576,7 @@ def test_shot_failure_record_prints_plain_numbers(capsys):
     assert len(rows) == 1 and len(rows[0]) == 2
     message = rows[0][1]
     assert "array(" not in message and ";" not in message
-    assert message.endswith("state=-1.0001e+102 -9.9995e+101 3.74991e-103 0.5")
+    assert message.endswith("state=-1.00998e+101 -9.95017e+100 3.74065e-102 0.5")
 
 
 def test_infeasible_blend_exits_64(tmp_path, monkeypatch, capsys):

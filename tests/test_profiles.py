@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from solshoot import ode
+from solshoot import fields, ode
 from solshoot.errors import GridTooCoarse, NonPrincipal, ProfileGaugeError
 from solshoot.profiles import reconstruct_profile, second_order_residual
 from solshoot.shooting import (
@@ -154,3 +154,23 @@ def test_non_principal_rejected():
     )
     with pytest.raises(NonPrincipal):
         reconstruct_profile(traj, "s1")
+
+
+def test_sphere_side_f1_is_anchored_on_the_launch_series():
+    # the shot starts on its launch series at s0 = 1e-1, where the local
+    # formula -(1 - k_t1/(2 L1^2))/L1 is 4.2e-6 off on the round soliton;
+    # the series gives f1 = sqrt(3) sin(s0/sqrt(3)) there to rounding
+    _, traj = shoot_surface_point(ROUND_DELTAS[1], ROUND_DELTAS[2])
+    prof = reconstruct_profile(traj, "s2")
+    s0 = traj.t0
+    assert s0 == 0.1
+    assert prof.f1[0] == pytest.approx(SQ3 * math.sin(s0 / SQ3), rel=1e-15)
+
+
+def test_sphere_side_profile_off_the_launch_series_is_refused():
+    # a state a little off the series, integrated like a shot, has no f1 anchor
+    _, shot = shoot_surface_point(-0.5, 0.9, until=("time", 1.0))
+    y0 = shot.y[0] * np.array([1.0, 1.0 + 1e-6, 1.0, 1.0])
+    traj = ode.integrate(lambda s, y: -fields.family_rhs(y, 1.0), shot.t0, y0, 1.0)
+    with pytest.raises(ProfileGaugeError, match="launch series"):
+        reconstruct_profile(traj, "s2")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from solshoot import fields, ode, verify
+from solshoot import fields, ode, shooting, verify
 from solshoot.errors import (
     EventNotReached,
     ExtrapolationUnstable,
@@ -257,8 +257,24 @@ def test_delta2_generic_shot():
     assert len(rep.x_samples) == 3
 
 
+def test_delta2_samples_below_the_handoff_come_from_the_launch_series(round_s2):
+    # the shot starts at s = 0.1, so its s = 0.05 sample is the series state
+    # there, while the two above are read off the shot
+    assert round_s2.t0 == 0.1
+    rep = verify.delta2_monitors(round_s2)
+    xi, l1 = shooting._s2_series(D2, D3, 0.05)[:2]
+    assert rep.y_samples[2] == pytest.approx(xi * l1 + 1.0 - l1 * l1, rel=1e-14)
+    xi, l1 = round_s2.eval(0.2)[:2]
+    assert rep.y_samples[0] == xi * l1 + 1.0 - l1 * l1
+    # a trajectory that does not start on the series has no such samples
+    y0 = round_s2.y[0] * np.array([1.0, 1.0 + 1e-6, 1.0, 1.0])
+    traj = ode.integrate(lambda s, y: -fields.family_rhs(y, 1.0), 0.1, y0, 1.0)
+    with pytest.raises(ExtrapolationUnstable):
+        verify.delta2_monitors(traj)
+
+
 def test_delta2_unspanned_trajectory_rejected():
-    traj = shoot_surface_point(-0.5, 1.0, until=("time", 0.1))[1]
+    traj = shoot_surface_point(-0.5, 1.0, until=("time", 0.15))[1]
     with pytest.raises(ExtrapolationUnstable):
         verify.delta2_monitors(traj)
 
