@@ -35,9 +35,8 @@ __all__ = [
     "bryant_smalltime",
 ]
 
-# unstable eigendirection of the planar system at (1, 1/2) and the
-# quadratic coefficient of the local manifold expansion
-_EIG_DIRECTION = (2.0, 1.0)
+# quadratic coefficient of the local manifold expansion along the unstable
+# eigendirection (2, 1) of the planar system at (1, 1/2)
 _QUAD_COEF = 2.0 / 5.0
 _X_CUTOFF = 1e-6
 _N_NODES = 40_001
@@ -54,7 +53,6 @@ class BryantCurve(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     h: float
-    direction: tuple
 
     def interp(self, xq):
         """y = f(x) by linear interpolation (x is stored descending)."""
@@ -129,7 +127,7 @@ def bryant_unstable_curve(h: float = 1e-4, rtol: float = ode.IntegratorConfig.rt
     # x' < 0 where D = 1 + v (1 + x^2) < 0, which also puts y below x
     if np.any(1.0 + v * (1.0 + grid * grid) >= 0.0) or np.any(np.diff(y) >= 0.0):
         raise LaunchTooFar(f"trace from h={h:g} left the monotone-descent region")
-    return BryantCurve(grid, y, h, _EIG_DIRECTION)
+    return BryantCurve(grid, y, h)
 
 
 def verify_f_bounds(curve: BryantCurve) -> FBoundsReport:

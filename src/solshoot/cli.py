@@ -25,7 +25,9 @@ from .errors import (
     InadmissibleParameters,
     SolshootError,
 )
-from .shooting import ShootConfig
+from .fields import CurvatureEigenvalues
+from .shooting import MeetPoint, MismatchVector, ShootConfig
+from .verify import MaxPrincipleReport, PancakeTraceReport
 
 __all__ = ["main"]
 
@@ -175,33 +177,33 @@ def _emit_error(args, exc) -> None:
 # ---------------------------------------------------------------- shooting
 
 
-def _shot_telemetry(traj) -> dict:
-    """Header entries of one shot: the handoff distance it started from
-    (after ``_effective_eps``) and its integrator counters."""
-    return dict(handoff_eps=traj.t0, rhs_evals=traj.n_rhs_evals, rejected_steps=traj.n_rejected)
+def _shot_report(params, shot, meet_time) -> _Report:
+    """Report of one shot from its parameters: the meet point, its time
+    under the name ``meet_time`` and the node count.  The header adds the
+    handoff distance the shot started from (after ``_effective_eps``) and
+    its integrator counters."""
+    meet, traj = shot
+    columns = (*params, *MeetPoint._fields, meet_time, "n_nodes")
+    rec = (*params.values(), *meet, float(traj.t[-1]), traj.t.size)
+    telemetry = dict(handoff_eps=traj.t0, rhs_evals=traj.n_rhs_evals, rejected_steps=traj.n_rejected)
+    return _Report({**params, **telemetry}, columns, [rec])
 
 
 def _cmd_shoot_s1(args, cfg):
-    meet, traj = shooting.shoot_curve_point(args.delta1, cfg)
-    columns = ("delta1", "l1", "l2", "r", "t_meet", "n_nodes")
-    rec = (args.delta1, *meet, float(traj.t[-1]), traj.t.size)
-    return _Report(dict(delta1=args.delta1, **_shot_telemetry(traj)), columns, [rec])
+    shot = shooting.shoot_curve_point(args.delta1, cfg)
+    return _shot_report(dict(delta1=args.delta1), shot, "t_meet")
 
 
 def _cmd_shoot_s2(args, cfg):
-    meet, traj = shooting.shoot_surface_point(args.delta2, args.delta3, cfg)
-    columns = ("delta2", "delta3", "l1", "l2", "r", "s_meet", "n_nodes")
-    rec = (args.delta2, args.delta3, *meet, float(traj.t[-1]), traj.t.size)
-    params = dict(delta2=args.delta2, delta3=args.delta3, **_shot_telemetry(traj))
-    return _Report(params, columns, [rec])
+    shot = shooting.shoot_surface_point(args.delta2, args.delta3, cfg)
+    return _shot_report(dict(delta2=args.delta2, delta3=args.delta3), shot, "s_meet")
 
 
 def _cmd_mismatch(args, cfg):
-    deltas = (args.delta1, args.delta2, args.delta3)
-    vec = shooting.mismatch(*deltas, cfg)
-    columns = ("delta1", "delta2", "delta3", "dl1", "dl2", "dr", "f_inf")
     params = dict(delta1=args.delta1, delta2=args.delta2, delta3=args.delta3)
-    return _Report(params, columns, [(*deltas, *vec, vec.inf_norm)])
+    vec = shooting.mismatch(*params.values(), cfg)
+    columns = (*params, *MismatchVector._fields, "f_inf")
+    return _Report(params, columns, [(*params.values(), *vec, vec.inf_norm)])
 
 
 def _cmd_root(args, cfg):
@@ -211,25 +213,22 @@ def _cmd_root(args, cfg):
     return _Report(dict(guess=_joined(args.guess)), columns, [rec])
 
 
+def _sweep_row(columns, params, values, status) -> tuple:
+    """One sweep record; a failed node (``values`` None) keeps its
+    parameters and puts NaN in every value column."""
+    if values is None:
+        values = (math.nan,) * (len(columns) - len(params) - 1)
+    return (*params, *values, _safe(status))
+
+
 def _cmd_curve(args, cfg):
     samples = shooting.sample_curve(args.range, args.n, cfg)
-    columns = (
-        "delta1",
-        "l1",
-        "l2",
-        "r",
-        "min_k_t1",
-        "min_k_s",
-        "min_k_m",
-        "min_k_t2",
-        "status",
-    )
-    records = []
-    for s in samples:
-        if s.meet is None:
-            records.append((s.delta1,) + (math.nan,) * 7 + (_safe(s.status),))
-        else:
-            records.append((s.delta1, *s.meet, *s.eig_min, s.status))
+    minima = ("min_" + name for name in CurvatureEigenvalues._fields)
+    columns = ("delta1", *MeetPoint._fields, *minima, "status")
+    records = [
+        _sweep_row(columns, (s.delta1,), (*s.meet, *s.eig_min) if s.meet else None, s.status)
+        for s in samples
+    ]
     return _Report(dict(range=_joined(args.range), n=args.n), columns, records)
 
 
@@ -241,13 +240,8 @@ def _cmd_surface(args, cfg):
         n2=args.n2,
         n3=args.n3,
     )
-    columns = ("delta2", "delta3", "l1", "l2", "r", "status")
-    records = []
-    for s in samples:
-        if s.meet is None:
-            records.append((s.delta2, s.delta3) + (math.nan,) * 3 + (_safe(s.status),))
-        else:
-            records.append((s.delta2, s.delta3, *s.meet, s.status))
+    columns = ("delta2", "delta3", *MeetPoint._fields, "status")
+    records = [_sweep_row(columns, (s.delta2, s.delta3), s.meet, s.status) for s in samples]
     return _Report(params, columns, records)
 
 
@@ -272,57 +266,37 @@ def _cmd_scan(args, cfg):
 # ------------------------------------------------------------ verification
 
 
-def _max_principle_record(name, traj, check):
-    # the first two minima are k_t1's and k_s's, as max_principle_report
-    # finds them on the same samples
-    sp = verify.sign_profile(traj)
-    (min_k_t1, min_k_s), (t_k_t1, t_k_s) = sp.min_values[:2], sp.min_times[:2]
-    n_changes = sum(len(c) for c in sp.sign_changes)
-    if check:
-        ok = min_k_t1 >= -_SIGN_TOL and min_k_s >= -_SIGN_TOL and n_changes == 0
-        status = _status(ok)
-    else:
-        ok, status = True, "report"
-    return (name, min_k_t1, t_k_t1, min_k_s, t_k_s, n_changes, status), ok
-
-
 def _cmd_verify_maxprinciple(args, cfg):
     custom_s1 = args.delta1 is not None
     custom_s2 = args.delta2 is not None or args.delta3 is not None
     if custom_s2 and (args.delta2 is None or args.delta3 is None):
         raise ValueError("sphere-side check needs both --delta2 and --delta3")
-    records, all_ok = [], True
-    if custom_s1 or custom_s2:
-        # custom parameters: the sign conditions are theorems only for
-        # solitons, so report without judging
-        if custom_s1:
-            _, traj = shooting.shoot_curve_point(args.delta1, cfg)
-            rec, _ = _max_principle_record("custom-s1", traj, check=False)
-            records.append(rec)
-        if custom_s2:
-            _, traj = shooting.shoot_surface_point(args.delta2, args.delta3, cfg)
-            rec, _ = _max_principle_record("custom-s2", traj, check=False)
-            records.append(rec)
-    else:
+    s1, s2 = shooting.shoot_curve_point, shooting.shoot_surface_point
+    # custom parameters: the sign conditions are theorems only for
+    # solitons, so report without judging
+    check = not (custom_s1 or custom_s2)
+    if check:
         d1, d2, d3 = shooting.ROUND_DELTAS
-        cases = (
-            ("round-s1", shooting.shoot_curve_point(d1, cfg)[1]),
-            ("round-s2", shooting.shoot_surface_point(d2, d3, cfg)[1]),
-            ("gaussian", shooting.shoot_surface_point(-1.0, 1.0, cfg)[1]),
-        )
-        for name, traj in cases:
-            rec, ok = _max_principle_record(name, traj, check=True)
-            records.append(rec)
-            all_ok = all_ok and ok
-    columns = (
-        "case",
-        "min_k_t1",
-        "t_at_min_k_t1",
-        "min_k_s",
-        "t_at_min_k_s",
-        "sign_changes",
-        "status",
-    )
+        cases = [
+            ("round-s1", s1(d1, cfg)),
+            ("round-s2", s2(d2, d3, cfg)),
+            ("gaussian", s2(-1.0, 1.0, cfg)),
+        ]
+    else:
+        cases = [("custom-s1", s1(args.delta1, cfg))] if custom_s1 else []
+        if custom_s2:
+            cases.append(("custom-s2", s2(args.delta2, args.delta3, cfg)))
+    records, all_ok = [], True
+    for name, (_, traj) in cases:
+        # the first two minima are k_t1's and k_s's, as max_principle_report
+        # finds them on the same samples
+        sp = verify.sign_profile(traj)
+        rep = MaxPrincipleReport(sp.min_values[0], sp.min_times[0], sp.min_values[1], sp.min_times[1])
+        n_changes = sum(len(c) for c in sp.sign_changes)
+        ok = rep.min_k_t1 >= -_SIGN_TOL and rep.min_k_s >= -_SIGN_TOL and n_changes == 0
+        records.append((name, *rep, n_changes, _status(ok) if check else "report"))
+        all_ok = all_ok and (ok or not check)
+    columns = ("case", *MaxPrincipleReport._fields, "sign_changes", "status")
     return _Report(dict(threshold=_SIGN_TOL), columns, records, all_ok)
 
 
@@ -368,21 +342,7 @@ def _cmd_trace_pancake_limit(args, cfg):
         all_ok = all_ok and ok
         devs.append(dev)
         gaps.append(abs(rep.d_plus_1))
-        records.append(
-            (
-                d1,
-                rep.z,
-                rep.w,
-                rep.d_plus_1,
-                rep.x,
-                dev,
-                rep.e_min,
-                rep.x_min,
-                rep.dist_critical_line,
-                rep.t_event,
-                _status(ok),
-            )
-        )
+        records.append((d1, *rep[:4], dev, *rep[4:], _status(ok)))
     trend_checked = len(d1s) >= 2 and list(d1s) == sorted(d1s)
     trend_ok = True
     if trend_checked:
@@ -395,19 +355,9 @@ def _cmd_trace_pancake_limit(args, cfg):
         trend_checked=trend_checked,
         trend_monotone=trend_ok,
     )
-    columns = (
-        "delta1",
-        "z",
-        "w",
-        "d_plus_1",
-        "x",
-        "dev_event",
-        "e_min",
-        "x_min",
-        "dist_critical_line",
-        "t_event",
-        "status",
-    )
+    # the frozen column order puts dev_event after x
+    names = PancakeTraceReport._fields
+    columns = ("delta1", *names[:4], "dev_event", *names[4:], "status")
     return _Report(params, columns, records, all_ok)
 
 

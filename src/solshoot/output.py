@@ -16,17 +16,6 @@ import numpy as np
 __all__ = ["format_value", "format_csv", "format_json", "write_text"]
 
 
-def format_value(value) -> str:
-    """Canonical text form of one cell or metadata value."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _plain(value):
     """Native Python value for JSON serialization."""
     if isinstance(value, (bool, np.bool_)):
@@ -36,6 +25,14 @@ def _plain(value):
     if isinstance(value, (float, np.floating)):
         return float(value)
     return str(value)
+
+
+def format_value(value) -> str:
+    """Canonical text form of one cell or metadata value."""
+    value = _plain(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def format_csv(meta: dict, columns, records) -> str:

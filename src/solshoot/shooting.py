@@ -44,9 +44,10 @@ A plain circle-side shot with delta1 >= ``_STIFF_DELTA1`` = 200 therefore
 takes the Radau IIA(5) step of ``ode.integrate``, given the exact Jacobian
 ``family_tangent(y, I)``: 2.1k to 3.8k steps to xi = 10 from delta1 = 200
 to 1e6.  Uncapped in t, a shot meets near t = 6 sqrt(delta1) to delta1 ~ 2.3e21.
-DOP853 and Radau cost the same near delta1 = 150-175 (wall time of shots
-to the meet and to xi = 10; DOP853 makes more rhs calls from delta1 = 125
-on); 200 leaves a margin.  The route depends on delta1 alone, never on a
+200 was set where DOP853 and Radau cost the same before Radau's REJECT
+rule and the 1e-1 launch; they now cost the same near delta1 = 100-150,
+and DOP853 makes more rhs calls from delta1 = 75 on (README, "Stiff
+regime").  The route depends on delta1 alone, never on a
 runtime test.  Only the plain scalar shot has the Radau step.  Newton's
 tangent-carrying shots, every sweep lane (``integrate_batch`` is explicit
 only), the sphere side and every delta1 below 200 take DOP853.  So at

@@ -38,7 +38,7 @@ __all__ = [
     "rescaled_bryant_compare",
 ]
 
-EIG_NAMES = ("k_t1", "k_s", "k_m", "k_t2")
+EIG_NAMES = fields.CurvatureEigenvalues._fields
 
 # |value| below this everywhere classifies an eigenvalue as identically
 # zero rather than sign-changing (degenerate cases like the Gaussian k_m)

@@ -289,6 +289,53 @@ def test_sweep_records_do_not_depend_on_worker_count(tmp_path, capsys, argv):
     assert texts[0].replace("# workers = 1\n", "# workers = 2\n") == texts[1]
 
 
+# sweeps with failed nodes: (argv, parameter columns, the parameters of
+# every node, the nodes expected to fail)
+_FAILED_SWEEPS = {
+    # both launches lie past the blow-up guard, so each shot ends at once
+    "curve": (
+        ["curve", "--range", "3e21,4e21", "--n", "2"],
+        ("delta1",),
+        [(3e21,), (4e21,)],
+        {(3e21,), (4e21,)},
+    ),
+    # delta2 = -1.5 is inadmissible; the delta2 = -0.5 nodes meet
+    "surface": (
+        ["surface", "--d2-range=-1.5,-0.5", "--d3-range", "0.5,0.6", "--n2", "2", "--n3", "2"],
+        ("delta2", "delta3"),
+        [(-1.5, 0.5), (-1.5, 0.6), (-0.5, 0.5), (-0.5, 0.6)],
+        {(-1.5, 0.5), (-1.5, 0.6)},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("subcommand", sorted(_FAILED_SWEEPS))
+def test_failed_sweep_nodes_keep_parameters_and_read_nan(tmp_path, capsys, subcommand, fmt):
+    argv, names, nodes, failing = _FAILED_SWEEPS[subcommand]
+    target = tmp_path / f"out.{fmt}"
+    code = cli.main(argv + ["--out", str(target), "--format", fmt])
+    capsys.readouterr()
+    assert code == 0
+    text = target.read_text()
+    if fmt == "csv":
+        _, columns, rows = parse_csv(text)
+        records = [dict(zip(columns, row, strict=True)) for row in rows]
+    else:
+        records = json.loads(text)["records"]
+    assert [tuple(float(rec[k]) for k in names) for rec in records] == nodes
+    for node, rec in zip(nodes, records):
+        values = [float(v) for k, v in rec.items() if k not in names and k != "status"]
+        if node in failing:
+            assert all(math.isnan(v) for v in values)
+            assert rec["status"].startswith("failed: ") and "," not in rec["status"]
+        else:
+            # an ok node (a surface one here) reads as its own shot, whatever
+            # failed beside it
+            meet, _ = shoot_surface_point(*node, shooting.ShootConfig())
+            assert values == list(meet) and rec["status"] == "ok"
+
+
 def test_pancake_curvature_passes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _ = run(capsys, ["pancake-curvature", "--length", "10", "--grid-n", "1000"])
