@@ -811,9 +811,10 @@ def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state, h_old, err_o
     return (y_new, _dense(rhs, t, y, y_new, h, h, K), K[12]), factor, err_norm
 
 
-def _blown_start(t0, y) -> Trajectory:
-    """The trajectory of a start state that the blow-up guard stops at once."""
-    return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, 7)), np.zeros(0), "blowup")
+def _blown_start(t0, y, width) -> Trajectory:
+    """The trajectory of a start state that the blow-up guard stops at once;
+    ``width`` is that of the step's dense rows, 7 for DOP853 and 4 for Radau."""
+    return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, width)), np.zeros(0), "blowup")
 
 
 def integrate(
@@ -870,7 +871,7 @@ def integrate(
     if not t_end > t0:
         raise ValueError("integration is forward only: t_end must exceed t0")
     if _blown_up(y[:n_state]):  # stepping on would only spin through the step budget
-        return _blown_start(t0, y)
+        return _blown_start(t0, y, 7 if jac is None else 4)
 
     f = np.asarray(rhs(t0, y), dtype=float)
     radau = None if jac is None else _Radau(rhs, jac, cfg, t0, y)
@@ -1026,7 +1027,7 @@ def integrate_batch(
     # the blow-up guard on the initial state, as in ``integrate``
     blown = _blown_up(y0)
     for i in np.flatnonzero(blown).tolist():
-        tails[i] = _blown_start(t0[i], y0[i])
+        tails[i] = _blown_start(t0[i], y0[i], 7)
     lane = np.flatnonzero(~blown)
     t, y = t0[lane], y0[lane]
     f = rhs(t, y)

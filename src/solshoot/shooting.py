@@ -55,8 +55,8 @@ delta1 >= 200, a ``sample_curve`` node and Newton's F agree with
 ``shoot_curve_point`` and ``mismatch`` to within the integration tolerance,
 not bitwise.  Sweeps stay explicit because a lockstep batch amortises its
 per-step cost over the lanes: ``curve --range 200,2000 --n 100`` took
-10.2-11.5 s batched, against 74 s with each node a scalar Radau shot (2-core
-Xeon VM).  The last lane, which leaves the batch, stays explicit too.
+7.9-11.4 s batched, against 37-53 s with each node a scalar Radau shot
+(five interleaved runs each, one CPU of a 2-vCPU Xeon VM).  The last lane, which leaves the batch, stays explicit too.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ class ShootConfig:
 
     ``t_eps`` is the series handoff distance on both sides, in (0, 1e-1]
     (shrunk for large parameters by ``_effective_eps``, never enlarged);
-    outside that range the config raises EpsilonTooLarge.  ``exploratory``
-    lifts the admissibility preconditions delta1 >= 0, delta2 >= -1,
-    delta3 >= 0.
+    outside that range the config raises EpsilonTooLarge.  ``rtol`` and
+    ``atol`` follow :class:`IntegratorConfig`'s rules.  ``exploratory`` lifts
+    the admissibility preconditions delta1 >= 0, delta2 >= -1, delta3 >= 0.
     """
 
     t_eps: float = _MAX_EPS
@@ -141,6 +141,7 @@ class ShootConfig:
 
     def __post_init__(self):
         _check_eps(self.t_eps)
+        self.integrator()  # IntegratorConfig checks rtol and atol
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(rtol=self.rtol, atol=self.atol)

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -405,6 +408,41 @@ def test_output_columns_match_readme_table(tmp_path, capsys, row, fmt):
         assert records and all(tuple(rec) == columns for rec in records)
 
 
+# refuses scipy and every scipy submodule before solshoot is imported, then
+# runs each argv of argv[1] through cli.main and prints the exit codes
+_NO_SCIPY = """
+import json, sys
+from importlib.abc import MetaPathFinder
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, NoScipy())
+from solshoot import cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # the runtime is numpy alone: with every import of scipy refused, each
+    # table run exits as it does with scipy installed
+    subcommands = cli._build_parser()._actions[-1].choices  # the parser's last action: its subcommands
+    assert {argv[0] for argv, _ in _TABLE_RUNS.values()} == set(subcommands)
+    # --curve-out takes the path as its value; every other run writes --out
+    argvs = [
+        argv + ([] if argv[-1] == "--curve-out" else ["--out"]) + [str(tmp_path / f"{i}.out")]
+        for i, (argv, _) in enumerate(_TABLE_RUNS.values())
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, json.dumps(argvs)], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [code for _, code in _TABLE_RUNS.values()]
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -487,6 +525,21 @@ def test_bad_numbers_fail_fast_with_64(capsys, argv):
     assert time.perf_counter() - start < 5.0
     _, columns, _ = parse_csv(out)
     assert columns == ("error", "message")
+
+
+@pytest.mark.parametrize("flags", [["--tol-rel", "-1"], ["--tol-rel", "nan"], ["--tol-abs", "0"]])
+@pytest.mark.parametrize(
+    "subcommand",
+    [["verify-delta3"], ["pancake-build", "--length", "10", "--grid-n", "1000"], ["pancake-curvature", "--length", "10", "--grid-n", "1000"]],
+    ids=["verify-delta3", "pancake-build", "pancake-curvature"],
+)
+def test_bad_tolerances_exit_64_where_no_shot_is_taken(tmp_path, subcommand, flags):
+    # the config refuses them; these subcommands used to exit 0 and echo them
+    out = tmp_path / "out.csv"
+    assert cli.main([*subcommand, *flags, "--out", str(out)]) == 64
+    _, columns, rows = parse_csv(out.read_text())
+    assert columns == ("error", "message")
+    assert rows[0][0] == "ValueError"
 
 
 @pytest.mark.parametrize(

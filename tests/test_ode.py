@@ -756,6 +756,21 @@ def test_radau_dense_output_is_cubic_and_node_exact():
     assert np.max(np.abs(traj.eval(mid)[:, 0] - np.cos(3.0 * mid))) < 1e-6
 
 
+def test_blown_start_stores_its_step_dense_width():
+    # a start the blow-up guard stops keeps no segment, in rows as wide as
+    # its step's: 4 for Radau, like the empty trajectory of a NaN field
+    rhs, jac = _prothero_robinson(1e4)
+    nan_field = integrate(
+        lambda t, y: np.array([math.nan]), 0.0, [1.0], 1.0, jac=lambda t, y: np.array([[math.nan]])
+    )
+    assert nan_field.dense_q.shape == (0, 1, 4)
+    for start in (math.inf, math.nan):
+        radau = integrate(rhs, 0.0, [start], 1.0, jac=jac)
+        assert radau.termination == "blowup"
+        assert radau.dense_q.shape == (0, 1, 4)
+        assert integrate(rhs, 0.0, [start], 1.0).dense_q.shape == (0, 1, 7)
+
+
 @pytest.mark.parametrize("direction", [-1, 0])
 def test_radau_event_ends_on_the_level_and_locate_event_finds_it(direction):
     rhs, jac = _prothero_robinson(1e5, omega=2.0)

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from solshoot import fields, ode, shooting, verify
@@ -236,6 +237,16 @@ def test_delta3_integral():
         - math.log(20.0) / 4.0
     )
     assert rep.closed_form == pytest.approx(expected, abs=1e-14)
+
+
+def test_delta3_oracle_lands_on_adaptive_quadrature():
+    # the Gauss-Legendre oracle returns the double that scipy's adaptive
+    # quad gives at 1e-13, within 1e-13 of the closed form
+    a = 1.0 / 40.0
+    ref, _ = quad(lambda s: s / (a + s) ** 2 - s - 1.0 / (4.0 * s), a, 0.5, epsabs=1e-13, epsrel=1e-13)
+    rep = verify.delta3_integral_check()
+    assert rep.quadrature == ref
+    assert abs(rep.closed_form - rep.quadrature) < 1e-13
 
 
 def test_delta2_round(round_s2):
