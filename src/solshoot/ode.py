@@ -57,12 +57,21 @@ lanes.  Every lane of a batch ends in that loop, which resumes from the
 lane's state (and the try just made from it), so one loop decides why
 every trajectory stops, refines every crossing, counts the rhs calls and
 builds every :class:`Trajectory`.
+
+The step's elementwise work on one state, the error norm, the blow-up
+guard and the probe's dense points, runs on Python floats, which cost less
+than numpy's calls on a few entries; the lane block keeps the array form.
+Each one-state form repeats its array form's operations in the same order,
+so a lane and a single shot agree bitwise.  Every matrix product stays a
+numpy product of the same shapes in both, as lane identity rests on the
+BLAS kernel's summation order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import truediv
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -178,6 +187,9 @@ _E3[[0, 8, 11]] -= (
     0.244094488188976377952755905512, 0.733846688281611857341361741547,
     0.220588235294117647058823529412e-1,
 )
+# per stage s, its node _C[s] as a Python float and its weights _A[s, :s],
+# a view of _A, so the stage loops index no numpy array for them
+_STAGES = [(float(c), _A[s, :s]) for s, c in enumerate(_C)]
 
 
 # The dense output, as scipy's ``Dop853DenseOutput`` writes it:
@@ -577,16 +589,63 @@ def _error_norm(err, y, y_new, cfg: IntegratorConfig, err3=None):
     max(|y|, |y_new|) (Hairer, Norsett & Wanner I, II.4); NaN or inf where
     the step overflowed.  With ``err3``, DOP853's norm of its two estimates
     (scipy's ``DOP853._estimate_error_norm``): with S5, S3 the sums of
-    squares of err and err3 so scaled, S5 / sqrt((S5 + 0.01 S3) d)."""
-    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        s5 = np.add.reduce(np.square(err / scale), axis=-1)
-        if err3 is None:
-            # the mean as np.mean forms it: sum, then / d
-            return np.sqrt(s5 / err.shape[-1])
-        denom = s5 + 0.01 * np.add.reduce(np.square(err3 / scale), axis=-1)
-        # both estimates 0: the step is exact; NaN and inf stay NaN
-        return np.where(denom == 0.0, 0.0, s5 / np.sqrt(denom * err.shape[-1]))
+    squares of err and err3 so scaled, S5 / sqrt((S5 + 0.01 S3) d).
+
+    A lane block (n, d) gives the n norms as an array; one state (d,) gives
+    a Python float, bitwise the block's: the same operations in the same
+    order on Python floats, which cost less than numpy's calls on d entries."""
+    if err.ndim > 1:
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            s5 = np.add.reduce(np.square(err / scale), axis=-1)
+            if err3 is None:
+                # the mean as np.mean forms it: sum, then / d
+                return np.sqrt(s5 / err.shape[-1])
+            denom = s5 + 0.01 * np.add.reduce(np.square(err3 / scale), axis=-1)
+            # both estimates 0: the step is exact; NaN and inf stay NaN
+            return np.where(denom == 0.0, 0.0, s5 / np.sqrt(denom * err.shape[-1]))
+    atol, rtol = cfg.atol, cfg.rtol
+    # np.maximum's NaN: a NaN on either side is the maximum
+    scale = [
+        atol + rtol * (a if a >= b or a != a else b)
+        for a, b in zip(map(abs, y.tolist()), map(abs, y_new.tolist()))
+    ]
+    s5 = _pairwise_sum([q * q for q in map(truediv, err.tolist(), scale)])
+    if err3 is None:
+        return math.sqrt(s5 / len(scale))
+    denom = s5 + 0.01 * _pairwise_sum([q * q for q in map(truediv, err3.tolist(), scale)])
+    return 0.0 if denom == 0.0 else s5 / math.sqrt(denom * len(scale))
+
+
+def _pairwise_sum(terms: list) -> float:
+    """The sum of Python floats as ``np.add.reduce`` forms it on a float64
+    axis: numpy's pairwise summation, added to the reduction's identity
+    +0.0 (so terms all -0.0 sum to +0.0).  That summation goes in order from
+    -0.0 below 8 terms; up to 128, it keeps eight running sums over the
+    terms in blocks of 8, combines them as a fixed tree and adds the
+    remaining terms in order; past 128, it sums two halves, the first a
+    multiple of 8 long."""
+
+    def pairwise(v):
+        n = len(v)
+        if n < 8:
+            total = -0.0
+            for x in v:
+                total += x
+            return total
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return pairwise(v[:half]) + pairwise(v[half:])
+        end = n - n % 8
+        r = v[:8]
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, v[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in v[end:]:
+            total += x
+        return total
+
+    return 0.0 + pairwise(terms)
 
 
 def _step_factor(h, err_norm, h_old, err_old, order, safety=0.9):
@@ -604,9 +663,16 @@ def _step_factor(h, err_norm, h_old, err_old, order, safety=0.9):
 
 
 def _blown_up(y):
-    """max|y| >= _BLOWUP_NORM or a non-finite component, per state (last axis)."""
-    # NaN propagates through max and fails the comparison, as does inf
-    return ~(np.abs(y).max(axis=-1) < _BLOWUP_NORM)
+    """max|y| >= _BLOWUP_NORM or a non-finite component, per state (last
+    axis): a bool array for a lane block, a Python bool for one state."""
+    if y.ndim > 1:
+        # NaN propagates through max and fails the comparison, as does inf
+        return ~(np.abs(y).max(axis=-1) < _BLOWUP_NORM)
+    # the same test a component at a time: NaN and inf fail it too
+    for v in y.tolist():
+        if not abs(v) < _BLOWUP_NORM:
+            return True
+    return False
 
 
 class _Radau:
@@ -634,7 +700,7 @@ class _Radau:
         self.lam_i = np.kron(_LAMBDA, np.eye(self.d))  # Lambda (x) I
         self._take_jac(t, y)
         self.retry = False  # the last try was rejected, by its error or by Newton
-        self.last = None  # (stage increments, dense q (d, 3), h) of that step
+        self.last = None  # (Z's last row, dense q (d, 3) transposed, h) of the last accepted step
         self.newton_tol = max(10 * np.finfo(float).eps / cfg.rtol, min(0.03, cfg.rtol**0.5))
         self.n_evals = 0
 
@@ -643,39 +709,44 @@ class _Radau:
         i_j[[0, 1, 2], :, [0, 1, 2]] = np.asarray(self.jac(t, y), dtype=float)
         self.i_j = i_j.reshape(3 * self.d, 3 * self.d)
         self.fresh_jac = True  # J was taken at the current state
-        self.inv = None  # (h, inverse of Lambda/h (x) I - I (x) J)
+        self.inv = None  # see _inverse
 
     def _inverse(self, h):
+        """(h, the inverse of Lambda/h (x) I - I (x) J, its leading d x d
+        block, which solves the real system, and Lambda/h), formed again
+        when h or J changes."""
         if self.inv is None or self.inv[0] != h:
             try:
-                self.inv = (h, np.linalg.inv(self.lam_i / h - self.i_j))
+                inv = np.linalg.inv(self.lam_i / h - self.i_j)
             except np.linalg.LinAlgError:  # singular: Newton fails and h shrinks
-                self.inv = (h, np.full_like(self.i_j, np.nan))
-        return self.inv[1]
+                inv = np.full_like(self.i_j, np.nan)
+            self.inv = (h, inv, inv[:self.d, :self.d], _LAMBDA / h)
+        return self.inv
 
-    def _newton(self, t, y, h, z, scale):
-        """(converged, iterations, stage increments Z (3, d), rate)."""
-        inv = self._inverse(h)
-        lam = _LAMBDA / h
+    def _newton(self, t, y3, h, z, scale3):
+        """(converged, iterations, stage increments Z (3, d), rate), from
+        the state repeated in three rows, y3, and the error scale repeated
+        three times end to end, scale3, so that no operation broadcasts."""
+        _, inv, _, lam = self._inverse(h)
         w = _RTI @ z
         F = np.empty_like(z)
-        ts = t + h * _RC
+        ts = [t + h * c for c in _RC.tolist()]
         norm_old = rate = None
         for k in range(_NEWTON_MAXITER):
-            stages = y + z
+            stages = y3 + z
             for i in range(3):
                 F[i] = self.rhs(ts[i], stages[i])
             self.n_evals += 3
-            dw = (inv @ (_RTI @ F - lam @ w).ravel()).reshape(w.shape)
-            scaled = (dw / scale).ravel()
-            dw_norm = math.sqrt(scaled @ scaled / scaled.size)
+            dw = inv @ (_RTI @ F - lam @ w).ravel()  # W's increment, flat
+            scaled = dw / scale3
+            dw_norm = math.sqrt(float(scaled @ scaled) / scaled.size)
             if not dw_norm < math.inf:  # a stage left the field's domain
                 break
             if norm_old is not None:
                 rate = dw_norm / norm_old
                 if rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dw_norm > self.newton_tol:
                     break
-            w = w + dw
+            w = w + dw.reshape(w.shape)
             z = _RT @ w
             if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < self.newton_tol:
                 return True, k + 1, z, rate
@@ -692,12 +763,14 @@ class _Radau:
             z0 = np.zeros((3, self.d))
         else:
             # the last step's polynomial continued to this step's nodes
-            z_a, q_a, h_a = self.last
+            z_end, q_t, h_a = self.last
             x = 1.0 + (h / h_a) * _RC
-            z0 = h_a * (x[:, None] ** _POWERS) @ q_a.T - z_a[-1]
-        scale = cfg.atol + cfg.rtol * np.abs(y)
+            z0 = h_a * (x[:, None] ** _POWERS) @ q_t - z_end
+        y_list = y.tolist()
+        y3 = np.array(y_list * 3).reshape(3, self.d)
+        scale3 = np.array([cfg.atol + cfg.rtol * abs(v) for v in y_list] * 3)
         while True:
-            converged, n_iter, z, rate = self._newton(t, y, h, z0, scale)
+            converged, n_iter, z, rate = self._newton(t, y3, h, z0, scale3)
             if converged or self.fresh_jac:
                 break
             self._take_jac(t, y)
@@ -707,15 +780,15 @@ class _Radau:
 
         y_new = y + z[-1]
         ze = (_RE @ z) / h
-        inv_real = self.inv[1][:self.d, :self.d]
+        _, _, inv_real, _ = self.inv
         err = inv_real @ (f + ze)
-        err_norm = float(_error_norm(err, y, y_new, cfg))
+        err_norm = _error_norm(err, y, y_new, cfg)
         if self.retry and not err_norm <= 1.0:
             # after a rejected try, RADAU5 estimates again from rhs at y + err,
             # which tames the estimate's overshoot on stiff components
             err = inv_real @ (self.rhs(t, y + err) + ze)
             self.n_evals += 1
-            err_norm = float(_error_norm(err, y, y_new, cfg))
+            err_norm = _error_norm(err, y, y_new, cfg)
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
         factor = _step_factor(h, err_norm, h_old, err_old, _RADAU_ORDER, safety)
         if not err_norm <= 1.0:  # NaN rejects too
@@ -738,8 +811,8 @@ class _Radau:
             self.fresh_jac = False
         self.retry = False
         q = np.zeros((self.d, 4))
-        q[:, :3] = (z.T @ _RP) / h
-        self.last = (z, q[:, :3], h)
+        np.divide(z.T @ _RP, h, out=q[:, :3])
+        self.last = (z[-1], q[:, :3].T, h)
         return (y_new, q, f_new), factor, err_norm
 
 
@@ -754,10 +827,12 @@ def _dop853(rhs, t, y, f, h, hc):
     K = np.empty((16, y.size))
     K[0] = f
     for s in range(1, 12):
-        K[s] = rhs(t + _C[s] * h, y + hc * (_A[s, :s] @ K[:s]))
-    y_new = y + hc * (_B @ K[:12])
+        c, a = _STAGES[s]
+        K[s] = rhs(t + c * h, y + hc * (a @ K[:s]))
+    k12 = K[:12]
+    y_new = y + hc * (_B @ k12)
     K[12] = rhs(t + h, y_new)
-    return y_new, hc * (_E5 @ K[:12]), hc * (_E3 @ K[:12]), K
+    return y_new, hc * (_E5 @ k12), hc * (_E3 @ k12), K
 
 
 def _dense(rhs, t, y, y_new, h, hc, K):
@@ -772,29 +847,49 @@ def _dense(rhs, t, y, y_new, h, hc, K):
     whose r and l2 are near 1e4 at the launch, the curvature eigenvalues
     (k_s = r^2 - l2^2 among them) then stray up to 2.8e-6 from 1/3, against
     5.5e-8, a few ulps of r^2, this way.  _D's rows sum to zero, so _D acts
-    on the stage differences K - K[0], which are smaller than K."""
+    on the stage differences K - K[0], which are smaller than K.
+
+    An overflowed stage gives non-finite coefficients, which end the shot;
+    its callers' loops run with numpy's overflow and invalid warnings off."""
     F = np.empty((y.size, 7))
-    F[:, 0] = (y_new - y) / hc
-    F[:, 1] = K[0] - F[:, 0]
-    F[:, 2] = 2.0 * F[:, 0] - K[0] - K[12]
-    # an overflowed stage gives non-finite coefficients, which end the shot
-    with np.errstate(invalid="ignore", over="ignore"):
-        for s in range(13, 16):
-            K[s] = rhs(t + _C[s] * h, y + hc * (_A[s, :s] @ K[:s]))
-        F[:, 3:] = (K - K[0]).T @ _D.T
-        # a sum over j in a fixed order, so a lane's q does not depend on the block
-        return np.add.reduce(F[:, :, None] * _T, axis=1)
+    f0 = (y_new - y) / hc
+    F[:, 0] = f0
+    F[:, 1] = K[0] - f0
+    F[:, 2] = 2.0 * f0 - K[0] - K[12]
+    for s in range(13, 16):
+        c, a = _STAGES[s]
+        K[s] = rhs(t + c * h, y + hc * (a @ K[:s]))
+    F[:, 3:] = (K - K[0]).T @ _D.T
+    # a sum over j in a fixed order, so a lane's q does not depend on the block
+    return np.add.reduce(F[:, :, None] * _T, axis=1)
 
 
 def _probe(fn, t, y, y_new, q, h):
     """The event probe times of a step from (t, y) to y_new over h with
     dense coefficients q, and the values of g = fn there from one call.  Of
-    one state, or of a lockstep block with t, h, y, q each given a new axis
-    1 (the probes'); the times then have shape (n, 4)."""
-    probe_t = t + _PROBE_FRACS * h
-    probe_y = _interp(y, q, h, probe_t - t)
-    probe_y[..., -1, :] = y_new  # the last probe is t + h
-    return probe_t, fn(probe_t.ravel(), probe_y.reshape(-1, y.shape[-1]).T)
+    a lockstep block with t, h, y, q each given a new axis 1 (the probes'),
+    the times of shape (n, 4); or of one state (d,), the times as a list of
+    Python floats, and the dense points evaluated on Python floats, bitwise
+    :func:`_interp`'s."""
+    if y.ndim > 1:
+        probe_t = t + _PROBE_FRACS * h
+        probe_y = _interp(y, q, h, probe_t - t)
+        probe_y[..., -1, :] = y_new  # the last probe is t + h
+        return probe_t, fn(probe_t.ravel(), probe_y.reshape(-1, y.shape[-1]).T)
+    probe_t = [t + frac * h for frac in _PROBE_FRACS.tolist()]
+    thetas = [(pt - t) / h for pt in probe_t[:-1]]
+    points = []  # row k of probe_y: component k at each probe
+    for y0, coefs, end in zip(y.tolist(), q.tolist(), y_new.tolist()):
+        coefs.reverse()
+        last, rest = coefs[0], coefs[1:]
+        for th in thetas:
+            # _interp's Horner form, then its y0 + (h th) acc
+            acc = last
+            for c in rest:
+                acc = acc * th + c
+            points.append(y0 + h * th * acc)
+        points.append(end)  # the last probe is t + h
+    return probe_t, fn(np.array(probe_t), np.array(points).reshape(y.size, 4))
 
 
 def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state, h_old, err_old):
@@ -804,7 +899,7 @@ def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state, h_old, err_o
     error norm.  Its calls of rhs: 12 a try, and 3 more for the dense
     output of an accepted one."""
     y_new, err5, err3, K = _dop853(rhs, t, y, f, h, h)
-    err_norm = float(_error_norm(err5[:n_state], y[:n_state], y_new[:n_state], cfg, err3[:n_state]))
+    err_norm = _error_norm(err5[:n_state], y[:n_state], y_new[:n_state], cfg, err3[:n_state])
     factor = _step_factor(h, err_norm, h_old, err_old, ORDER)
     if not err_norm <= 1.0:
         return None, factor, err_norm
@@ -881,6 +976,10 @@ def integrate(
     return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, 2)
 
 
+# numpy's overflow and invalid warnings are off in the loop, as in
+# integrate_batch: an overflow is the error norm's, the dense-output check's
+# or the blow-up guard's to stop, silently
+@np.errstate(over="ignore", invalid="ignore")
 def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, n_rejected, n_evals,
            step=None, h_old=math.nan, err_old=math.nan):
     """:func:`integrate`'s loop, resumed at the node (t, y) with f = rhs(t, y),
@@ -922,10 +1021,10 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
         if event is not None:
             probe_t, g = _probe(event.fn, t, y, y_new, q, h)
             # the last probe's g becomes the next g_prev
-            walk_t = [t, *probe_t.tolist()]
+            walk_t = [t, *probe_t]
             walk_g = [g_prev, *g.tolist()]
             g_prev = walk_g[-1]
-            p = next((p for p in range(4) if _crossing(*walk_g[p:p + 2], event.direction)), None)
+            p = next((p for p in range(4) if _crossing(walk_g[p], walk_g[p + 1], event.direction)), None)
             if p is not None:
                 termination = "event"
                 seg_eval = _segment(t, y, q, h)

@@ -45,9 +45,9 @@ takes the Radau IIA(5) step of ``ode.integrate``, given the exact Jacobian
 ``family_tangent(y, I)``: 2.1k to 3.8k steps to xi = 10 from delta1 = 200
 to 1e6.  Uncapped in t, a shot meets near t = 6 sqrt(delta1) to delta1 ~ 2.3e21.
 200 was set where DOP853 and Radau cost the same before Radau's REJECT
-rule and the 1e-1 launch; they now cost the same near delta1 = 100-150,
-and DOP853 makes more rhs calls from delta1 = 75 on (README, "Stiff
-regime").  The route depends on delta1 alone, never on a
+rule and the 1e-1 launch; they now cost the same near delta1 = 150
+(DOP853 is cheaper at 125, Radau at 200), and DOP853 makes more rhs calls
+from delta1 = 75 on (README, "Stiff regime").  The route depends on delta1 alone, never on a
 runtime test.  Only the plain scalar shot has the Radau step.  Newton's
 tangent-carrying shots, every sweep lane (``integrate_batch`` is explicit
 only), the sphere side and every delta1 below 200 take DOP853.  So at
@@ -81,7 +81,7 @@ from .fields import (
     family_rhs,
     family_tangent,
 )
-from .ode import Event, IntegratorConfig, LaneEnd, integrate, integrate_batch
+from .ode import Event, IntegratorConfig, LaneEnd, _blown_up, integrate, integrate_batch
 
 __all__ = [
     "ROUND_DELTAS",
@@ -536,17 +536,22 @@ def _field(side: str, lam: float):
 
 
 def _failure(side: str, event, t_end: float, last: LaneEnd) -> Optional[str]:
-    """Why a shot that ended at ``last`` missed its stop rule, or None."""
+    """Why a shot that ended at ``last`` missed its stop rule, or None.  A
+    blow-up at a state the size guard passes is the integrator's other
+    blow-up rule: the next step's dense output was not finite."""
+    cause = ""
+    if last.termination == "blowup" and not _blown_up(last.y):
+        cause = ": the next step's dense output was not finite"
     if event is not None and last.termination != "event":
         return (
             f"{side} shot never reached {event.name}: stopped by "
             f"{last.termination} at t={last.t:.6g} with "
-            f"state={' '.join(f'{v:.6g}' for v in last.y)}"
+            f"state={' '.join(f'{v:.6g}' for v in last.y)}{cause}"
         )
     if event is None and last.termination != "reached_end":
         return (
             f"{side} shot stopped by {last.termination} at t={last.t:.6g} "
-            f"before the requested time {t_end:g}"
+            f"before the requested time {t_end:g}{cause}"
         )
     return None
 

@@ -592,6 +592,25 @@ def test_bad_input_fails_fast_with_error_record(tmp_path, monkeypatch, capsys, a
     assert "np.float64" not in rows[0][1]
 
 
+@pytest.mark.parametrize(
+    "argv, dense",
+    [
+        (["shoot-s1", "--delta1", "1", "--tol-rel", "0.5"], True),
+        (["shoot-s1", "--delta1", "0.5", "--tol-rel", "0.5", "--tol-abs", "0.5"], True),
+        (["shoot-s1", "--delta1", "3e21"], False),
+    ],
+    ids=["crude-tol", "crude-tols", "launch-past-size-guard"],
+)
+def test_blowup_record_names_a_non_finite_dense_output(capsys, argv, dense):
+    # a crude step's dense output overflows while its state is O(1); the
+    # size guard's blow-up, past 1e12 at the launch, keeps the plain record
+    code, out = run(capsys, argv)
+    assert code == 2
+    message = parse_csv(out)[2][0][1]
+    assert "stopped by blowup at t=" in message
+    assert message.endswith(": the next step's dense output was not finite") == dense
+
+
 # the cheap subcommands, each with its own flags at valid values; common
 # flags are drawn on top.  Values are passed as --flag=value, so "-1" stays
 # a value

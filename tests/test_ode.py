@@ -804,3 +804,125 @@ def test_property_radau_reruns_are_bitwise_identical(lam, omega, level, t_end):
     first = integrate(rhs, 0.0, [1.0], t_end, event=event, jac=jac)
     second = integrate(rhs, 0.0, [1.0], t_end, event=event, jac=jac)
     assert _trajectory_bytes(first) == _trajectory_bytes(second)
+
+
+# The step's one-state forms (Python floats) against the lane-block forms
+# that integrate_batch runs, on row 0 of a one-lane block: bitwise, with
+# every NaN one value.  Each asserts the Python type only the one-state
+# form returns, so it checks that form and not the block's twice.
+
+
+def _bits(x):
+    return "nan" if math.isnan(x) else float(x).hex()
+
+
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300]
+# any float, moderate ones, and the special values, so that a state sits on
+# either side of atol / rtol and errors overflow their scale
+_ENTRY = st.one_of(st.floats(), st.floats(-10.0, 10.0), st.sampled_from(_SPECIAL))
+
+
+def _rows(n_rows, entry=_ENTRY, widths=st.integers(1, 20)):
+    """n_rows lists of one width; past 8 entries the sum takes numpy's
+    blocked form."""
+    return widths.flatmap(lambda d: st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n_rows, max_size=n_rows))
+
+
+@settings(max_examples=400, deadline=None)
+@example(rows=[[0.0] * 4] * 4, rtol=1e-10, atol=1e-12, with_err3=True)  # both estimates 0
+@example(rows=[[1e-20] * 4, [3e-21] * 4, [1e-20] * 4, [-4e-21] * 4], rtol=1e-10, atol=1e-12, with_err3=True)  # atol rules the scale
+@example(rows=[[1e-3] * 4, [1e5] * 4, [-2e5] * 4, [2e-3] * 4], rtol=1e-10, atol=1e-12, with_err3=False)  # rtol does
+@example(rows=[[1.0, math.nan, 0.0, 2.0], [1.0] * 4, [1.0] * 4, [1.0] * 4], rtol=1e-3, atol=1e-6, with_err3=True)
+@example(rows=[[1.0] * 4, [1.0, 2.0, math.nan, 0.0], [math.inf, 1.0, 1.0, 1.0], [1.0] * 4], rtol=1e-3, atol=1e-6, with_err3=False)
+@example(rows=[[1.0] * 4, [1.0] * 4, [1.0] * 4, [-math.inf, math.inf, 0.0, 1.0]], rtol=1e-3, atol=1e-6, with_err3=True)
+@given(
+    rows=_rows(4),
+    rtol=st.floats(100 * np.finfo(float).eps, 0.99),
+    atol=st.floats(1e-300, 0.99),
+    with_err3=st.booleans(),
+)
+def test_property_one_state_error_norm_is_the_lane_blocks_bitwise(rows, rtol, atol, with_err3):
+    err, y, y_new, err3 = (np.array(r) for r in rows)
+    cfg = IntegratorConfig(rtol=rtol, atol=atol)
+    one = ode._error_norm(err, y, y_new, cfg, err3 if with_err3 else None)
+    assert type(one) is float
+    block = ode._error_norm(err[None], y[None], y_new[None], cfg, err3[None] if with_err3 else None)
+    assert _bits(one) == _bits(block[0])
+
+
+@settings(max_examples=300, deadline=None)
+# from 8 terms the blocked sum differs from a sum in order
+@example(terms=[0.486, 0.889, 0.934, 0.358, 0.572, 0.322, 0.594, 0.338, 0.392])
+# the reduction's identity +0.0 turns a sum of -0.0 into +0.0
+@example(terms=[-0.0, -0.0])
+# past 128 terms, halves whose split rounds down to a multiple of 8
+@example(terms=[round(j * 5 * 0.6180339887 % 1.0, 3) for j in range(1, 141)])
+@given(
+    terms=st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),  # the order shows in the last bits
+        st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL)), min_size=1, max_size=300),
+    )
+)
+def test_property_pairwise_sum_is_numpys_add_reduce(terms):
+    # blocks of 8 from 8 terms, halves past 128
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.add.reduce(np.array(terms))
+    assert _bits(ode._pairwise_sum(terms)) == _bits(want)
+
+
+_GUARD = ode._BLOWUP_NORM
+_NEAR_GUARD = [_GUARD, -_GUARD, math.nextafter(_GUARD, 0.0), math.nextafter(_GUARD, math.inf),
+               -math.nextafter(_GUARD, 0.0), math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@example(y=[math.nextafter(_GUARD, 0.0)] * 3)
+@example(y=[1.0, _GUARD, 1.0])
+@example(y=[1.0, math.nextafter(_GUARD, math.inf)])
+@example(y=[0.0, math.nan])
+@example(y=[-math.inf])
+@given(y=st.lists(st.one_of(st.sampled_from(_NEAR_GUARD), st.floats(-2e12, 2e12)), min_size=1, max_size=12))
+def test_property_one_state_blowup_guard_is_the_lane_blocks(y):
+    one = ode._blown_up(np.array(y))
+    assert type(one) is bool
+    assert one == bool(ode._blown_up(np.array([y]))[0])
+
+
+def _probe_case(width):
+    """Dense rows of ``width`` coefficients and (y, y_new) pairs, one per component."""
+    return st.integers(1, 12).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(_ENTRY, min_size=width, max_size=width), min_size=d, max_size=d),
+        st.lists(st.lists(_ENTRY, min_size=2, max_size=2), min_size=d, max_size=d),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=([[1.0, 2.0, 3.0, 0.0], [0.5, -0.25, 1e-3, 0.0]], [[1.0, 2.0], [1.5, 2.5]]), t=0.3, h=0.01)
+@example(case=([[math.inf] + [1.0] * 6, [0.0] * 7], [[1.0, 2.0], [math.nan, 2.5]]), t=5.0, h=1e-6)
+@given(
+    case=st.sampled_from([7, 4]).flatmap(_probe_case),  # a DOP853 row, a Radau row
+    t=st.floats(-1e6, 1e6),
+    h=st.floats(1e-12, 1e3),
+)
+def test_property_one_state_probe_is_the_lane_blocks_bitwise(case, t, h):
+    rows, state = case
+    q = np.array(rows)
+    y, y_new = np.array(state).T
+    calls = []
+
+    def fn(tt, yy):
+        calls.append((np.array(tt), np.array(yy)))
+        return yy[0] * 2.0 + tt
+
+    probe_t, g = ode._probe(fn, t, y, y_new, q, h)
+    assert type(probe_t) is list
+    with np.errstate(all="ignore"):
+        block_t, block_g = ode._probe(
+            fn, np.array([t])[:, None], y[None, None], y_new[None], q[None, None], np.array([h])[:, None]
+        )
+    (t_one, y_one), (t_block, y_block) = calls
+    assert [_bits(v) for v in probe_t] == [_bits(v) for v in block_t.ravel()] == [_bits(v) for v in t_block]
+    assert [_bits(v) for v in t_one] == [_bits(v) for v in t_block]
+    assert y_one.shape == y_block.shape == (len(rows), 4)
+    assert [_bits(v) for v in y_one.ravel()] == [_bits(v) for v in y_block.ravel()]
+    assert [_bits(v) for v in g] == [_bits(v) for v in block_g]

@@ -64,9 +64,10 @@ def traces():
 
 
 def test_shots_sweeps_and_monitors_load_no_scipy():
-    # only verify-delta3's quadrature oracle imports scipy; the import, the
-    # benchmark's setup probe, a Newton root, a scan, the monitors on a round
-    # shot and a pancake trace run on numpy alone
+    # no subcommand imports scipy (test_cli's
+    # test_every_subcommand_runs_without_scipy runs them all); here the
+    # import, the benchmark's setup probe, a Newton root, a scan, the
+    # monitors on a round shot and a pancake trace run on numpy alone
     code = """
 import sys
 import solshoot
