@@ -38,7 +38,13 @@ probes and refinement, the blow-up guard, the terminations and the
   section IV.8), as scipy's ``scipy/integrate/_ivp/radau.py`` writes them,
   and its Newton controller is that file's.  Its dense output is the cubic
   collocation polynomial, stored as a quartic with q3 = 0.  The stiff
-  circle-side shots and ``bryant``'s trace take it.
+  circle-side shots, Newton's tangent-carrying ones among them, and
+  ``bryant``'s trace take it.
+
+Tangent columns ride behind the state (``n_state``) on both steps and pay
+only for their stage arithmetic: the step control and the event read the
+state's rows alone, and Radau solves the riders' linear collocation
+system with the state's inverse once the state has converged.
 
 One step-size controller serves both: :func:`_step_factor`, Gustafsson's
 predictive rule as RADAU5 applies it (Hairer & Wanner IV.8), with the
@@ -71,6 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from operator import truediv
 from typing import Callable, NamedTuple, Optional
 
@@ -340,6 +347,8 @@ class Event:
     (d, m), so ``y[k]`` is component k at every t; it returns the m values.
     At a single point (the start of :func:`integrate`, and each iteration
     while a crossing is refined) it gets a scalar t and y of shape (d,).
+    With ``n_state`` the event function gets the state's rows only: d is
+    n_state wherever :func:`integrate` calls it.
 
     direction: +1 only rising crossings, -1 only falling, 0 both.
     """
@@ -430,24 +439,32 @@ class Trajectory:
 
         ``g`` is called on arrays: ``t`` of shape (m,) and ``y`` of shape
         (d, m), so ``y[k]`` is component k at every point; it returns the m
-        values.  Gauss-Legendre 4 per segment integrates g exactly when it
-        is linear in y, as the dense interpolant has degree 7 at most.
-        Returns (node_values, eval_fn): node_values[i] is the integral from
-        t[0] to t[i], and eval_fn gives it at scalar or array t inside the
-        domain (node times return node_values bitwise).
+        values, or a (k, m) block of k integrands, which share one dense
+        evaluation and each integrate bitwise as it would alone.
+        Gauss-Legendre 4 per segment integrates g exactly when it is linear
+        in y, as the dense interpolant has degree 7 at most.  Returns
+        (node_values, eval_fn): node_values[i] is the integral from t[0] to
+        t[i], of shape (k,) for a block, and eval_fn gives it at scalar or
+        array t inside the domain (node times return node_values bitwise).
         """
 
         def partial(i, b):
-            # integral over [t[i], b[k]] inside segment i[k], for each k
+            # integral over [t[i], b[j]] inside segment i[j], for each j: (j,),
+            # or (j, k) for a block
             a = self.t[i]
             ts = a[:, None] + (b - a)[:, None] * _GL4_NODES
             ys = self._at(i, ts)
-            vals = np.asarray(g(ts.ravel(), ys.reshape(-1, ys.shape[-1]).T)).reshape(ts.shape)
-            # np.vecdot runs np.dot's kernel row by row, so a segment's value does
-            # not depend on how many segments are summed together
-            return (b - a) * np.vecdot(vals, _GL4_WEIGHTS)
+            # contiguous, as np.dot's kernel sums a strided row (g's y[k], say)
+            # in another order
+            vals = np.asarray(g(ts.ravel(), ys.reshape(-1, ys.shape[-1]).T), order="C")
+            vals = vals.reshape(vals.shape[:-1] + ts.shape)
+            # np.vecdot runs that kernel row by row, so a segment's value does
+            # not depend on how many segments or integrands are summed together
+            return ((b - a) * np.vecdot(vals, _GL4_WEIGHTS)).T
 
-        node_vals = np.concatenate(([0.0], np.cumsum(partial(np.arange(len(self.t) - 1), self.t[1:]))))
+        # cumsum adds along the nodes one at a time, for each integrand alike
+        parts = partial(np.arange(len(self.t) - 1), self.t[1:])
+        node_vals = np.concatenate((np.zeros((1,) + parts.shape[1:]), np.cumsum(parts, axis=0)))
         return node_vals, lambda t: self._read(t, node_vals, lambda i, b: node_vals[i] + partial(i, b))
 
 
@@ -579,7 +596,14 @@ def _crossing(ga, gb, direction):
 
 def _crossing_index(g, direction):
     """Per row of g values along a walk, the first p with a crossing from
-    g[:, p] to g[:, p + 1], or -1 where the row has none."""
+    g[:, p] to g[:, p + 1], or -1 where the row has none.  One walk given
+    as a list of Python floats gives its p as an int, in one call that
+    costs less than numpy's on a few values."""
+    if isinstance(g, list):
+        for p, hit in enumerate(map(_crossing, g, g[1:], repeat(direction))):
+            if hit:
+                return p
+        return -1
     match = _crossing(g[:, :-1], g[:, 1:], direction)
     return np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
@@ -694,13 +718,15 @@ class _Radau:
     when h or J changes.
     """
 
-    def __init__(self, rhs, jac, cfg: IntegratorConfig, t, y):
+    def __init__(self, rhs, jac, cfg: IntegratorConfig, t, y, n_state=None):
         self.rhs, self.jac, self.cfg = rhs, jac, cfg
-        self.d = y.size
+        self.d = y[:n_state].size  # the state's width; the riders follow it
         self.lam_i = np.kron(_LAMBDA, np.eye(self.d))  # Lambda (x) I
-        self._take_jac(t, y)
+        self._take_jac(t, y[:self.d])
         self.retry = False  # the last try was rejected, by its error or by Newton
-        self.last = None  # (Z's last row, dense q (d, 3) transposed, h) of the last accepted step
+        # (Z's last row, dense q (d, 3) transposed, h) of the last accepted
+        # step, and the riders' Z row and q
+        self.last = self.last_riders = None
         self.newton_tol = max(10 * np.finfo(float).eps / cfg.rtol, min(0.03, cfg.rtol**0.5))
         self.n_evals = 0
 
@@ -753,19 +779,82 @@ class _Radau:
             norm_old = dw_norm
         return False, k + 1, z, rate
 
+    def _riders(self, t, h, stages, v, lift):
+        """The riders' values (m,) at t + h and their dense rows (m, 4), q3 =
+        0, over the accepted step h, from their values v at t and the
+        state's converged stages.
+
+        The riders' collocation system is linear, and its Jacobian is block
+        lower-triangular with I (x) J on the diagonal blocks, so the state's
+        simplified Newton iteration runs on every rider column with the
+        state's inverse, started as the state's from the last step's
+        polynomial (``lift`` continues it; None on the first step), and
+        stops by the state's convergence test on the riders' error scale.
+        Riders that do not settle within _NEWTON_MAXITER iterations are NaN,
+        so a wrong tangent never passes for a right one."""
+        cfg, d, m = self.cfg, self.d, v.size
+        _, inv, _, lam = self.inv
+        if lift is None:
+            zr = np.zeros((3, m))
+        else:
+            zr_end, qr_t = self.last_riders
+            zr = lift @ qr_t - zr_end
+        wr = _RTI @ zr
+        v_list = v.tolist()
+        v3 = np.array(v_list * 3).reshape(3, m)
+        scale3 = np.array([cfg.atol + cfg.rtol * abs(a) for a in v_list] * 3)
+        ts = [t + h * c for c in _RC.tolist()]
+        full = np.empty((3, d + m))  # the stages at full width, the state's fixed
+        full[:, :d] = stages
+        Fr = np.empty_like(zr)
+        norm_old = rate = None
+        for _ in range(_NEWTON_MAXITER):
+            np.add(v3, zr, out=full[:, d:])
+            for i in range(3):
+                Fr[i] = self.rhs(ts[i], full[i])[d:]
+            self.n_evals += 3
+            # rider column c, entries c d to c d + d of each stage row, solves
+            # as the state does: its three stage rows stacked into one 3d vector
+            g = (_RTI @ Fr - lam @ wr).reshape(3, m // d, d).transpose(0, 2, 1).reshape(3 * d, -1)
+            dw = (inv @ g).reshape(3, d, -1).transpose(0, 2, 1).reshape(3, m)
+            scaled = dw.ravel() / scale3
+            dw_norm = math.sqrt(float(scaled @ scaled) / scaled.size)
+            wr = wr + dw
+            zr = _RT @ wr
+            if norm_old is not None:
+                rate = dw_norm / norm_old
+            if dw_norm == 0 or rate is not None and rate < 1 and rate / (1 - rate) * dw_norm < self.newton_tol:
+                break
+            norm_old = dw_norm
+        else:
+            zr = np.full_like(zr, math.nan)
+        q = np.zeros((m, 4))
+        np.divide(zr.T @ _RP, h, out=q[:, :3])
+        self.last_riders = (zr[-1], q[:, :3].T)
+        return v + zr[-1], q
+
     def step(self, t, y, f, h, h_old, err_old):
         """One try at the step from (t, y), f = rhs(t, y), to t + h, after
         the accepted step h_old with norm err_old: the new state, its (d, 4)
         dense coefficients (q3 = 0) and rhs there, when accepted, else None;
-        the factor to step on or retry with; and the error norm."""
+        the factor to step on or retry with; and the error norm.
+
+        With riders, y, the new state and its dense rows are the full width,
+        and f and rhs at the new state the state's rows; the state steps on
+        its own rows alone, as without riders, and the riders follow an
+        accepted step (see :meth:`_riders`)."""
         cfg = self.cfg
+        riders = lift = None
+        if y.size > self.d:
+            y, riders, f = y[:self.d], y[self.d:], f[:self.d]
         if self.last is None:
             z0 = np.zeros((3, self.d))
         else:
             # the last step's polynomial continued to this step's nodes
             z_end, q_t, h_a = self.last
             x = 1.0 + (h / h_a) * _RC
-            z0 = h_a * (x[:, None] ** _POWERS) @ q_t - z_end
+            lift = h_a * (x[:, None] ** _POWERS)
+            z0 = lift @ q_t - z_end
         y_list = y.tolist()
         y3 = np.array(y_list * 3).reshape(3, self.d)
         scale3 = np.array([cfg.atol + cfg.rtol * abs(v) for v in y_list] * 3)
@@ -803,6 +892,8 @@ class _Radau:
         recompute_jac = n_iter > 2 and rate > 1e-3
         if not recompute_jac and factor < 1.2:
             factor = 1.0  # keep h, and with it the inverse
+        if riders is not None:  # before the inverse changes with J
+            riders = self._riders(t, h, y3 + z, riders, lift)
         f_new = self.rhs(t + h, y_new)
         self.n_evals += 1
         if recompute_jac:
@@ -813,6 +904,8 @@ class _Radau:
         q = np.zeros((self.d, 4))
         np.divide(z.T @ _RP, h, out=q[:, :3])
         self.last = (z[-1], q[:, :3].T, h)
+        if riders is not None:
+            y_new, q = np.concatenate((y_new, riders[0])), np.concatenate((q, riders[1]))
         return (y_new, q, f_new), factor, err_norm
 
 
@@ -947,11 +1040,21 @@ def integrate(
 
     With ``n_state`` set, only the first n_state components of y enter the
     step control (the error norm, the initial-step heuristic and the blow-up
-    guard); the others ride along, as the tangent columns of a variational
-    system do.  Their presence then leaves the steps, the event times and
-    the first n_state components bitwise as they are without them, provided
-    both widths are multiples of 4 (see :func:`integrate_batch`).  The
-    Radau step does not take ``n_state``.
+    guard) and the event: with ``n_state`` the event function gets the
+    state's rows only, at the start, at the probes and while a crossing is
+    refined.  The others ride along, as the tangent columns of a
+    variational system do.  Their presence then leaves the steps, the event
+    times and the first n_state components bitwise as they are without
+    them; on the DOP853 step, provided both widths are multiples of 4 (see
+    :func:`integrate_batch`).  The Radau step takes riders too, as columns
+    of n_state entries each whose field is the state's Jacobian times the
+    column: the variational equations, whose Jacobian is block
+    lower-triangular with I (x) J on its diagonal blocks.  There ``jac``
+    gets the state's rows and gives its (n_state, n_state) Jacobian, and
+    ``rhs`` is called on the state's rows alone wherever the step needs no
+    riders (the state's Newton iteration, its error estimate and rhs at the
+    new node), so it must take that width as well; the riders' own
+    iterations call it on the full width, and ``n_rhs_evals`` counts them.
     """
     cfg = config or IntegratorConfig()
     y = np.array(y0, dtype=float)
@@ -959,8 +1062,10 @@ def integrate(
         raise ValueError("y0 must be a 1-d state vector")
     if n_state is not None and not 0 < n_state <= y.size:
         raise ValueError(f"n_state {n_state!r} outside [1, {y.size}]")
-    if jac is not None and n_state is not None:
-        raise ValueError("the Radau step (jac given) does not take n_state")
+    if jac is not None and n_state is not None and (y.size - n_state) % n_state:
+        raise ValueError(
+            f"the Radau step's riders are columns of n_state = {n_state} entries, got {y.size - n_state}"
+        )
     t0 = float(t0)
     t_end = float(t_end)
     if not t_end > t0:
@@ -969,10 +1074,10 @@ def integrate(
         return _blown_start(t0, y, 7 if jac is None else 4)
 
     f = np.asarray(rhs(t0, y), dtype=float)
-    radau = None if jac is None else _Radau(rhs, jac, cfg, t0, y)
+    radau = None if jac is None else _Radau(rhs, jac, cfg, t0, y, n_state)
     order = ORDER if radau is None else _RADAU_ORDER
     h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state, order)
-    g_prev = event.fn(t0, y) if event is not None else None
+    g_prev = event.fn(t0, y[:n_state]) if event is not None else None
     return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, 2)
 
 
@@ -1019,18 +1124,19 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
         t_new = t + h
         node_t, node_y = t_new, y_new
         if event is not None:
-            probe_t, g = _probe(event.fn, t, y, y_new, q, h)
+            # the event sees the state's rows alone, so riders cost it nothing
+            probe_t, g = _probe(event.fn, t, y[:n_state], y_new[:n_state], q[:n_state], h)
             # the last probe's g becomes the next g_prev
             walk_t = [t, *probe_t]
             walk_g = [g_prev, *g.tolist()]
             g_prev = walk_g[-1]
-            p = next((p for p in range(4) if _crossing(walk_g[p], walk_g[p + 1], event.direction)), None)
-            if p is not None:
+            p = _crossing_index(walk_g, event.direction)
+            if p >= 0:
                 termination = "event"
-                seg_eval = _segment(t, y, q, h)
-                node_t = _refine_crossing(seg_eval, event.fn, walk_t, walk_g, p)
+                state_eval = _segment(t, y[:n_state], q[:n_state], h)
+                node_t = _refine_crossing(state_eval, event.fn, walk_t, walk_g, p)
                 if node_t != t_new:
-                    node_y = seg_eval(node_t)
+                    node_y = _interp(y, q, h, node_t - t)
 
         ts.append(node_t)
         ys.append(node_y)

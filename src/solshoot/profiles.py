@@ -91,10 +91,14 @@ def reconstruct_profile(
         raise NonPrincipal("R <= 0 on the grid; profile leaves the principal part")
     f2 = 1.0 / r
 
-    # log f1 by exact quadrature of the dense interpolant; anchor at the
-    # collapsing-orbit end (last sample for s1 shots, first for s2 shots)
-    _, lnf1_eval = traj.antiderivative(lambda t, y: sgn * y[1])
-    lnf1 = lnf1_eval(grid)
+    # log f1 and the potential u by exact quadrature of the dense
+    # interpolant, in one pass: u' = L1 + 2 L2 - xi in physical time,
+    # flipped with the grid.  log f1 is anchored at the collapsing-orbit end
+    # (last sample for s1 shots, first for s2 shots)
+    _, integrals = traj.antiderivative(
+        lambda t, y: np.stack((sgn * y[1], sgn * (y[1] + 2.0 * y[2] - y[0])))
+    )
+    lnf1, u_grid = integrals(grid).T
     if side == "s2":
         params = _s2_launch_params(traj.t0, traj.y[0])
         if params is None:
@@ -115,14 +119,12 @@ def reconstruct_profile(
         f1_anchor = -(1.0 - k_t1 / (2.0 * l1_anchor * l1_anchor)) / l1_anchor
     f1 = f1_anchor * np.exp(lnf1 - lnf1[anchor])
 
-    # potential: u' = L1 + 2 L2 - xi in physical time, flipped with the grid
-    _, u_eval = traj.antiderivative(lambda t, y: sgn * (y[1] + 2.0 * y[2] - y[0]))
     t_zero = ode.locate_event(traj, lambda t, y: y[0])
     if t_zero is not None:
-        u_ref, u_gauge = u_eval(t_zero), "xi-zero"
+        u_ref, u_gauge = integrals(t_zero)[1], "xi-zero"
     else:
-        u_ref, u_gauge = u_eval(grid[0]), "left-endpoint"
-    u = u_eval(grid) - u_ref
+        u_ref, u_gauge = u_grid[0], "left-endpoint"
+    u = u_grid - u_ref
 
     df1 = sgn * l1 * f1
     df2 = sgn * l2 * f2

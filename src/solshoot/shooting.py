@@ -19,9 +19,9 @@ Newton takes the mismatch's Jacobian from the variational equations: each
 shot carries the derivatives of its state by its parameters (one tangent
 column on the circle side, two on the sphere side) next to the state,
 started from the derivatives of the series launch state.  The tangent
-columns stay out of the step control, so the state part of such a shot is
-bitwise the plain shot's, as long as both take the explicit DOP853 step (see
-"Stiff regime" below).
+columns stay out of the step control and the stop event, so the state part
+of such a shot is bitwise the plain shot's, on the explicit DOP853 step and
+on the Radau step alike (see "Stiff regime" below).
 
 The sweeps (``sample_curve``, ``sample_surface``, ``scan_domain``) shoot all
 their nodes of one side together, in lockstep through
@@ -48,12 +48,13 @@ to 1e6.  Uncapped in t, a shot meets near t = 6 sqrt(delta1) to delta1 ~ 2.3e21.
 rule and the 1e-1 launch; they now cost the same near delta1 = 150
 (DOP853 is cheaper at 125, Radau at 200), and DOP853 makes more rhs calls
 from delta1 = 75 on (README, "Stiff regime").  The route depends on delta1 alone, never on a
-runtime test.  Only the plain scalar shot has the Radau step.  Newton's
-tangent-carrying shots, every sweep lane (``integrate_batch`` is explicit
-only), the sphere side and every delta1 below 200 take DOP853.  So at
-delta1 >= 200, a ``sample_curve`` node and Newton's F agree with
-``shoot_curve_point`` and ``mismatch`` to within the integration tolerance,
-not bitwise.  Sweeps stay explicit because a lockstep batch amortises its
+runtime test.  The plain scalar shot and Newton's tangent-carrying shot take
+the Radau step, whose riders follow the state's (``ode.integrate``), so
+Newton's F is bitwise ``mismatch`` at every delta1.  Every sweep lane
+(``integrate_batch`` is explicit only), the sphere side and every delta1
+below 200 take DOP853.  So at delta1 >= 200, a ``sample_curve`` node agrees
+with ``shoot_curve_point`` to within the integration tolerance, not
+bitwise.  Sweeps stay explicit because a lockstep batch amortises its
 per-step cost over the lanes: ``curve --range 200,2000 --n 100`` took
 7.9-11.4 s batched, against 37-53 s with each node a scalar Radau shot
 (five interleaved runs each, one CPU of a 2-vCPU Xeon VM).  The last lane, which leaves the batch, stays explicit too.
@@ -561,7 +562,7 @@ def _shoot(
 ):
     """The trajectory of a shot from (t0, y0) under ``until``, with ``k``
     tangent columns riding along; ``stiff`` takes the Radau step (circle
-    side, no tangent columns).  EventNotReached if it misses the rule."""
+    side).  EventNotReached if it misses the rule."""
     event, t_end = _stop_rule(until, side)
     if event is not None and not lam > 0:
         raise ValueError(f"an event stop rule needs lam > 0, got lam = {lam!r}")
@@ -629,8 +630,10 @@ def mismatch(
 
 
 def _meet_with_slope(side: str, params: tuple, cfg: ShootConfig):
-    """(L1, L2, R) at the meet of a DOP853 shot from ``params``, bitwise the
-    plain DOP853 shot's, and its derivatives by the parameters, (3, len(params)).
+    """(L1, L2, R) at the meet of a shot from ``params``, bitwise the plain
+    shot's, and its derivatives by the parameters, (3, len(params)).  A
+    circle-side shot takes the Radau step from ``_STIFF_DELTA1`` on, as
+    ``shoot_curve_point`` does.
 
     The tangent columns Y are integrated with the state.  The meet moves
     with the parameters: xi(t*) = 0 gives dt*/dp = -Y[0] / xi'(y*), so
@@ -639,17 +642,17 @@ def _meet_with_slope(side: str, params: tuple, cfg: ShootConfig):
     check_admissible(**dict(zip(_PARAM_NAMES[side], params)), exploratory=cfg.exploratory)
     k = len(params)
     t0, y0 = _launch(side, params, cfg, tangent=True)
-    end = _shoot(y0, t0, side, "meet", cfg, 1.0, k).y[-1]
+    stiff = side == "s1" and params[0] >= _STIFF_DELTA1
+    end = _shoot(y0, t0, side, "meet", cfg, 1.0, k, stiff).y[-1]
     y, cols = end[:4], end[4:].reshape(k, 4)
     f = family_rhs(y, 1.0)
     return y[1:], (cols[:, 1:] - np.outer(cols[:, 0] / f[0], f[1:])).T
 
 
 def _mismatch_with_jacobian(p: np.ndarray, cfg: ShootConfig):
-    """F(p) and its exact Jacobian: one DOP853 shot per side with its tangent
-    columns.  F is bitwise ``mismatch(*p)`` for delta1 < ``_STIFF_DELTA1``;
-    above, ``mismatch`` shoots the circle side with Radau and the two agree
-    to within the integration tolerance."""
+    """F(p) and its exact Jacobian: one shot per side with its tangent
+    columns, each on the step ``mismatch`` takes there, so F is bitwise
+    ``mismatch(*p)`` at every delta1."""
     try:
         m1, dm1 = _meet_with_slope("s1", (p[0],), cfg)
         m2, dm2 = _meet_with_slope("s2", (p[1], p[2]), cfg)
@@ -669,9 +672,8 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
 
     Every point Newton evaluates costs two shots, one per side, which carry
     the variational equations along: they give F, bitwise ``mismatch`` at
-    that point for delta1 < ``_STIFF_DELTA1`` (within the integration
-    tolerance above it, see ``_mismatch_with_jacobian``), and its exact
-    Jacobian (see ``_meet_with_slope``).  Each
+    that point (see ``_mismatch_with_jacobian``), and its exact Jacobian
+    (see ``_meet_with_slope``).  Each
     Newton step is halved (up to 20 times) until the residual sup-norm
     decreases, so the residual falls strictly from iterate to iterate.
     Iterates are kept inside the admissible region unless the config is

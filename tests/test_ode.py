@@ -364,6 +364,21 @@ def test_property_antiderivative_is_node_exact(ts):
 
 
 @settings(max_examples=30, deadline=None)
+@given(ts=_domain_times())
+def test_property_antiderivative_of_a_block_is_each_integrands_bitwise(ts):
+    # a g returning a (k, m) block shares one dense pass among its k
+    # integrands, each of which integrates bitwise as it does alone
+    scalars = [lambda t, y: y[0], lambda t, y: y[0] * y[1] - 2.0 * t, lambda t, y: np.exp(y[1])]
+    node_vals, F = _OSC.antiderivative(lambda t, y: np.stack([g(t, y) for g in scalars]))
+    assert node_vals.shape == (len(_OSC.t), len(scalars))
+    for k, g in enumerate(scalars):
+        want_nodes, want = _OSC.antiderivative(g)
+        assert node_vals[:, k].tobytes() == want_nodes.tobytes()
+        assert F(ts)[:, k].tobytes() == want(ts).tobytes()
+        assert F(ts[0])[k].tobytes() == want(ts[0]).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
 @given(
     omega=st.floats(0.3, 8.0),
     level=st.floats(-0.95, 0.95),
@@ -709,6 +724,26 @@ def test_property_riders_outside_the_step_control_leave_the_state_bitwise(
     assert aug.t[-1] == plain.t[-1]
 
 
+def test_event_sees_the_state_alone():
+    # with n_state the event function gets the state's rows only: at the
+    # start, at every step's probes and while the crossing is refined
+    seen = []
+
+    def fn(t, y):
+        seen.append((np.ndim(t), y.shape))
+        return y[0] - 0.3
+
+    y0 = [1.0, 0.0, 1.0, 0.0] + [1e3] * 8
+    traj = integrate(_osc_with_riders, 0.0, y0, 4.0, event=Event(fn, direction=-1), n_state=4)
+    assert traj.termination == "event" and traj.y.shape[1] == 12
+    start, calls = seen[0], seen[1:]
+    probes = [shape for ndim, shape in calls if ndim == 1]
+    refined = [shape for ndim, shape in calls if ndim == 0]
+    assert start == (0, (4,))
+    assert len(probes) == len(traj.t) - 1 and set(probes) == {(4, 4)}
+    assert refined and set(refined) == {(4,)}
+
+
 @pytest.mark.parametrize("n_state", [0, 9])
 def test_n_state_outside_the_state_width_is_rejected(n_state):
     with pytest.raises(ValueError):
@@ -785,10 +820,59 @@ def test_radau_event_ends_on_the_level_and_locate_event_finds_it(direction):
     assert abs(found - t) <= ode._XTOL + ode._RTOL * abs(t)
 
 
-def test_radau_takes_neither_riders_nor_fixed_steps():
-    rhs, jac = _prothero_robinson(10.0)
-    with pytest.raises(ValueError, match="Radau"):
-        integrate(rhs, 0.0, [1.0], 1.0, n_state=1, jac=jac)
+def _prothero_robinson_with_riders(lam, omega=1.0):
+    """Prothero-Robinson with its tangent columns behind the state: each
+    rider v has v' = -lam v, the state's Jacobian times v."""
+    rhs, jac = _prothero_robinson(lam, omega)
+    return lambda t, y: np.concatenate((rhs(t, y[:1]), -lam * y[1:])), jac
+
+
+def test_radau_takes_riders_in_whole_columns():
+    # riders on the Radau step, columns of n_state entries each, follow
+    # their variational equation; a width that is not whole columns is refused
+    rhs, jac = _prothero_robinson_with_riders(10.0)
+    traj = integrate(rhs, 0.0, [1.0, 1.0, -2.0], 1.0, n_state=1, jac=jac)
+    assert traj.termination == "reached_end"
+    assert traj.dense_q.shape[1:] == (3, 4)
+    decay = np.exp(-10.0 * traj.t)
+    assert np.max(np.abs(traj.y[:, 1:] - np.column_stack((decay, -2.0 * decay)))) <= 1e-8
+    with pytest.raises(ValueError, match="columns"):
+        integrate(rhs, 0.0, [1.0, 1.0, -2.0], 1.0, n_state=2, jac=lambda t, y: np.eye(2))
+
+
+def test_radau_riders_that_do_not_settle_end_the_shot_as_a_blowup():
+    # riders whose field is not the state's Jacobian (here +lam against
+    # -lam) defeat the state's inverse; they turn NaN, and the loop ends the
+    # shot at that step rather than pass a wrong tangent on
+    lam = 1e4
+    rhs, jac = _prothero_robinson(lam)
+    bad = lambda t, y: np.concatenate((rhs(t, y[:1]), lam * y[1:]))
+    traj = integrate(bad, 0.0, [1.0, 1.0], 1.0, n_state=1, jac=jac)
+    assert traj.termination == "blowup"
+    assert len(traj.t) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    lam=st.floats(1.0, 1e6),
+    omega=st.floats(0.5, 4.0),
+    riders=st.integers(1, 3),
+    level=st.floats(-1.5, 0.9),
+    t_end=st.floats(0.5, 4.0),
+)
+def test_property_radau_tangent_riders_leave_the_state_bitwise(lam, omega, riders, level, t_end):
+    rhs, jac = _prothero_robinson(lam, omega)
+    event = Event(lambda t, y: y[0] - level, direction=-1)
+    plain = integrate(rhs, 0.0, [1.0], t_end, event=event, jac=jac)
+    aug_rhs, _ = _prothero_robinson_with_riders(lam, omega)
+    aug = integrate(aug_rhs, 0.0, [1.0] + [1.0] * riders, t_end, event=event, n_state=1, jac=jac)
+    assert aug.y.shape[1] == 1 + riders
+    assert aug.t.tobytes() == plain.t.tobytes()
+    assert aug.y[:, :1].tobytes() == plain.y.tobytes()
+    assert aug.dense_q[:, :1].tobytes() == plain.dense_q.tobytes()
+    assert aug.dense_h.tobytes() == plain.dense_h.tobytes()
+    assert (aug.termination, aug.n_rejected) == (plain.termination, plain.n_rejected)
+    assert np.all(aug.dense_q[..., 3] == 0.0)  # the riders' rows are cubic too
 
 
 @settings(max_examples=10, deadline=None)
@@ -886,6 +970,20 @@ def test_property_one_state_blowup_guard_is_the_lane_blocks(y):
     one = ode._blown_up(np.array(y))
     assert type(one) is bool
     assert one == bool(ode._blown_up(np.array([y]))[0])
+
+
+@settings(max_examples=300, deadline=None)
+@example(walk=[1.0, 0.0, -1.0, math.nan, 2.0], direction=-1)  # a crossing onto zero
+@example(walk=[0.0, 1.0, 0.0, -1.0, 0.0], direction=0)  # left ends on zero do not count
+@example(walk=[-1e-300, 1e-300, math.nan, -1.0, 1.0], direction=1)  # the product would underflow
+@given(
+    walk=st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, -1.0])), min_size=5, max_size=5),
+    direction=st.sampled_from([-1, 0, 1]),
+)
+def test_property_one_state_crossing_index_is_the_lane_blocks(walk, direction):
+    one = ode._crossing_index(walk, direction)
+    assert type(one) is int
+    assert one == int(ode._crossing_index(np.array([walk]), direction)[0])
 
 
 def _probe_case(width):

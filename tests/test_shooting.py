@@ -1271,6 +1271,66 @@ def test_every_field_evaluation_is_one_family_rhs_call(monkeypatch):
         assert n == traj.n_rhs_evals + 1
 
 
+def test_every_field_evaluation_is_one_family_rhs_call_on_a_radau_tangent_shot(monkeypatch):
+    # a Radau shot's riders call the field on their own iterations; the
+    # trajectory counts those calls too
+    calls = []
+    monkeypatch.setattr(shooting, "family_rhs", lambda *a: calls.append(1) or fields.family_rhs(*a))
+    cfg = ShootConfig()
+    t0, y0 = shooting._launch("s1", (300.0,), cfg, tangent=True)
+    traj = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0, 1, stiff=True)
+    assert np.all(traj.dense_q[..., 3] == 0.0)  # Radau's cubic
+    assert len(calls) == traj.n_rhs_evals
+    calls.clear()
+    shooting._meet_with_slope("s1", (300.0,), cfg)
+    assert len(calls) == traj.n_rhs_evals + 1
+
+
+_STIFF_POINTS = (200.0, 300.0, 1e3, 1e4)
+
+
+@settings(max_examples=2, deadline=None)
+@example(delta1=_STIFF_POINTS[0])
+@example(delta1=_STIFF_POINTS[1])
+@example(delta1=_STIFF_POINTS[2])
+@example(delta1=_STIFF_POINTS[3])
+@given(delta1=st.floats(_STIFF_POINTS[0], _STIFF_POINTS[-1]))
+def test_property_radau_tangent_shot_is_the_plain_radau_shot_bitwise(delta1):
+    cfg = ShootConfig()
+    t0, y0 = shooting._launch("s1", (delta1,), cfg)
+    plain = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0, stiff=True)
+    t0, y0 = shooting._launch("s1", (delta1,), cfg, tangent=True)
+    aug = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0, 1, stiff=True)
+    assert aug.y.shape[1] == 8
+    assert np.all(aug.dense_q[..., 3] == 0.0)  # Radau's cubic, the riders' rows too
+    assert aug.t.tobytes() == plain.t.tobytes()
+    assert aug.y[:, :4].tobytes() == plain.y.tobytes()
+    assert aug.dense_q[:, :4].tobytes() == plain.dense_q.tobytes()
+    assert aug.dense_h.tobytes() == plain.dense_h.tobytes()
+    assert (aug.termination, aug.n_rejected) == (plain.termination, plain.n_rejected)
+
+
+@pytest.mark.parametrize("delta1", _STIFF_POINTS)
+def test_newton_residual_is_bitwise_the_mismatch_on_the_radau_route(delta1):
+    p = np.array([delta1, -0.8, 0.6])
+    F, _ = shooting._mismatch_with_jacobian(p, ShootConfig())
+    assert F.tobytes() == np.array(mismatch(*p)).tobytes()
+
+
+@pytest.mark.parametrize("delta1", [300.0, 1e3])
+def test_radau_tangent_jacobian_matches_central_differences(delta1):
+    p = np.array([delta1, -0.8, 0.6])
+    cfg = ShootConfig()
+    _, J = shooting._mismatch_with_jacobian(p, cfg)
+    assert np.max(np.abs(J - _central_jacobian(p, 1e-3))) <= 1e-4
+    # the delta1 column is of order 1/delta1^2, below that step's noise:
+    # against a step of 3e-3 delta1 it agrees to 1e-4 of its size
+    h = 3e-3 * delta1
+    up, down = (np.array(shoot_curve_point(delta1 + s, cfg)[0]) for s in (h, -h))
+    want = (up - down) / (2 * h)
+    assert np.max(np.abs(J[:, 0] - want)) <= 1e-4 * np.max(np.abs(want))
+
+
 def test_curve_lanes_straddling_the_stiff_threshold_are_dp5_shots(monkeypatch):
     # node 20 lies below _STIFF_DELTA1 and repeats its single shot bitwise;
     # node 200's single shot takes Radau, its lane the batch's DP5, so the
@@ -1300,9 +1360,9 @@ def test_curve_lanes_straddling_the_stiff_threshold_are_dp5_shots(monkeypatch):
 
 
 def test_newton_residual_matches_the_radau_mismatch_in_the_stiff_regime():
-    # from _STIFF_DELTA1 on, mismatch's circle side takes Radau and Newton's
-    # tangent-carrying shot DP5: F agrees with it to the integration
-    # tolerance, not bitwise (7.5e-12 apart here)
+    # from _STIFF_DELTA1 on, mismatch's circle side and Newton's
+    # tangent-carrying shot both take Radau: F is bitwise mismatch's (see
+    # test_newton_residual_is_bitwise_the_mismatch_on_the_radau_route)
     p = np.array([shooting._STIFF_DELTA1, -0.8, 0.6])
     F, _ = shooting._mismatch_with_jacobian(p, ShootConfig())
     assert np.max(np.abs(F - np.array(mismatch(*p)))) <= 1e-9
