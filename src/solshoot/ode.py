@@ -57,12 +57,12 @@ of 236 steps, against 1 now).  The loop keeps that memory, and
 
 There is one explicit step, :func:`_dop853` with its dense output
 :func:`_dense`, and one event probe, :func:`_probe`, each over one state or
-a lockstep block of states: :func:`integrate`'s
-loop calls them on its lane, :func:`integrate_batch` on its block of
-lanes.  Every lane of a batch ends in that loop, which resumes from the
-lane's state (and the try just made from it), so one loop decides why
-every trajectory stops, refines every crossing, counts the rhs calls and
-builds every :class:`Trajectory`.
+a lockstep block of states: :func:`integrate`'s loop calls them on its
+lane, :func:`integrate_batch` on its block of lanes.  Every lane of a batch
+ends in that loop, which resumes from the lane's state (and the try just
+made from it), so one loop decides why every trajectory stops, refines
+every crossing, counts the rhs calls and builds every :class:`Trajectory`:
+a lane's whole or, without its history, its last node and its counters.
 
 The step's elementwise work on one state, the error norm, the blow-up
 guard and the probe's dense points, runs on Python floats, which cost less
@@ -79,7 +79,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import truediv
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -89,7 +89,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_batch",
-    "LaneEnd",
     "locate_event",
     "brentq",
 ]
@@ -643,33 +642,16 @@ def _error_norm(err, y, y_new, cfg: IntegratorConfig, err3=None):
 
 def _pairwise_sum(terms: list) -> float:
     """The sum of Python floats as ``np.add.reduce`` forms it on a float64
-    axis: numpy's pairwise summation, added to the reduction's identity
-    +0.0 (so terms all -0.0 sum to +0.0).  That summation goes in order from
-    -0.0 below 8 terms; up to 128, it keeps eight running sums over the
-    terms in blocks of 8, combines them as a fixed tree and adds the
-    remaining terms in order; past 128, it sums two halves, the first a
-    multiple of 8 long."""
-
-    def pairwise(v):
-        n = len(v)
-        if n < 8:
-            total = -0.0
-            for x in v:
-                total += x
-            return total
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return pairwise(v[:half]) + pairwise(v[half:])
-        end = n - n % 8
-        r = v[:8]
-        for i in range(8, end, 8):
-            r = [a + b for a, b in zip(r, v[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in v[end:]:
-            total += x
-        return total
-
-    return 0.0 + pairwise(terms)
+    axis.  Below 8 terms numpy's pairwise summation adds them in order from
+    -0.0, and the reduction's identity +0.0 follows (so terms all -0.0 sum
+    to +0.0); a longer list goes to ``np.add.reduce`` itself."""
+    if len(terms) >= 8:
+        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as Python floats
+            return float(np.add.reduce(terms))
+    total = -0.0
+    for x in terms:
+        total += x
+    return 0.0 + total
 
 
 def _step_factor(h, err_norm, h_old, err_old, order, safety=0.9):
@@ -1160,14 +1142,6 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
     )
 
 
-class LaneEnd(NamedTuple):
-    """Where one lane of :func:`integrate_batch` stopped, without its history."""
-
-    t: float
-    y: np.ndarray
-    termination: str
-
-
 # a lane's overflow is the error norm's or the blow-up guard's to stop,
 # silently, as a single shot's Python floats overflow
 @np.errstate(over="ignore", invalid="ignore")
@@ -1208,8 +1182,9 @@ def integrate_batch(
     one BLAS product, and only then does each lane's block of d entries
     take the same kernel path as a single lane's.  Pad a narrower state with a constant component.
 
-    Returns one entry per lane: its :class:`Trajectory` when ``history`` is
-    set, else a :class:`LaneEnd` with the final node and the termination.
+    Returns one :class:`Trajectory` per lane, with the whole lane's
+    termination, ``n_rhs_evals`` and ``n_rejected``: all of its steps when
+    ``history`` is set, else its last node alone.
     """
     cfg = config or IntegratorConfig()
     t0 = np.array(t0, dtype=float)
@@ -1296,9 +1271,14 @@ def integrate_batch(
         hand_off(end, (y_new, q, f_new, factor, err_norm))
         n_steps += 1
 
-    if not history:
-        return [LaneEnd(tail.t_end, tail.y[-1], tail.termination) for tail in tails]
-    return _assemble(tails, log)
+    if history:
+        return _assemble(tails, log)
+    # each lane's last node, with the whole lane's termination and counters
+    return [
+        Trajectory(tail.t[-1:], tail.y[-1:], tail.dense_q[:0], tail.dense_h[:0],
+                   tail.termination, tail.n_rhs_evals, tail.n_rejected)
+        for tail in tails
+    ]
 
 
 def _assemble(tails, log) -> list:

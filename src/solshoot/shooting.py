@@ -31,7 +31,8 @@ to its single DOP853 shot, so it does not depend on the sweep's size or order;
 that is ``shoot_curve_point``/``shoot_surface_point`` except for a circle-side
 node in the stiff regime below.  ``scan_domain`` still accepts a ``workers``
 argument, with no effect, because the benchmark's scan workload passes it.
-Only ``sample_curve`` keeps each node's trajectory, for its curvature minima.
+Each lane ends as an ``ode.Trajectory``: in ``sample_curve`` the whole shot,
+for its curvature minima, elsewhere its last node with its counters.
 
 Failed shots inside sweeps are recorded, not raised: the large-delta1 regime
 legitimately stresses the integrator and the failure boundary is data.
@@ -54,10 +55,11 @@ Newton's F is bitwise ``mismatch`` at every delta1.  Every sweep lane
 (``integrate_batch`` is explicit only), the sphere side and every delta1
 below 200 take DOP853.  So at delta1 >= 200, a ``sample_curve`` node agrees
 with ``shoot_curve_point`` to within the integration tolerance, not
-bitwise.  Sweeps stay explicit because a lockstep batch amortises its
-per-step cost over the lanes: ``curve --range 200,2000 --n 100`` took
-7.9-11.4 s batched, against 37-53 s with each node a scalar Radau shot
-(five interleaved runs each, one CPU of a 2-vCPU Xeon VM).  The last lane, which leaves the batch, stays explicit too.
+bitwise.  Sweeps stay explicit, as a lockstep batch shares each step among
+its lanes: ``curve --range 200,2000 --n 100`` took 8.4-13.0 s batched, against
+27.6-36.6 s as scalar Radau shots, but ``--range 1e3,1e4 --n 10`` took 24.4-28.3 s
+against 3.1-5.3 s (three interleaved runs, one CPU of a 2-vCPU Xeon VM).
+The last lane, which leaves the batch, stays explicit too.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from .fields import (
     family_rhs,
     family_tangent,
 )
-from .ode import Event, IntegratorConfig, LaneEnd, _blown_up, integrate, integrate_batch
+from .ode import Event, IntegratorConfig, Trajectory, _blown_up, integrate, integrate_batch
 
 __all__ = [
     "ROUND_DELTAS",
@@ -536,22 +538,23 @@ def _field(side: str, lam: float):
     return lambda t, y: -field(t, y)
 
 
-def _failure(side: str, event, t_end: float, last: LaneEnd) -> Optional[str]:
-    """Why a shot that ended at ``last`` missed its stop rule, or None.  A
-    blow-up at a state the size guard passes is the integrator's other
-    blow-up rule: the next step's dense output was not finite."""
+def _failure(side: str, event, t_end: float, traj: Trajectory) -> Optional[str]:
+    """Why a shot or sweep lane that ended as ``traj`` missed its stop rule,
+    or None.  A blow-up at a state the size guard passes is the integrator's
+    other blow-up rule: the next step's dense output was not finite."""
+    state = traj.y[-1, :4]
     cause = ""
-    if last.termination == "blowup" and not _blown_up(last.y):
+    if traj.termination == "blowup" and not _blown_up(state):
         cause = ": the next step's dense output was not finite"
-    if event is not None and last.termination != "event":
+    if event is not None and traj.termination != "event":
         return (
             f"{side} shot never reached {event.name}: stopped by "
-            f"{last.termination} at t={last.t:.6g} with "
-            f"state={' '.join(f'{v:.6g}' for v in last.y)}{cause}"
+            f"{traj.termination} at t={traj.t_end:.6g} with "
+            f"state={' '.join(f'{v:.6g}' for v in state)}{cause}"
         )
-    if event is None and last.termination != "reached_end":
+    if event is None and traj.termination != "reached_end":
         return (
-            f"{side} shot stopped by {last.termination} at t={last.t:.6g} "
+            f"{side} shot stopped by {traj.termination} at t={traj.t_end:.6g} "
             f"before the requested time {t_end:g}{cause}"
         )
     return None
@@ -569,7 +572,7 @@ def _shoot(
     field, n_state = _field(side, lam), (4 if k else None)
     jac = (lambda t, y: family_tangent(y, _EYE4)) if stiff else None
     traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), event, n_state, jac)
-    reason = _failure(side, event, t_end, LaneEnd(traj.t_end, traj.y[-1, :4], traj.termination))
+    reason = _failure(side, event, t_end, traj)
     if reason is not None:
         raise EventNotReached(reason)
     return traj
@@ -742,8 +745,8 @@ def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = Fals
     ``integrate_batch``, every one with the DOP853 step.
 
     Per point, (meet, trajectory, reason): a failed shot has meet None and
-    the text its single DOP853 shot would raise as reason; the trajectory is kept
-    only with ``history``.
+    the text its single DOP853 shot would raise as reason; the trajectory,
+    the whole lane, is returned only with ``history``, else None.
     """
     out = [None] * len(points)
     lanes, t0s, y0s = [], [], []
@@ -763,20 +766,26 @@ def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = Fals
     field = _field(side, 1.0)
     # the batch passes states as rows, or one state as a single shot does;
     # the field reads them as columns
-    ends = integrate_batch(
+    trajs = integrate_batch(
         lambda t, y: field(t, y.T).T, t0s, y0s, t_end, event, cfg.integrator(), history
     )
-    for i, end in zip(lanes, ends):
-        last = LaneEnd(end.t_end, end.y[-1], end.termination) if history else end
-        reason = _failure(side, event, t_end, last)
-        meet = None if reason is not None else _meet_from(last.y)
-        out[i] = (meet, end if history else None, reason)
+    for i, traj in zip(lanes, trajs):
+        reason = _failure(side, event, t_end, traj)
+        meet = None if reason is not None else _meet_from(traj.y[-1])
+        out[i] = (meet, traj if history else None, reason)
     return out
 
 
 def _check_finite_bounds(*ranges) -> None:
     if not np.all(np.isfinite(np.array(ranges, dtype=float))):
         raise ValueError(f"sweep bounds must be finite, got {ranges!r}")
+
+
+def _count(name: str, n) -> int:
+    """A sweep's node count as an int; ValueError unless an integer >= 2."""
+    if not (float(n).is_integer() and n >= 2):
+        raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
+    return int(n)
 
 
 def sample_curve(
@@ -792,8 +801,7 @@ def sample_curve(
     """
     cfg = cfg or ShootConfig()
     lo, hi = float(d1_range[0]), float(d1_range[1])
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
+    n = _count("n", n)
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"log-uniform sweep needs finite 0 < lo < hi, got {lo!r}, {hi!r}")
     d1s = [float(d1) for d1 in np.geomspace(lo, hi, n)]
@@ -815,8 +823,7 @@ def sample_surface(
 ) -> list:
     """Uniform n2 x n3 sweep of the sphere-side meet map."""
     cfg = cfg or ShootConfig()
-    if n2 < 2 or n3 < 2:
-        raise ValueError("need at least a 2 x 2 grid")
+    n2, n3 = _count("n2", n2), _count("n3", n3)
     _check_finite_bounds(d2_range, d3_range)
     points = [
         (float(d2), float(d3))
@@ -861,9 +868,7 @@ def scan_domain(
     ``workers`` has no effect (see the module docstring).
     """
     cfg = cfg or ShootConfig()
-    if not (float(resolution).is_integer() and resolution >= 2):
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
-    n = int(resolution)
+    n = _count("resolution", resolution)
     _check_finite_bounds(*box)
     (a1, b1), (a2, b2), (a3, b3) = box
     if not (a1 < b1 and a2 < b2 and a3 < b3):

@@ -464,6 +464,29 @@ def test_property_integrate_batch_repeats_integrate_per_lane(
     assert singles[-1].termination == "blowup"
 
 
+def test_lane_ends_without_history_carry_the_single_shots_counters():
+    # without history each lane ends as a one-node Trajectory with its
+    # single shot's last node, termination and counters.  At this crude
+    # tolerance four lanes reject a try inside the batch, whose count of
+    # rhs calls (2 to start, 12 a try and 3 an accepted step) shows in them
+    cfg = IntegratorConfig(rtol=0.1, atol=1e-3)
+    event = Event(lambda t, y: y[0] - 0.5, -1, name="level")
+    t0 = [0.0, 0.2, 0.1, 0.0, 0.3]
+    y0 = [[0.4, 0.0, 3.0, 0.0], [1.0, 0.0, 3.0, 0.0], [math.inf, 0.0, 1.0, 0.0],
+          [0.0, 5.0, 2.0, 0.0], [0.2, 0.0, 10.0, 0.0]]
+    singles = [integrate(_osc, a, b, 6.0, cfg, event=event) for a, b in zip(t0, y0)]
+    ends = ode.integrate_batch(_osc_rows, t0, y0, 6.0, event, cfg)
+    assert [s.termination for s in singles] == ["reached_end", "event", "blowup", "event", "reached_end"]
+    assert [s.n_rejected for s in singles] == [1, 1, 0, 1, 1]
+    for single, end in zip(singles, ends, strict=True):
+        assert type(end) is Trajectory
+        assert end.t.shape == (1,) and end.dense_q.shape[0] == end.dense_h.size == 0
+        assert end.t_end == single.t_end
+        assert end.y[-1].tobytes() == single.y[-1].tobytes()
+        assert end.termination == single.termination
+        assert (end.n_rhs_evals, end.n_rejected) == (single.n_rhs_evals, single.n_rejected)
+
+
 def _inf_at_one_dense_stage(t, y):
     # y' = 0, but inf on 0.9e-7 < t < 1.1e-7.  On a zero field the starting
     # heuristic gives h = 1e-6, so of the first step only the dense output's

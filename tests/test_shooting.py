@@ -734,6 +734,27 @@ def test_scan_rejects_a_non_integral_resolution(resolution):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: sample_curve((0.5, 2.0), 2.5),
+        lambda: sample_curve((0.5, 2.0), 1),
+        lambda: sample_surface((-1.0, 0.0), (1.0, 2.0), 2.5, 2),
+        lambda: sample_surface((-1.0, 0.0), (1.0, 2.0), 2, math.nan),
+        lambda: sample_surface((-1.0, 0.0), (1.0, 2.0), 2, math.inf),
+    ],
+    ids=["curve-2.5", "curve-1", "surface-n2-2.5", "surface-n3-nan", "surface-n3-inf"],
+)
+def test_every_sweep_refuses_a_bad_node_count_by_one_rule(sweep):
+    # n = 2.5 used to reach numpy as a TypeError, and n3 = NaN passed the
+    # "< 2" check first; the curve and surface sweeps now read their counts
+    # by scan's rule (test_scan_rejects_a_non_integral_resolution)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="must be an integer >= 2"):
+        sweep()
+    assert time.perf_counter() - start < 0.5
+
+
 def test_scan_accepts_a_numpy_integer_resolution():
     assert scan_domain(resolution=np.int64(2)).values.tobytes() == scan_domain(resolution=2).values.tobytes()
 
