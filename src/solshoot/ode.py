@@ -22,7 +22,11 @@ refined crossing, so ``(t[-1], y[-1])`` is the hit.  :func:`locate_event`
 finds the first crossing time on a stored trajectory after the fact.
 Crossings are refined on the dense output by :func:`brentq`, Brent's
 method ported step for step from scipy's C ``brentq``; the package needs
-only numpy for every shot.
+only numpy for every shot.  Each accepted step probes g at 4 points of
+its dense output, or, for a monotone event, evaluates g at its end and
+probes only the step whose two ends cross (Hairer, Norsett & Wanner I,
+II.6 on dense output and event location).  A trajectory of nodes only
+(``dense=False``) then forms a DOP853 dense output on that step alone.
 
 Two step methods share :func:`integrate`'s one loop, and with it the event
 probes and refinement, the blow-up guard, the terminations and the
@@ -31,7 +35,8 @@ probes and refinement, the blow-up guard, the terminations and the
 * DOP853, the explicit 8(5,3) pair of Dormand & Prince in Hairer, Norsett
   & Wanner's code (*Solving Ordinary Differential Equations I*, 2nd ed.,
   section II.10), with scipy's constants and error norm: 12 rhs calls a
-  try, 3 more for the degree-7 dense interpolant of an accepted step;
+  try, 3 more for the degree-7 dense interpolant of an accepted step that
+  forms one;
 * Radau IIA of order 5, implicit and L-stable, taken when the caller passes
   the Jacobian of the field.  Its constants are those of Hairer & Wanner's
   RADAU5 code (*Solving Ordinary Differential Equations II*, 2nd ed.,
@@ -44,7 +49,9 @@ probes and refinement, the blow-up guard, the terminations and the
 Tangent columns ride behind the state (``n_state``) on both steps and pay
 only for their stage arithmetic: the step control and the event read the
 state's rows alone, and Radau solves the riders' linear collocation
-system with the state's inverse once the state has converged.
+system with the state's inverse once the state has converged.  On a
+DOP853 shot of nodes only, as Newton's are, neither the state nor the
+riders form dense stages but on the step that a monotone event walks.
 
 One step-size controller serves both: :func:`_step_factor`, Gustafsson's
 predictive rule as RADAU5 applies it (Hairer & Wanner IV.8), with the
@@ -350,11 +357,19 @@ class Event:
     n_state wherever :func:`integrate` calls it.
 
     direction: +1 only rising crossings, -1 only falling, 0 both.
+
+    ``monotone`` declares g monotone along every solution, so a crossing
+    lies between the two ends of the step that holds it.  The loop then
+    evaluates g once per accepted step, at its end, and probes the dense
+    output and refines the crossing (see :func:`integrate`) only on the
+    step whose two ends cross; a dip of the interpolant through zero on
+    any other step is no crossing.  Otherwise every step is probed.
     """
 
     fn: Callable[[float, np.ndarray], float]
     direction: int = 0
     name: str = ""
+    monotone: bool = False
 
 
 @dataclass
@@ -368,6 +383,10 @@ class Trajectory:
     degree-7 DOP853 interpolant, or (d, 4) with q3 = 0 on a Radau step.
     When ``termination`` is ``"event"`` the last
     node ``(t[-1], y[-1])`` is the refined crossing.
+
+    A trajectory of nodes only (``integrate(..., dense=False)``) keeps
+    every node but no segment: ``dense_q`` and ``dense_h`` are empty, and
+    it reads only at its nodes; between them it raises ValueError.
     """
 
     t: np.ndarray
@@ -427,7 +446,9 @@ class Trajectory:
         """States (n, k, d) at times (n, k), row r inside segment seg[r], in
         one dense evaluation: the trajectory's one array reader of its
         stored steps.  A time on its segment's right node reads the stored
-        node bitwise."""
+        node bitwise.  ValueError on a trajectory of nodes only."""
+        if seg.size and len(self.dense_h) < len(self.t) - 1:
+            raise ValueError("a trajectory of nodes only (integrate's dense=False) reads only at its nodes")
         out = _interp(self.y[seg, None], self.dense_q[seg, None], self.dense_h[seg, None], times - self.t[seg, None])
         r, k = np.nonzero(times == self.t[seg + 1, None])
         out[r, k] = self.y[seg[r] + 1]
@@ -818,7 +839,8 @@ class _Radau:
     def step(self, t, y, f, h, h_old, err_old):
         """One try at the step from (t, y), f = rhs(t, y), to t + h, after
         the accepted step h_old with norm err_old: the new state, its (d, 4)
-        dense coefficients (q3 = 0) and rhs there, when accepted, else None;
+        dense coefficients (q3 = 0), rhs there and None, in the place of
+        DOP853's stages (:func:`_explicit_step`), when accepted, else None;
         the factor to step on or retry with; and the error norm.
 
         With riders, y, the new state and its dense rows are the full width,
@@ -888,7 +910,7 @@ class _Radau:
         self.last = (z[-1], q[:, :3].T, h)
         if riders is not None:
             y_new, q = np.concatenate((y_new, riders[0])), np.concatenate((q, riders[1]))
-        return (y_new, q, f_new), factor, err_norm
+        return (y_new, q, f_new, None), factor, err_norm
 
 
 def _dop853(rhs, t, y, f, h, hc):
@@ -969,16 +991,16 @@ def _probe(fn, t, y, y_new, q, h):
 
 def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state, h_old, err_old):
     """One try at the DOP853 step from (t, y), f = rhs(t, y), to t + h, in
-    the form of :meth:`_Radau.step`: the new state, its (d, 7) dense
-    coefficients and rhs there when accepted, else None; the factor; the
-    error norm.  Its calls of rhs: 12 a try, and 3 more for the dense
-    output of an accepted one."""
+    the form of :meth:`_Radau.step`: the new state, None for its dense
+    coefficients, rhs there and the stages K when accepted, else None; the
+    factor; the error norm.  Its 12 calls of rhs make the try; the loop
+    forms the dense output from K, 3 calls more, where it reads it."""
     y_new, err5, err3, K = _dop853(rhs, t, y, f, h, h)
     err_norm = _error_norm(err5[:n_state], y[:n_state], y_new[:n_state], cfg, err3[:n_state])
     factor = _step_factor(h, err_norm, h_old, err_old, ORDER)
     if not err_norm <= 1.0:
         return None, factor, err_norm
-    return (y_new, _dense(rhs, t, y, y_new, h, h, K), K[12]), factor, err_norm
+    return (y_new, None, K[12], K), factor, err_norm
 
 
 def _blown_start(t0, y, width) -> Trajectory:
@@ -996,6 +1018,7 @@ def integrate(
     event: Optional[Event] = None,
     n_state: Optional[int] = None,
     jac: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
+    dense: bool = True,
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to t_end (forward only).
 
@@ -1010,6 +1033,16 @@ def integrate(
     its cubic collocation polynomial (d, 4) with q3 = 0.  ``n_rhs_evals``
     counts every call of rhs, the dense output's and Newton's included;
     the calls of jac are not counted.
+
+    With ``dense`` = False the trajectory keeps every node but no segment
+    (see :class:`Trajectory`), and a DOP853 step forms its 3 dense stages
+    and interpolant only where the loop reads them: on every step for an
+    event that is not monotone, on the step whose two ends cross for a
+    monotone one, never without an event.  Its nodes, termination and
+    counters are then the dense shot's, but for 3 rhs calls less on every
+    other accepted DOP853 step.  A step whose dense output is not formed
+    is not checked for a finite one: an overflow of its dense stages
+    alone, which ends a dense shot as ``"blowup"``, goes unseen there.
 
     Stops early at the first matching crossing of ``event`` (the trajectory
     then ends on the refined crossing, termination ``"event"``), on the
@@ -1060,7 +1093,7 @@ def integrate(
     order = ORDER if radau is None else _RADAU_ORDER
     h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state, order)
     g_prev = event.fn(t0, y[:n_state]) if event is not None else None
-    return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, 2)
+    return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, 2, dense=dense)
 
 
 # numpy's overflow and invalid warnings are off in the loop, as in
@@ -1068,12 +1101,13 @@ def integrate(
 # or the blow-up guard's to stop, silently
 @np.errstate(over="ignore", invalid="ignore")
 def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, n_rejected, n_evals,
-           step=None, h_old=math.nan, err_old=math.nan):
+           step=None, h_old=math.nan, err_old=math.nan, dense=True):
     """:func:`integrate`'s loop, resumed at the node (t, y) with f = rhs(t, y),
     the step size h to try next, the event function g_prev there, the
     tries, rejections and rhs calls so far, and the controller's memory
     (see :func:`_step_factor`); ``step``, an accepted DOP853 try already
-    made from there with h, is taken as the first.  The trajectory on."""
+    made from there with h, is taken as the first.  The trajectory on,
+    with its dense output if ``dense``, else its nodes only."""
     ts, ys, qs, hs = [t], [y.copy()], [], []
     termination = "reached_end"
     tiny = 10 * np.finfo(float).eps
@@ -1093,24 +1127,34 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
         else:
             accepted, factor, err_norm = _explicit_step(rhs, t, y, f, h, cfg, n_state, h_old, err_old) if step is None else step
             step = None
-            n_evals += 12 if accepted is None else 15
+            n_evals += 12
         if accepted is None:
             n_rejected += 1
             h *= factor
             continue
         h_old, err_old = h, max(err_norm, _ERR_FLOOR)
-        y_new, q, f_new = accepted
-        if not np.isfinite(q).all():  # a dense stage overflowed: no segment to store
-            termination = "blowup"
-            break
+        y_new, q, f_new, K = accepted
         t_new = t + h
         node_t, node_y = t_new, y_new
-        if event is not None:
-            # the event sees the state's rows alone, so riders cost it nothing
+        # the event walks the step's dense output on every step, or, when
+        # monotone, on the step whose two ends cross; the event sees the
+        # state's rows alone, so riders cost it nothing
+        g_start, walk = g_prev, event is not None
+        if walk and event.monotone:
+            g_prev = float(event.fn(t_new, y_new[:n_state]))
+            walk = _crossing(g_start, g_prev, event.direction)
+        if q is None and (dense or walk):  # a DOP853 step's, formed where read
+            q = _dense(rhs, t, y, y_new, h, h, K)
+        if radau is None and q is not None:
+            n_evals += 3
+        if q is not None and not np.isfinite(q).all():  # a dense stage overflowed: no segment to store
+            termination = "blowup"
+            break
+        if walk:
             probe_t, g = _probe(event.fn, t, y[:n_state], y_new[:n_state], q[:n_state], h)
-            # the last probe's g becomes the next g_prev
+            # the last probe's g, at t + h, becomes the next g_prev
             walk_t = [t, *probe_t]
-            walk_g = [g_prev, *g.tolist()]
+            walk_g = [g_start, *g.tolist()]
             g_prev = walk_g[-1]
             p = _crossing_index(walk_g, event.direction)
             if p >= 0:
@@ -1122,8 +1166,9 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
 
         ts.append(node_t)
         ys.append(node_y)
-        qs.append(q)
-        hs.append(h)
+        if dense:
+            qs.append(q)
+            hs.append(h)
         if _blown_up(node_y[:n_state]):  # the new node, or the refined crossing
             termination = "blowup"
         if termination != "reached_end":
@@ -1161,8 +1206,9 @@ def integrate_batch(
     step size and accept/reject decision.  ``rhs(t, y)`` takes t of shape
     (m,) and y of shape (m, d) and returns the m derivative rows; it also
     takes one lane as :func:`integrate` passes it, a float t and y of shape
-    (d,).  The event's ``fn`` is called once per step on the probes of
-    every lane, as :class:`Event` describes.
+    (d,).  The event's ``fn`` is called once per step on every lane, on its
+    probes, or, for a monotone event, at its step's end, as :class:`Event`
+    describes.
 
     The batch takes the DOP853 step and event probe of :func:`integrate`'s
     loop on all lanes together, keeping only its per-lane accept, step
@@ -1184,7 +1230,11 @@ def integrate_batch(
 
     Returns one :class:`Trajectory` per lane, with the whole lane's
     termination, ``n_rhs_evals`` and ``n_rejected``: all of its steps when
-    ``history`` is set, else its last node alone.
+    ``history`` is set, else its last node alone.  A lane repeats
+    :func:`integrate`'s shot with ``dense`` = ``history``: without history
+    and with a monotone event, the block forms the dense output of only
+    the lanes whose step crosses, in one product, and a lane's count is
+    its nodes-only shot's.
     """
     cfg = config or IntegratorConfig()
     t0 = np.array(t0, dtype=float)
@@ -1218,18 +1268,25 @@ def integrate_batch(
     g_prev = event.fn(t, y.T)
     h_old = err_old = np.full(lane.size, math.nan)  # the controller's memory, per lane
     flat_rhs = lambda t, y: rhs(t, y.reshape(t.size, d)).ravel()  # on blocks laid end to end
+    # a single shot forms a dense output on every step with history, or for
+    # the probes of an event that is not monotone: then so does every lane,
+    # else only a lane whose step crosses
+    every = history or not event.monotone
 
     def hand_off(mask, step=None):
-        # from the state before the step, with the step's accepted try if made
+        # from the state before the step, with the step's accepted try if
+        # made; its dense output is formed wherever the loop reads it, so no
+        # stages go along
         nonlocal lane, t, y, f, h, g_prev, h_old, err_old
         for i in np.flatnonzero(mask).tolist():
-            tried = None if step is None else ((step[0][i], step[1][i], step[2][i]), float(step[3][i]), float(step[4][i]))
+            tried = None if step is None else ((step[0][i], step[1][i], step[2][i], None), float(step[3][i]), float(step[4][i]))
             rejected = int(n_rejected[lane[i]])
-            # a single shot's calls: 2 to start, 12 a try and 3 an accepted step
+            # a single shot's calls: 2 to start, 12 a try and 3 an accepted
+            # step that forms its dense output
             tails[lane[i]] = _steps(
                 rhs, t_end, cfg, event, None, None, float(t[i]), y[i], f[i], float(h[i]),
-                float(g_prev[i]), n_steps, rejected, 2 + 15 * n_steps - 3 * rejected, tried,
-                float(h_old[i]), float(err_old[i]),
+                float(g_prev[i]), n_steps, rejected, 2 + 12 * n_steps + (3 * (n_steps - rejected) if every else 0), tried,
+                float(h_old[i]), float(err_old[i]), history,
             )
         lane, t, y, f, h, g_prev, h_old, err_old = (a[~mask] for a in (lane, t, y, f, h, g_prev, h_old, err_old))
 
@@ -1245,26 +1302,41 @@ def integrate_batch(
 
         hc = np.repeat(h, d)
         y_new, err5, err3, K = _dop853(flat_rhs, t, y.ravel(), f.ravel(), h, hc)
-        # the dense stages of every lane in one block; a rejected lane's go unused
-        q = _dense(flat_rhs, t, y.ravel(), y_new, h, hc, K).reshape(-1, d, 7)
+        if every:  # the dense stages of every lane in one block; a rejected lane's go unused
+            q = _dense(flat_rhs, t, y.ravel(), y_new, h, hc, K).reshape(-1, d, 7)
         y_new, err5, err3, f_new = (a.reshape(-1, d) for a in (y_new, err5, err3, K[12]))
         err_norm = _error_norm(err5, y, y_new, cfg, err3)
         ok = err_norm <= 1.0
         n_rejected[lane[~ok]] += 1
         tries = zip(h.tolist(), err_norm.tolist(), h_old.tolist(), err_old.tolist())
         factor = np.array([_step_factor(*a, ORDER) for a in tries])
-        _, g = _probe(event.fn, t[:, None], y[:, None], y_new, q[:, None], h[:, None])
-        g = g.reshape(-1, 4)
-        walk_g = np.column_stack((g_prev, g))
-        crossed = _crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1)
-        end = ok & (crossed | _blown_up(y_new) | ~np.isfinite(q).all(axis=(1, 2)))
+        if event.monotone:  # g at the step's end; the loop walks a crossing step
+            g_end = event.fn(t + h, y_new.T)
+            crossed = _crossing(g_prev, g_end, event.direction)
+        else:
+            _, g = _probe(event.fn, t[:, None], y[:, None], y_new, q[:, None], h[:, None])
+            walk_g = np.column_stack((g_prev, g.reshape(-1, 4)))
+            g_end = walk_g[:, -1]
+            crossed = _crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1)
+        end = ok & (crossed | _blown_up(y_new))
+        if every:
+            end |= ok & ~np.isfinite(q).all(axis=(1, 2))
+        else:  # the dense output of the lanes whose loop walks this step, in one block
+            q = [None] * lane.size
+            walked = np.flatnonzero(ok & crossed)
+            if walked.size:
+                hw = h[walked]
+                K_w = K.reshape(16, -1, d)[:, walked].reshape(16, -1)
+                q_w = _dense(flat_rhs, t[walked], y[walked].ravel(), y_new[walked].ravel(), hw, np.repeat(hw, d), K_w)
+                for i, q_i in zip(walked.tolist(), q_w.reshape(-1, d, 7)):
+                    q[i] = q_i
         go = ok & ~end
         if history:
             log.append((lane[go], t[go], y[go], q[go], h[go]))
         t = np.where(go, t + h, t)
         y = np.where(go[:, None], y_new, y)
         f = np.where(go[:, None], f_new, f)
-        g_prev = np.where(go, g[:, -1], g_prev)
+        g_prev = np.where(go, g_end, g_prev)
         h_old = np.where(go, h, h_old)
         err_old = np.where(go, np.maximum(err_norm, _ERR_FLOOR), err_old)
         h = np.where(end, h, h * factor)
@@ -1320,16 +1392,15 @@ def locate_event(
     # one walk per segment from its left node (t_a, y_a) to t_b; past an
     # event one more walks the last step on from t[-1] to its original end
     t_a, t_b, y_a = traj.t[:-1], traj.t[1:], traj.y[:-1]
-    extended = traj.termination == "event"
-    if extended:
-        t_a = np.append(t_a, traj.t[-1])
-        t_b = np.append(t_b, traj.t[-2] + traj.dense_h[-1])
-        y_a = traj.y  # y[:-1], then y[-1] for the walk past the cut
     probe_t = np.minimum(t_a[:, None] + _LOCATE_FRACS * (t_b - t_a)[:, None], t_b[:, None])
-    probe_y = traj._at(np.arange(n_seg), probe_t[:n_seg])
+    probe_y = traj._at(np.arange(n_seg), probe_t)
+    extended = traj.termination == "event"
     if extended:  # the walk past the cut is no stored segment: no node to snap to
+        t_cut, t_b = traj.t[-1], traj.t[-2] + traj.dense_h[-1]
+        past = np.minimum(t_cut + _LOCATE_FRACS * (t_b - t_cut), t_b)[None]
         last = _segment(traj.t[-2], traj.y[-2], traj.dense_q[-1], traj.dense_h[-1])
-        probe_y = np.concatenate((probe_y, last(probe_t[-1:])))
+        t_a, probe_t, probe_y = np.append(t_a, t_cut), np.concatenate((probe_t, past)), np.concatenate((probe_y, last(past)))
+        y_a = traj.y  # y[:-1], then y[-1] for the walk past the cut
     walk_t = np.column_stack((t_a, probe_t))
     walk_y = np.concatenate((y_a[:, None], probe_y), axis=1)
     g = fn(walk_t.ravel(), walk_y.reshape(-1, traj.y.shape[1]).T)

@@ -472,6 +472,10 @@ def _stop_rule(until, side: str):
     2 L2^2 - lam <= -lam on the circle side and dxi/ds >= lam on the sphere
     side, so a level v ahead of the launch xi0 is reached by t0 + |xi0 - v| /
     lam, and past it xi runs off until a collapse or blow-up ends the shot.
+    xi being strictly monotone, the rules on it ("meet" and ("xi", v)) are
+    ``monotone`` events: a shot tests each step's end and walks only the
+    step whose two ends cross (``ode.Event``), so a dip of a crude step's
+    interpolant through the level is no meet.
     """
     if isinstance(until, tuple) and len(until) == 2 and until[0] == "time":
         return None, float(until[1])
@@ -482,7 +486,7 @@ def _stop_rule(until, side: str):
         k, level, direction, name = _STOP_TABLE[until, side]
     else:
         raise ValueError(f"unknown stop rule {until!r}")
-    return Event(fn=lambda t, y: y[k] - level, direction=direction, name=name), math.inf
+    return Event(fn=lambda t, y: y[k] - level, direction=direction, name=name, monotone=k == 0), math.inf
 
 
 _PARAM_NAMES = {"s1": ("delta1",), "s2": ("delta2", "delta3")}
@@ -561,17 +565,19 @@ def _failure(side: str, event, t_end: float, traj: Trajectory) -> Optional[str]:
 
 
 def _shoot(
-    y0, t0: float, side: str, until, cfg: ShootConfig, lam: float, k: int = 0, stiff: bool = False
+    y0, t0: float, side: str, until, cfg: ShootConfig, lam: float, k: int = 0, stiff: bool = False,
+    dense: bool = True,
 ):
     """The trajectory of a shot from (t0, y0) under ``until``, with ``k``
     tangent columns riding along; ``stiff`` takes the Radau step (circle
-    side).  EventNotReached if it misses the rule."""
+    side), and ``dense`` = False keeps its nodes only (``ode.integrate``).
+    EventNotReached if it misses the rule."""
     event, t_end = _stop_rule(until, side)
     if event is not None and not lam > 0:
         raise ValueError(f"an event stop rule needs lam > 0, got lam = {lam!r}")
     field, n_state = _field(side, lam), (4 if k else None)
     jac = (lambda t, y: family_tangent(y, _EYE4)) if stiff else None
-    traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), event, n_state, jac)
+    traj = integrate(field, t0, np.array(y0), t_end, cfg.integrator(), event, n_state, jac, dense)
     reason = _failure(side, event, t_end, traj)
     if reason is not None:
         raise EventNotReached(reason)
@@ -587,18 +593,21 @@ def shoot_curve_point(
     cfg: Optional[ShootConfig] = None,
     until="meet",
     lam: float = 1.0,
+    dense: bool = True,
 ):
     """Integrate the circle-side IVP; returns (MeetPoint, Trajectory).
 
     By default stops at the xi = 0 crossing.  Other stop rules: "collapse"
     (L1 falls to ``_COLLAPSE_L1``, the far orbit), ("xi", v), ("time", T);
     an event rule at lam <= 0 raises ValueError (see ``_stop_rule``).  The
-    MeetPoint is the final state's (L1, L2, R) under any rule.
+    MeetPoint is the final state's (L1, L2, R) under any rule.  With
+    ``dense`` = False the trajectory keeps its nodes only, the dense
+    shot's nodes (see ``ode.integrate``).
     """
     cfg = cfg or ShootConfig()
     check_admissible(delta1=delta1, exploratory=cfg.exploratory)
     t0, y0 = _launch("s1", (delta1,), cfg, lam)
-    traj = _shoot(y0, t0, "s1", until, cfg, lam, stiff=delta1 >= _STIFF_DELTA1)
+    traj = _shoot(y0, t0, "s1", until, cfg, lam, stiff=delta1 >= _STIFF_DELTA1, dense=dense)
     return _meet_from(traj.y[-1]), traj
 
 
@@ -607,28 +616,33 @@ def shoot_surface_point(
     delta3: float,
     cfg: Optional[ShootConfig] = None,
     until="meet",
+    dense: bool = True,
 ):
     """Integrate the sphere-side IVP in the orbit distance s.
 
     The trajectory's independent variable increases away from the sphere
     orbit (backwards in the original time), so xi rises from -1/s_eps toward
-    the meet.  Stop rules as in ``shoot_curve_point``; ("xi", v) with v > 0
-    continues past the xi = 0 orbit into the region the Gaussian-closeness
-    diagnostics examine.
+    the meet.  Stop rules and ``dense`` as in ``shoot_curve_point``;
+    ("xi", v) with v > 0 continues past the xi = 0 orbit into the region
+    the Gaussian-closeness diagnostics examine.
     """
     cfg = cfg or ShootConfig()
     check_admissible(delta2=delta2, delta3=delta3, exploratory=cfg.exploratory)
     s0, y0 = _launch("s2", (delta2, delta3), cfg)
-    traj = _shoot(y0, s0, "s2", until, cfg, lam=1.0)
+    traj = _shoot(y0, s0, "s2", until, cfg, lam=1.0, dense=dense)
     return _meet_from(traj.y[-1]), traj
 
 
 def mismatch(
     delta1: float, delta2: float, delta3: float, cfg: Optional[ShootConfig] = None
 ) -> MismatchVector:
-    """Circle-side minus sphere-side MeetPoint; zero exactly on solitons."""
-    m1, _ = shoot_curve_point(delta1, cfg)
-    m2, _ = shoot_surface_point(delta2, delta3, cfg)
+    """Circle-side minus sphere-side MeetPoint; zero exactly on solitons.
+
+    Each side is one meet shot of nodes only (``dense`` = False), as
+    Newton's (``_meet_with_slope``): only its last node is read, and no
+    step forms a dense output but the one that holds the meet."""
+    m1, _ = shoot_curve_point(delta1, cfg, dense=False)
+    m2, _ = shoot_surface_point(delta2, delta3, cfg, dense=False)
     return MismatchVector(m1.l1 - m2.l1, m1.l2 - m2.l2, m1.r - m2.r)
 
 
@@ -636,7 +650,9 @@ def _meet_with_slope(side: str, params: tuple, cfg: ShootConfig):
     """(L1, L2, R) at the meet of a shot from ``params``, bitwise the plain
     shot's, and its derivatives by the parameters, (3, len(params)).  A
     circle-side shot takes the Radau step from ``_STIFF_DELTA1`` on, as
-    ``shoot_curve_point`` does.
+    ``shoot_curve_point`` does.  The shot keeps its nodes only
+    (``dense`` = False), as ``mismatch``'s do: of its DOP853 steps only
+    the meet's forms a dense output, 12 rhs calls a step against 15.
 
     The tangent columns Y are integrated with the state.  The meet moves
     with the parameters: xi(t*) = 0 gives dt*/dp = -Y[0] / xi'(y*), so
@@ -646,7 +662,7 @@ def _meet_with_slope(side: str, params: tuple, cfg: ShootConfig):
     k = len(params)
     t0, y0 = _launch(side, params, cfg, tangent=True)
     stiff = side == "s1" and params[0] >= _STIFF_DELTA1
-    end = _shoot(y0, t0, side, "meet", cfg, 1.0, k, stiff).y[-1]
+    end = _shoot(y0, t0, side, "meet", cfg, 1.0, k, stiff, dense=False).y[-1]
     y, cols = end[:4], end[4:].reshape(k, 4)
     f = family_rhs(y, 1.0)
     return y[1:], (cols[:, 1:] - np.outer(cols[:, 0] / f[0], f[1:])).T
@@ -676,7 +692,8 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
     Every point Newton evaluates costs two shots, one per side, which carry
     the variational equations along: they give F, bitwise ``mismatch`` at
     that point (see ``_mismatch_with_jacobian``), and its exact Jacobian
-    (see ``_meet_with_slope``).  Each
+    (see ``_meet_with_slope``).  Both are shots of nodes only, whose
+    DOP853 steps form no dense output but at the meet.  Each
     Newton step is halved (up to 20 times) until the residual sup-norm
     decreases, so the residual falls strictly from iterate to iterate.
     Iterates are kept inside the admissible region unless the config is

@@ -1285,9 +1285,9 @@ def test_every_field_evaluation_is_one_family_rhs_call(monkeypatch):
     assert n == traj.n_rhs_evals
     for side, params in (("s1", (0.3,)), ("s2", (-0.5, 0.7))):
         t0, y0 = shooting._launch(side, params, cfg, tangent=True)
-        n, traj = counted(lambda: shooting._shoot(y0, t0, side, "meet", cfg, 1.0, len(params)))
+        n, traj = counted(lambda: shooting._shoot(y0, t0, side, "meet", cfg, 1.0, len(params), dense=False))
         assert n == traj.n_rhs_evals
-        # and one more call, for the meet's slope
+        # Newton's shot is that nodes-only shot, and one more call, for the meet's slope
         n, _ = counted(lambda: shooting._meet_with_slope(side, params, cfg))
         assert n == traj.n_rhs_evals + 1
 
@@ -1305,6 +1305,78 @@ def test_every_field_evaluation_is_one_family_rhs_call_on_a_radau_tangent_shot(m
     calls.clear()
     shooting._meet_with_slope("s1", (300.0,), cfg)
     assert len(calls) == traj.n_rhs_evals + 1
+
+
+def _nodes_only_s1(d1, cfg):
+    # the bytes of a nodes-only single shot's meet, or its failure
+    try:
+        return np.array(shoot_curve_point(d1, cfg, dense=False)[0]).tobytes(), "ok"
+    except EventNotReached as exc:
+        return None, f"failed: {exc}"
+
+
+def test_crude_meet_is_no_dip_of_the_interpolant_and_lanes_repeat_it_bitwise():
+    # at rtol 1e-3, atol 0.1 the degree-7 interpolant of a step short of
+    # the meet dips through xi = 0 at this delta1.  The meet rule reads only
+    # the step whose ends cross, as xi is monotone, where every step used to
+    # be probed and the shot stopped at the dip, L1 = +1.997 against -0.99983
+    # at default tolerances
+    d1 = 1.6350847457627118
+    crude = ShootConfig(rtol=1e-3, atol=0.1)
+    meet, _ = shoot_curve_point(d1, crude)
+    assert np.max(np.abs(np.subtract(meet, shoot_curve_point(d1)[0]))) <= 0.05
+    # lanes repeat the nodes-only single shots there and at rtol 0.5, where
+    # the shots from 0.1, 0.5 and 1 blow up
+    d1s = [d1, 0.1, 0.5, 1.0, 2.0]
+    for cfg in (crude, ShootConfig(rtol=0.5)):
+        want = [_nodes_only_s1(x, cfg) for x in d1s]
+        assert any(w[0] is None for w in want) == (cfg is not crude)
+        for order in _orders(len(d1s), 2, 0):
+            lanes = _shoot_lanes("s1", [(d1s[i],) for i in order], cfg)
+            for i, (lane_meet, _, reason) in zip(order, lanes):
+                got = None if lane_meet is None else np.array(lane_meet).tobytes()
+                assert (got, _lane_status(reason)) == want[i]
+
+
+def _assert_nodes_only_meet_shot_is_the_dense_one(side, params, k, stiff=False):
+    # both shots from one launch, with k tangent columns
+    cfg = ShootConfig()
+    t0, y0 = shooting._launch(side, params, cfg, tangent=k > 0)
+    dense = shooting._shoot(y0, t0, side, "meet", cfg, 1.0, k, stiff)
+    nodes = shooting._shoot(y0, t0, side, "meet", cfg, 1.0, k, stiff, dense=False)
+    assert (nodes.termination, nodes.n_rejected) == (dense.termination, dense.n_rejected)
+    assert nodes.termination == "event"
+    assert len(nodes.t) == len(dense.t) > 2
+    assert nodes.t.tobytes() == dense.t.tobytes() and nodes.y.tobytes() == dense.y.tobytes()
+    assert nodes.dense_q.shape[0] == nodes.dense_h.size == 0
+    assert nodes.eval(nodes.t).tobytes() == dense.y.tobytes()
+    assert nodes.eval(nodes.t[1]).tobytes() == dense.y[1].tobytes()
+    with pytest.raises(ValueError, match="nodes only"):
+        nodes.eval(0.5 * (nodes.t[0] + nodes.t[1]))
+    # 3 rhs calls less for each accepted DOP853 step whose ends do not
+    # cross, every step but the meet's; Radau's dense output comes free
+    assert nodes.n_rhs_evals == dense.n_rhs_evals - (0 if stiff else 3 * (len(dense.t) - 2))
+
+
+@settings(max_examples=6, deadline=None)
+@example(side="s1", log_delta1=math.log10(ROUND_DELTAS[0]), delta2=0.0, delta3=0.0, tangent=True)
+@example(side="s2", log_delta1=0.0, delta2=ROUND_DELTAS[1], delta3=ROUND_DELTAS[2], tangent=True)
+@given(
+    side=st.sampled_from(["s1", "s2"]),
+    log_delta1=st.floats(-3.0, math.log10(shooting._STIFF_DELTA1) - 0.01),
+    delta2=st.floats(-1.0, 0.5),
+    delta3=st.floats(0.0, 45.0),
+    tangent=st.booleans(),
+)
+def test_property_nodes_only_meet_shot_is_the_dense_shot_bitwise(side, log_delta1, delta2, delta3, tangent):
+    params = (10.0**log_delta1,) if side == "s1" else (delta2, delta3)
+    _assert_nodes_only_meet_shot_is_the_dense_one(side, params, len(params) if tangent else 0)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("delta1", [200.0, 1e3, 1e4])
+def test_nodes_only_radau_meet_shot_is_the_dense_shot_bitwise(delta1, k):
+    _assert_nodes_only_meet_shot_is_the_dense_one("s1", (delta1,), k, stiff=True)
 
 
 _STIFF_POINTS = (200.0, 300.0, 1e3, 1e4)
