@@ -37,14 +37,17 @@ probes and refinement, the blow-up guard, the terminations and the
   section II.10), with scipy's constants and error norm: 12 rhs calls a
   try, 3 more for the degree-7 dense interpolant of an accepted step that
   forms one;
-* Radau IIA of order 5, implicit and L-stable, taken when the caller passes
-  the Jacobian of the field.  Its constants are those of Hairer & Wanner's
-  RADAU5 code (*Solving Ordinary Differential Equations II*, 2nd ed.,
-  section IV.8), as scipy's ``scipy/integrate/_ivp/radau.py`` writes them,
-  and its Newton controller is that file's.  Its dense output is the cubic
-  collocation polynomial, stored as a quartic with q3 = 0.  The stiff
-  circle-side shots, Newton's tangent-carrying ones among them, and
-  ``bryant``'s trace take it.
+* Radau IIA of order 9, with 5 stages, implicit and L-stable, taken when
+  the caller passes the Jacobian of the field.  It is the method that
+  Hairer & Wanner's variable-order RADAU code takes at tight tolerances
+  (J. Comput. Appl. Math. 111, 1999), carried in the form of their 3-stage
+  RADAU5 (*Solving Ordinary Differential Equations II*, 2nd ed., section
+  IV.8), and its Newton controller is scipy's
+  ``scipy/integrate/_ivp/radau.py``.  Its error norm is the larger of
+  RADAU5's embedded estimate and the collocation polynomial's defect
+  between the nodes.  Its dense output is that polynomial, of degree 5.
+  The stiff circle-side shots, Newton's tangent-carrying ones and the
+  sweeps' among them, and ``bryant``'s trace take it.
 
 Tangent columns ride behind the state (``n_state``) on both steps and pay
 only for their stage arithmetic: the step control and the event read the
@@ -55,7 +58,7 @@ riders form dense stages but on the step that a monotone event walks.
 
 One step-size controller serves both: :func:`_step_factor`, Gustafsson's
 predictive rule as RADAU5 applies it (Hairer & Wanner IV.8), with the
-error norm's order, 8 or 4, as exponent.  It remembers the last accepted
+error norm's order, 8 or 6, as exponent.  It remembers the last accepted
 step and its norm, so a step that must shrink from one node to the next is
 shrunk before it is tried; the elementary rule, which forgets, accepted and
 rejected in turn there (the Riccati y' = y^2 to its blow-up: 234 rejected
@@ -285,41 +288,76 @@ _ERR_FLOOR = 1e-2  # RADAU5's floor on the remembered error norm, see _step_fact
 _MAX_STEPS = 500_000  # step tries before "max_steps", a safety valve
 _BLOWUP_NORM = 1e12  # the blow-up guard trips at max|y| >= this
 
-# Radau IIA of order 5, 3 stages (Hairer & Wanner, *Solving ODEs II*, IV.8):
-# the constants of their RADAU5 code as scipy's ``radau.py`` writes them.
-# _RC are the nodes, _RE the embedded third-order error weights, _RT/_RTI
-# the transform that splits the collocation system into one real and one
-# complex d x d system with the eigenvalues _MU_REAL, _MU_COMPLEX of A^-1,
-# and _RP the cubic collocation polynomial through the stages.
-_S6 = math.sqrt(6)
-_RC = np.array([(4 - _S6) / 10, (4 + _S6) / 10, 1.0])
-_RE = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1.0]) / 3
-_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
-_MU_COMPLEX = 3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3)) - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6))
+# Radau IIA of order 9, 5 stages: the collocation method on the zeros of
+# d^4/dx^4 [x^4 (x - 1)^5], which Hairer & Wanner's variable-order RADAU code
+# takes at tight tolerances ("Stiff differential equations solved by Radau
+# methods", J. Comput. Appl. Math. 111, 1999).  The constants, to 22 digits,
+# come from the collocation conditions in extended precision, as scipy's
+# ``radau.py`` writes those of the 3-stage RADAU5 (tests/test_ode.py derives
+# both sets again).  _RC are the nodes; _RE RADAU5's embedded error weights
+# carried to 5 stages, _MU_REAL (b^ - b) A^-1, where b^ are the weights of
+# order 5 on the nodes (0, _RC) with b^0 = 1/_MU_REAL; _RT/_RTI the transform
+# T with T^-1 A^-1 T = _LAMBDA, which splits the collocation system into one
+# real d x d system, with the real eigenvalue _MU_REAL of A^-1, and two
+# complex ones, each eigenvalue a + ib in a real 2 x 2 block; and _RP the
+# degree-5 collocation polynomial through the stages.
+_RC = np.array([
+    0.05710419611451768219312, 0.27684301363812382768, 0.5835904323689168200567,
+    0.8602401356562194478479, 1.0,
+])
+_RE = np.array([
+    -27.78093394406463730479, 3.641478498049213152712, -1.252547721169118720491,
+    0.5920031671845428725662, -0.2,
+])
+_MU_REAL = 6.286704751729276645173
 _RT = np.array([
-    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
-    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
-    [1.0, 1.0, 0.0],
+    [0.01357686734494794324766, -0.01024204781790882707009, -0.04767387729029572386318,
+     -0.01147851525522951470794, 0.01401985889287541028108],
+    [0.001617900401719087476439, 0.05017286451737105816299, 0.09433181918161143698066,
+     -0.007668830749180162885157, -0.02470857842651852681253],
+    [0.0791578533474472076449, -0.2305395340434179467214, -0.1027030453801258997922,
+     0.01939846399882895091122, -0.08180035370375117083639],
+    [0.4122560826804614519787, 0.3778939022488612495439, -0.4667441303324943592896,
+     0.4076011712801990666217, -0.1996824278868025259365],
+    [1.0, 1.0, 0.0, 1.0, 0.0],
 ])
 _RTI = np.array([
-    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
-    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
-    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492],
+    [27.69769377568408840917, 12.783337911304406015, 3.208489386713429859798,
+     -0.9514904122489162212717, 0.7415504960259896033537],
+    [5.344186437834911598895, 4.593615567759161004454, -3.036360323459424298646,
+     1.05066019023145886386, -0.2727786118642962705386],
+    [-3.748059807439804860051, 3.984965736343884667252, 1.044415641608018792942,
+     -1.184098568137948487231, 0.4499177701567803688988],
+    [-33.04188021351900000806, -17.37695347906356701945, -0.1721290632540055611515,
+     -0.09916977798254264258817, 0.5312281158383066671849],
+    [8.6114439798752919777, -9.699991409528808231336, -1.914728639696874284851,
+     -2.418692006084940026427, 1.047463487935337418694],
 ])
-# MU_REAL and MU_COMPLEX = a + ib as the real 3 x 3 block of the transformed
-# Newton system: w0 goes with MU_REAL, (w1, w2) with a + ib in real form
 _LAMBDA = np.array([
-    [_MU_REAL, 0.0, 0.0],
-    [0.0, _MU_COMPLEX.real, -_MU_COMPLEX.imag],
-    [0.0, _MU_COMPLEX.imag, _MU_COMPLEX.real],
+    [_MU_REAL, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 3.655694325463572258243, 6.543736899360077294021, 0.0, 0.0],
+    [0.0, -6.543736899360077294021, 3.655694325463572258243, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 5.70095329867178941917, 3.210265600308549888425],
+    [0.0, 0.0, 0.0, -3.210265600308549888425, 5.70095329867178941917],
 ])
 _RP = np.array([
-    [13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6],
-    [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6],
-    [1 / 3, -8 / 3, 10 / 3],
+    [27.78093394406463730479, -208.0278573009013363819, 524.1878839694918316622,
+     -543.8283560361324920544, 199.8873954234773594693],
+    [-3.641478498049213152712, 77.88337605511782785356, -264.8949135682263519042,
+     317.6758690799527338257, -127.0228530687949966223],
+    [1.252547721169118720491, -29.16741431782969682998, 137.9029044041347843974,
+     -202.090870943607426426, 92.10283313613322013809],
+    [-0.5920031671845428725662, 14.11189556361320535827, -72.39587480540026415533,
+     123.0433578997871846547, -64.16737549081558298507],
+    [0.2, -4.8, 25.2, -44.8, 25.2],
 ])
-_POWERS = np.array([1, 2, 3])  # of theta in that polynomial
-_RADAU_ORDER = 4  # local order of the embedded estimate: factors go as err^(-1/4)
+_NR = _RC.size  # stages
+_POWERS = np.arange(1, _NR + 1)  # of theta in that polynomial
+# the polynomial's value less y, and h times its slope, at theta = 1/2, as
+# weights on the stage increments; the step checks its defect there
+_MID = _RP @ 0.5**_POWERS
+_MID_SLOPE = _RP @ (_POWERS * 0.5 ** (_POWERS - 1))
+_RADAU_ORDER = 6  # local order of the step's error norm: factors go as err^(-1/6)
 _NEWTON_MAXITER = 6
 
 
@@ -380,7 +418,8 @@ class Trajectory:
     [t[i], t[i+1]] and carries the power-basis coefficients ``dense_q[i]``
     built over the original step ``dense_h[i]``; the two differ only on a
     final segment truncated by the event.  ``dense_q[i]`` is (d, 7), the
-    degree-7 DOP853 interpolant, or (d, 4) with q3 = 0 on a Radau step.
+    degree-7 DOP853 interpolant, or (d, 5), the degree-5 collocation
+    polynomial of a Radau step.
     When ``termination`` is ``"event"`` the last
     node ``(t[-1], y[-1])`` is the refined crossing.
 
@@ -490,7 +529,7 @@ class Trajectory:
 
 def _interp(y0, q, h, dt):
     """Dense output y0 + h * (q0 th + q1 th^2 + ... + q_k th^(k+1)) at
-    th = dt / h, in Horner form over q's last axis, k + 1 = 7 or 4 terms.
+    th = dt / h, in Horner form over q's last axis, k + 1 = 7 or 5 terms.
 
     One segment (y0 (d,), q (d, k + 1), scalar h) at scalar or (m,) dt, or
     any broadcast stack of segments (y0 (..., d), q (..., d, k + 1), h (...))
@@ -703,22 +742,32 @@ def _blown_up(y):
 
 
 class _Radau:
-    """The Radau IIA(5) step of :func:`integrate`, with the controller of
-    scipy's ``radau.py``: a simplified Newton iteration on the collocation
-    system, started from the last step's polynomial, with its
-    convergence-rate test; Jacobian reuse; :func:`_step_factor` with
+    """The Radau IIA(9) step of :func:`integrate`, 5 stages, with the
+    controller of scipy's ``radau.py``: a simplified Newton iteration on
+    the collocation system, started from the last step's polynomial, with
+    its convergence-rate test; Jacobian reuse; :func:`_step_factor` with
     Newton's safety factor; and halving after a Newton failure.  As in
     RADAU5, a rejected try, by its error or by a Newton failure, makes the
     next try estimate its error again and, when accepted, keep h from
     growing.
 
+    The step's error norm is the larger of two.  One is RADAU5's embedded
+    estimate, filtered through (MU_REAL/h - J)^-1.  The other is the
+    collocation polynomial's defect f(u) - u' at theta = 1/2, filtered the
+    same way, which costs one rhs call on each try the estimate accepts.
+    The filtered estimate alone measures the error at the nodes and lets a
+    stiff step grow until the polynomial strays between them: on
+    Prothero-Robinson at lam = 1e5, omega = 2, h reached 0.39 with the
+    polynomial off by 2.1e-7 between nodes, against 3e-10 at them, and an
+    event refined on it missed its time by 2.7e-8 (3e-12 with the defect).
+
     Newton works on the transformed stage increments W = _RTI Z, whose
-    system splits into a real one, (MU_REAL/h - J) dw0 = g0, and a complex
-    one, (MU_COMPLEX/h - J) (dw1 + i dw2) = g1 + i g2.  Both are kept in
-    real form as one 3d x 3d matrix, Lambda/h (x) I - I (x) J, and its
-    inverse, so each Newton iteration solves with one matrix-vector product
-    (a 4 x 4 ``lu_solve`` costs 10x that).  The inverse is formed again
-    when h or J changes.
+    system splits into a real one, (MU_REAL/h - J) dw0 = g0, and two complex
+    ones, ((a + ib)/h - J) (dw + i dw') = g + i g'.  All are kept in real
+    form as one 5d x 5d matrix, Lambda/h (x) I - I (x) J, and its inverse,
+    so each Newton iteration solves with one matrix-vector product (a 4 x 4
+    ``lu_solve`` costs 10x that).  The inverse is formed again when h or J
+    changes.
     """
 
     def __init__(self, rhs, jac, cfg: IntegratorConfig, t, y, n_state=None):
@@ -727,16 +776,17 @@ class _Radau:
         self.lam_i = np.kron(_LAMBDA, np.eye(self.d))  # Lambda (x) I
         self._take_jac(t, y[:self.d])
         self.retry = False  # the last try was rejected, by its error or by Newton
-        # (Z's last row, dense q (d, 3) transposed, h) of the last accepted
+        # (Z's last row, dense q (d, 5) transposed, h) of the last accepted
         # step, and the riders' Z row and q
         self.last = self.last_riders = None
         self.newton_tol = max(10 * np.finfo(float).eps / cfg.rtol, min(0.03, cfg.rtol**0.5))
         self.n_evals = 0
 
     def _take_jac(self, t, y):
-        i_j = np.zeros((3, self.d, 3, self.d))  # I (x) J: J on the diagonal blocks
-        i_j[[0, 1, 2], :, [0, 1, 2]] = np.asarray(self.jac(t, y), dtype=float)
-        self.i_j = i_j.reshape(3 * self.d, 3 * self.d)
+        i_j = np.zeros((_NR, self.d, _NR, self.d))  # I (x) J: J on the diagonal blocks
+        stage = np.arange(_NR)
+        i_j[stage, :, stage] = np.asarray(self.jac(t, y), dtype=float)
+        self.i_j = i_j.reshape(_NR * self.d, _NR * self.d)
         self.fresh_jac = True  # J was taken at the current state
         self.inv = None  # see _inverse
 
@@ -752,22 +802,23 @@ class _Radau:
             self.inv = (h, inv, inv[:self.d, :self.d], _LAMBDA / h)
         return self.inv
 
-    def _newton(self, t, y3, h, z, scale3):
-        """(converged, iterations, stage increments Z (3, d), rate), from
-        the state repeated in three rows, y3, and the error scale repeated
-        three times end to end, scale3, so that no operation broadcasts."""
+    def _newton(self, t, ys, h, z, scales):
+        """(converged, iterations, stage increments Z (5, d), rate), from
+        the state repeated in one row a stage, ys, and the error scale
+        repeated once a stage end to end, scales, so that no operation
+        broadcasts."""
         _, inv, _, lam = self._inverse(h)
         w = _RTI @ z
         F = np.empty_like(z)
         ts = [t + h * c for c in _RC.tolist()]
         norm_old = rate = None
         for k in range(_NEWTON_MAXITER):
-            stages = y3 + z
-            for i in range(3):
+            stages = ys + z
+            for i in range(_NR):
                 F[i] = self.rhs(ts[i], stages[i])
-            self.n_evals += 3
+            self.n_evals += _NR
             dw = inv @ (_RTI @ F - lam @ w).ravel()  # W's increment, flat
-            scaled = dw / scale3
+            scaled = dw / scales
             dw_norm = math.sqrt(float(scaled @ scaled) / scaled.size)
             if not dw_norm < math.inf:  # a stage left the field's domain
                 break
@@ -783,9 +834,9 @@ class _Radau:
         return False, k + 1, z, rate
 
     def _riders(self, t, h, stages, v, lift):
-        """The riders' values (m,) at t + h and their dense rows (m, 4), q3 =
-        0, over the accepted step h, from their values v at t and the
-        state's converged stages.
+        """The riders' values (m,) at t + h and their dense rows (m, 5)
+        over the accepted step h, from their values v at t and the state's
+        converged stages.
 
         The riders' collocation system is linear, and its Jacobian is block
         lower-triangular with I (x) J on the diagonal blocks, so the state's
@@ -798,29 +849,29 @@ class _Radau:
         cfg, d, m = self.cfg, self.d, v.size
         _, inv, _, lam = self.inv
         if lift is None:
-            zr = np.zeros((3, m))
+            zr = np.zeros((_NR, m))
         else:
             zr_end, qr_t = self.last_riders
             zr = lift @ qr_t - zr_end
         wr = _RTI @ zr
         v_list = v.tolist()
-        v3 = np.array(v_list * 3).reshape(3, m)
-        scale3 = np.array([cfg.atol + cfg.rtol * abs(a) for a in v_list] * 3)
+        vs = np.array(v_list * _NR).reshape(_NR, m)
+        scales = np.array([cfg.atol + cfg.rtol * abs(a) for a in v_list] * _NR)
         ts = [t + h * c for c in _RC.tolist()]
-        full = np.empty((3, d + m))  # the stages at full width, the state's fixed
+        full = np.empty((_NR, d + m))  # the stages at full width, the state's fixed
         full[:, :d] = stages
         Fr = np.empty_like(zr)
         norm_old = rate = None
         for _ in range(_NEWTON_MAXITER):
-            np.add(v3, zr, out=full[:, d:])
-            for i in range(3):
+            np.add(vs, zr, out=full[:, d:])
+            for i in range(_NR):
                 Fr[i] = self.rhs(ts[i], full[i])[d:]
-            self.n_evals += 3
+            self.n_evals += _NR
             # rider column c, entries c d to c d + d of each stage row, solves
-            # as the state does: its three stage rows stacked into one 3d vector
-            g = (_RTI @ Fr - lam @ wr).reshape(3, m // d, d).transpose(0, 2, 1).reshape(3 * d, -1)
-            dw = (inv @ g).reshape(3, d, -1).transpose(0, 2, 1).reshape(3, m)
-            scaled = dw.ravel() / scale3
+            # as the state does: its five stage rows stacked into one 5d vector
+            g = (_RTI @ Fr - lam @ wr).reshape(_NR, m // d, d).transpose(0, 2, 1).reshape(_NR * d, -1)
+            dw = (inv @ g).reshape(_NR, d, -1).transpose(0, 2, 1).reshape(_NR, m)
+            scaled = dw.ravel() / scales
             dw_norm = math.sqrt(float(scaled @ scaled) / scaled.size)
             wr = wr + dw
             zr = _RT @ wr
@@ -831,15 +882,14 @@ class _Radau:
             norm_old = dw_norm
         else:
             zr = np.full_like(zr, math.nan)
-        q = np.zeros((m, 4))
-        np.divide(zr.T @ _RP, h, out=q[:, :3])
-        self.last_riders = (zr[-1], q[:, :3].T)
+        q = (zr.T @ _RP) / h
+        self.last_riders = (zr[-1], q.T)
         return v + zr[-1], q
 
     def step(self, t, y, f, h, h_old, err_old):
         """One try at the step from (t, y), f = rhs(t, y), to t + h, after
-        the accepted step h_old with norm err_old: the new state, its (d, 4)
-        dense coefficients (q3 = 0), rhs there and None, in the place of
+        the accepted step h_old with norm err_old: the new state, its (d, 5)
+        dense coefficients, rhs there and None, in the place of
         DOP853's stages (:func:`_explicit_step`), when accepted, else None;
         the factor to step on or retry with; and the error norm.
 
@@ -852,7 +902,7 @@ class _Radau:
         if y.size > self.d:
             y, riders, f = y[:self.d], y[self.d:], f[:self.d]
         if self.last is None:
-            z0 = np.zeros((3, self.d))
+            z0 = np.zeros((_NR, self.d))
         else:
             # the last step's polynomial continued to this step's nodes
             z_end, q_t, h_a = self.last
@@ -860,10 +910,10 @@ class _Radau:
             lift = h_a * (x[:, None] ** _POWERS)
             z0 = lift @ q_t - z_end
         y_list = y.tolist()
-        y3 = np.array(y_list * 3).reshape(3, self.d)
-        scale3 = np.array([cfg.atol + cfg.rtol * abs(v) for v in y_list] * 3)
+        ys = np.array(y_list * _NR).reshape(_NR, self.d)
+        scales = np.array([cfg.atol + cfg.rtol * abs(v) for v in y_list] * _NR)
         while True:
-            converged, n_iter, z, rate = self._newton(t, y3, h, z0, scale3)
+            converged, n_iter, z, rate = self._newton(t, ys, h, z0, scales)
             if converged or self.fresh_jac:
                 break
             self._take_jac(t, y)
@@ -882,6 +932,13 @@ class _Radau:
             err = inv_real @ (self.rhs(t, y + err) + ze)
             self.n_evals += 1
             err_norm = _error_norm(err, y, y_new, cfg)
+        if err_norm <= 1.0:
+            # the polynomial's defect at theta = 1/2, filtered as the estimate
+            defect = self.rhs(t + 0.5 * h, y + _MID @ z) - (_MID_SLOPE @ z) / h
+            self.n_evals += 1
+            defect_norm = _error_norm(inv_real @ defect, y, y_new, cfg)
+            if not defect_norm <= err_norm:  # NaN rejects
+                err_norm = defect_norm
         safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
         factor = _step_factor(h, err_norm, h_old, err_old, _RADAU_ORDER, safety)
         if not err_norm <= 1.0:  # NaN rejects too
@@ -897,7 +954,7 @@ class _Radau:
         if not recompute_jac and factor < 1.2:
             factor = 1.0  # keep h, and with it the inverse
         if riders is not None:  # before the inverse changes with J
-            riders = self._riders(t, h, y3 + z, riders, lift)
+            riders = self._riders(t, h, ys + z, riders, lift)
         f_new = self.rhs(t + h, y_new)
         self.n_evals += 1
         if recompute_jac:
@@ -905,9 +962,8 @@ class _Radau:
         else:
             self.fresh_jac = False
         self.retry = False
-        q = np.zeros((self.d, 4))
-        np.divide(z.T @ _RP, h, out=q[:, :3])
-        self.last = (z[-1], q[:, :3].T, h)
+        q = (z.T @ _RP) / h
+        self.last = (z[-1], q.T, h)
         if riders is not None:
             y_new, q = np.concatenate((y_new, riders[0])), np.concatenate((q, riders[1]))
         return (y_new, q, f_new, None), factor, err_norm
@@ -1005,7 +1061,7 @@ def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state, h_old, err_o
 
 def _blown_start(t0, y, width) -> Trajectory:
     """The trajectory of a start state that the blow-up guard stops at once;
-    ``width`` is that of the step's dense rows, 7 for DOP853 and 4 for Radau."""
+    ``width`` is that of the step's dense rows, 7 for DOP853 and 5 for Radau."""
     return Trajectory(np.array([t0]), y[None], np.zeros((0, y.size, width)), np.zeros(0), "blowup")
 
 
@@ -1023,14 +1079,14 @@ def integrate(
     """Integrate y' = rhs(t, y) from t0 to t_end (forward only).
 
     Steps with DOP853, or, when the Jacobian ``jac(t, y)`` (d, d) of rhs
-    is given, with Radau IIA(5) (RADAU5's constants and scipy's
-    controller, see the module docstring).  That implicit step is L-stable,
-    so on a stiff problem its step size follows the solution and not the
-    stiff eigenvalue; each step costs about 8 rhs calls against DOP853's
-    15.  Both steps feed one loop: the same event probes and refinement,
-    blow-up guard, terminations and :class:`Trajectory`.  A DOP853 segment
-    stores its degree-7 interpolant in ``dense_q`` (d, 7), a Radau segment
-    its cubic collocation polynomial (d, 4) with q3 = 0.  ``n_rhs_evals``
+    is given, with the 5-stage Radau IIA of order 9 (see the module
+    docstring).  That implicit step is L-stable, so on a stiff problem its
+    step size follows the solution and not the stiff eigenvalue; each step
+    costs about 18 rhs calls, against DOP853's 15, and takes the place of
+    several.  Both steps feed one loop: the same event probes and
+    refinement, blow-up guard, terminations and :class:`Trajectory`.  A
+    DOP853 segment stores its degree-7 interpolant in ``dense_q`` (d, 7), a
+    Radau segment its degree-5 collocation polynomial (d, 5).  ``n_rhs_evals``
     counts every call of rhs, the dense output's and Newton's included;
     the calls of jac are not counted.
 
@@ -1086,7 +1142,7 @@ def integrate(
     if not t_end > t0:
         raise ValueError("integration is forward only: t_end must exceed t0")
     if _blown_up(y[:n_state]):  # stepping on would only spin through the step budget
-        return _blown_start(t0, y, 7 if jac is None else 4)
+        return _blown_start(t0, y, 7 if jac is None else _NR)
 
     f = np.asarray(rhs(t0, y), dtype=float)
     radau = None if jac is None else _Radau(rhs, jac, cfg, t0, y, n_state)
@@ -1179,7 +1235,7 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
     return Trajectory(
         t=np.array(ts),
         y=np.array(ys),
-        dense_q=np.array(qs) if qs else np.zeros((0, y.size, 4 if radau else 7)),
+        dense_q=np.array(qs) if qs else np.zeros((0, y.size, _NR if radau else 7)),
         dense_h=np.array(hs),
         termination=termination,
         n_rhs_evals=n_evals + (radau.n_evals if radau else 0),

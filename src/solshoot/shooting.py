@@ -26,10 +26,10 @@ on the Radau step alike (see "Stiff regime" below).
 The sweeps (``sample_curve``, ``sample_surface``, ``scan_domain``) shoot all
 their nodes of one side together, in lockstep through
 ``ode.integrate_batch``, one process; the last node left goes on alone in
-``ode.integrate``'s loop.  Every node's result is bit-identical
-to its single DOP853 shot, so it does not depend on the sweep's size or order;
-that is ``shoot_curve_point``/``shoot_surface_point`` except for a circle-side
-node in the stiff regime below.  ``scan_domain`` still accepts a ``workers``
+``ode.integrate``'s loop.  A circle-side node in the stiff regime below
+takes its single Radau shot instead.  Every node's result is bit-identical
+to ``shoot_curve_point``/``shoot_surface_point``'s, so it does not depend on
+the sweep's size or order.  ``scan_domain`` still accepts a ``workers``
 argument, with no effect, because the benchmark's scan workload passes it.
 Each lane ends as an ``ode.Trajectory``: in ``sample_curve`` the whole shot,
 for its curvature minima, elsewhere its last node with its counters.
@@ -41,25 +41,20 @@ Stiff regime: on the circle side at large delta1, the L1 and L2 equations
 have the eigenvalue -xi while xi is large, and the explicit step is held to
 its stability limit there, so its step count grows linearly in delta1
 (DOP853: 1.5k, 5.9k and 38k steps to xi = 10 at delta1 = 1e2, 1e3, 1e4).
-A plain circle-side shot with delta1 >= ``_STIFF_DELTA1`` = 200 therefore
-takes the Radau IIA(5) step of ``ode.integrate``, given the exact Jacobian
-``family_tangent(y, I)``: 2.1k to 3.8k steps to xi = 10 from delta1 = 200
-to 1e6.  Uncapped in t, a shot meets near t = 6 sqrt(delta1) to delta1 ~ 2.3e21.
-200 was set where DOP853 and Radau cost the same before Radau's REJECT
-rule and the 1e-1 launch; they now cost the same near delta1 = 150
-(DOP853 is cheaper at 125, Radau at 200), and DOP853 makes more rhs calls
-from delta1 = 75 on (README, "Stiff regime").  The route depends on delta1 alone, never on a
-runtime test.  The plain scalar shot and Newton's tangent-carrying shot take
-the Radau step, whose riders follow the state's (``ode.integrate``), so
-Newton's F is bitwise ``mismatch`` at every delta1.  Every sweep lane
-(``integrate_batch`` is explicit only), the sphere side and every delta1
-below 200 take DOP853.  So at delta1 >= 200, a ``sample_curve`` node agrees
-with ``shoot_curve_point`` to within the integration tolerance, not
-bitwise.  Sweeps stay explicit, as a lockstep batch shares each step among
-its lanes: ``curve --range 200,2000 --n 100`` took 8.4-13.0 s batched, against
-27.6-36.6 s as scalar Radau shots, but ``--range 1e3,1e4 --n 10`` took 24.4-28.3 s
-against 3.1-5.3 s (three interleaved runs, one CPU of a 2-vCPU Xeon VM).
-The last lane, which leaves the batch, stays explicit too.
+A circle-side shot with delta1 >= ``_STIFF_DELTA1`` = 20 therefore takes
+the 5-stage Radau IIA step of ``ode.integrate``, given the exact Jacobian
+``family_tangent(y, I)``: 174, 225, 294, 379 and 526 steps to xi = 10 at
+delta1 = 20, 1e2, 1e3, 1e4 and 1e6.  Uncapped in t, a shot meets near
+t = 6 sqrt(delta1) to delta1 ~ 2.3e21.  20 is the measured crossover of
+the meet shots of nodes only, which ``mismatch`` takes: DOP853 costs less
+at 15, Radau at 20 (README, "Stiff regime").  It lies above 10, the top of
+the default scan box, whose lanes all take DOP853.  The route depends on
+delta1 alone, never on a runtime test: the plain shot, Newton's
+tangent-carrying shot, whose riders follow the state's
+(``ode.integrate``), and a sweep's node all take it, so Newton's F is
+bitwise ``mismatch`` and a ``sample_curve`` node bitwise
+``shoot_curve_point`` at every delta1.  The sphere side and every delta1
+below 20 take DOP853.
 """
 
 from __future__ import annotations
@@ -115,9 +110,9 @@ _COLLAPSE_L1 = -1e6  # "collapse" stop: L1 falls to this on the circle side,
 _COLLAPSE_R = 1e6  # R rises to this on the sphere side
 _NEWTON_TOL = 1e-7  # Newton converges when |F|_inf < this
 _MAX_ITER = 25  # Newton iterations before MaxIterations
-# plain circle-side shots from this delta1 on take ode.integrate's Radau IIA
+# circle-side shots from this delta1 on take ode.integrate's Radau IIA
 # step; see "Stiff regime" in the module docstring
-_STIFF_DELTA1 = 200.0
+_STIFF_DELTA1 = 20.0
 _EYE4 = np.eye(4)
 _MAX_EPS = 1e-1  # the deepest series handoff ShootConfig.t_eps may ask for
 # levels of the launch series, whose last term is of order t^(2L - 1): the
@@ -676,9 +671,8 @@ def _mismatch_with_jacobian(p: np.ndarray, cfg: ShootConfig):
         m1, dm1 = _meet_with_slope("s1", (p[0],), cfg)
         m2, dm2 = _meet_with_slope("s2", (p[1], p[2]), cfg)
     except (EventNotReached, InadmissibleParameters) as exc:
-        raise ShootFailure(
-            f"shot failed at (d1, d2, d3) = {tuple(p)!r}: {exc}", params=tuple(p)
-        ) from exc
+        params = tuple(p.tolist())  # plain floats, which print without numpy's repr
+        raise ShootFailure(f"shot failed at (d1, d2, d3) = {params!r}: {exc}", params=params) from exc
     return m1 - m2, np.column_stack((dm1, -dm2))
 
 
@@ -724,7 +718,7 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
             solved = np.linalg.solve(J, np.column_stack((-F, np.eye(3))))
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(
-                f"Jacobian singular at {tuple(p)!r} (iteration {it})",
+                f"Jacobian singular at {tuple(p.tolist())!r} (iteration {it})",
                 result=RootResult(tuple(p), res, it, tuple(history)),
             ) from exc
         step = solved[:, 0]
@@ -743,7 +737,7 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
         else:
             history.append(NewtonStep(res, 0.0, cond, 2 * trials))
             raise MaxIterations(
-                f"no decrease after 20 halvings at {tuple(p)!r}, residual {res:.3e}",
+                f"no decrease after 20 halvings at {tuple(p.tolist())!r}, residual {res:.3e}",
                 result=RootResult(tuple(p), res, it + 1, tuple(history)),
             )
         history.append(NewtonStep(res_new, damp, cond, 2 * trials))
@@ -758,12 +752,14 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
 
 
 def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = False) -> list:
-    """Meet shots of many parameter points, in lockstep through
-    ``integrate_batch``, every one with the DOP853 step.
+    """Meet shots of many parameter points, each bitwise its single shot:
+    in lockstep through ``integrate_batch`` on the DOP853 step, but a
+    circle-side point from ``_STIFF_DELTA1`` on, which takes its single
+    Radau shot.
 
     Per point, (meet, trajectory, reason): a failed shot has meet None and
-    the text its single DOP853 shot would raise as reason; the trajectory,
-    the whole lane, is returned only with ``history``, else None.
+    the text its single shot would raise as reason; the trajectory, the
+    whole shot, is returned only with ``history``, else None.
     """
     out = [None] * len(points)
     lanes, t0s, y0s = [], [], []
@@ -774,6 +770,14 @@ def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = Fals
             out[i] = (None, None, str(exc))
             continue
         t0, y0 = _launch(side, p, cfg)
+        if side == "s1" and p[0] >= _STIFF_DELTA1:
+            try:
+                traj = _shoot(y0, t0, side, "meet", cfg, 1.0, stiff=True, dense=history)
+            except EventNotReached as exc:
+                out[i] = (None, None, str(exc))
+            else:
+                out[i] = (_meet_from(traj.y[-1]), traj if history else None, None)
+            continue
         lanes.append(i)
         t0s.append(t0)
         y0s.append(y0)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solshoot import bryant, cli, shooting
-from solshoot.errors import EventNotReached
+from solshoot.errors import EventNotReached, ShootFailure
 from solshoot.shooting import ROUND_DELTAS, shoot_surface_point
 
 
@@ -696,6 +696,21 @@ def test_shot_failure_record_prints_plain_numbers(capsys):
     message = rows[0][1]
     assert "array(" not in message and ";" not in message
     assert message.endswith("state=-1.00998e+101 -9.95017e+100 3.74065e-102 0.5")
+
+
+def test_newton_shot_failure_record_prints_plain_numbers(capsys):
+    # Newton's failed shot names its point in plain floats, in the record
+    # and in the exception's params, not as numpy scalars' reprs
+    code, out = run(capsys, ["root", "--guess", "0.1,-0.5,0.7", "--tol-rel", "0.5"])
+    assert code == 2
+    _, columns, rows = parse_csv(out)
+    assert columns == ("error", "message") and rows[0][0] == "ShootFailure"
+    assert "np.float64" not in out
+    assert rows[0][1].startswith("shot failed at (d1; d2; d3) = (0.1; -0.5; 0.7): ")
+    with pytest.raises(ShootFailure) as failure:
+        shooting.find_root((0.1, -0.5, 0.7), shooting.ShootConfig(rtol=0.5))
+    assert failure.value.params == (0.1, -0.5, 0.7)
+    assert all(type(v) is float for v in failure.value.params)
 
 
 def test_infeasible_blend_exits_64(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from unittest.mock import patch
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -822,6 +823,80 @@ def test_n_state_outside_the_state_width_is_rejected(n_state):
 # ------------------------------------------------------- the Radau IIA step
 
 
+def _radau_iia(s):
+    """Radau IIA with s stages from its collocation conditions, at 50
+    digits, in the form ode keeps it: the nodes c, the zeros of
+    d^(s-1)/dx^(s-1) [x^(s-1) (x - 1)^s]; a_ij, the integral of the Lagrange
+    polynomial l_j from 0 to c_i; T, the real eigenvector of A^-1 and the
+    real and imaginary parts of each complex one with positive imaginary
+    part, every one scaled to end in 1; Lambda = T^-1 A^-1 T and its real
+    eigenvalue mu; the error weights mu (b^ - b) A^-1, where b^ has order s
+    on the nodes (0, c) with b^0 = 1/mu; and P, whose column j gives the
+    coefficient of theta^(j+1) in the polynomial through (0, 0) and the
+    stages (c_i, z_i)."""
+    with mpmath.workdps(50):
+        # x^(s-1) (x - 1)^s differentiated s - 1 times, highest power first
+        coefs = [
+            mpmath.binomial(s, k) * (-1) ** (s - k) * mpmath.factorial(k + s - 1) / mpmath.factorial(k)
+            for k in range(s, -1, -1)
+        ]
+        c = sorted(mpmath.re(x) for x in mpmath.polyroots(coefs, maxsteps=200, extraprec=200))
+        c[-1] = mpmath.mpf(1)
+        V = mpmath.matrix([[x**k for k in range(s)] for x in c])
+        W = mpmath.matrix([[x ** (k + 1) / (k + 1) for k in range(s)] for x in c])
+        A = W * mpmath.inverse(V)
+        A_inv = mpmath.inverse(A)
+        eigs, vecs = mpmath.eig(A_inv)
+        tiny = mpmath.mpf(10) ** -40
+        (real,) = [i for i in range(s) if abs(mpmath.im(eigs[i])) < tiny]
+        pairs = sorted((i for i in range(s) if mpmath.im(eigs[i]) > tiny), key=lambda i: mpmath.re(eigs[i]))
+        columns = []
+        for i in [real, *pairs]:
+            v = [vecs[r, i] / vecs[s - 1, i] for r in range(s)]
+            columns += [[mpmath.re(x) for x in v]] + ([[mpmath.im(x) for x in v]] if i != real else [])
+        T = mpmath.matrix(columns).T
+        T_inv = mpmath.inverse(T)
+        mu = mpmath.re(eigs[real])
+        lam = T_inv * A_inv * T
+        conditions = mpmath.matrix([[x**k for x in c] for k in range(s)])
+        moments = [mpmath.mpf(1) / (k + 1) - (1 / mu if k == 0 else 0) for k in range(s)]
+        bhat = mpmath.lu_solve(conditions, mpmath.matrix(moments))
+        E = mu * (bhat.T - A[s - 1, :]) * A_inv
+        P = mpmath.inverse(mpmath.matrix([[x ** (k + 1) for k in range(s)] for x in c])).T
+        as_float = lambda m: np.array(m.tolist(), dtype=float)
+        return {"c": np.array(c, dtype=float), "E": as_float(E)[0], "T": as_float(T), "TI": as_float(T_inv),
+                "Lambda": as_float(lam), "mu": float(mu), "P": as_float(P)}
+
+
+def _assert_close(got, want):
+    # 1e-14 relative, entry by entry; an entry the derivation leaves at
+    # rounding level (below 1e-40) must be 0
+    assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 1e-40)
+
+
+def test_radau_derivation_gives_scipys_radau5_at_three_stages():
+    # _radau_iia, checked on the 3-stage RADAU5 constants that scipy's
+    # radau.py writes: its T as well, so the scaling of T is Hairer &
+    # Wanner's
+    from scipy.integrate._ivp import radau as ref
+
+    got = _radau_iia(3)
+    for name, want in (("c", ref.C), ("E", ref.E), ("P", ref.P), ("T", ref.T), ("TI", ref.TI)):
+        _assert_close(got[name], want)
+    _assert_close(np.array([got["mu"]]), np.array([ref.MU_REAL]))
+    lam = got["Lambda"]
+    block = np.array([[ref.MU_COMPLEX.real, -ref.MU_COMPLEX.imag], [ref.MU_COMPLEX.imag, ref.MU_COMPLEX.real]])
+    _assert_close(lam, np.block([[np.array([[ref.MU_REAL]]), np.zeros((1, 2))], [np.zeros((2, 1)), block]]))
+
+
+def test_radau_constants_are_the_five_stage_collocation_method():
+    want = _radau_iia(5)
+    for name, got in (("c", ode._RC), ("E", ode._RE), ("T", ode._RT), ("TI", ode._RTI),
+                      ("Lambda", ode._LAMBDA), ("P", ode._RP)):
+        _assert_close(got, want[name])
+    _assert_close(np.array([ode._MU_REAL]), np.array([want["mu"]]))
+
+
 def _prothero_robinson(lam, omega=1.0):
     """y' = -lam (y - cos(omega t)) - omega sin(omega t), whose solution from
     y(0) = 1 is cos(omega t) for every lam; its Jacobian is the constant -lam."""
@@ -850,11 +925,10 @@ def test_radau_prothero_robinson_matches_closed_form_at_every_stiffness(cfg):
     assert max(steps.values()) <= 2 * steps[1e2]
 
 
-def test_radau_dense_output_is_cubic_and_node_exact():
+def test_radau_dense_output_is_quintic_and_node_exact():
     rhs, jac = _prothero_robinson(1e4, omega=3.0)
     traj = integrate(rhs, 0.0, [1.0], 5.0, jac=jac)
-    assert traj.dense_q.shape == (len(traj.t) - 1, 1, 4)
-    assert np.all(traj.dense_q[..., 3] == 0.0)
+    assert traj.dense_q.shape == (len(traj.t) - 1, 1, 5)
     assert traj.eval(traj.t).tobytes() == traj.y.tobytes()
     mid = 0.5 * (traj.t[:-1] + traj.t[1:])
     assert np.max(np.abs(traj.eval(mid)[:, 0] - np.cos(3.0 * mid))) < 1e-6
@@ -862,16 +936,16 @@ def test_radau_dense_output_is_cubic_and_node_exact():
 
 def test_blown_start_stores_its_step_dense_width():
     # a start the blow-up guard stops keeps no segment, in rows as wide as
-    # its step's: 4 for Radau, like the empty trajectory of a NaN field
+    # its step's: 5 for Radau, like the empty trajectory of a NaN field
     rhs, jac = _prothero_robinson(1e4)
     nan_field = integrate(
         lambda t, y: np.array([math.nan]), 0.0, [1.0], 1.0, jac=lambda t, y: np.array([[math.nan]])
     )
-    assert nan_field.dense_q.shape == (0, 1, 4)
+    assert nan_field.dense_q.shape == (0, 1, 5)
     for start in (math.inf, math.nan):
         radau = integrate(rhs, 0.0, [start], 1.0, jac=jac)
         assert radau.termination == "blowup"
-        assert radau.dense_q.shape == (0, 1, 4)
+        assert radau.dense_q.shape == (0, 1, 5)
         assert integrate(rhs, 0.0, [start], 1.0).dense_q.shape == (0, 1, 7)
 
 
@@ -902,7 +976,7 @@ def test_radau_takes_riders_in_whole_columns():
     rhs, jac = _prothero_robinson_with_riders(10.0)
     traj = integrate(rhs, 0.0, [1.0, 1.0, -2.0], 1.0, n_state=1, jac=jac)
     assert traj.termination == "reached_end"
-    assert traj.dense_q.shape[1:] == (3, 4)
+    assert traj.dense_q.shape[1:] == (3, 5)
     decay = np.exp(-10.0 * traj.t)
     assert np.max(np.abs(traj.y[:, 1:] - np.column_stack((decay, -2.0 * decay)))) <= 1e-8
     with pytest.raises(ValueError, match="columns"):
@@ -941,7 +1015,7 @@ def test_property_radau_tangent_riders_leave_the_state_bitwise(lam, omega, rider
     assert aug.dense_q[:, :1].tobytes() == plain.dense_q.tobytes()
     assert aug.dense_h.tobytes() == plain.dense_h.tobytes()
     assert (aug.termination, aug.n_rejected) == (plain.termination, plain.n_rejected)
-    assert np.all(aug.dense_q[..., 3] == 0.0)  # the riders' rows are cubic too
+    assert aug.dense_q.shape[2] == 5  # the riders' rows are quintic too
 
 
 @settings(max_examples=10, deadline=None)

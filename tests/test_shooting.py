@@ -1280,7 +1280,7 @@ def test_every_field_evaluation_is_one_family_rhs_call(monkeypatch):
     for delta1 in (0.3, 300.0):
         n, (_, traj) = counted(lambda: shoot_curve_point(delta1, cfg))
         assert n == traj.n_rhs_evals
-    assert np.all(traj.dense_q[..., 3] == 0.0)  # delta1 = 300 took Radau's step
+    assert traj.dense_q.shape[2] == 5  # delta1 = 300 took Radau's step
     n, (_, traj) = counted(lambda: shoot_surface_point(-0.5, 0.7, cfg))
     assert n == traj.n_rhs_evals
     for side, params in (("s1", (0.3,)), ("s2", (-0.5, 0.7))):
@@ -1300,7 +1300,7 @@ def test_every_field_evaluation_is_one_family_rhs_call_on_a_radau_tangent_shot(m
     cfg = ShootConfig()
     t0, y0 = shooting._launch("s1", (300.0,), cfg, tangent=True)
     traj = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0, 1, stiff=True)
-    assert np.all(traj.dense_q[..., 3] == 0.0)  # Radau's cubic
+    assert traj.dense_q.shape[2] == 5  # Radau's quintic
     assert len(calls) == traj.n_rhs_evals
     calls.clear()
     shooting._meet_with_slope("s1", (300.0,), cfg)
@@ -1395,7 +1395,7 @@ def test_property_radau_tangent_shot_is_the_plain_radau_shot_bitwise(delta1):
     t0, y0 = shooting._launch("s1", (delta1,), cfg, tangent=True)
     aug = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0, 1, stiff=True)
     assert aug.y.shape[1] == 8
-    assert np.all(aug.dense_q[..., 3] == 0.0)  # Radau's cubic, the riders' rows too
+    assert aug.dense_q.shape[2] == 5  # Radau's quintic, the riders' rows too
     assert aug.t.tobytes() == plain.t.tobytes()
     assert aug.y[:, :4].tobytes() == plain.y.tobytes()
     assert aug.dense_q[:, :4].tobytes() == plain.dense_q.tobytes()
@@ -1424,32 +1424,24 @@ def test_radau_tangent_jacobian_matches_central_differences(delta1):
     assert np.max(np.abs(J[:, 0] - want)) <= 1e-4 * np.max(np.abs(want))
 
 
-def test_curve_lanes_straddling_the_stiff_threshold_are_dp5_shots(monkeypatch):
-    # node 20 lies below _STIFF_DELTA1 and repeats its single shot bitwise;
-    # node 200's single shot takes Radau, its lane the batch's DP5, so the
-    # lane repeats the scalar DP5 shot bitwise and the single shot's meet to
-    # the integration tolerance.  The sweep's own lanes are recorded to
-    # compare their trajectories too
+def test_curve_nodes_straddling_the_stiff_threshold_are_their_single_shots(monkeypatch):
+    # node 10 lies below _STIFF_DELTA1, and its lane repeats its single
+    # DOP853 shot bitwise; node _STIFF_DELTA1 leaves the batch for its single
+    # Radau shot, so it is bitwise shoot_curve_point's too, its trajectory
+    # included.  The sweep's own shots are recorded to compare them
     lanes = []
     record = lambda *args, **kwargs: lanes.extend(_shoot_lanes(*args, **kwargs)) or lanes
     monkeypatch.setattr(shooting, "_shoot_lanes", record)
     cfg = ShootConfig()
-    samples = sample_curve((20.0, shooting._STIFF_DELTA1), 2, cfg)
+    samples = sample_curve((10.0, shooting._STIFF_DELTA1), 2, cfg)
     assert samples[0].delta1 < shooting._STIFF_DELTA1 == samples[1].delta1
     for sample, (meet, traj, reason) in zip(samples, lanes, strict=True):
         w_meet, w_traj, w_status = _single_s1(sample.delta1, cfg)
         assert sample.status == w_status == _lane_status(reason) == "ok"
-        assert sample.meet == meet
-        assert not np.all(traj.dense_q[..., 3] == 0.0)  # DP5's quartic
-        if sample.delta1 < shooting._STIFF_DELTA1:
-            assert meet == w_meet
-            assert _traj_bytes(traj) == _traj_bytes(w_traj)
-        else:
-            assert np.all(w_traj.dense_q[..., 3] == 0.0)  # Radau's cubic
-            t0, y0 = shooting._launch("s1", (sample.delta1,), cfg)
-            dp5 = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0)
-            assert _traj_bytes(traj) == _traj_bytes(dp5)
-            assert np.max(np.abs(np.subtract(meet, w_meet))) <= 1e-9
+        assert sample.meet == meet == w_meet
+        assert _traj_bytes(traj) == _traj_bytes(w_traj)
+    # DOP853's degree-7 interpolant below the threshold, Radau's quintic at it
+    assert [traj.dense_q.shape[2] for _, traj, _ in lanes] == [7, 5]
 
 
 def test_newton_residual_matches_the_radau_mismatch_in_the_stiff_regime():
