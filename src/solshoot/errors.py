@@ -69,6 +69,11 @@ class MaxIterations(NonConvergence):
     """Newton stopped: iteration or damping budget exhausted."""
 
 
+class LargeNewtonStep(NonConvergence):
+    """Newton stopped: the residual is below tolerance, but the Newton step
+    at that point is not small, so the point is no root."""
+
+
 class ShootFailure(SolshootError):
     """A shot inside an outer iteration failed; carries the parameters."""
 

@@ -77,10 +77,16 @@ a lane's whole or, without its history, its last node and its counters.
 The step's elementwise work on one state, the error norm, the blow-up
 guard and the probe's dense points, runs on Python floats, which cost less
 than numpy's calls on a few entries; the lane block keeps the array form.
+So does the refinement of a crossing: each dense evaluation that brentq
+asks for, at a scalar time, and the refined node's state.  The probe and
+the refinement share one Horner loop on Python floats, :func:`_horner`,
+bitwise :func:`_interp`; it cut one refinement from about 105 to 44 us
+(BENCH_31.json).
 Each one-state form repeats its array form's operations in the same order,
 so a lane and a single shot agree bitwise.  Every matrix product stays a
 numpy product of the same shapes in both, as lane identity rests on the
-BLAS kernel's summation order.
+BLAS kernel's summation order.  A lane block forms its stage times once a
+try, in one array (:func:`_block_times`).
 """
 
 from __future__ import annotations
@@ -565,9 +571,37 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(v))))
 
 
+def _horner(y0, q, h, thetas) -> list:
+    """One segment's dense output (y0 (d,), q (d, k + 1)) at the Python-float
+    ``thetas`` and a Python-float h, on Python floats and bitwise
+    :func:`_interp`'s: component by component, its value at each theta, in
+    one flat list.  On a few entries Python floats cost less than numpy's
+    calls."""
+    out = []
+    for y0_k, coefs in zip(y0.tolist(), q.tolist()):
+        coefs.reverse()
+        last, rest = coefs[0], coefs[1:]
+        for th in thetas:
+            # _interp's Horner form, then its y0 + (h th) acc
+            acc = last
+            for c in rest:
+                acc = acc * th + c
+            out.append(y0_k + h * th * acc)
+    return out
+
+
 def _segment(t0, y0, q, h):
-    """Dense output of one step from (t0, y0) at scalar or array times."""
-    return lambda tt: _interp(y0, q, h, tt - t0)
+    """Dense output of one step from (t0, y0) at scalar or array times.  A
+    scalar time, as brentq's while it refines a crossing, evaluates on
+    Python floats (:func:`_horner`)."""
+    t0, h = float(t0), float(h)
+
+    def at(tt):
+        if isinstance(tt, float):
+            return np.array(_horner(y0, q, h, [(tt - t0) / h]))
+        return _interp(y0, q, h, tt - t0)
+
+    return at
 
 
 def brentq(f, a, b, xtol, rtol, maxiter):
@@ -969,6 +1003,14 @@ class _Radau:
         return (y_new, q, f_new, None), factor, err_norm
 
 
+def _block_times(t, h, first, stop):
+    """The stage times t + c h of the stages first to stop - 1 of a lockstep
+    block, t and h (n,), as one (stop - first, n) array: two numpy calls a
+    try in the place of two a stage.  None for one state, whose stage loop
+    forms each time on Python floats."""
+    return t + _C[first:stop, None] * h if isinstance(t, np.ndarray) else None
+
+
 def _dop853(rhs, t, y, f, h, hc):
     """The DOP853 stages from (t, y), f = rhs(t, y), over the step h: the new
     state, the 5th- and 3rd-order error estimates, and the stages K (16, d)
@@ -979,9 +1021,10 @@ def _dop853(rhs, t, y, f, h, hc):
     lanes (see integrate_batch)."""
     K = np.empty((16, y.size))
     K[0] = f
+    ts = _block_times(t, h, 1, 12)
     for s in range(1, 12):
         c, a = _STAGES[s]
-        K[s] = rhs(t + c * h, y + hc * (a @ K[:s]))
+        K[s] = rhs(t + c * h if ts is None else ts[s - 1], y + hc * (a @ K[:s]))
     k12 = K[:12]
     y_new = y + hc * (_B @ k12)
     K[12] = rhs(t + h, y_new)
@@ -1009,9 +1052,10 @@ def _dense(rhs, t, y, y_new, h, hc, K):
     F[:, 0] = f0
     F[:, 1] = K[0] - f0
     F[:, 2] = 2.0 * f0 - K[0] - K[12]
+    ts = _block_times(t, h, 13, 16)
     for s in range(13, 16):
         c, a = _STAGES[s]
-        K[s] = rhs(t + c * h, y + hc * (a @ K[:s]))
+        K[s] = rhs(t + c * h if ts is None else ts[s - 13], y + hc * (a @ K[:s]))
     F[:, 3:] = (K - K[0]).T @ _D.T
     # a sum over j in a fixed order, so a lane's q does not depend on the block
     return np.add.reduce(F[:, :, None] * _T, axis=1)
@@ -1031,18 +1075,10 @@ def _probe(fn, t, y, y_new, q, h):
         return probe_t, fn(probe_t.ravel(), probe_y.reshape(-1, y.shape[-1]).T)
     probe_t = [t + frac * h for frac in _PROBE_FRACS.tolist()]
     thetas = [(pt - t) / h for pt in probe_t[:-1]]
-    points = []  # row k of probe_y: component k at each probe
-    for y0, coefs, end in zip(y.tolist(), q.tolist(), y_new.tolist()):
-        coefs.reverse()
-        last, rest = coefs[0], coefs[1:]
-        for th in thetas:
-            # _interp's Horner form, then its y0 + (h th) acc
-            acc = last
-            for c in rest:
-                acc = acc * th + c
-            points.append(y0 + h * th * acc)
-        points.append(end)  # the last probe is t + h
-    return probe_t, fn(np.array(probe_t), np.array(points).reshape(y.size, 4))
+    probe_y = np.empty((y.size, len(probe_t)))  # row k: component k at each probe
+    probe_y[:, :-1].flat = _horner(y, q, h, thetas)
+    probe_y[:, -1] = y_new  # the last probe is t + h
+    return probe_t, fn(np.array(probe_t), probe_y)
 
 
 def _explicit_step(rhs, t, y, f, h, cfg: IntegratorConfig, n_state, h_old, err_old):
@@ -1218,7 +1254,7 @@ def _steps(rhs, t_end, cfg, event, n_state, radau, t, y, f, h, g_prev, n_steps, 
                 state_eval = _segment(t, y[:n_state], q[:n_state], h)
                 node_t = _refine_crossing(state_eval, event.fn, walk_t, walk_g, p)
                 if node_t != t_new:
-                    node_y = _interp(y, q, h, node_t - t)
+                    node_y = _segment(t, y, q, h)(node_t)
 
         ts.append(node_t)
         ys.append(node_y)
@@ -1274,8 +1310,10 @@ def integrate_batch(
     underflow), after an accepted step that crosses the event, blows up or
     has no finite dense output (the loop takes that step as its first, so
     it is not made twice), or when it is the last lane left.  That last
-    lane steps near a single shot's cost there (a lone delta1 = 300
-    circle-side lane: 1.14-1.19x, against 2.3x and more in the batch).
+    lane steps near a single shot's cost there: a delta1 = 300 circle-side
+    DOP853 lane batched with one that meets early takes 1.07x its single
+    shot's time, while a try of a block of 2 or 4 copies of it costs 3.2x a
+    single shot's step (best of 5, one CPU of a 2-vCPU Xeon VM).
 
     Every lane repeats the arithmetic of :func:`integrate` bit for bit, so
     its result does not depend on the batch size or on the other lanes.
@@ -1396,7 +1434,8 @@ def integrate_batch(
         h_old = np.where(go, h, h_old)
         err_old = np.where(go, np.maximum(err_norm, _ERR_FLOOR), err_old)
         h = np.where(end, h, h * factor)
-        hand_off(end, (y_new, q, f_new, factor, err_norm))
+        if end.any():  # else hand_off would only copy every lane's arrays
+            hand_off(end, (y_new, q, f_new, factor, err_norm))
         n_steps += 1
 
     if history:

@@ -69,6 +69,7 @@ from .errors import (
     EpsilonTooLarge,
     EventNotReached,
     InadmissibleParameters,
+    LargeNewtonStep,
     MaxIterations,
     ShootFailure,
     SingularJacobian,
@@ -109,6 +110,12 @@ ROUND_DELTAS = (1 / 18, -7 / 9, 1 / math.sqrt(3))
 _COLLAPSE_L1 = -1e6  # "collapse" stop: L1 falls to this on the circle side,
 _COLLAPSE_R = 1e6  # R rises to this on the sphere side
 _NEWTON_TOL = 1e-7  # Newton converges when |F|_inf < this
+# ... and the Newton step there is small: |dp_i| <= _NEWTON_XTOL (1 + |p_i|).
+# Over 60 roots of the bench root workload (seeds 1 and 7) the largest such
+# relative step is 6.2e-8; at the pancake branch's false root (70964, -1.0,
+# 0.9999997), where |F| has fallen below 1e-7, it is 0.49 in delta1.  1e-4
+# sits between the two, three decades from either
+_NEWTON_XTOL = 1e-4
 _MAX_ITER = 25  # Newton iterations before MaxIterations
 # circle-side shots from this delta1 on take ode.integrate's Radau IIA
 # step; see "Stiff regime" in the module docstring
@@ -691,9 +698,14 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
     Newton step is halved (up to 20 times) until the residual sup-norm
     decreases, so the residual falls strictly from iterate to iterate.
     Iterates are kept inside the admissible region unless the config is
-    exploratory.  Convergence means |F|_inf < 1e-7, well above the ~1e-11
-    floor that the two integrations impose on the mismatch at default
-    tolerances (Newton typically lands near that floor on its final step).
+    exploratory.  Convergence is the two-part stop of Dennis & Schnabel
+    (7.2): |F|_inf < 1e-7, well above the ~1e-11 floor that the two
+    integrations impose on the mismatch at default tolerances (Newton
+    typically lands near that floor on its final step), and a Newton step
+    at that point, from the J already computed there, of |dp_i| <=
+    _NEWTON_XTOL (1 + |p_i|).  A small residual with a large step, as on
+    the asymptotic (pancake) branch, where F falls under 1e-7 at delta1
+    near 7e4, raises ``LargeNewtonStep``.
 
     The result's ``history`` has one :class:`NewtonStep` per iteration; the
     integrations of a run are 2 for the guess plus those of every step.  A
@@ -706,12 +718,16 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
         raise ValueError("guess must be (delta1, delta2, delta3)")
     check_admissible(*p, exploratory=cfg.exploratory)
 
+    d1_guess = float(p[0])
     F, J = _mismatch_with_jacobian(p, cfg)
     res = float(np.max(np.abs(F)))
     history = []
-    for it in range(_MAX_ITER):
-        if res < _NEWTON_TOL:
-            return RootResult(tuple(p), res, it, tuple(history))
+    for it in range(_MAX_ITER + 1):
+        if it == _MAX_ITER and not res < _NEWTON_TOL:
+            raise MaxIterations(
+                f"residual {res:.3e} still above tol {_NEWTON_TOL:g} after {_MAX_ITER} iterations",
+                result=RootResult(tuple(p), res, _MAX_ITER, tuple(history)),
+            )
         try:
             # one factorization gives the step and J^-1; np.linalg.cond's SVD
             # would add 0.75 MB of LAPACK pages to the peak RSS
@@ -723,6 +739,15 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
             ) from exc
         step = solved[:, 0]
         cond = float(np.linalg.norm(J, 1) * np.linalg.norm(solved[:, 1:], 1))
+        if res < _NEWTON_TOL:
+            # the two-part stop: a small residual, and a small step from it
+            rel = float(np.max(np.abs(step) / (1.0 + np.abs(p))))
+            if rel <= _NEWTON_XTOL:
+                return RootResult(tuple(p), res, it, tuple(history))
+            raise LargeNewtonStep(
+                _large_step_reason(d1_guess, p, F, step, rel, cond),
+                result=RootResult(tuple(p), res, it, tuple(history)),
+            )
 
         damp = 1.0
         for trials in range(1, 22):
@@ -743,12 +768,21 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
         history.append(NewtonStep(res_new, damp, cond, 2 * trials))
         p, F, J, res = trial, F_new, J_new, res_new
 
-    if res < _NEWTON_TOL:
-        return RootResult(tuple(p), res, _MAX_ITER, tuple(history))
-    raise MaxIterations(
-        f"residual {res:.3e} still above tol {_NEWTON_TOL:g} after {_MAX_ITER} iterations",
-        result=RootResult(tuple(p), res, _MAX_ITER, tuple(history)),
+
+def _large_step_reason(d1_guess, p, F, step, rel, cond) -> str:
+    """Why Newton's point p, with |F| below tolerance, is no root: its step.
+    Along the asymptotic (pancake) branch delta1 grows without bound and F
+    goes as (0, c, -c/2), c = 1/(36 delta1), so |F| falls under any
+    tolerance while the step stays of the order of delta1."""
+    text = (
+        f"|F|_inf = {float(np.max(np.abs(F))):.3e} is below tol {_NEWTON_TOL:g} at "
+        f"{tuple(p.tolist())!r}, but the Newton step there, {tuple(step.tolist())!r}, is "
+        f"{rel:.3g} of 1 + |p| (at most {_NEWTON_XTOL:g} at a root); cond(J) = {cond:.3g}"
     )
+    c = float(F[1])
+    if p[0] > d1_guess and c != 0.0 and abs(F[0]) <= 0.1 * abs(c) and abs(F[2] + c / 2) <= 0.1 * abs(c):
+        text += f": F ~ (0, c, -c/2) with delta1 grown from {d1_guess:g}, the asymptotic (pancake) branch"
+    return text
 
 
 def _shoot_lanes(side: str, points: list, cfg: ShootConfig, history: bool = False) -> list:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solshoot import shooting
@@ -253,3 +253,78 @@ def test_property_family_rhs_carries_tangent_columns_bitwise(ys, lam):
         for y, w in zip(ys, wants):
             assert field(0.0, np.array(y)).tobytes() == (sign * w).tobytes()
         assert field(0.0, block).tobytes() == (sign * w_block).tobytes()
+
+
+# ±0, subnormals, the smallest normal, ±inf and NaN (of one sign, as
+# math.nan), beside any finite float and moderate ones
+_EDGE = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
+)
+
+
+def _nan_blind_bits(a):
+    """Each entry's bits, every NaN alike: which NaN operand an operation
+    propagates is left to the implementation by IEEE 754, and CPython's
+    float add and multiply return a different one than numpy's array loops."""
+    return ["nan" if math.isnan(v) else v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+def _parent_family_rhs(s, lam):
+    """The field as one expression per component, signs before products:
+    the form the products-first ``family_rhs`` replaced."""
+    xi, l1, l2, r = s[:4]
+    out = [-l1 * l1 - 2.0 * l2 * l2 - lam, -xi * l1 - lam, -xi * l2 + r * r - lam, -l2 * r]
+    for j in range(4, len(s), 4):
+        v0, v1, v2, v3 = s[j:j + 4]
+        out += [
+            -2.0 * l1 * v1 - 4.0 * l2 * v2,
+            -l1 * v0 - xi * v1,
+            -l2 * v0 - xi * v2 + 2.0 * r * v3,
+            -r * v2 - l2 * v3,
+        ]
+    return np.array(out)
+
+
+@st.composite
+def _edge_blocks(draw):
+    # a (4 + 4k, m) block of edge-case entries, m up to 20 so that numpy's
+    # vector loops and their remainders both run
+    k, m = draw(st.integers(0, 2)), draw(st.integers(1, 20))
+    col = st.lists(_EDGE, min_size=4 + 4 * k, max_size=4 + 4 * k)
+    return np.array([draw(col) for _ in range(m)]).T
+
+
+@settings(max_examples=300, deadline=None)
+# 2 (l2 l2) is not (2 l2) l2 where l2 l2 is subnormal; xi and r NaN give
+# both operands of r r - xi l2 a NaN
+@example(block=np.array([[1.0], [0.0], [8.132889121763524e-159], [2.0]]), lam=0.0)
+@example(block=np.array([[math.nan, math.inf], [1.0, 0.0], [1.0, 0.0], [math.nan, math.nan]]), lam=0.0)
+@given(block=_edge_blocks(), lam=st.sampled_from([0.0, 1.0, 1e-4]))
+def test_property_family_rhs_lane_block_is_its_columns_bitwise(block, lam):
+    # the block's gathered products take each column's Python-float
+    # operations in the same order: the state's rows agree byte for byte,
+    # NaN bits included, and every row agrees NaN for NaN
+    with np.errstate(all="ignore"):
+        lanes = family_rhs(block, lam)
+        columns = [family_rhs(col, lam) for col in block.T.tolist()]
+    assert lanes.shape == block.shape
+    for c, one in enumerate(columns):
+        assert lanes[:4, c].tobytes() == one[:4].tobytes()
+        assert _nan_blind_bits(lanes[:, c]) == _nan_blind_bits(one)
+
+
+@settings(max_examples=300, deadline=None)
+# 2 (l2 l2) is not (2 l2) l2 where l2 l2 is subnormal; xi and r NaN give
+# both operands of r r - xi l2 a NaN
+@example(block=np.array([[1.0], [0.0], [8.132889121763524e-159], [2.0]]), lam=0.0)
+@example(block=np.array([[math.nan, math.inf], [1.0, 0.0], [1.0, 0.0], [math.nan, math.nan]]), lam=0.0)
+@given(block=_edge_blocks(), lam=st.sampled_from([0.0, 1.0, 1e-4]))
+def test_property_family_rhs_is_the_signs_first_expression_bitwise(block, lam):
+    # -(a b) is (-a) b and r r - xi l2 is -xi l2 + r r for every non-NaN
+    # operand, signed zeros included; only a NaN's sign may differ
+    with np.errstate(all="ignore"):
+        for col in block.T.tolist():
+            assert _nan_blind_bits(family_rhs(col, lam)) == _nan_blind_bits(_parent_family_rhs(col, lam))
+        assert _nan_blind_bits(family_rhs(block, lam)) == _nan_blind_bits(_parent_family_rhs(block, lam))

@@ -1170,3 +1170,26 @@ def test_property_one_state_probe_is_the_lane_blocks_bitwise(case, t, h):
     assert y_one.shape == y_block.shape == (len(rows), 4)
     assert [_bits(v) for v in y_one.ravel()] == [_bits(v) for v in y_block.ravel()]
     assert [_bits(v) for v in g] == [_bits(v) for v in block_g]
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=([[1.0, 2.0, 3.0, 0.0, 0.5, -1.0, 2.0]], [[1.0, 2.0]]), t0=0.3, h=0.01, frac=0.5)
+@example(case=([[math.inf] + [1.0] * 4, [0.0] * 5], [[1.0, 2.0], [math.nan, 2.5]]), t0=5.0, h=1e-6, frac=0.25)
+@given(
+    case=st.sampled_from([7, 5]).flatmap(_probe_case),  # a DOP853 row, a Radau row
+    t0=st.floats(-1e6, 1e6),
+    h=st.floats(1e-12, 1e3),
+    frac=st.floats(0.0, 1.0),
+)
+def test_property_one_state_segment_at_a_scalar_time_is_interp_bitwise(case, t0, h, frac):
+    # brentq's evaluations of a step's dense output, on Python floats
+    rows, state = case
+    q, y0 = np.array(rows), np.array(state)[:, 0]
+    t = t0 + frac * h
+    with np.errstate(all="ignore"):
+        want = ode._interp(y0, q, h, t - t0)
+        got = ode._segment(t0, y0, q, h)(t)
+        at_array = ode._segment(t0, y0, q, h)(np.array([t, t]))
+    assert type(got) is np.ndarray and got.shape == want.shape == (len(rows),)
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+    assert [_bits(v) for v in at_array.ravel()] == [_bits(v) for v in np.concatenate((want, want))]

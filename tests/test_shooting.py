@@ -14,6 +14,7 @@ from solshoot.errors import (
     EpsilonTooLarge,
     EventNotReached,
     InadmissibleParameters,
+    LargeNewtonStep,
     MaxIterations,
     NonConvergence,
     ShootFailure,
@@ -1217,6 +1218,50 @@ def test_twenty_halvings_without_decrease_stop_newton(monkeypatch, capsys):
     # no step was taken: the result is the last accepted iterate
     assert partial.root == calls[1] and partial.residual == 0.5
     _root_cli_fails_with(capsys, "MaxIterations")
+
+
+def test_small_residual_with_a_large_newton_step_is_no_root(monkeypatch, capsys):
+    # |F| = 5e-8 passes the residual test, but J = 1e-6 I makes the step
+    # 0.05 in every parameter, far above _NEWTON_XTOL (1 + |p|)
+    calls = _scripted_newton(monkeypatch, [(5e-8, 1e-6 * np.eye(3))])
+    with pytest.raises(LargeNewtonStep) as info:
+        find_root((0.05, -0.8, 0.6))
+    partial = info.value.result
+    assert partial.iterations == len(partial.history) == 0
+    assert partial.root == calls[0] and partial.residual == 5e-8
+    assert "cond(J) = 1" in str(info.value) and "pancake" not in str(info.value)
+    _root_cli_fails_with(capsys, "LargeNewtonStep")
+
+
+@pytest.mark.parametrize("guess", ["10,-1,1", "10,-0.99,1.01"])
+def test_root_on_the_pancake_branch_exits_2_with_a_large_newton_step(capsys, guess):
+    # Newton walks out along the asymptotic (pancake) branch, where F goes as
+    # (0, c, -c/2), c = 1/(36 delta1), and falls under 1e-7 near delta1 = 7e4
+    # while the Newton step stays of the order of delta1: exit 0 at
+    # "converged = true" there before the two-part stop
+    start = time.perf_counter()
+    code = cli.main(["root", "--guess", guess])
+    elapsed = time.perf_counter() - start
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert code == 2
+    assert elapsed < 5.0
+    assert last.startswith("LargeNewtonStep,")
+    assert "cond(J) = " in last and "asymptotic (pancake) branch" in last
+
+
+@settings(max_examples=6, deadline=None)
+@given(u=st.tuples(*[st.floats(-0.3, 0.3)] * 3))
+def test_property_every_converged_root_has_a_small_newton_step(u):
+    # from guesses near ROUND_DELTAS, as the root benchmark draws them
+    guess = tuple(max(d * (1.0 + e), 0.0 if d > 0 else -1.0) for d, e in zip(ROUND_DELTAS, u))
+    try:
+        res = find_root(guess)
+    except NonConvergence:
+        return
+    p = np.array(res.root)
+    F, J = shooting._mismatch_with_jacobian(p, ShootConfig())
+    step = np.linalg.solve(J, -F)
+    assert np.all(np.abs(step) <= shooting._NEWTON_XTOL * (1.0 + np.abs(p)))
 
 
 @settings(max_examples=6, deadline=None)
