@@ -51,10 +51,13 @@ probes and refinement, the blow-up guard, the terminations and the
 
 Tangent columns ride behind the state (``n_state``) on both steps and pay
 only for their stage arithmetic: the step control and the event read the
-state's rows alone, and Radau solves the riders' linear collocation
-system with the state's inverse once the state has converged.  On a
-DOP853 shot of nodes only, as Newton's are, neither the state nor the
-riders form dense stages but on the step that a monotone event walks.
+state's rows alone.  Radau solves the riders' linear collocation system
+directly once the state has converged, one 5d x 5d solve an accepted
+step, with the stage Jacobians read from the riders' own field: past the
+start, rhs is called on the state's rows, and at width d + d^2 on a stage
+and the d identity columns; jac is read by the state alone.  On a DOP853 shot of
+nodes only, as Newton's are, neither the state nor the riders form dense
+stages but on the step that a monotone event walks.
 
 One step-size controller serves both: :func:`_step_factor`, Gustafsson's
 predictive rule as RADAU5 applies it (Hairer & Wanner IV.8), with the
@@ -357,6 +360,9 @@ _RP = np.array([
      123.0433578997871846547, -64.16737549081558298507],
     [0.2, -4.8, 25.2, -44.8, 25.2],
 ])
+# the Butcher matrix A itself, from T Lambda T^-1 = A^-1: the riders' stages
+# solve their linear collocation system with it directly (_Radau._riders)
+_RA = np.linalg.inv(_RT @ _LAMBDA @ _RTI)
 _NR = _RC.size  # stages
 _POWERS = np.arange(1, _NR + 1)  # of theta in that polynomial
 # the polynomial's value less y, and h times its slope, at theta = 1/2, as
@@ -802,6 +808,11 @@ class _Radau:
     so each Newton iteration solves with one matrix-vector product (a 4 x 4
     ``lu_solve`` costs 10x that).  The inverse is formed again when h or J
     changes.
+
+    Riders follow an accepted step by one direct solve of their own
+    collocation system (:meth:`_riders`), which reads the stage Jacobians
+    from rhs at width d + d^2; jac, and with it the inverse, serve the
+    state alone.
     """
 
     def __init__(self, rhs, jac, cfg: IntegratorConfig, t, y, n_state=None):
@@ -810,9 +821,8 @@ class _Radau:
         self.lam_i = np.kron(_LAMBDA, np.eye(self.d))  # Lambda (x) I
         self._take_jac(t, y[:self.d])
         self.retry = False  # the last try was rejected, by its error or by Newton
-        # (Z's last row, dense q (d, 5) transposed, h) of the last accepted
-        # step, and the riders' Z row and q
-        self.last = self.last_riders = None
+        # (Z's last row, dense q (d, 5) transposed, h) of the last accepted step
+        self.last = None
         self.newton_tol = max(10 * np.finfo(float).eps / cfg.rtol, min(0.03, cfg.rtol**0.5))
         self.n_evals = 0
 
@@ -867,58 +877,35 @@ class _Radau:
             norm_old = dw_norm
         return False, k + 1, z, rate
 
-    def _riders(self, t, h, stages, v, lift):
+    def _riders(self, t, h, stages, v):
         """The riders' values (m,) at t + h and their dense rows (m, 5)
         over the accepted step h, from their values v at t and the state's
-        converged stages.
+        converged stages (5, d).
 
-        The riders' collocation system is linear, and its Jacobian is block
-        lower-triangular with I (x) J on the diagonal blocks, so the state's
-        simplified Newton iteration runs on every rider column with the
-        state's inverse, started as the state's from the last step's
-        polynomial (``lift`` continues it; None on the first step), and
-        stops by the state's convergence test on the riders' error scale.
-        Riders that do not settle within _NEWTON_MAXITER iterations are NaN,
-        so a wrong tangent never passes for a right one."""
-        cfg, d, m = self.cfg, self.d, v.size
-        _, inv, _, lam = self.inv
-        if lift is None:
-            zr = np.zeros((_NR, m))
-        else:
-            zr_end, qr_t = self.last_riders
-            zr = lift @ qr_t - zr_end
-        wr = _RTI @ zr
-        v_list = v.tolist()
-        vs = np.array(v_list * _NR).reshape(_NR, m)
-        scales = np.array([cfg.atol + cfg.rtol * abs(a) for a in v_list] * _NR)
-        ts = [t + h * c for c in _RC.tolist()]
-        full = np.empty((_NR, d + m))  # the stages at full width, the state's fixed
+        The riders' collocation system is linear: their stage values V solve
+        (I - h (A (x) I) diag(J(Y_1..Y_5))) V = 1 (x) v, one solve of that
+        5d x 5d matrix for every column at once, the staggered direct method
+        (Caracotsios & Stewart 1985).  J(Y_i) is read from the riders' own
+        field at the d identity columns, one rhs call at width d + d^2 a
+        stage.  A singular matrix leaves the riders NaN, and the loop ends
+        the shot on their dense output."""
+        d, m = self.d, v.size
+        full = np.empty((_NR, d + d * d))  # each stage, then the d identity columns
         full[:, :d] = stages
-        Fr = np.empty_like(zr)
-        norm_old = rate = None
-        for _ in range(_NEWTON_MAXITER):
-            np.add(vs, zr, out=full[:, d:])
-            for i in range(_NR):
-                Fr[i] = self.rhs(ts[i], full[i])[d:]
-            self.n_evals += _NR
-            # rider column c, entries c d to c d + d of each stage row, solves
-            # as the state does: its five stage rows stacked into one 5d vector
-            g = (_RTI @ Fr - lam @ wr).reshape(_NR, m // d, d).transpose(0, 2, 1).reshape(_NR * d, -1)
-            dw = (inv @ g).reshape(_NR, d, -1).transpose(0, 2, 1).reshape(_NR, m)
-            scaled = dw.ravel() / scales
-            dw_norm = math.sqrt(float(scaled @ scaled) / scaled.size)
-            wr = wr + dw
-            zr = _RT @ wr
-            if norm_old is not None:
-                rate = dw_norm / norm_old
-            if dw_norm == 0 or rate is not None and rate < 1 and rate / (1 - rate) * dw_norm < self.newton_tol:
-                break
-            norm_old = dw_norm
-        else:
-            zr = np.full_like(zr, math.nan)
-        q = (zr.T @ _RP) / h
-        self.last_riders = (zr[-1], q.T)
-        return v + zr[-1], q
+        full[:, d:] = np.eye(d).ravel()
+        jt = np.empty((_NR, d, d))  # jt[i] = J(Y_i)^T: its row c is J(Y_i) e_c
+        for i, c in enumerate(_RC.tolist()):
+            jt[i] = self.rhs(t + h * c, full[i])[d:].reshape(d, d)
+        self.n_evals += _NR
+        # entry (i, p, j, q) of the 5d x 5d matrix is delta_ij delta_pq - h a_ij J(Y_j)_pq
+        mat = np.eye(_NR * d) - (h * _RA[:, None, :, None] * jt.transpose(2, 0, 1)).reshape(_NR * d, -1)
+        cols = v.reshape(-1, d).T  # (d, m / d), rider column c is entries c d to c d + d
+        try:
+            vs = np.linalg.solve(mat, np.concatenate((cols,) * _NR))
+        except np.linalg.LinAlgError:
+            vs = np.full((_NR * d, cols.shape[1]), math.nan)
+        zr = vs.reshape(_NR, d, -1).transpose(0, 2, 1).reshape(_NR, m) - v
+        return v + zr[-1], (zr.T @ _RP) / h
 
     def step(self, t, y, f, h, h_old, err_old):
         """One try at the step from (t, y), f = rhs(t, y), to t + h, after
@@ -932,7 +919,7 @@ class _Radau:
         its own rows alone, as without riders, and the riders follow an
         accepted step (see :meth:`_riders`)."""
         cfg = self.cfg
-        riders = lift = None
+        riders = None
         if y.size > self.d:
             y, riders, f = y[:self.d], y[self.d:], f[:self.d]
         if self.last is None:
@@ -941,8 +928,7 @@ class _Radau:
             # the last step's polynomial continued to this step's nodes
             z_end, q_t, h_a = self.last
             x = 1.0 + (h / h_a) * _RC
-            lift = h_a * (x[:, None] ** _POWERS)
-            z0 = lift @ q_t - z_end
+            z0 = (h_a * (x[:, None] ** _POWERS)) @ q_t - z_end
         y_list = y.tolist()
         ys = np.array(y_list * _NR).reshape(_NR, self.d)
         scales = np.array([cfg.atol + cfg.rtol * abs(v) for v in y_list] * _NR)
@@ -987,8 +973,6 @@ class _Radau:
         recompute_jac = n_iter > 2 and rate > 1e-3
         if not recompute_jac and factor < 1.2:
             factor = 1.0  # keep h, and with it the inverse
-        if riders is not None:  # before the inverse changes with J
-            riders = self._riders(t, h, ys + z, riders, lift)
         f_new = self.rhs(t + h, y_new)
         self.n_evals += 1
         if recompute_jac:
@@ -999,7 +983,8 @@ class _Radau:
         q = (z.T @ _RP) / h
         self.last = (z[-1], q.T, h)
         if riders is not None:
-            y_new, q = np.concatenate((y_new, riders[0])), np.concatenate((q, riders[1]))
+            v_new, q_riders = self._riders(t, h, ys + z, riders)
+            y_new, q = np.concatenate((y_new, v_new)), np.concatenate((q, q_riders))
         return (y_new, q, f_new, None), factor, err_norm
 
 
@@ -1157,11 +1142,15 @@ def integrate(
     of n_state entries each whose field is the state's Jacobian times the
     column: the variational equations, whose Jacobian is block
     lower-triangular with I (x) J on its diagonal blocks.  There ``jac``
-    gets the state's rows and gives its (n_state, n_state) Jacobian, and
-    ``rhs`` is called on the state's rows alone wherever the step needs no
-    riders (the state's Newton iteration, its error estimate and rhs at the
-    new node), so it must take that width as well; the riders' own
-    iterations call it on the full width, and ``n_rhs_evals`` counts them.
+    gets the state's rows and gives its (n_state, n_state) Jacobian, which
+    the state's Newton iteration alone reads.  ``rhs`` is called on the
+    state's rows alone wherever the step needs no riders (the state's
+    Newton iteration, its error estimate and rhs at the new node), so it
+    must take that width as well.  The riders' direct solve reads each
+    stage's Jacobian from their field, at width n_state + n_state^2 on the
+    stage and the n_state identity columns: 5 calls an accepted step, which
+    ``n_rhs_evals`` counts.  Only the start's two calls, f and the initial
+    step's, take the full width.
     """
     cfg = config or IntegratorConfig()
     y = np.array(y0, dtype=float)

@@ -50,10 +50,13 @@ the meet shots of nodes only, which ``mismatch`` takes: DOP853 costs less
 at 15, Radau at 20 (README, "Stiff regime").  It lies above 10, the top of
 the default scan box, whose lanes all take DOP853.  The route depends on
 delta1 alone, never on a runtime test: the plain shot, Newton's
-tangent-carrying shot, whose riders follow the state's
-(``ode.integrate``), and a sweep's node all take it, so Newton's F is
+tangent-carrying shot and a sweep's node all take it, so Newton's F is
 bitwise ``mismatch`` and a ``sample_curve`` node bitwise
-``shoot_curve_point`` at every delta1.  The sphere side and every delta1
+``shoot_curve_point`` at every delta1.  Newton's tangent column follows
+each accepted Radau step by one direct solve of its linear collocation
+system, whose stage Jacobians the field gives at width 4 + 16
+(``ode.integrate``): 5 rhs calls a step more than the plain shot, and no
+iteration that could fail to settle.  The sphere side and every delta1
 below 20 take DOP853.
 """
 
@@ -726,7 +729,7 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
         if it == _MAX_ITER and not res < _NEWTON_TOL:
             raise MaxIterations(
                 f"residual {res:.3e} still above tol {_NEWTON_TOL:g} after {_MAX_ITER} iterations",
-                result=RootResult(tuple(p), res, _MAX_ITER, tuple(history)),
+                result=RootResult(tuple(p.tolist()), res, _MAX_ITER, tuple(history)),
             )
         try:
             # one factorization gives the step and J^-1; np.linalg.cond's SVD
@@ -735,7 +738,7 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(
                 f"Jacobian singular at {tuple(p.tolist())!r} (iteration {it})",
-                result=RootResult(tuple(p), res, it, tuple(history)),
+                result=RootResult(tuple(p.tolist()), res, it, tuple(history)),
             ) from exc
         step = solved[:, 0]
         cond = float(np.linalg.norm(J, 1) * np.linalg.norm(solved[:, 1:], 1))
@@ -743,10 +746,10 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
             # the two-part stop: a small residual, and a small step from it
             rel = float(np.max(np.abs(step) / (1.0 + np.abs(p))))
             if rel <= _NEWTON_XTOL:
-                return RootResult(tuple(p), res, it, tuple(history))
+                return RootResult(tuple(p.tolist()), res, it, tuple(history))
             raise LargeNewtonStep(
                 _large_step_reason(d1_guess, p, F, step, rel, cond),
-                result=RootResult(tuple(p), res, it, tuple(history)),
+                result=RootResult(tuple(p.tolist()), res, it, tuple(history)),
             )
 
         damp = 1.0
@@ -763,7 +766,7 @@ def find_root(guess: Sequence[float], cfg: Optional[ShootConfig] = None) -> Root
             history.append(NewtonStep(res, 0.0, cond, 2 * trials))
             raise MaxIterations(
                 f"no decrease after 20 halvings at {tuple(p.tolist())!r}, residual {res:.3e}",
-                result=RootResult(tuple(p), res, it + 1, tuple(history)),
+                result=RootResult(tuple(p.tolist()), res, it + 1, tuple(history)),
             )
         history.append(NewtonStep(res_new, damp, cond, 2 * trials))
         p, F, J, res = trial, F_new, J_new, res_new

@@ -864,8 +864,8 @@ def _radau_iia(s):
         E = mu * (bhat.T - A[s - 1, :]) * A_inv
         P = mpmath.inverse(mpmath.matrix([[x ** (k + 1) for k in range(s)] for x in c])).T
         as_float = lambda m: np.array(m.tolist(), dtype=float)
-        return {"c": np.array(c, dtype=float), "E": as_float(E)[0], "T": as_float(T), "TI": as_float(T_inv),
-                "Lambda": as_float(lam), "mu": float(mu), "P": as_float(P)}
+        return {"c": np.array(c, dtype=float), "A": as_float(A), "E": as_float(E)[0], "T": as_float(T),
+                "TI": as_float(T_inv), "Lambda": as_float(lam), "mu": float(mu), "P": as_float(P)}
 
 
 def _assert_close(got, want):
@@ -891,7 +891,7 @@ def test_radau_derivation_gives_scipys_radau5_at_three_stages():
 
 def test_radau_constants_are_the_five_stage_collocation_method():
     want = _radau_iia(5)
-    for name, got in (("c", ode._RC), ("E", ode._RE), ("T", ode._RT), ("TI", ode._RTI),
+    for name, got in (("c", ode._RC), ("A", ode._RA), ("E", ode._RE), ("T", ode._RT), ("TI", ode._RTI),
                       ("Lambda", ode._LAMBDA), ("P", ode._RP)):
         _assert_close(got, want[name])
     _assert_close(np.array([ode._MU_REAL]), np.array([want["mu"]]))
@@ -983,16 +983,21 @@ def test_radau_takes_riders_in_whole_columns():
         integrate(rhs, 0.0, [1.0, 1.0, -2.0], 1.0, n_state=2, jac=lambda t, y: np.eye(2))
 
 
-def test_radau_riders_that_do_not_settle_end_the_shot_as_a_blowup():
-    # riders whose field is not the state's Jacobian (here +lam against
-    # -lam) defeat the state's inverse; they turn NaN, and the loop ends the
-    # shot at that step rather than pass a wrong tangent on
-    lam = 1e4
+def test_radau_riders_that_turn_non_finite_end_the_shot_as_a_blowup():
+    # riders whose field turns NaN from t = 0.5 on turn NaN on the step that
+    # reaches it; its dense output is not finite, so the loop ends the shot
+    # on the node before that step, the plain shot's node bitwise
+    lam = 1e2
     rhs, jac = _prothero_robinson(lam)
-    bad = lambda t, y: np.concatenate((rhs(t, y[:1]), lam * y[1:]))
+    bad = lambda t, y: np.concatenate((rhs(t, y[:1]), -lam * y[1:] if t < 0.5 else np.full(y.size - 1, math.nan)))
     traj = integrate(bad, 0.0, [1.0, 1.0], 1.0, n_state=1, jac=jac)
+    plain = integrate(rhs, 0.0, [1.0], 1.0, jac=jac)
+    n = len(traj.t)
     assert traj.termination == "blowup"
-    assert len(traj.t) == 1
+    assert np.isfinite(traj.y).all() and np.isfinite(traj.dense_q).all()
+    assert traj.t.tobytes() == plain.t[:n].tobytes()
+    assert traj.y[:, :1].tobytes() == plain.y[:n].tobytes()
+    assert traj.t[-1] < 0.5 <= plain.t[n]
 
 
 @settings(max_examples=10, deadline=None)

@@ -613,6 +613,7 @@ def test_mismatch_is_deterministic():
 
 def test_find_root_from_nearby_guess():
     res = find_root((0.05, -0.8, 0.6))
+    assert all(type(x) is float for x in res.root)  # plain floats, as ShootFailure.params
     err = np.abs(np.array(res.root) - np.array(ROUND_DELTAS))
     assert np.max(err) < 1e-6
     assert res.residual < 1e-7
@@ -1455,7 +1456,7 @@ def test_newton_residual_is_bitwise_the_mismatch_on_the_radau_route(delta1):
     assert F.tobytes() == np.array(mismatch(*p)).tobytes()
 
 
-@pytest.mark.parametrize("delta1", [300.0, 1e3])
+@pytest.mark.parametrize("delta1", [20.0, 100.0, 300.0, 1e3])
 def test_radau_tangent_jacobian_matches_central_differences(delta1):
     p = np.array([delta1, -0.8, 0.6])
     cfg = ShootConfig()
@@ -1467,6 +1468,40 @@ def test_radau_tangent_jacobian_matches_central_differences(delta1):
     up, down = (np.array(shoot_curve_point(delta1 + s, cfg)[0]) for s in (h, -h))
     want = (up - down) / (2 * h)
     assert np.max(np.abs(J[:, 0] - want)) <= 1e-4 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("delta1", [20.0, 300.0, 1e4])
+def test_radau_tangent_shot_costs_five_rhs_calls_an_accepted_step_more(delta1):
+    # the riders' stages come from one direct solve a step, whose stage
+    # Jacobians are read from the riders' field in one rhs call a stage
+    cfg = ShootConfig()
+    t0, y0 = shooting._launch("s1", (delta1,), cfg)
+    plain = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0, stiff=True, dense=False)
+    t0, y0 = shooting._launch("s1", (delta1,), cfg, tangent=True)
+    aug = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0, 1, stiff=True, dense=False)
+    assert aug.n_rhs_evals == plain.n_rhs_evals + 5 * (len(plain.t) - 1)
+
+
+def test_root_from_a_stiff_guess_at_a_crude_tolerance_converges():
+    # Newton's first circle-side shot takes Radau with its tangent column;
+    # it reaches the meet as mismatch's plain shot does
+    res = find_root((20.0, -0.8, 0.6), ShootConfig(rtol=1e-7, atol=1e-9))
+    assert res.residual < 1e-7
+    assert np.max(np.abs(np.subtract(res.root, ROUND_DELTAS))) < 1e-6
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-7])
+def test_radau_tangent_shot_meets_wherever_the_plain_shot_does(rtol):
+    cfg = ShootConfig(rtol=rtol, atol=1e-2 * rtol)
+    met = 0
+    for delta1 in np.geomspace(20.0, 1e5, 12).tolist():
+        try:
+            shoot_curve_point(delta1, cfg, dense=False)
+        except EventNotReached:
+            continue
+        met += 1
+        shooting._meet_with_slope("s1", (delta1,), cfg)  # raises EventNotReached if it misses
+    assert met > 0
 
 
 def test_curve_nodes_straddling_the_stiff_threshold_are_their_single_shots(monkeypatch):
