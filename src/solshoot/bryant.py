@@ -91,7 +91,7 @@ def _scaled_gap_field(s, v, jac=False):
     a, b, c = 1.0 + 3.0 * x2 - 6.0 * x4, x4 * (6.0 * x2 - 1.0), 2.0 * x4 * x4
     n = -2.0 + 2.0 * x2 + v * (-a + v * (b + c * v))
     n_v = -a + v * (2.0 * b + 3.0 * c * v)
-    d = 1.0 + v * (1.0 + x2)
+    d = 1.0 + v * (1.0 + x2) or math.nan  # 0 on x' = 0, where N/D is undefined: NaN stops the step
     if jac:
         return np.array([[3.0 - (n_v * d - n * (1.0 + x2)) / (x2 * d * d)]])
     return np.array([3.0 * v - n / (x2 * d)])
@@ -115,8 +115,11 @@ def bryant_unstable_curve(h: float = 1e-4, rtol: float = ode.IntegratorConfig.rt
     u0 = (0.5 - h / 2.0 + _QUAD_COEF * h * h) - x0
     grid = np.geomspace(x0, _X_CUTOFF, _N_NODES)
     s0, s1 = -math.log(x0), -math.log(_X_CUTOFF)
+    v0 = u0 / x0**3
+    if not 1.0 + v0 * (1.0 + x0 * x0) < 0.0:  # the monotone-descent rule below, at the launch
+        raise LaunchTooFar(f"launch from h={h:g} is not in the monotone-descent region")
     traj = ode.integrate(
-        _scaled_gap_field, s0, [u0 / x0**3], s1, ode.IntegratorConfig(rtol=rtol),
+        _scaled_gap_field, s0, [v0], s1, ode.IntegratorConfig(rtol=rtol),
         jac=lambda s, v: _scaled_gap_field(s, v, jac=True),
     )
     if traj.termination != "reached_end":

@@ -108,13 +108,13 @@ def family_rhs(s, lam: float) -> np.ndarray:
 
     The state's six quadratic products come first, then the signs and
     lam: -(l1 l1) - (2 l2) l2 - lam, -(xi l1) - lam, r r - xi l2 - lam and
-    -(l2 r).  A (4 + 4k, m) block forms the six in one multiply of two
-    gathers of its rows, 9 numpy calls against 16 and a stack for one
+    -(l2 r).  A (4, m) block of lane states forms the six in one multiply of
+    two gathers of its rows, 9 numpy calls against 16 and a stack for one
     expression per component, and takes the same operations in the same
     order as one column given as Python floats, so a lane and its single
-    shot agree bitwise.
+    shot agree bitwise; a block with tangent columns takes the expressions.
     """
-    if type(s) is np.ndarray and s.ndim > 1:
+    if type(s) is np.ndarray and s.ndim > 1 and len(s) == 4:
         p = s.take(_FIRST, axis=0)
         p[1] *= 2.0
         p *= s.take(_SECOND, axis=0)
@@ -122,15 +122,7 @@ def family_rhs(s, lam: float) -> np.ndarray:
         f[0] -= p[1]
         np.subtract(p[4], p[3], out=f[2])
         f[:3] -= lam
-        if len(s) == 4:
-            return f
-        # a loop, not a comprehension, whose closure would make the state's
-        # names cells and slow the one-state form below by a sixth
-        xi, l1, l2, r = s[:4]
-        out = [f]
-        for j in range(4, len(s), 4):
-            out.append(_tangent(xi, l1, l2, r, s[j:j + 4]))
-        return np.concatenate(out)
+        return f
     xi, l1, l2, r = s[:4]
     out = [-(l1 * l1) - (2.0 * l2) * l2 - lam, -(xi * l1) - lam, r * r - xi * l2 - lam, -(l2 * r)]
     for j in range(4, len(s), 4):

@@ -69,22 +69,23 @@ of 236 steps, against 1 now).  The loop keeps that memory, and
 :func:`integrate_batch` keeps it per lane.
 
 There is one explicit step, :func:`_dop853` with its dense output
-:func:`_dense`, and one event probe, :func:`_probe`, each over one state or
-a lockstep block of states: :func:`integrate`'s loop calls them on its
-lane, :func:`integrate_batch` on its block of lanes.  Every lane of a batch
-ends in that loop, which resumes from the lane's state (and the try just
-made from it), so one loop decides why every trajectory stops, refines
-every crossing, counts the rhs calls and builds every :class:`Trajectory`:
-a lane's whole or, without its history, its last node and its counters.
+:func:`_dense`, each over one state or a lockstep block of states:
+:func:`integrate`'s loop calls them on its lane, :func:`integrate_batch` on
+its block of lanes, which steps in lockstep under a monotone event only.
+Every lane of a batch ends in that loop, which resumes from the lane's
+state (and the try just made from it; under any other event, its start),
+so one loop decides why every trajectory stops, refines every crossing,
+counts the rhs calls and builds every :class:`Trajectory`: a lane's whole
+or, without its history, its last node and its counters.
 
 The step's elementwise work on one state, the error norm, the blow-up
-guard and the probe's dense points, runs on Python floats, which cost less
-than numpy's calls on a few entries; the lane block keeps the array form.
-So does the refinement of a crossing: each dense evaluation that brentq
-asks for, at a scalar time, and the refined node's state.  The probe and
-the refinement share one Horner loop on Python floats, :func:`_horner`,
-bitwise :func:`_interp`; it cut one refinement from about 105 to 44 us
-(BENCH_31.json).
+guard and the event probe's dense points (:func:`_probe`), runs on Python
+floats, which cost less than numpy's calls on a few entries; the lane
+block and :func:`_interp` keep the array form.  So does the refinement of
+a crossing: each dense evaluation that brentq asks for, at a scalar time,
+and the refined node's state.  The probe and the refinement share one
+Horner loop on Python floats, :func:`_horner`, bitwise :func:`_interp`; it
+cut one refinement from about 105 to 44 us (BENCH_31.json).
 Each one-state form repeats its array form's operations in the same order,
 so a lane and a single shot agree bitwise.  Every matrix product stays a
 numpy product of the same shapes in both, as lane identity rests on the
@@ -413,7 +414,8 @@ class Event:
     evaluates g once per accepted step, at its end, and probes the dense
     output and refines the crossing (see :func:`integrate`) only on the
     step whose two ends cross; a dip of the interpolant through zero on
-    any other step is no crossing.  Otherwise every step is probed.
+    any other step is no crossing.  Otherwise every step is probed, and
+    each lane of :func:`integrate_batch` runs alone.
     """
 
     fn: Callable[[float, np.ndarray], float]
@@ -1048,16 +1050,9 @@ def _dense(rhs, t, y, y_new, h, hc, K):
 
 def _probe(fn, t, y, y_new, q, h):
     """The event probe times of a step from (t, y) to y_new over h with
-    dense coefficients q, and the values of g = fn there from one call.  Of
-    a lockstep block with t, h, y, q each given a new axis 1 (the probes'),
-    the times of shape (n, 4); or of one state (d,), the times as a list of
-    Python floats, and the dense points evaluated on Python floats, bitwise
-    :func:`_interp`'s."""
-    if y.ndim > 1:
-        probe_t = t + _PROBE_FRACS * h
-        probe_y = _interp(y, q, h, probe_t - t)
-        probe_y[..., -1, :] = y_new  # the last probe is t + h
-        return probe_t, fn(probe_t.ravel(), probe_y.reshape(-1, y.shape[-1]).T)
+    dense coefficients q, and the values of g = fn there from one call: the
+    times as a list of Python floats, and the dense points of the state
+    (d,) evaluated on Python floats, bitwise :func:`_interp`'s."""
     probe_t = [t + frac * h for frac in _PROBE_FRACS.tolist()]
     thetas = [(pt - t) / h for pt in probe_t[:-1]]
     probe_y = np.empty((y.size, len(probe_t)))  # row k: component k at each probe
@@ -1287,22 +1282,22 @@ def integrate_batch(
     step size and accept/reject decision.  ``rhs(t, y)`` takes t of shape
     (m,) and y of shape (m, d) and returns the m derivative rows; it also
     takes one lane as :func:`integrate` passes it, a float t and y of shape
-    (d,).  The event's ``fn`` is called once per step on every lane, on its
-    probes, or, for a monotone event, at its step's end, as :class:`Event`
-    describes.
+    (d,).  The event's ``fn`` is called as :class:`Event` describes.
 
-    The batch takes the DOP853 step and event probe of :func:`integrate`'s
-    loop on all lanes together, keeping only its per-lane accept, step
-    factor and controller memory, and every lane ends in that loop, which
-    alone decides why it stops.  A lane leaves the batch for the loop before
-    a step that the loop would not take (t_end, the step budget, a step
-    underflow), after an accepted step that crosses the event, blows up or
-    has no finite dense output (the loop takes that step as its first, so
-    it is not made twice), or when it is the last lane left.  That last
-    lane steps near a single shot's cost there: a delta1 = 300 circle-side
-    DOP853 lane batched with one that meets early takes 1.07x its single
-    shot's time, while a try of a block of 2 or 4 copies of it costs 3.2x a
-    single shot's step (best of 5, one CPU of a 2-vCPU Xeon VM).
+    Under a monotone event the batch takes the DOP853 step of
+    :func:`integrate`'s loop on all lanes together, with g at each step's
+    end, keeping only its per-lane accept, step factor and controller
+    memory; under any other, each lane goes on alone in that loop from its
+    start.  Every lane ends in that loop, which alone decides why it stops.
+    A lane leaves the batch for the loop before a step that the loop would
+    not take (t_end, the step budget, a step underflow), after an accepted
+    step that crosses the event, blows up or has no finite dense output
+    (the loop takes that step as its first, so it is not made twice), or
+    when it is the last lane left.  That last lane steps near a single
+    shot's cost there: a delta1 = 300 circle-side DOP853 lane batched with
+    one that meets early takes 1.07x its single shot's time, while a try of
+    a block of 2 or 4 copies of it costs 3.2x a single shot's step (best of
+    5, one CPU of a 2-vCPU Xeon VM).
 
     Every lane repeats the arithmetic of :func:`integrate` bit for bit, so
     its result does not depend on the batch size or on the other lanes.
@@ -1315,9 +1310,8 @@ def integrate_batch(
     termination, ``n_rhs_evals`` and ``n_rejected``: all of its steps when
     ``history`` is set, else its last node alone.  A lane repeats
     :func:`integrate`'s shot with ``dense`` = ``history``: without history
-    and with a monotone event, the block forms the dense output of only
-    the lanes whose step crosses, in one product, and a lane's count is
-    its nodes-only shot's.
+    the block forms the dense output of only the lanes whose step crosses,
+    in one product, and a lane's count is its nodes-only shot's.
     """
     cfg = config or IntegratorConfig()
     t0 = np.array(t0, dtype=float)
@@ -1351,10 +1345,6 @@ def integrate_batch(
     g_prev = event.fn(t, y.T)
     h_old = err_old = np.full(lane.size, math.nan)  # the controller's memory, per lane
     flat_rhs = lambda t, y: rhs(t, y.reshape(t.size, d)).ravel()  # on blocks laid end to end
-    # a single shot forms a dense output on every step with history, or for
-    # the probes of an event that is not monotone: then so does every lane,
-    # else only a lane whose step crosses
-    every = history or not event.monotone
 
     def hand_off(mask, step=None):
         # from the state before the step, with the step's accepted try if
@@ -1368,11 +1358,13 @@ def integrate_batch(
             # step that forms its dense output
             tails[lane[i]] = _steps(
                 rhs, t_end, cfg, event, None, None, float(t[i]), y[i], f[i], float(h[i]),
-                float(g_prev[i]), n_steps, rejected, 2 + 12 * n_steps + (3 * (n_steps - rejected) if every else 0), tried,
+                float(g_prev[i]), n_steps, rejected, 2 + 12 * n_steps + (3 * (n_steps - rejected) if history else 0), tried,
                 float(h_old[i]), float(err_old[i]), history,
             )
         lane, t, y, f, h, g_prev, h_old, err_old = (a[~mask] for a in (lane, t, y, f, h, g_prev, h_old, err_old))
 
+    if not event.monotone:  # every step is probed: each lane goes on alone in integrate's loop
+        hand_off(np.ones(lane.size, bool))
     while lane.size:
         h = np.minimum(h, t_end - t)
         # before a step that integrate's loop would not take, and the last
@@ -1385,7 +1377,7 @@ def integrate_batch(
 
         hc = np.repeat(h, d)
         y_new, err5, err3, K = _dop853(flat_rhs, t, y.ravel(), f.ravel(), h, hc)
-        if every:  # the dense stages of every lane in one block; a rejected lane's go unused
+        if history:  # the dense stages of every lane in one block; a rejected lane's go unused
             q = _dense(flat_rhs, t, y.ravel(), y_new, h, hc, K).reshape(-1, d, 7)
         y_new, err5, err3, f_new = (a.reshape(-1, d) for a in (y_new, err5, err3, K[12]))
         err_norm = _error_norm(err5, y, y_new, cfg, err3)
@@ -1393,16 +1385,10 @@ def integrate_batch(
         n_rejected[lane[~ok]] += 1
         tries = zip(h.tolist(), err_norm.tolist(), h_old.tolist(), err_old.tolist())
         factor = np.array([_step_factor(*a, ORDER) for a in tries])
-        if event.monotone:  # g at the step's end; the loop walks a crossing step
-            g_end = event.fn(t + h, y_new.T)
-            crossed = _crossing(g_prev, g_end, event.direction)
-        else:
-            _, g = _probe(event.fn, t[:, None], y[:, None], y_new, q[:, None], h[:, None])
-            walk_g = np.column_stack((g_prev, g.reshape(-1, 4)))
-            g_end = walk_g[:, -1]
-            crossed = _crossing(walk_g[:, :-1], walk_g[:, 1:], event.direction).any(axis=1)
+        g_end = event.fn(t + h, y_new.T)  # g at the step's end; the loop walks a crossing step
+        crossed = _crossing(g_prev, g_end, event.direction)
         end = ok & (crossed | _blown_up(y_new))
-        if every:
+        if history:
             end |= ok & ~np.isfinite(q).all(axis=(1, 2))
         else:  # the dense output of the lanes whose loop walks this step, in one block
             q = [None] * lane.size

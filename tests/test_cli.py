@@ -656,6 +656,8 @@ def _fuzz_argv(draw):
 # (L1 = -3.2e178) both end the shot as a blow-up, exit 2
 @example(argv=["shoot-s1", "--delta1=0.5", "--tol-rel=0.5", "--tol-abs=0.5"])
 @example(argv=["shoot-s1", "--delta1=1", "--tol-rel=0.5"])
+# next to the fixed point (1, 1/2) the launch sits on x' = 0 (D rounds to 0)
+@example(argv=["verify-bryant", "--launch-offset=1e-300"])
 def test_property_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, argv):
     _assert_documented_exit(argv, tmp_path_factory.getbasetemp() / "fuzz.csv")
 
@@ -798,3 +800,15 @@ def test_verify_bryant_trace_failure_in_range_exits_2(capsys, monkeypatch):
     assert columns == ("error", "message")
     assert rows[0][0] == "LaunchTooFar"
     assert "step_underflow" in rows[0][1]
+
+
+@pytest.mark.parametrize("offset", ["1e-15", "1e-300"])
+def test_verify_bryant_launch_next_to_the_fixed_point_exits_2(capsys, offset):
+    # inside (0, 1e-3], but so close to (1, 1/2) that D = 1 + v (1 + x^2)
+    # rounds to 0: at the launch for 1e-300, at a Newton stage of the 40th
+    # try for 1e-15.  A numerical failure, not a crash
+    code, out = run(capsys, ["verify-bryant", "--launch-offset", offset])
+    assert code == 2
+    _, columns, rows = parse_csv(out)
+    assert columns == ("error", "message")
+    assert rows[0][0] == "LaunchTooFar"

@@ -522,6 +522,45 @@ def test_monotone_event_lanes_repeat_nodes_only_shots_bitwise():
         assert (end.termination, end.n_rhs_evals, end.n_rejected) == (n.termination, n.n_rhs_evals, n.n_rejected)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(st.floats(0.0, 0.5), st.floats(-2.0, 2.0), st.floats(0.0, 0.9), st.floats(0.5, 8.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    level=st.floats(-3.0, 8.0),
+    direction=st.sampled_from([-1, 0, 1]),
+    t_end=st.floats(0.6, 6.0),
+    max_steps=st.sampled_from([3, 40, 500_000]),
+)
+def test_property_integrate_batch_lockstep_lanes_repeat_their_single_shots(
+    lanes, level, direction, t_end, max_steps
+):
+    # x' > 0.5 on _climb, so an event on x is monotone and the lanes step
+    # in lockstep; a level below a lane's start is never crossed
+    event = Event(lambda t, y: y[0] - level, direction, name="level", monotone=True)
+    t0 = [start for start, _, _, _ in lanes]
+    y0 = [[x, amp, 0.0, omega] for _, x, amp, omega in lanes]
+    # a lane that starts non-finite stops at once, as in ``integrate``
+    t0.append(0.1)
+    y0.append([math.inf, 0.0, 0.0, 1.0])
+    rows = lambda t, y: _climb(t, y.T).T
+    with patch.object(ode, "_MAX_STEPS", max_steps):
+        dense = [integrate(_climb, a, b, t_end, event=event) for a, b in zip(t0, y0)]
+        nodes = [integrate(_climb, a, b, t_end, event=event, dense=False) for a, b in zip(t0, y0)]
+        for order in (list(range(len(t0))), list(range(len(t0)))[::-1]):
+            lane_t0, lane_y0 = [t0[i] for i in order], [y0[i] for i in order]
+            whole = ode.integrate_batch(rows, lane_t0, lane_y0, t_end, event, history=True)
+            ends = ode.integrate_batch(rows, lane_t0, lane_y0, t_end, event)
+            for i, lane, end in zip(order, whole, ends, strict=True):
+                assert _trajectory_bytes(lane) == _trajectory_bytes(dense[i])
+                n = nodes[i]
+                assert end.t_end == n.t_end and end.y[-1].tobytes() == n.y[-1].tobytes()
+                assert (end.termination, end.n_rhs_evals, end.n_rejected) == (n.termination, n.n_rhs_evals, n.n_rejected)
+    assert dense[-1].termination == "blowup"
+
+
 def test_nodes_only_trajectory_reads_at_its_nodes_alone():
     event = Event(lambda t, y: y[0] - 4.0, +1, monotone=True)
     traj = integrate(_climb, 0.0, [0.0, 0.4, 0.0, 3.0], 6.0, event=event, dense=False)
@@ -555,6 +594,49 @@ def test_overflowing_dense_stage_ends_a_shot_and_its_lanes_as_blowup():
     assert single.t.tolist() == [0.0] and single.n_rhs_evals == 2 + 15
     for lane in lanes:
         assert _trajectory_bytes(lane) == _trajectory_bytes(single)
+
+
+def test_lockstep_lanes_end_on_an_overflowing_dense_stage_as_their_single_shots():
+    # under a monotone event the lanes step in lockstep: with history a
+    # lane ends on the step whose dense stage overflows, as its dense shot
+    # does; without it that stage is never formed, as in a nodes-only shot
+    event = Event(lambda t, y: y[0] - 5.0, monotone=True)  # y' = 0: never crossed
+    start = [1.0, 0.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dense = integrate(_inf_at_one_dense_stage, 0.0, start, 1.0, event=event)
+        nodes = integrate(_inf_at_one_dense_stage, 0.0, start, 1.0, event=event, dense=False)
+        whole = ode.integrate_batch(_inf_at_one_dense_stage, [0.0] * 2, [start] * 2, 1.0, event, history=True)
+        ends = ode.integrate_batch(_inf_at_one_dense_stage, [0.0] * 2, [start] * 2, 1.0, event)
+    assert (dense.termination, dense.t.tolist()) == ("blowup", [0.0])
+    assert nodes.termination == "reached_end"
+    for lane, end in zip(whole, ends, strict=True):
+        assert _trajectory_bytes(lane) == _trajectory_bytes(dense)
+        assert end.t_end == nodes.t_end and end.y[-1].tobytes() == nodes.y[-1].tobytes()
+        assert (end.termination, end.n_rhs_evals, end.n_rejected) == (nodes.termination, nodes.n_rhs_evals, nodes.n_rejected)
+
+
+def test_lockstep_lanes_on_a_field_turning_nan_end_in_step_underflow():
+    # from t = 1 on the field is NaN: lanes in lockstep reject and shrink
+    # their tries until each leaves the batch on a step underflow just
+    # short of t = 1, as its single shot stops
+    def nan_from_one(t, y):
+        return np.where(np.asarray(t) < 1.0, _climb(t, y), math.nan)
+
+    event = Event(lambda t, y: y[0] - 100.0, +1, monotone=True)  # not reached by t = 1
+    t0 = [0.0, 0.3, 0.9]
+    y0 = [[0.0, 0.4, 0.0, 3.0], [1.0, 0.9, 0.0, 7.0], [0.0, 0.2, 0.0, 10.0]]
+    rows = lambda t, y: nan_from_one(t, y.T).T
+    dense = [integrate(nan_from_one, a, b, 5.0, event=event) for a, b in zip(t0, y0)]
+    nodes = [integrate(nan_from_one, a, b, 5.0, event=event, dense=False) for a, b in zip(t0, y0)]
+    whole = ode.integrate_batch(rows, t0, y0, 5.0, event, history=True)
+    ends = ode.integrate_batch(rows, t0, y0, 5.0, event)
+    for d, n, lane, end in zip(dense, nodes, whole, ends, strict=True):
+        assert d.termination == "step_underflow"
+        assert 0.0 < 1.0 - d.t[-1] < 1e-13
+        assert _trajectory_bytes(lane) == _trajectory_bytes(d)
+        assert end.t_end == n.t_end and end.y[-1].tobytes() == n.y[-1].tobytes()
+        assert (end.termination, end.n_rhs_evals, end.n_rejected) == (n.termination, n.n_rhs_evals, n.n_rejected)
 
 
 def test_integrate_batch_rejects_inputs_it_cannot_repeat():
@@ -1153,7 +1235,9 @@ def _probe_case(width):
     t=st.floats(-1e6, 1e6),
     h=st.floats(1e-12, 1e3),
 )
-def test_property_one_state_probe_is_the_lane_blocks_bitwise(case, t, h):
+def test_property_one_state_probe_is_interp_bitwise(case, t, h):
+    # the probe on Python floats against _interp at its times, the last
+    # probe y_new, and one direct call of fn there
     rows, state = case
     q = np.array(rows)
     y, y_new = np.array(state).T
@@ -1165,16 +1249,17 @@ def test_property_one_state_probe_is_the_lane_blocks_bitwise(case, t, h):
 
     probe_t, g = ode._probe(fn, t, y, y_new, q, h)
     assert type(probe_t) is list
+    (t_one, y_one), = calls
+    want_t = t + ode._PROBE_FRACS * h
     with np.errstate(all="ignore"):
-        block_t, block_g = ode._probe(
-            fn, np.array([t])[:, None], y[None, None], y_new[None], q[None, None], np.array([h])[:, None]
-        )
-    (t_one, y_one), (t_block, y_block) = calls
-    assert [_bits(v) for v in probe_t] == [_bits(v) for v in block_t.ravel()] == [_bits(v) for v in t_block]
-    assert [_bits(v) for v in t_one] == [_bits(v) for v in t_block]
-    assert y_one.shape == y_block.shape == (len(rows), 4)
-    assert [_bits(v) for v in y_one.ravel()] == [_bits(v) for v in y_block.ravel()]
-    assert [_bits(v) for v in g] == [_bits(v) for v in block_g]
+        want_y = ode._interp(y, q, h, want_t - t).T
+        want_y[:, -1] = y_new  # the last probe is t + h
+        want_g = fn(want_t, want_y)
+    assert [_bits(v) for v in probe_t] == [_bits(v) for v in want_t]
+    assert [_bits(v) for v in t_one] == [_bits(v) for v in want_t]
+    assert y_one.shape == want_y.shape == (len(rows), 4)
+    assert [_bits(v) for v in y_one.ravel()] == [_bits(v) for v in want_y.ravel()]
+    assert [_bits(v) for v in g] == [_bits(v) for v in want_g]
 
 
 @settings(max_examples=300, deadline=None)
