@@ -106,7 +106,9 @@ def bryant_unstable_curve(h: float = 1e-4, rtol: float = ode.IntegratorConfig.rt
     1e-3 leave the expansion's trust region, and an offset outside
     (0, 1e-3] raises LaunchOutOfRange.  A trace that stops short of
     x = 1e-6, or leaves the monotone-descent region (x' < 0, y' < 0) en
-    route, raises LaunchTooFar.  ``rtol`` is the Radau step's relative
+    route, raises LaunchTooFar.  Next to (1, 1/2) the launch rounds onto the
+    descent boundary: every h below about 1.2e-15 raises LaunchTooFar, and
+    some up to about 3e-15 do.  ``rtol`` is the Radau step's relative
     tolerance; its absolute one, 1e-12 on v, is 1e-12 x^3 on y - x.
     """
     if not 0.0 < h <= 1e-3:

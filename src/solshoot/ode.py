@@ -53,9 +53,8 @@ Tangent columns ride behind the state (``n_state``) on both steps and pay
 only for their stage arithmetic: the step control and the event read the
 state's rows alone.  Radau solves the riders' linear collocation system
 directly once the state has converged, one 5d x 5d solve an accepted
-step, with the stage Jacobians read from the riders' own field: past the
-start, rhs is called on the state's rows, and at width d + d^2 on a stage
-and the d identity columns; jac is read by the state alone.  On a DOP853 shot of
+step, with the stage Jacobians taken from jac: rhs is called on the
+state's rows alone, and the riders cost it no call.  On a DOP853 shot of
 nodes only, as Newton's are, neither the state nor the riders form dense
 stages but on the step that a monotone event walks.
 
@@ -812,9 +811,8 @@ class _Radau:
     changes.
 
     Riders follow an accepted step by one direct solve of their own
-    collocation system (:meth:`_riders`), which reads the stage Jacobians
-    from rhs at width d + d^2; jac, and with it the inverse, serve the
-    state alone.
+    collocation system (:meth:`_riders`), with jac at each stage; rhs and
+    the inverse serve the state alone.
     """
 
     def __init__(self, rhs, jac, cfg: IntegratorConfig, t, y, n_state=None):
@@ -887,20 +885,13 @@ class _Radau:
         The riders' collocation system is linear: their stage values V solve
         (I - h (A (x) I) diag(J(Y_1..Y_5))) V = 1 (x) v, one solve of that
         5d x 5d matrix for every column at once, the staggered direct method
-        (Caracotsios & Stewart 1985).  J(Y_i) is read from the riders' own
-        field at the d identity columns, one rhs call at width d + d^2 a
-        stage.  A singular matrix leaves the riders NaN, and the loop ends
-        the shot on their dense output."""
+        (Caracotsios & Stewart 1985).  J(Y_i) is jac's at each stage, five
+        calls of jac and none of rhs.  A singular matrix leaves the riders
+        NaN, and the loop ends the shot on their dense output."""
         d, m = self.d, v.size
-        full = np.empty((_NR, d + d * d))  # each stage, then the d identity columns
-        full[:, :d] = stages
-        full[:, d:] = np.eye(d).ravel()
-        jt = np.empty((_NR, d, d))  # jt[i] = J(Y_i)^T: its row c is J(Y_i) e_c
-        for i, c in enumerate(_RC.tolist()):
-            jt[i] = self.rhs(t + h * c, full[i])[d:].reshape(d, d)
-        self.n_evals += _NR
+        js = np.array([self.jac(t + h * c, stage) for c, stage in zip(_RC.tolist(), stages)], dtype=float)
         # entry (i, p, j, q) of the 5d x 5d matrix is delta_ij delta_pq - h a_ij J(Y_j)_pq
-        mat = np.eye(_NR * d) - (h * _RA[:, None, :, None] * jt.transpose(2, 0, 1)).reshape(_NR * d, -1)
+        mat = np.eye(_NR * d) - (h * _RA[:, None, :, None] * js.transpose(1, 0, 2)).reshape(_NR * d, -1)
         cols = v.reshape(-1, d).T  # (d, m / d), rider column c is entries c d to c d + d
         try:
             vs = np.linalg.solve(mat, np.concatenate((cols,) * _NR))
@@ -921,9 +912,7 @@ class _Radau:
         its own rows alone, as without riders, and the riders follow an
         accepted step (see :meth:`_riders`)."""
         cfg = self.cfg
-        riders = None
-        if y.size > self.d:
-            y, riders, f = y[:self.d], y[self.d:], f[:self.d]
+        y, riders = y[:self.d], y[self.d:]
         if self.last is None:
             z0 = np.zeros((_NR, self.d))
         else:
@@ -984,7 +973,7 @@ class _Radau:
         self.retry = False
         q = (z.T @ _RP) / h
         self.last = (z[-1], q.T, h)
-        if riders is not None:
+        if riders.size:
             v_new, q_riders = self._riders(t, h, ys + z, riders)
             y_new, q = np.concatenate((y_new, v_new)), np.concatenate((q, q_riders))
         return (y_new, q, f_new, None), factor, err_norm
@@ -1138,14 +1127,10 @@ def integrate(
     column: the variational equations, whose Jacobian is block
     lower-triangular with I (x) J on its diagonal blocks.  There ``jac``
     gets the state's rows and gives its (n_state, n_state) Jacobian, which
-    the state's Newton iteration alone reads.  ``rhs`` is called on the
-    state's rows alone wherever the step needs no riders (the state's
-    Newton iteration, its error estimate and rhs at the new node), so it
-    must take that width as well.  The riders' direct solve reads each
-    stage's Jacobian from their field, at width n_state + n_state^2 on the
-    stage and the n_state identity columns: 5 calls an accepted step, which
-    ``n_rhs_evals`` counts.  Only the start's two calls, f and the initial
-    step's, take the full width.
+    the state's Newton iteration reads, and the riders' direct solve at
+    each of an accepted step's 5 stages.  ``rhs`` is called on the state's
+    rows alone, the start's two calls included, so it need not take the
+    riders, and a shot with riders makes the rhs calls of one without.
     """
     cfg = config or IntegratorConfig()
     y = np.array(y0, dtype=float)
@@ -1164,10 +1149,11 @@ def integrate(
     if _blown_up(y[:n_state]):  # stepping on would only spin through the step budget
         return _blown_start(t0, y, 7 if jac is None else _NR)
 
-    f = np.asarray(rhs(t0, y), dtype=float)
+    start = y if jac is None else y[:n_state]  # the Radau step calls rhs on the state alone
+    f = np.asarray(rhs(t0, start), dtype=float)
     radau = None if jac is None else _Radau(rhs, jac, cfg, t0, y, n_state)
     order = ORDER if radau is None else _RADAU_ORDER
-    h = _hairer_initial_step(rhs, t0, y, f, cfg.rtol, cfg.atol, t_end - t0, n_state, order)
+    h = _hairer_initial_step(rhs, t0, start, f, cfg.rtol, cfg.atol, t_end - t0, n_state, order)
     g_prev = event.fn(t0, y[:n_state]) if event is not None else None
     return _steps(rhs, t_end, cfg, event, n_state, radau, t0, y, f, h, g_prev, 0, 0, 2, dense=dense)
 

@@ -54,8 +54,8 @@ tangent-carrying shot and a sweep's node all take it, so Newton's F is
 bitwise ``mismatch`` and a ``sample_curve`` node bitwise
 ``shoot_curve_point`` at every delta1.  Newton's tangent column follows
 each accepted Radau step by one direct solve of its linear collocation
-system, whose stage Jacobians the field gives at width 4 + 16
-(``ode.integrate``): 5 rhs calls a step more than the plain shot, and no
+system, whose stage Jacobians are ``family_tangent(y, I)``'s at the
+stages (``ode.integrate``): the rhs calls of the plain shot, and no
 iteration that could fail to settle.  The sphere side and every delta1
 below 20 take DOP853.
 """

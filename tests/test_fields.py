@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solshoot import shooting
+from solshoot import fields, shooting
 from solshoot.errors import DegenerateXi, DegenerateZ, UndefinedGauge
 from solshoot.fields import (
     CurvatureEigenvalues,
@@ -222,6 +222,28 @@ def test_family_tangent_is_the_jacobian_of_family_rhs():
         np.testing.assert_allclose(family_tangent(s, v), jac @ v, rtol=1e-8, atol=1e-8)
         for j in range(3):
             assert family_tangent(s, v[:, j]).tolist() == family_tangent(s, v)[:, j].tolist()
+
+
+# +-0.0 and magnitudes from 1e-300 to 1e150, either sign
+_TANGENT_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, mantissa, exp: sign * mantissa * 10.0**exp,
+        st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-300, 149),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.lists(_TANGENT_ENTRY, min_size=4, max_size=4), k=st.integers(1, 5), data=st.data())
+def test_property_family_tangent_is_bitwise_its_numpy_row_form(s, k, data):
+    # family_tangent evaluates each column on Python floats; the reference
+    # is _tangent on numpy rows, one row of k columns a component
+    cols = np.array(data.draw(st.lists(_TANGENT_ENTRY, min_size=4 * k, max_size=4 * k))).reshape(4, k)
+    state = np.array(s)
+    for v in (np.eye(4), cols[:, 0], cols):
+        want = np.array(fields._tangent(*state, v))
+        assert family_tangent(state, v).tobytes() == want.tobytes()
 
 
 @st.composite

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from solshoot import ode
+from solshoot import ode, shooting
 from solshoot.ode import Event, IntegratorConfig, Trajectory, integrate, locate_event
 
 
@@ -1065,14 +1065,40 @@ def test_radau_takes_riders_in_whole_columns():
         integrate(rhs, 0.0, [1.0, 1.0, -2.0], 1.0, n_state=2, jac=lambda t, y: np.eye(2))
 
 
+def test_radau_route_calls_rhs_on_the_state_rows_alone():
+    # every rhs call on the Radau route, the start's two included, sees the
+    # state's rows alone; the riders' stage Jacobians are jac's, five calls
+    # an accepted step
+    widths, jac_calls = [], []
+
+    def recorded(rhs):
+        return lambda t, y: widths.append(np.shape(y)) or rhs(t, y)
+
+    rhs, jac = _prothero_robinson_with_riders(10.0)
+    counted = lambda t, y: jac_calls.append(t) or jac(t, y)
+    plain = integrate(rhs, 0.0, [1.0], 1.0, jac=counted)
+    n_plain = len(jac_calls)
+    traj = integrate(recorded(rhs), 0.0, [1.0, 1.0, -2.0], 1.0, n_state=1, jac=counted)
+    assert len(widths) == traj.n_rhs_evals == plain.n_rhs_evals and set(widths) == {(1,)}
+    # the state's Jacobian refreshes are the plain shot's
+    assert len(jac_calls) - n_plain == n_plain + 5 * (len(traj.t) - 1)
+    widths.clear()
+    cfg = shooting.ShootConfig()
+    t0, y0 = shooting._launch("s1", (300.0,), cfg, tangent=True)
+    with patch.object(shooting, "integrate", lambda rhs, *a: integrate(recorded(rhs), *a)):
+        traj = shooting._shoot(y0, t0, "s1", "meet", cfg, 1.0, 1, stiff=True)
+    assert traj.y.shape[1] == 8
+    assert len(widths) == traj.n_rhs_evals and set(widths) == {(4,)}
+
+
 def test_radau_riders_that_turn_non_finite_end_the_shot_as_a_blowup():
-    # riders whose field turns NaN from t = 0.5 on turn NaN on the step that
-    # reaches it; its dense output is not finite, so the loop ends the shot
-    # on the node before that step, the plain shot's node bitwise
+    # riders whose Jacobian turns NaN from t = 0.5 on turn NaN on the step
+    # that reaches it; its dense output is not finite, so the loop ends the
+    # shot on the node before that step, the plain shot's node bitwise
     lam = 1e2
     rhs, jac = _prothero_robinson(lam)
-    bad = lambda t, y: np.concatenate((rhs(t, y[:1]), -lam * y[1:] if t < 0.5 else np.full(y.size - 1, math.nan)))
-    traj = integrate(bad, 0.0, [1.0, 1.0], 1.0, n_state=1, jac=jac)
+    bad = lambda t, y: jac(t, y) if t < 0.5 else np.array([[math.nan]])
+    traj = integrate(rhs, 0.0, [1.0, 1.0], 1.0, n_state=1, jac=bad)
     plain = integrate(rhs, 0.0, [1.0], 1.0, jac=jac)
     n = len(traj.t)
     assert traj.termination == "blowup"
